@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core import ShieldedModel, format_bytes, measure_shielded_model, paper_table1
 from repro.models import build_model
-from repro.tee import establish_session, verify_quote
+from repro.tee import establish_session, random_bytes, verify_quote
 from repro.utils import set_global_seed, spawn_rng
 
 
@@ -66,7 +66,7 @@ def main() -> None:
         f"{message.nbytes:,} bytes and recovered intact: {np.allclose(recovered, stem_update)}"
     )
 
-    nonce = bytes(int(v) for v in rng.integers(0, 256, size=16))
+    nonce = random_bytes(rng, 16)
     device_key = b"device-provisioned-key-0123456789"
     quote = shielded.enclave.attest(nonce, device_key)
     accepted = verify_quote(quote, shielded.enclave.measurement(), nonce, device_key)

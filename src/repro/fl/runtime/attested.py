@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.tee.attestation import AttestationQuote, verify_quote
 from repro.tee.errors import AttestationError
-from repro.tee.secure_channel import SecureChannel
+from repro.tee.secure_channel import SecureChannel, random_bytes
 from repro.utils.rng import derive_seed, spawn_rng
 
 
@@ -62,9 +62,6 @@ class AttestationGate:
         #: Established sessions by client id (the runtime reads these).
         self.sessions: dict[str, ClientSession] = {}
 
-    def _random_bytes(self, count: int) -> bytes:
-        return bytes(int(value) for value in self._rng.integers(0, 256, size=count))
-
     def enroll(self, client_id: str, device_key: bytes, expected_measurement: bytes) -> None:
         """Register a client's device key and expected enclave measurement."""
         self._enrolled[client_id] = (bytes(device_key), bytes(expected_measurement))
@@ -79,14 +76,14 @@ class AttestationGate:
         if client_id not in self._enrolled:
             raise AttestationError(f"client {client_id!r} is not enrolled")
         device_key, expected_measurement = self._enrolled[client_id]
-        nonce = self._random_bytes(16)
+        nonce = random_bytes(self._rng, 16)
         quote = attest(nonce)
         if not verify_quote(quote, expected_measurement, nonce, device_key):
             raise AttestationError(
                 f"attestation quote for client {client_id!r} failed verification"
             )
         session = ClientSession(
-            client_id=client_id, session_key=self._random_bytes(32), quote=quote
+            client_id=client_id, session_key=random_bytes(self._rng, 32), quote=quote
         )
         self.sessions[client_id] = session
         return session

@@ -283,6 +283,10 @@ class GatewayService:
         """Drain pending (plus ``requests``) through the gateway scheduler."""
         from repro.autodiff.context import no_grad
 
+        if self.enclave is not None and not self.model.accumulate_regions:
+            # Same rule as ShieldedModel.forward: each drain starts from an
+            # empty enclave, or every request's stem regions stay resident.
+            self.enclave.flush_regions()
         for request in requests or []:
             self.submit(request)
         costs = self.costs()

@@ -24,7 +24,7 @@ import numpy as np
 from repro.fl.runtime.attested import AttestationGate, ClientSession
 from repro.tee.enclave import Enclave
 from repro.tee.errors import AttestationError
-from repro.tee.secure_channel import EncryptedMessage, SecureChannel
+from repro.tee.secure_channel import EncryptedMessage, SecureChannel, random_bytes
 from repro.utils.rng import spawn_rng
 
 
@@ -84,14 +84,11 @@ class SessionManager:
         self._channels: dict[str, tuple[SecureChannel, SecureChannel]] = {}
         self.sessions: dict[str, ClientSession] = {}
 
-    def _random_bytes(self, count: int) -> bytes:
-        return bytes(int(value) for value in self._rng.integers(0, 256, size=count))
-
     def open(self, session_id: str, seed: int = 0) -> ServingSession:
         """Attest the serving enclave to a new client and mint its session."""
         if session_id in self.sessions:
             raise AttestationError(f"session {session_id!r} is already open")
-        device_key = self._random_bytes(32)
+        device_key = random_bytes(self._rng, 32)
         self._gate.enroll(session_id, device_key, self.enclave.measurement())
         session = self._gate.establish(
             session_id, lambda nonce: self.enclave.attest(nonce, device_key)

@@ -9,7 +9,12 @@ from repro.tee.errors import (
     SecureChannelError,
     TEEError,
 )
-from repro.tee.secure_channel import EncryptedMessage, SecureChannel, establish_session
+from repro.tee.secure_channel import (
+    EncryptedMessage,
+    SecureChannel,
+    establish_session,
+    random_bytes,
+)
 from repro.tee.world import WorldBoundary, WorldSwitchCostModel, WorldSwitchStats
 
 __all__ = [
@@ -31,5 +36,6 @@ __all__ = [
     "establish_session",
     "measure_payload",
     "produce_quote",
+    "random_bytes",
     "verify_quote",
 ]

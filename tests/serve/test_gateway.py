@@ -499,3 +499,25 @@ class TestGatewayServiceParity:
         )
         np.testing.assert_array_equal(report.predictions(), model.predict(inputs))
         assert report.metrics["world_switches"] == 0
+
+    def test_repeated_serves_do_not_grow_enclave_regions(self, rng):
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(
+            policy="continuous", max_batch=4, replicas=2,
+            admission=AdmissionPolicy(max_queue_depth=256, max_per_session=64),
+        ))
+        service.open_session("client")
+        requests = self._requests(rng, count=4)
+        with no_grad():
+            eager = np.stack(
+                [model(Tensor(np.asarray(r.payload)[None], is_input=True)).data[0]
+                 for r in requests]
+            )
+        first = service.serve(list(requests))
+        after_one = service.enclave.memory_report().region_value_bytes
+        assert after_one > 0
+        for _ in range(19):
+            report = service.serve(list(requests))
+        assert service.enclave.memory_report().region_value_bytes <= after_one
+        np.testing.assert_array_equal(first.logits(), eager)
+        np.testing.assert_array_equal(report.logits(), eager)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -103,6 +104,63 @@ class TestSecureChannel:
         sender.encrypt(b"defg")
         assert sender.messages_sent == 2
         assert sender.bytes_sent == 7
+
+    def test_known_answer_wire_format(self):
+        # Pins nonces, keystream, ciphertext and MAC byte for byte: any change
+        # to the cipher's internals must reproduce this digest exactly.
+        channel = SecureChannel(b"k" * 32, rng=np.random.default_rng(0))
+        digest = hashlib.sha256()
+        for size in (0, 1, 31, 32, 33, 24576, 100003):
+            payload = (bytes(range(256)) * (size // 256 + 1))[:size]
+            message = channel.encrypt(payload)
+            assert len(message.ciphertext) == size
+            assert channel.decrypt(message) == payload
+            digest.update(message.nonce + message.ciphertext + message.mac)
+        assert digest.hexdigest() == (
+            "e1a1acc29d4e28173753c97752b06c511aaccce4f1296f1e1d19059215714191"
+        )
+
+    @pytest.mark.parametrize("tamper", ["nonce", "truncate", "mac"])
+    def test_rejects_tampered_envelope(self, tamper):
+        sender = SecureChannel(b"k" * 32, rng=np.random.default_rng(0))
+        message = sender.encrypt(b"sealed model update " * 4)
+        other = sender.encrypt(b"sealed model update " * 4)
+        if tamper == "nonce":
+            forged = dataclasses.replace(
+                message, nonce=bytes([message.nonce[0] ^ 1]) + message.nonce[1:]
+            )
+        elif tamper == "truncate":
+            forged = dataclasses.replace(message, ciphertext=message.ciphertext[:-1])
+        else:
+            forged = dataclasses.replace(message, mac=other.mac)
+        with pytest.raises(SecureChannelError):
+            SecureChannel(b"k" * 32).decrypt(forged)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.normal(size=(3, 7)).astype(np.float32),
+            lambda rng: rng.normal(size=(2, 3, 5)),
+            lambda rng: rng.integers(-128, 128, size=(9,)).astype(np.int8),
+            lambda rng: rng.normal(size=(4, 6)).astype(np.float32).T,
+        ],
+        ids=["float32", "float64", "int8", "transposed"],
+    )
+    def test_decrypt_array_returns_a_fresh_exact_copy(self, rng, make):
+        sender, receiver = establish_session(rng)
+        array = make(rng)
+        message, shape, dtype = sender.encrypt_array(array)
+        recovered = receiver.decrypt_array(message, shape, dtype)
+        assert recovered.shape == array.shape
+        assert recovered.dtype == array.dtype
+        assert recovered.tobytes() == np.ascontiguousarray(array).tobytes()
+        assert recovered.flags.writeable and recovered.flags.owndata
+        ciphertext = np.frombuffer(message.ciphertext, dtype=np.uint8)
+        assert not np.shares_memory(recovered, ciphertext)
+        recovered[...] = 0
+        assert receiver.decrypt_array(message, shape, dtype).tobytes() == (
+            np.ascontiguousarray(array).tobytes()
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(st.binary(min_size=0, max_size=256))
