@@ -112,6 +112,49 @@ def _time_kernels() -> dict:
     return rows
 
 
+#: Signed-input gelu leg: N(0,1) samples put half of every operand below
+#: zero, where a ``pow()``-based cube takes libm's slow path; the positive
+#: inputs of the kernel table above would hide it.
+_SIGNED_SHAPE = (64, 256)
+_SIGNED_REPEATS = 100
+_GELU_FORWARD_MAX_RATIO = 4.0
+_GELU_FORWARD_BACKWARD_MAX_RATIO = 3.0
+
+
+def _time_signed_gelu() -> dict:
+    """gelu vs tanh on signed float64 inputs, forward and forward+backward.
+
+    Each figure is the best of 3 sweeps of µs per call; the gate is on the
+    ratios to tanh measured the same way, so host speed cancels out.
+    """
+    array = np.random.default_rng(43).normal(size=_SIGNED_SHAPE)
+    grad = np.random.default_rng(47).normal(size=_SIGNED_SHAPE)
+
+    def forward(name):
+        op_registry.apply(name, [Tensor(array)])
+
+    def forward_backward(name):
+        x = Tensor(array, requires_grad=True)
+        op_registry.apply(name, [x]).backward(grad)
+
+    def best_us(step, name) -> float:
+        step(name)  # warm-up
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            for _ in range(_SIGNED_REPEATS):
+                step(name)
+            best = min(best, time.perf_counter() - start)
+        return best / _SIGNED_REPEATS * 1e6
+
+    row = {"shape": list(_SIGNED_SHAPE), "dtype": str(Tensor(array).data.dtype)}
+    for label, step in (("forward", forward), ("forward_backward", forward_backward)):
+        for name in ("gelu", "tanh"):
+            row[f"{name}_{label}_us"] = best_us(step, name)
+        row[f"gelu_over_tanh_{label}"] = row[f"gelu_{label}_us"] / row[f"tanh_{label}_us"]
+    return row
+
+
 def _time_chain() -> dict:
     """Elementwise-chain gradient queries: eager vs pooled vs fused replay."""
     rng = np.random.default_rng(13)
@@ -529,6 +572,7 @@ def _time_batch1_spatial_replay() -> dict:
 def test_op_microbench_and_report(benchmark):
     """Kernel table + chain workload; fused+pooled must beat eager."""
     kernels = run_once(benchmark, _time_kernels)
+    signed_gelu = _time_signed_gelu()
     chain = _time_chain()
     wide = _time_parallel_replay()
     tower = _time_conv_tower_replay()
@@ -540,6 +584,26 @@ def test_op_microbench_and_report(benchmark):
         print(
             f"{name:<10}{row['eager_us_per_call']:>12.1f}{row['pooled_us_per_call']:>12.1f}"
         )
+    print(
+        f"[signed gelu {signed_gelu['shape']} {signed_gelu['dtype']}] "
+        f"forward {signed_gelu['gelu_forward_us']:.1f} µs "
+        f"({signed_gelu['gelu_over_tanh_forward']:.2f}x tanh), "
+        f"forward+backward {signed_gelu['gelu_forward_backward_us']:.1f} µs "
+        f"({signed_gelu['gelu_over_tanh_forward_backward']:.2f}x tanh)"
+    )
+    # Slow-path gate: on signed inputs gelu must stay within a small multiple
+    # of tanh, the transcendental at its core.  A cube computed through
+    # ``pow()`` measures ~27x (forward) and 11-15x (forward+backward).
+    assert signed_gelu["gelu_over_tanh_forward"] <= _GELU_FORWARD_MAX_RATIO, (
+        f"gelu forward {signed_gelu['gelu_over_tanh_forward']:.2f}x tanh "
+        f"> {_GELU_FORWARD_MAX_RATIO}x on signed inputs"
+    )
+    assert (
+        signed_gelu["gelu_over_tanh_forward_backward"] <= _GELU_FORWARD_BACKWARD_MAX_RATIO
+    ), (
+        f"gelu forward+backward {signed_gelu['gelu_over_tanh_forward_backward']:.2f}x "
+        f"tanh > {_GELU_FORWARD_BACKWARD_MAX_RATIO}x on signed inputs"
+    )
     print(
         f"[chain {chain['shape']}] eager {chain['eager_seconds']:.3f}s, "
         f"pooled {chain['pooled_seconds']:.3f}s, "
@@ -611,6 +675,7 @@ def test_op_microbench_and_report(benchmark):
     payload = {
         "scenario": "bench_op_microbench",
         "kernels": kernels,
+        "signed_gelu": signed_gelu,
         "elementwise_chain": chain,
         "parallel_replay": wide,
         "conv_tower_replay": tower,
@@ -621,6 +686,8 @@ def test_op_microbench_and_report(benchmark):
     write_bench_trajectory(
         "ops",
         {
+            "signed_gelu_forward_us": signed_gelu["gelu_forward_us"],
+            "signed_gelu_forward_backward_us": signed_gelu["gelu_forward_backward_us"],
             "chain_eager_seconds": chain["eager_seconds"],
             "chain_pooled_seconds": chain["pooled_seconds"],
             "chain_fused_replay_seconds": chain["fused_replay_seconds"],

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import zipfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -215,7 +216,8 @@ class ArtifactCache:
             return None
         try:
             state = load_state(path)
-        except (OSError, ValueError) as error:
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as error:
+            # Truncated, bit-flipped or empty archives: a miss, not a crash.
             _LOGGER.warning("discarding unreadable cached defender %s: %s", path, error)
             return None
         # Refresh the LRU clock: a read makes the artifact recently-used, so

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
 from repro.autodiff import (
+    CapturedExecution,
+    EagerExecution,
     Tensor,
+    TraceHandles,
     cross_entropy,
     dropout,
     gelu,
@@ -20,6 +25,8 @@ from repro.autodiff import (
     sigmoid,
     softmax,
 )
+from repro.autodiff import ops
+from repro.autodiff.ops import _SQRT_2_OVER_PI
 
 from tests.autodiff.conftest import away_from, grad_check_settings, value_atol
 
@@ -77,6 +84,121 @@ class TestActivations:
         a = log_softmax(Tensor(x), axis=-1).data
         b = np.log(softmax(Tensor(x), axis=-1).data)
         np.testing.assert_allclose(a, b, atol=value_atol())
+
+
+def _kernel_ctx(x, saved, **fields):
+    """The slice of an OpCall a single-input backward kernel reads."""
+    return types.SimpleNamespace(needs=(True,), inputs=(x,), saved=saved, **fields)
+
+
+class TestGeluKernel:
+    """The tanh-approximation GELU kernel's numeric and buffer contract."""
+
+    def _signed_inputs(self, dtype=np.float64):
+        samples = np.random.default_rng(5).normal(size=4096) * 3.0
+        return np.concatenate([np.linspace(-10.0, 10.0, 2001), samples]).astype(dtype)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="no extended-precision long double on this platform",
+    )
+    def test_forward_matches_extended_precision_reference(self):
+        x = self._signed_inputs()
+        y = ops.get("gelu").forward((x,), {}, {}, None)
+        xl = x.astype(np.longdouble)
+        u = np.longdouble(_SQRT_2_OVER_PI) * (xl + np.longdouble(0.044715) * xl * xl * xl)
+        reference = np.longdouble(0.5) * xl * (1 + np.tanh(u))
+        error = np.abs(y.astype(np.longdouble) - reference)
+        bound = 2 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(x))
+        assert np.all(error <= bound), float((error / bound).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_is_preserved(self, dtype):
+        x = self._signed_inputs(dtype)
+        saved = {}
+        y = ops.get("gelu").forward((x,), {}, saved, None)
+        (grad,) = ops.get("gelu").backward(_kernel_ctx(x, saved), np.ones_like(x))
+        assert y.dtype == saved["t"].dtype == grad.dtype == dtype
+
+    def test_out_path_returns_out(self):
+        x = self._signed_inputs()
+        out = np.empty_like(x)
+        assert ops.get("gelu").forward((x,), {}, {}, out) is out
+        np.testing.assert_array_equal(out, ops.get("gelu").forward((x,), {}, {}, None))
+
+    def test_replay_refreshes_the_recorded_tanh_buffer(self):
+        first = self._signed_inputs()
+        second = first[::-1] * 0.5
+        saved = {}
+        ops.get("gelu").forward((first,), {}, saved, None)
+        recorded = saved["t"]
+        ops.get("gelu").forward((second,), {}, saved, None)
+        fresh = {}
+        ops.get("gelu").forward((second,), {}, fresh, None)
+        assert saved["t"] is recorded
+        np.testing.assert_array_equal(recorded, fresh["t"])
+
+    @pytest.mark.parametrize(
+        "dtype, grad_dtype",
+        [(np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)],
+    )
+    def test_backward_bit_identical_to_closed_form(self, dtype, grad_dtype):
+        x = self._signed_inputs(dtype)
+        grad = np.random.default_rng(6).normal(size=x.shape).astype(grad_dtype)
+        saved = {}
+        ops.get("gelu").forward((x,), {}, saved, None)
+        t = saved["t"]
+        (actual,) = ops.get("gelu").backward(_kernel_ctx(x, saved), grad)
+        du_dx = _SQRT_2_OVER_PI * (1 + 3 * 0.044715 * x**2)
+        expected = grad * (0.5 * (1 + t) + 0.5 * x * ((1 - t**2) * du_dx))
+        assert actual.dtype == expected.dtype
+        np.testing.assert_array_equal(actual, expected)
+
+    def test_captured_replay_bit_identical_to_eager(self, rng):
+        w1 = Tensor(rng.normal(size=(6, 16)), requires_grad=True, is_parameter=True)
+        w2 = Tensor(rng.normal(size=(16, 3)), requires_grad=True, is_parameter=True)
+
+        def trace(array):
+            x = Tensor(array, requires_grad=True, is_input=True)
+            logits = gelu(gelu(x @ w1) * 2.0) @ w2
+            labels = np.zeros(len(array), dtype=np.int64)
+            return TraceHandles(
+                objective=cross_entropy(logits, labels, reduction="sum"), input=x
+            )
+
+        eager, captured = EagerExecution(), CapturedExecution()
+        for _ in range(4):
+            batch = rng.normal(size=(5, 6)) * 3.0
+            expected = eager.run(trace, batch)
+            actual = captured.run(trace, batch, key="gelu-mlp")
+            np.testing.assert_array_equal(expected.objective.data, actual.objective.data)
+            np.testing.assert_array_equal(expected.input.grad, actual.input.grad)
+        assert captured.stats.replays == 2
+
+
+class TestSoftmaxKernel:
+    """The in-place softmax kernels reproduce the plain expressions bit for bit."""
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "transposed"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_plain_expressions(self, rng, axis, layout, dtype):
+        x = (rng.normal(size=(24, 40)) * 4.0).astype(dtype)
+        x = {"c": x, "fortran": np.asfortranarray(x), "transposed": x.T}[layout]
+        grad = rng.normal(size=x.shape).astype(dtype)
+        exps = np.exp(x - x.max(axis=axis, keepdims=True))
+        expected = exps / exps.sum(axis=axis, keepdims=True)
+        expected_grad = expected * (grad - (grad * expected).sum(axis=axis, keepdims=True))
+        params = {"axis": axis}
+        out = np.empty(x.shape, dtype)
+        for buffer in (None, out):
+            data = ops.get("softmax").forward((x,), params, {}, buffer)
+            np.testing.assert_array_equal(data, expected)
+        assert data is out
+        ctx = _kernel_ctx(x, {}, params=params, out_data=expected)
+        (actual_grad,) = ops.get("softmax").backward(ctx, grad)
+        assert actual_grad.dtype == dtype
+        np.testing.assert_array_equal(actual_grad, expected_grad)
 
 
 class TestLosses:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -153,6 +156,36 @@ class TestArtifactCache:
         assert reader.stats.trainings == 1
         assert reader.stats.disk_hits == 0
         assert not model.training
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped_data_byte", "empty"])
+    def test_corrupt_disk_artifact_is_a_logged_miss(self, tmp_path, damage, caplog):
+        """A damaged archive must retrain and be rewritten, not crash the run."""
+        config = _tiny_config()
+        writer = ArtifactCache(directory=tmp_path)
+        writer.get_defender("simple_cnn", config)
+        path = tmp_path / "defenders" / f"{writer.defender_key('simple_cnn', config)}.npz"
+        raw = bytearray(path.read_bytes())
+        if damage == "truncated":
+            raw = raw[: len(raw) // 2]
+        elif damage == "flipped_data_byte":
+            with zipfile.ZipFile(path) as archive:
+                member = max(archive.infolist(), key=lambda info: info.compress_size)
+            name_len, extra_len = struct.unpack_from("<HH", raw, member.header_offset + 26)
+            data_start = member.header_offset + 30 + name_len + extra_len
+            raw[data_start + member.compress_size - 1] ^= 0xFF
+        else:
+            raw = bytearray()
+        path.write_bytes(bytes(raw))
+        reader = ArtifactCache(directory=tmp_path)
+        model = reader.get_defender("simple_cnn", config)
+        assert reader.stats.trainings == 1
+        assert reader.stats.disk_hits == 0
+        assert not model.training
+        assert "discarding unreadable cached defender" in caplog.text
+        rewritten = ArtifactCache(directory=tmp_path)
+        rewritten.get_defender("simple_cnn", config)
+        assert rewritten.stats.trainings == 0
+        assert rewritten.stats.disk_hits == 1
 
 
 class TestCacheDiskBudget:
