@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 
 import numpy as np
@@ -65,30 +64,14 @@ def _timed_run(attack, view, images, labels, backend: str, active_set: bool):
     return result, time.perf_counter() - start
 
 
-#: The ``captured_parallel`` leg replays the same captured graphs with the
-#: wave scheduler on 4 worker threads; its sha256 must match the serial legs.
-_PARALLEL_THREADS = 4
-
-
-@pytest.mark.parametrize("backend", ["eager", "captured", "captured_parallel"])
+@pytest.mark.parametrize("backend", ["eager", "captured"])
 def test_attack_gradient_throughput(benchmark, engine, backend):
     """PGD throughput on one backend; parity against every other backend."""
     model, attack, images, labels = _bench_setup(engine)
     view = make_attacker_view(model)
-    driver_backend = "captured" if backend == "captured_parallel" else backend
-    previous = os.environ.get("REPRO_REPLAY_THREADS")
-    os.environ["REPRO_REPLAY_THREADS"] = (
-        str(_PARALLEL_THREADS) if backend == "captured_parallel" else "1"
+    result, seconds = run_once(
+        benchmark, _timed_run, attack, view, images, labels, backend, False
     )
-    try:
-        result, seconds = run_once(
-            benchmark, _timed_run, attack, view, images, labels, driver_backend, False
-        )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_REPLAY_THREADS", None)
-        else:
-            os.environ["REPRO_REPLAY_THREADS"] = previous
     queries_per_second = result.total_sample_queries / max(seconds, 1e-9)
     digest = hashlib.sha256(np.ascontiguousarray(result.adversarials).tobytes()).hexdigest()
     print()
@@ -187,11 +170,9 @@ def test_active_set_query_reduction_and_report(benchmark, engine):
         "eager_queries_per_second": fixed["queries_per_second"],
         "eager_seconds": fixed["seconds"],
     }
-    for name in ("captured", "captured_parallel"):
-        entry = _RESULTS.get(name)
-        if entry is not None:
-            trajectory[f"{name}_queries_per_second"] = entry["queries_per_second"]
-            trajectory[f"{name}_seconds"] = entry["seconds"]
+    if captured is not None:
+        trajectory["captured_queries_per_second"] = captured["queries_per_second"]
+        trajectory["captured_seconds"] = captured["seconds"]
     write_bench_trajectory("attack", trajectory)
 
 

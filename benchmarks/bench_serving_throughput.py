@@ -17,20 +17,14 @@ Three properties are asserted, matching the serving acceptance bar:
 
 from __future__ import annotations
 
-import hashlib
-import os
-
-import numpy as np
 import pytest
 
 from benchmarks.conftest import (
     BENCH_SCALE,
     RESULTS_DIR,
-    bench_experiment_config,
     run_once,
     write_bench_trajectory,
 )
-from repro.autodiff import InferenceHandles, InferenceRecording, Tensor, no_grad
 from repro.eval.engine import ExperimentEngine
 
 _SPEEDUP_TARGET = 3.0
@@ -81,46 +75,6 @@ def test_serving_parity(serving_record):
     parity = serving_record.results["parity"]
     assert parity["captured_vs_eager"], "captured serving logits diverge from eager"
     assert parity["batched_vs_single"], "batched serving predictions diverge from unbatched"
-
-
-def test_parallel_replay_parity_on_defender(engine):
-    """Wave-parallel replay of a served defender is bit-identical to serial.
-
-    The serving workers replay :class:`InferenceRecording` graphs under
-    whatever ``REPRO_REPLAY_THREADS`` the deployment sets; this guards the
-    property that makes the knob safe to flip in production — the parallel
-    schedule changes wall time only, never a logit bit.
-    """
-    config = bench_experiment_config(models=("simple_cnn",))
-    model = engine.cache.get_defender("simple_cnn", config)
-    dataset = engine.cache.get_dataset(config)
-    batch = np.asarray(dataset.test_images[:16])
-
-    def trace(array: np.ndarray) -> InferenceHandles:
-        with no_grad():
-            x = Tensor(array, is_input=True)
-            logits = model(x)
-        return InferenceHandles(input=x, output=logits)
-
-    eager_digest = hashlib.sha256(trace(batch).output.data.tobytes()).hexdigest()
-    recording = InferenceRecording(trace(batch))
-
-    def replay_digest(threads: int) -> str:
-        previous = os.environ.get("REPRO_REPLAY_THREADS")
-        os.environ["REPRO_REPLAY_THREADS"] = str(threads)
-        try:
-            return hashlib.sha256(recording.replay(batch).output.data.tobytes()).hexdigest()
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_REPLAY_THREADS", None)
-            else:
-                os.environ["REPRO_REPLAY_THREADS"] = previous
-
-    serial = replay_digest(1)
-    parallel = replay_digest(4)
-    assert serial == eager_digest, "serial replay diverged from eager forward"
-    assert parallel == serial, "4-thread replay diverged from serial replay"
-    print(f"\n[parallel-parity] sha256={serial[:12]} identical across eager/serial/4-thread")
 
 
 def test_serving_bench_trajectory(serving_record):

@@ -25,8 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.autodiff import get_default_dtype, replay_thread_count
-from repro.autodiff.sharding import MIN_SHARD_SECONDS, force_parallel, min_band_flops
+from repro.autodiff import get_default_dtype
 from repro.eval.engine import ExperimentEngine, scaled_experiment_config
 from repro.eval.harness import ExperimentConfig
 from repro.utils.rng import set_global_seed
@@ -58,10 +57,10 @@ def _git_sha() -> str:
 def write_bench_trajectory(area: str, metrics: dict) -> Path:
     """Write ``BENCH_<area>.json`` at the repo root: one revision's numbers.
 
-    The file pins the context a benchmark ran under (git SHA, replay thread
-    count, cpu count, dtype) next to its normalized metrics, so consecutive revisions'
-    files form a performance trajectory that ``scripts/compare_bench.py``
-    gates CI on.
+    The file pins the context a benchmark ran under (git SHA, cpu count,
+    dtype) next to its normalized metrics, so consecutive revisions' files
+    form a performance trajectory that ``scripts/compare_bench.py`` gates CI
+    on.
 
     Several benches may contribute to the same area (the serving-throughput
     and serving-gateway benches both feed ``BENCH_serving.json``): when the
@@ -84,17 +83,8 @@ def write_bench_trajectory(area: str, metrics: dict) -> Path:
     record = {
         "area": area,
         "git_sha": sha,
-        "replay_threads": replay_thread_count(),
         "cpu_count": os.cpu_count() or 1,
         "dtype": str(get_default_dtype()),
-        # The active sharding configuration: speedups measured under one
-        # FLOP floor / forced fan-out are not comparable to another's, so
-        # compare_bench.py skips gating when two revisions disagree here.
-        "shard_config": {
-            "min_band_flops": min_band_flops(),
-            "min_shard_seconds": MIN_SHARD_SECONDS,
-            "force_parallel": bool(force_parallel()),
-        },
         "metrics": {key: float(value) for key, value in sorted(merged.items())},
     }
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -8,20 +8,18 @@ Usage::
 
 Each ``BENCH_<area>.json`` (written by ``benchmarks/conftest.py``'s
 ``write_bench_trajectory``) pins one revision's normalized metrics next to
-its git SHA, replay thread count and dtype.  This script diffs two such
+its git SHA, host ``cpu_count`` and dtype.  This script diffs two such
 files metric by metric and **exits 1** when any metric regressed by more
 than the tolerance (default 15%), so CI can fail a PR that slows the
-replay executor or the serving path down.
+replay path or the serving path down.
 
 Direction is inferred from the metric name: ``*_seconds`` and ``*_us`` are
 lower-is-better (time), as is ``*shed_rate`` (load shedding); everything
 else — throughputs, speedups, widths — is higher-is-better.  Metrics present in only one file are reported but
 never gate (a new benchmark must not fail the first revision that adds it).
 When both files record a ``cpu_count`` and they disagree, the runs came
-from different hosts — parallel-replay speedups are not comparable, so the
-diff is printed for the record but nothing gates.  The same skip applies
-when both files record a ``shard_config`` and they disagree: numbers taken
-under different FLOP floors or forced fan-out are not the same benchmark.
+from different hosts and their timings are not comparable, so the diff is
+printed for the record but nothing gates.
 """
 
 from __future__ import annotations
@@ -77,8 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"comparing {current.get('area', '?')}: "
         f"{previous.get('git_sha', '?')[:12]} -> {current.get('git_sha', '?')[:12]} "
-        f"(threads {previous.get('replay_threads')} -> {current.get('replay_threads')}, "
-        f"tolerance {args.tolerance:.0%})"
+        f"(tolerance {args.tolerance:.0%})"
     )
     cpu_now = current.get("cpu_count")
     cpu_then = previous.get("cpu_count")
@@ -88,14 +85,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"cpu_count changed ({cpu_then} -> {cpu_now}): different hosts, "
             "reporting only — no metric gates this comparison"
-        )
-    shard_now = current.get("shard_config")
-    shard_then = previous.get("shard_config")
-    if shard_now is not None and shard_then is not None and shard_now != shard_then:
-        gated = False
-        print(
-            f"shard_config changed ({shard_then} -> {shard_now}): different "
-            "sharding regimes, reporting only — no metric gates this comparison"
         )
 
     failures = []

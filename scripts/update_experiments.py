@@ -86,17 +86,17 @@ def render_bench_trajectory(repo_root: Path) -> str | None:
         if not isinstance(metrics, dict):
             continue
         sha = str(payload.get("git_sha", "?"))[:12]
-        threads = payload.get("replay_threads", "?")
+        cpus = payload.get("cpu_count", "?")
         for name, value in sorted(metrics.items()):
             rows.append(
                 f"| {payload.get('area', path.stem)} | {name} | {float(value):,.2f} "
-                f"| {sha} | {threads} |"
+                f"| {sha} | {cpus} |"
             )
     if not rows:
         return None
     header = (
-        "| area | metric | value | git | replay threads |\n"
-        "|------|--------|------:|-----|---------------:|"
+        "| area | metric | value | git | cpus |\n"
+        "|------|--------|------:|-----|-----:|"
     )
     return "\n".join([header, *rows])
 

@@ -20,7 +20,6 @@ from repro.autodiff.capture import (
     InferenceRecording,
     ReplayPlan,
     TraceHandles,
-    replay_thread_count,
     resolve_execution_backend,
     resolve_inference_backend,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "profile_ops",
     "relative_error",
     "relu",
-    "replay_thread_count",
     "set_default_dtype",
     "shield_scope",
     "sigmoid",

@@ -10,9 +10,9 @@ module removes that overhead behind a pluggable *execution backend* seam:
   query and run :meth:`~repro.autodiff.tensor.Tensor.backward` on it.
 * :class:`CapturedExecution` — record the graph once per (trace key, input
   shape), then replay it: new input values are copied into the recorded
-  input buffer, every input-dependent node recomputes its output **in
-  place** through the ``forward_fn`` thunks the ops registered at record
-  time, and the recorded backward closures run in the recorded order.
+  input buffer, every input-dependent node reruns its op kernel into its
+  own buffer, in recorded order, and the recorded backward closures run in
+  the recorded order.
 
 Because a replay executes exactly the same NumPy expressions in exactly the
 same order as the eager pass that recorded it, its gradients are
@@ -24,29 +24,6 @@ A recording owns its buffers, so it must not be shared across threads, and it
 assumes the model parameters do not change between replays (true for the
 attack hot path: defenders are frozen while being attacked).
 
-Replays are **dependency-scheduled**: the plan builder derives a DAG over the
-replay steps (each step's operands → the step that writes them), levels it
-into waves of mutually independent steps, and executes each wave on a shared
-thread pool sized by ``REPRO_REPLAY_THREADS`` (default ``os.cpu_count()``;
-``1`` selects the exact serial path).  Every step writes only its own node's
-preallocated buffer and reads only upstream buffers, so wave execution is
-race-free — and since each step evaluates the same NumPy expressions on the
-same operand values regardless of interleaving, parallel replays remain
-bit-identical to serial ones.  Large saved-free elementwise chains shard
-along the batch axis as a second parallelism axis behind the same knob, and
-heavyweight kernels (conv2d, matmul, pooling) that compute in canonical
-batch bands (:mod:`repro.autodiff.sharding`) split into contiguous band
-spans, so even a single-chain conv tower fills the pool.  Batch-1 4-D steps
-— the serving gateway's single-request path — band over *output rows*
-instead (spatial banding with halo-aware input windows), reported under
-``<op>_spatial`` profiler rows.  Backward sweeps tree-reduce the
-cross-batch gradients (conv2d ``grad_weight``/``grad_bias``, matmul
-``grad_b``) through per-band partial slabs whose pooled-buffer traffic is
-priced into the modeled seconds the shard decision sees.  Fan-out and shard
-counts come from a FLOP/byte cost model rather than raw element counts;
-waves whose modeled win does not cover the executor overhead run inline on
-the caller thread — the exact serial code path.
-
 The same machinery also powers the **grad-free inference mode** used by the
 serving runtime (:mod:`repro.serve`): :class:`CapturedInference` records a
 forward-only graph — traced under ``no_grad``, where ops still register
@@ -57,20 +34,14 @@ Replayed logits are bit-identical to an eager forward of the same batch.
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import os
-import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 import numpy as np
 
 from repro.autodiff import profiler as _profiler
-from repro.autodiff import sharding as _sharding
 from repro.autodiff.tensor import Tensor, topological_order
 from repro.utils.logging import get_logger
 
@@ -80,221 +51,52 @@ _LOGGER = get_logger("autodiff.capture")
 EXECUTION_BACKENDS = ("eager", "captured")
 
 
-def replay_thread_count() -> int:
-    """Worker threads used for wave-parallel replays.
-
-    Resolved from ``REPRO_REPLAY_THREADS`` on every replay (tests flip it at
-    runtime); unset means one worker per CPU, ``1`` selects the exact serial
-    code path.
-    """
-    raw = os.environ.get("REPRO_REPLAY_THREADS", "").strip()
-    if raw:
-        try:
-            count = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_REPLAY_THREADS must be an integer, got {raw!r}"
-            ) from None
-    else:
-        count = os.cpu_count() or 1
-    return max(count, 1)
-
-
-_EXECUTOR_LOCK = threading.Lock()
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
-
-
-def kernel_runner_scope():
-    """A :class:`~repro.autodiff.sharding.runner_scope` for *eager* hot loops.
-
-    Replays activate their own shard runner around the recorded sweeps; this
-    helper gives eager code paths with banded kernels (the serving gateway's
-    row-wise stage loop) the same fan-out over the shared replay executor.
-    Resolves to a no-op context when only one worker is worth using, so
-    callers can wrap unconditionally.  Executor worker threads never see the
-    activation (it is thread-local), so banded kernels running *on* the pool
-    cannot submit nested work — the pool cannot deadlock on itself.
-    """
-    workers = _sharding.effective_workers(replay_thread_count())
-    if workers <= 1:
-        return contextlib.nullcontext()
-    return _sharding.runner_scope(
-        _sharding.ShardRunner(_shared_executor(workers), workers)
-    )
-
-
-def _shared_executor(workers: int) -> ThreadPoolExecutor:
-    """The process-wide replay executor for a given worker count.
-
-    Created lazily and shared by every recording: replays are short and
-    frequent, so paying thread start-up per replay (or per recording) would
-    dominate the win.  Concurrent replays (serving worker replicas) share the
-    pool safely — wave tasks never submit nested work, so the pool cannot
-    deadlock on itself.
-    """
-    with _EXECUTOR_LOCK:
-        executor = _EXECUTORS.get(workers)
-        if executor is None:
-            executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-replay"
-            )
-            _EXECUTORS[workers] = executor
-        return executor
-
-
 class GraphCaptureError(RuntimeError):
     """A recorded graph cannot be replayed (unsupported op or shape drift)."""
 
 
-def _modeled_step_seconds(node: Tensor) -> float:
-    """Modeled seconds of one replay step, from the registry's cost rules.
-
-    Steps without an op call (opaque thunks) are assumed memory-bound:
-    stream the output buffer in and out.
-    """
-    call = node._op_call
-    if call is None:
-        return _sharding.modeled_seconds(0, 2 * node.data.nbytes)
-    flops, moved = call.op.cost_of(
-        tuple(tensor.data.shape for tensor in call.tensors),
-        node.data.shape,
-        call.params,
-        node.data.dtype.itemsize,
-    )
-    return _sharding.modeled_seconds(flops, moved)
-
-
 class _ReplayNode:
-    """One non-fused replay step: run the thunk, copy into the node's buffer.
+    """One non-fused replay step: rerun the node's kernel into its buffer.
 
-    The copy flag is decided lazily on the first replay: view-producing ops
-    (reshape, transpose, basic slicing) return the same memory the node
-    already holds once the parent buffer is refreshed, so copying onto
-    itself is wasted.
+    Non-elementwise kernels whose operands share the buffer's dtype get the
+    buffer as ``out=``: banded conv2d and matmul write it in place, the
+    others land their result there.  A kernel that returns another array is
+    copied in, unless that array already is the buffer's memory (views from
+    reshape, transpose or basic slicing of a refreshed parent); the copy
+    flag is decided on the first replay.
     """
 
-    __slots__ = ("node", "needs_copy", "elements", "seconds")
-
-    #: Thunk steps write one opaque buffer; they never split across threads.
-    shardable = False
+    __slots__ = ("node", "call", "out", "needs_copy")
 
     def __init__(self, node: Tensor):
         self.node = node
+        self.call = node._op_call
+        data = node.data
+        # An elementwise node lands here only when it computed in another
+        # dtype than its buffer holds, and so may any mixed-dtype call:
+        # writing through ``out=`` would change the rounding.
+        in_place = (
+            not self.call.op.elementwise
+            and data.flags.writeable
+            and all(tensor.data.dtype == data.dtype for tensor in self.call.tensors)
+        )
+        self.out = data if in_place else None
         self.needs_copy: bool | None = None
-        self.elements = int(node.data.size)
-        self.seconds = _modeled_step_seconds(node)
 
     def run(self) -> None:
-        node = self.node
-        new_value = node.forward_fn()
+        data = self.node.data
+        new_value = self.call.kernel(out=self.out)
+        if new_value is data:
+            return
         if self.needs_copy is None:
             self.needs_copy = not (
-                new_value.shape == node.data.shape
-                and new_value.strides == node.data.strides
+                new_value.shape == data.shape
+                and new_value.strides == data.strides
                 and new_value.__array_interface__["data"][0]
-                == node.data.__array_interface__["data"][0]
+                == data.__array_interface__["data"][0]
             )
         if self.needs_copy:
-            np.copyto(node.data, new_value)
-
-    def units(self, workers: int) -> tuple:
-        return (self.run,)
-
-
-class _ShardedNode(_ReplayNode):
-    """A heavy registry step whose kernel computes in canonical batch bands.
-
-    Instead of one thunk call, the step can split into contiguous spans of
-    whole bands, each span running the op's ``forward_shard`` kernel into a
-    disjoint slice of the node's recorded buffer (and of any recorded saved
-    arrays, e.g. a conv's im2col matrix).  Because eager execution already
-    computed the value band by band — :func:`repro.autodiff.sharding.banded`
-    is a pure function of shapes and FLOPs — every span grouping, including
-    the unsharded ``run``, is byte-identical to the recording.
-    """
-
-    __slots__ = ("call", "band_units", "flops", "moved", "profile_name")
-
-    def __init__(self, node: Tensor, call, band_units: int, flops: int, moved: int):
-        super().__init__(node)
-        self.call = call
-        self.band_units = band_units
-        self.flops = flops
-        self.moved = moved
-        # Batch-1 4-D steps band over output rows (spatial banding); report
-        # them under their own profiler row so --profile tables distinguish
-        # the two axes.
-        first = call.tensors[0].data
-        axis = "spatial" if first.ndim == 4 and first.shape[0] == 1 else "sharded"
-        self.profile_name = f"{call.op.name}_{axis}"
-
-    @property
-    def shardable(self) -> bool:
-        return self.band_units >= 2
-
-    def run(self) -> None:
-        call = self.call
-        inputs = tuple(tensor.data for tensor in call.tensors)
-        call.op.forward_shard(
-            inputs, call.params, call.saved, self.node.data, 0, self.band_units
-        )
-
-    def _run_span(self, shards: int, start: int, stop: int) -> None:
-        call = self.call
-        inputs = tuple(tensor.data for tensor in call.tensors)
-        profiler = _profiler.active_profiler()
-        if profiler is None:
-            call.op.forward_shard(inputs, call.params, call.saved, self.node.data, start, stop)
-            return
-        began = time.perf_counter()
-        call.op.forward_shard(inputs, call.params, call.saved, self.node.data, start, stop)
-        share = (stop - start) / self.band_units
-        profiler.record(
-            self.profile_name,
-            time.perf_counter() - began,
-            int(self.flops * share),
-            int(self.moved * share),
-            meta={"shards": shards, "shard_elements": self.elements // shards},
-        )
-
-    def units(self, workers: int) -> tuple:
-        shards = _sharding.decide_shards(self.seconds, self.band_units, workers)
-        if shards < 2:
-            return (self.run,)
-        spans = _sharding.partition(self.band_units, shards)
-        return tuple(
-            functools.partial(self._run_span, shards, start, stop) for start, stop in spans
-        )
-
-
-def _sharded_step(node: Tensor) -> _ShardedNode | None:
-    """Build a :class:`_ShardedNode` when the node's op and buffers allow it.
-
-    The guards mirror the eager banding gate exactly: the op must declare
-    shard kernels, the shapes must pass its ``shard_units`` rule, and every
-    operand dtype must equal the output dtype (mixed-dtype calls take the
-    classic whole-batch kernels in eager mode, so replays must too).  Shard
-    kernels write leading-axis slices of the node's buffer in place, which
-    needs no particular memory layout — ``out[start:stop] = ...`` and
-    ``np.matmul(..., out=out[start:stop])`` are value-exact on any strides.
-    """
-    call = node._op_call
-    if call is None:
-        return None
-    op = call.op
-    if op.forward_shard is None or op.shard_units is None:
-        return None
-    data = node.data
-    if not data.flags.writeable:
-        return None
-    if any(tensor.data.dtype != data.dtype for tensor in call.tensors):
-        return None
-    in_shapes = tuple(tensor.data.shape for tensor in call.tensors)
-    units = int(op.shard_units(in_shapes, data.shape, call.params, data.itemsize))
-    if units < 2:
-        return None
-    flops, moved = op.cost_of(in_shapes, data.shape, call.params, data.itemsize)
-    return _ShardedNode(node, call, units, flops, moved)
+            np.copyto(data, new_value)
 
 
 class _FusedChain:
@@ -305,76 +107,25 @@ class _FusedChain:
     happens, and because the kernels execute in the recorded order on the
     same operand values, the buffers end up bit-identical to the unfused
     replay.  Backward closures keep reading the same (refreshed) buffers.
-
-    Large chains whose every op is marked ``shardable`` (saved-free
-    elementwise ufuncs) additionally split along the batch axis: each worker
-    runs the whole chain on a disjoint row slice of every buffer, which is
-    elementwise-exact, so sharded output stays bit-identical to unsharded.
     """
 
-    __slots__ = ("steps", "elements", "seconds", "_shard_batch")
+    __slots__ = ("steps",)
 
     def __init__(self, nodes: list[Tensor]):
         self.steps = [(node._op_call, node.data) for node in nodes]
-        self.elements = sum(int(node.data.size) for node in nodes)
-        self.seconds = sum(_modeled_step_seconds(node) for node in nodes)
-        batches = {node.data.shape[0] for node in nodes if node.data.ndim}
-        sharded = (
-            all(node.data.ndim for node in nodes)
-            and len(batches) == 1
-            and all(node._op_call.op.shardable for node in nodes)
-        )
-        batch = batches.pop() if sharded else 0
-        self._shard_batch = batch if batch >= 2 else 0
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    @property
-    def shardable(self) -> bool:
-        return (
-            self._shard_batch >= 2
-            and self.seconds >= 2 * _sharding.MIN_SHARD_SECONDS
-        )
 
     def run(self) -> None:
         for call, out in self.steps:
             call.kernel(out=out)
 
-    def run_shard(self, start: int, stop: int) -> None:
-        """Run every kernel of the chain on rows [start, stop) only.
-
-        Operands are sliced when their leading axis aligns with the output's
-        (broadcast operands — size-1 or lower-rank — pass through whole), so
-        each worker reads and writes a disjoint row band of the chain's
-        buffers: race-free, and ufunc-exact per element.
-        """
-        for call, out in self.steps:
-            batch = out.shape[0]
-            inputs = tuple(
-                tensor.data[start:stop]
-                if tensor.data.ndim == out.ndim and tensor.data.shape[0] == batch
-                else tensor.data
-                for tensor in call.tensors
-            )
-            call.op.forward(inputs, call.params, call.saved, out[start:stop])
-
-    def units(self, workers: int) -> tuple:
-        if not self.shardable:
-            return (self.run,)
-        shards = _sharding.decide_shards(self.seconds, self._shard_batch, workers)
-        if shards < 2:
-            return (self.run,)
-        return tuple(
-            functools.partial(self.run_shard, start, stop)
-            for start, stop in _sharding.partition(self._shard_batch, shards)
-        )
-
 
 def _fusable(node: Tensor) -> bool:
     """Elementwise registry nodes whose kernel can write its buffer in place."""
     call = node._op_call
-    if call is None or not call.op.elementwise:
+    if not call.op.elementwise:
         return False
     dtypes = [tensor.data.dtype for tensor in call.tensors]
     result = dtypes[0] if len(dtypes) == 1 else np.result_type(*dtypes)
@@ -385,42 +136,35 @@ def _fusable(node: Tensor) -> bool:
 
 
 class ReplayPlan:
-    """The executable form of a recording: fused steps levelled into waves.
+    """The executable form of a recording: its steps in recorded order.
 
-    ``steps`` preserves the recorded topological order (the serial path runs
-    them front to back, exactly as before).  ``waves`` groups step indices by
-    dependency depth: every step in a wave reads only buffers written by
-    earlier waves and writes only its own node's buffer, so a wave executes
-    race-free in any order or interleaving — which is why parallel replays
-    stay bit-identical to serial ones.
+    Consecutive fusable nodes collapse into one :class:`_FusedChain`; every
+    other node is a :class:`_ReplayNode`.
     """
 
-    __slots__ = (
-        "steps",
-        "waves",
-        "wave_elements",
-        "wave_seconds",
-        "fused_chains",
-        "fused_ops",
-    )
+    __slots__ = ("steps", "fused_chains", "fused_ops")
 
-    def __init__(
-        self,
-        steps: list,
-        waves: list[list[int]],
-        fused_chains: int,
-        fused_ops: int,
-    ) -> None:
-        self.steps = steps
-        self.waves = waves
-        self.wave_elements = [
-            sum(steps[index].elements for index in wave) for wave in waves
-        ]
-        self.wave_seconds = [
-            sum(steps[index].seconds for index in wave) for wave in waves
-        ]
-        self.fused_chains = fused_chains
-        self.fused_ops = fused_ops
+    def __init__(self, nodes: list[Tensor]) -> None:
+        self.steps: list = []
+        self.fused_chains = 0
+        self.fused_ops = 0
+        chain: list[Tensor] = []
+        for node in nodes:
+            if _fusable(node):
+                chain.append(node)
+                continue
+            self._flush(chain)
+            self.steps.append(_ReplayNode(node))
+        self._flush(chain)
+
+    def _flush(self, chain: list[Tensor]) -> None:
+        if not chain:
+            return
+        self.steps.append(_FusedChain(chain))
+        if len(chain) > 1:
+            self.fused_chains += 1
+            self.fused_ops += len(chain)
+        chain.clear()
 
     def __iter__(self):
         return iter(self.steps)
@@ -428,199 +172,9 @@ class ReplayPlan:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def wave_count(self) -> int:
-        return len(self.waves)
-
-    @property
-    def max_wave_width(self) -> int:
-        return max((len(wave) for wave in self.waves), default=0)
-
-    @property
-    def parallelizable(self) -> bool:
-        """Whether threads can help at all: a wide wave or a shardable chain.
-
-        Narrow chain graphs short-circuit to the serial loop so they never
-        pay executor overhead.
-        """
-        return self.max_wave_width > 1 or any(step.shardable for step in self.steps)
-
-    def execute_serial(self) -> None:
+    def run(self) -> None:
         for step in self.steps:
             step.run()
-
-    def execute(self, workers: int, timed: bool = False) -> float | None:
-        """Run the plan wave by wave on the shared executor.
-
-        Waves are barriers: every task of wave *w* completes before wave
-        *w+1* starts, which is the whole scheduling invariant.  The caller
-        thread always takes the first task of a wave itself, so a one-task
-        wave never touches the executor — and a wave whose modeled win does
-        not cover the per-task overhead (:func:`~repro.autodiff.sharding.
-        fan_out_wins`) runs all its units inline, which is the exact serial
-        path.  With ``timed`` the summed per-task busy seconds are returned
-        for the profiler's utilization figure.
-        """
-        if workers <= 1 or not self.parallelizable:
-            self.execute_serial()
-            return None
-        executor = _shared_executor(workers)
-        durations: list[float] | None = [] if timed else None
-
-        def call(unit) -> None:
-            if durations is None:
-                unit()
-            else:
-                started = time.perf_counter()
-                unit()
-                durations.append(time.perf_counter() - started)
-
-        for wave, seconds in zip(self.waves, self.wave_seconds):
-            if len(wave) == 1 and not self.steps[wave[0]].shardable:
-                call(self.steps[wave[0]].run)
-                continue
-            units: list = []
-            for index in wave:
-                units.extend(self.steps[index].units(workers))
-            if len(units) == 1 or not _sharding.fan_out_wins(seconds, len(units), workers):
-                for unit in units:
-                    call(unit)
-                continue
-            futures = [executor.submit(call, unit) for unit in units[1:]]
-            call(units[0])
-            for future in futures:
-                future.result()
-        return sum(durations) if durations is not None else None
-
-
-def _build_replay_plan(nodes: list[Tensor]) -> ReplayPlan:
-    """Fuse consecutive elementwise nodes, then level the steps into waves.
-
-    Serial execution order is preserved exactly — fusion only collapses the
-    per-node Python dispatch (thunk call, temp allocation, copy-back) of a
-    chain into one in-place kernel sweep.  On top of the fused step list the
-    planner derives the dependency DAG (each step's inputs → the step that
-    produces them), levels it into waves of mutually independent steps, and
-    gives any step whose op is marked concurrency-unsafe a singleton wave of
-    its own so it never runs concurrently with anything.
-    """
-    steps: list = []
-    groups: list[list[Tensor]] = []
-    chain: list[Tensor] = []
-    chain_ids: set[int] = set()
-    replayed: set[int] = set()
-    fused_chains = 0
-    fused_ops = 0
-
-    def flush() -> None:
-        nonlocal fused_chains, fused_ops
-        if not chain:
-            return
-        steps.append(_FusedChain(chain))
-        groups.append(list(chain))
-        if len(chain) > 1:
-            fused_chains += 1
-            fused_ops += len(chain)
-        chain.clear()
-        chain_ids.clear()
-
-    def extends_chain(node: Tensor) -> bool:
-        """Fusable node whose replayed operands all live in the open chain.
-
-        Fusing only along true data dependencies keeps sequential runs in
-        one in-place sweep while leaving independent branches as separate
-        steps the wave scheduler can run concurrently — merging them (as a
-        purely order-based pass would) would serialize the whole level.
-        """
-        if not chain:
-            return True
-        parents_in_replay = [
-            parent.node_id for parent in node.parents if parent.node_id in replayed
-        ]
-        # A node fed only by the input or constants is a fresh branch root —
-        # gluing it to an unrelated open chain would serialize the branches.
-        if not parents_in_replay:
-            return False
-        return all(parent in chain_ids for parent in parents_in_replay)
-
-    for node in nodes:
-        if _fusable(node) and extends_chain(node):
-            chain.append(node)
-            chain_ids.add(node.node_id)
-        else:
-            flush()
-            if _fusable(node):
-                chain.append(node)
-                chain_ids.add(node.node_id)
-            else:
-                steps.append(_sharded_step(node) or _ReplayNode(node))
-                groups.append([node])
-        replayed.add(node.node_id)
-    flush()
-
-    # Dependency DAG over steps: map every replayed node to the step that
-    # writes its buffer; a step depends on the producers of its nodes'
-    # parents.  Chain-internal edges resolve to the step itself and drop out.
-    producer: dict[int, int] = {}
-    levels: list[int] = []
-    barriers: list[bool] = []
-    for index, group in enumerate(groups):
-        level = 0
-        for node in group:
-            for parent in node.parents:
-                dep = producer.get(parent.node_id)
-                if dep is not None and dep != index:
-                    level = max(level, levels[dep] + 1)
-        for node in group:
-            producer[node.node_id] = index
-        levels.append(level)
-        barriers.append(
-            any(
-                node._op_call is not None and not node._op_call.op.concurrency_safe
-                for node in group
-            )
-        )
-
-    waves: list[list[int]] = []
-    for level in range(max(levels, default=-1) + 1):
-        members = [index for index, lvl in enumerate(levels) if lvl == level]
-        concurrent = [index for index in members if not barriers[index]]
-        if concurrent:
-            waves.append(concurrent)
-        # Concurrency-unsafe steps run alone: a singleton wave is a full
-        # barrier against everything before, beside and after it.
-        waves.extend([index] for index in members if barriers[index])
-    return ReplayPlan(steps, waves, fused_chains, fused_ops)
-
-
-def _record_replay(
-    profiler,
-    name: str,
-    elapsed: float,
-    plan: ReplayPlan,
-    threads: int,
-    busy: float | None,
-) -> None:
-    """Report one replay to the profiler.
-
-    Serial replays keep the classic ``captured_replay`` /
-    ``captured_inference_replay`` rows; wave-parallel replays land under a
-    ``*_parallel`` row whose meta carries wave count, width, thread count and
-    (from the per-wave task timings) worker utilization, so ``--profile``
-    output distinguishes the two and shows how well the waves filled the
-    pool.
-    """
-    if threads <= 1:
-        profiler.record(name, elapsed, 0, 0)
-        return
-    meta = {
-        "threads": threads,
-        "waves": plan.wave_count,
-        "max_wave_width": plan.max_wave_width,
-    }
-    if busy is not None and elapsed > 0.0:
-        meta["utilization"] = busy / (elapsed * threads)
-    profiler.record(f"{name}_parallel", elapsed, 0, 0, meta=meta)
 
 
 @dataclass
@@ -662,14 +216,10 @@ class GraphRecording:
         #: Topological order of the whole graph (grads are reset over it).
         self._order = order
         #: Replay plan: consecutive elementwise registry ops are fused into
-        #: in-place chains (everything else replays thunk-then-copy), and the
-        #: steps are levelled into waves of mutually independent work.
-        self._plan = _build_replay_plan(replay)
+        #: in-place chains; every other node reruns its kernel on its own.
+        self._plan = ReplayPlan(replay)
         self.fused_chains = self._plan.fused_chains
         self.fused_ops = self._plan.fused_ops
-        #: Wave statistics of the dependency-scheduled plan.
-        self.waves = self._plan.wave_count
-        self.max_wave_width = self._plan.max_wave_width
         self._reversed = list(reversed(order))
         self._seed = np.ones_like(self.objective.data)
         #: Number of times this recording has been replayed.
@@ -688,41 +238,21 @@ class GraphRecording:
         profiler = _profiler.active_profiler()
         started = time.perf_counter() if profiler is not None else 0.0
         np.copyto(self.input.data, inputs)
-        workers = _sharding.effective_workers(replay_thread_count())
-        parallel = workers > 1 and self._plan.parallelizable
-        busy = self._plan.execute(workers, timed=parallel and profiler is not None)
+        self._plan.run()
         for node in self._order:
             node.grad = None
         # Inline of Tensor.backward over the recorded order: same seed, same
         # reversed traversal, same accumulation order — bit-identical grads.
-        # Parallel replays activate a shard runner so ops with banded
-        # backward kernels fan their band loops over the same executor;
-        # band grouping never changes values, so grads stay bit-identical.
-        scope = (
-            _sharding.runner_scope(
-                _sharding.ShardRunner(_shared_executor(workers), workers)
-            )
-            if parallel
-            else contextlib.nullcontext()
-        )
-        with scope:
-            self.objective._accumulate(self._seed)
-            for node in self._reversed:
-                if node.backward_fn is None or node.grad is None:
-                    continue
-                node.backward_fn(node.grad)
+        self.objective._accumulate(self._seed)
+        for node in self._reversed:
+            if node.backward_fn is None or node.grad is None:
+                continue
+            node.backward_fn(node.grad)
         for obj, attribute, value in self.rebinds:
             setattr(obj, attribute, value)
         self.replays += 1
         if profiler is not None:
-            _record_replay(
-                profiler,
-                "captured_replay",
-                time.perf_counter() - started,
-                self._plan,
-                workers if parallel else 1,
-                busy,
-            )
+            profiler.record("captured_replay", time.perf_counter() - started, 0, 0)
         return TraceHandles(objective=self.objective, input=self.input, rebinds=self.rebinds)
 
 
@@ -847,13 +377,11 @@ class InferenceRecording:
                 replay.append(node)
         if self.output.node_id not in dependent:
             raise GraphCaptureError("model output does not depend on the input")
-        #: Replay plan with fused elementwise chains and dependency waves
-        #: (see :class:`GraphRecording`; the same pass serves both).
-        self._plan = _build_replay_plan(replay)
+        #: Replay plan with fused elementwise chains (see
+        #: :class:`GraphRecording`; the same pass serves both).
+        self._plan = ReplayPlan(replay)
         self.fused_chains = self._plan.fused_chains
         self.fused_ops = self._plan.fused_ops
-        self.waves = self._plan.wave_count
-        self.max_wave_width = self._plan.max_wave_width
         self.replays = 0
 
     def __len__(self) -> int:
@@ -869,22 +397,15 @@ class InferenceRecording:
         profiler = _profiler.active_profiler()
         started = time.perf_counter() if profiler is not None else 0.0
         np.copyto(self.input.data, inputs)
-        workers = _sharding.effective_workers(replay_thread_count())
-        parallel = workers > 1 and self._plan.parallelizable
-        busy = self._plan.execute(workers, timed=parallel and profiler is not None)
+        self._plan.run()
         for obj, attribute, value in self.rebinds:
             setattr(obj, attribute, value)
         if self.on_replay is not None:
             self.on_replay()
         self.replays += 1
         if profiler is not None:
-            _record_replay(
-                profiler,
-                "captured_inference_replay",
-                time.perf_counter() - started,
-                self._plan,
-                workers if parallel else 1,
-                busy,
+            profiler.record(
+                "captured_inference_replay", time.perf_counter() - started, 0, 0
             )
         return InferenceHandles(
             input=self.input, output=self.output, rebinds=self.rebinds, on_replay=self.on_replay

@@ -48,21 +48,18 @@ def im2col_into(
 ) -> None:
     """Unfold image patches directly into ``out`` (``(N*rows*out_w, C*kh*kw)``).
 
-    Bit-identical to :func:`im2col` — both fill positions with pure copies of
-    the same padded-input elements — but writes the caller's buffer in place
-    (a row band of a recorded ``saved["col"]`` matrix) and draws its padded
-    scratch from the process-wide sharding scratch pool, so replays sharded
-    across threads never allocate per band.
+    Bit-identical to :func:`im2col` (both copy the same padded-input
+    elements), but writes the caller's buffer in place (a band of a
+    recorded ``saved["col"]`` matrix) and draws its padded scratch from the
+    banding scratch pool.
 
     ``row_start``/``row_stop`` restrict the unfold to an *output-row* window
     (the spatial banding axis for batch-1 kernels): ``out`` then holds only
     the window's ``(row_stop - row_start) * out_w`` patch rows per sample.
-    Output row ``oy`` reads padded input rows ``[oy*stride, oy*stride + kh)``,
-    so the window's input slice carries its halo — adjacent bands re-read the
-    overlap instead of communicating, which keeps bands value-exact copies of
-    the full unfold.
+    The window's input slice carries its halo, so each band is a value-exact
+    copy of its rows of the full unfold.
     """
-    from repro.autodiff import sharding as _sharding
+    from repro.autodiff import banding as _banding
 
     if not out.flags.c_contiguous:
         raise ValueError("im2col_into requires a C-contiguous out buffer")
@@ -75,7 +72,7 @@ def im2col_into(
     pool = None
     if row_start == 0 and row_stop == out_h:
         if padding:
-            pool = _sharding.scratch_pool()
+            pool = _banding.scratch_pool()
             padded = pool.take((n, c, h + 2 * padding, w + 2 * padding), images.dtype)
             padded.fill(0)
             padded[:, :, padding : padding + h, padding : padding + w] = images
@@ -89,7 +86,7 @@ def im2col_into(
         if padding == 0:
             padded = images[:, :, p0:p1, :]
         else:
-            pool = _sharding.scratch_pool()
+            pool = _banding.scratch_pool()
             padded = pool.take((n, c, p1 - p0, w + 2 * padding), images.dtype)
             padded.fill(0)
             # Intersect the window with the real (unpadded) image rows; the

@@ -46,7 +46,7 @@ class GraphNode:
     #: ``shielded`` which the partition clears on the frontier).
     created_shielded: bool = False
     #: Forward cost of producing this node, from the op registry's kernel
-    #: metadata (zero for leaves and externally-built closure ops).
+    #: metadata (zero for leaves).
     flops: int = 0
     bytes_moved: int = 0
 

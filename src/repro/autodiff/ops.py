@@ -29,7 +29,6 @@ last bit.
 
 from __future__ import annotations
 
-import functools
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.autodiff import profiler as _profiler
-from repro.autodiff import sharding as _sharding
+from repro.autodiff import banding as _banding
 from repro.autodiff.pool import active_buffer_pool
 from repro.autodiff.tensor import Tensor, get_default_dtype, unbroadcast
 
@@ -145,33 +144,6 @@ class Op:
     #: Whether a recorded node of this op can be replayed (dropout cannot:
     #: it redraws its mask per call).
     replayable: bool = True
-    #: Whether the kernel may run concurrently with other replay steps.  All
-    #: current kernels are pure functions of their operands, so every
-    #: registered op is safe; flip this for an op that touches process-wide
-    #: state and the wave planner gives its steps a singleton barrier wave.
-    concurrency_safe: bool = True
-    #: Output rows depend only on the matching operand rows, so the op can
-    #: split along the batch axis in parallel replays.  True for saved-free
-    #: elementwise ufuncs (sharded inside fused chains) and for the heavy
-    #: kernels that define ``forward_shard`` below.  Elementwise ops that
-    #: refresh ``saved`` buffers in their forward (gelu) must stay unsharded.
-    shardable: bool = False
-    #: ``(in_shapes, out_shape, params, itemsize) -> int``: how many canonical
-    #: band units this call's output splits into along the batch axis, or 0
-    #: when the call replays whole.  Must agree with the banding the forward
-    #: kernel applies (a pure function of shapes/FLOPs — see
-    #: :mod:`repro.autodiff.sharding`).
-    shard_units: Callable | None = None
-    #: ``(inputs, params, saved, out, start, stop)``: compute band units
-    #: ``[start, stop)`` into the matching slices of ``out`` (and of any
-    #: recorded ``saved`` buffers).  Units from any partition of the band
-    #: range compose to a byte-identical full result.
-    forward_shard: Callable | None = None
-    #: ``(ctx, grad, runner) -> grads``: backward kernel distributing its
-    #: band-parallel pieces over a :class:`~repro.autodiff.sharding.ShardRunner`.
-    #: Must be byte-identical to ``backward``; picked up only during replays
-    #: with an active runner.
-    backward_shard: Callable | None = None
     #: ``(in_shapes, out_shape, params, itemsize) -> (flops, bytes_moved)``.
     cost: Callable = _default_cost
     #: Gradient-check configurations; ops with an empty tuple must explain
@@ -330,14 +302,7 @@ def apply(op: Op | str, inputs: Sequence, params: dict | None = None) -> Tensor:
     if node.requires_grad and op.backward is not None:
 
         def backward_fn(grad: np.ndarray) -> None:
-            # Parallel replays activate a shard runner (thread-local) around
-            # the backward sweep; ops with a sharded backward fan their band
-            # loops out over it — byte-identical to the serial kernel.
-            runner = _sharding.active_runner() if op.backward_shard is not None else None
-            if runner is not None:
-                grads = op.backward_shard(call, grad, runner)
-            else:
-                grads = op.backward(call, grad)
+            grads = op.backward(call, grad)
             for tensor, parent_grad in zip(tensors, grads):
                 if parent_grad is not None:
                     tensor._accumulate(parent_grad)
@@ -472,7 +437,7 @@ def _pow_backward(ctx, grad):
 def _matmul_band_count(a_shape, b_shape) -> int:
     """Canonical band units of ``a @ b`` along the leading axis (0 = whole).
 
-    2-D matmuls band in :data:`~repro.autodiff.sharding.MATMUL_BAND_ROWS`-row
+    2-D matmuls band in :data:`~repro.autodiff.banding.MATMUL_BAND_ROWS`-row
     groups (per-row bands would degrade the GEMM into GEMVs); stacked
     operands (``a.ndim >= 3``) band per leading-axis sample, each band a full
     GEMM.  ``b`` must be 2-D (shared rhs) or stacked alongside ``a`` —
@@ -480,7 +445,7 @@ def _matmul_band_count(a_shape, b_shape) -> int:
     """
     flops = 2 * _prod(a_shape) * int(b_shape[-1])
     if len(a_shape) == 2 and len(b_shape) == 2:
-        units = -(-int(a_shape[0]) // _sharding.MATMUL_BAND_ROWS)
+        units = -(-int(a_shape[0]) // _banding.MATMUL_BAND_ROWS)
     elif len(a_shape) >= 3 and (
         len(b_shape) == 2
         or (len(b_shape) == len(a_shape) and b_shape[0] == a_shape[0])
@@ -488,64 +453,48 @@ def _matmul_band_count(a_shape, b_shape) -> int:
         units = int(a_shape[0])
     else:
         return 0
-    return units if _sharding.banded(units, flops) else 0
+    return units if _banding.banded(units, flops) else 0
 
 
-def _matmul_run_bands(a, b, out, start, stop) -> None:
-    """Compute band units ``[start, stop)`` of a banded matmul into ``out``.
+def _matmul_run_bands(a, b, out, units) -> None:
+    """Compute the ``units`` canonical bands of a banded matmul into ``out``.
 
-    Every band is its own ``np.matmul`` call whatever the span grouping, so
-    any partition of the band range composes to byte-identical output.
+    Every band is its own ``np.matmul`` call.
     """
     if a.ndim == 2:
         rows = out.shape[0]
-        for band in range(start, stop):
-            r0 = band * _sharding.MATMUL_BAND_ROWS
-            r1 = min(r0 + _sharding.MATMUL_BAND_ROWS, rows)
+        for band in range(units):
+            r0 = band * _banding.MATMUL_BAND_ROWS
+            r1 = min(r0 + _banding.MATMUL_BAND_ROWS, rows)
             np.matmul(a[r0:r1], b, out=out[r0:r1])
         return
     stacked_b = b.ndim == a.ndim
-    for index in range(start, stop):
+    for index in range(units):
         np.matmul(a[index], b[index] if stacked_b else b, out=out[index])
 
 
-def _banded_matmul(a, b, runner=None):
-    """``a @ b`` through the canonical banding rule (shared by fwd and bwd).
-
-    With ``runner`` set (a parallel replay's backward sweep), the band loop
-    fans out over the replay executor; the result is byte-identical either
-    way because shard spans only group whole canonical bands.
-    """
+def _banded_matmul(a, b):
+    """``a @ b`` through the canonical banding rule (shared by fwd and bwd)."""
     units = _matmul_band_count(a.shape, b.shape)
     if units == 0:
         return np.matmul(a, b)
     result = np.empty(a.shape[:-1] + (b.shape[-1],), dtype=np.result_type(a, b))
-    if runner is None or units < 2:
-        _matmul_run_bands(a, b, result, 0, units)
-        return result
-    flops = 2 * _prod(a.shape) * int(b.shape[-1])
-    moved = (a.size + b.size + result.size) * result.itemsize
-    runner.map_bands(
-        units,
-        _sharding.modeled_seconds(flops, moved),
-        functools.partial(_matmul_run_bands, a, b, result),
-        name="matmul_grad_sharded",
-    )
+    _matmul_run_bands(a, b, result, units)
     return result
 
 
-def _matmul_grad_b(a, grad, b, runner=None):
+def _matmul_grad_b(a, grad, b):
     """Gradient w.r.t. the rhs: ``aᵀ @ grad`` reduced across the band axis.
 
     Unlike ``grad_a`` (whose output rows are the band axis), every band of
     ``a``/``grad`` contributes to *every* element of ``grad_b`` — so banding
     it means per-band partial GEMMs combined through the fixed binary tree
-    (:func:`repro.autodiff.sharding.reduce_bands`).  The gate is the same
+    (:func:`repro.autodiff.banding.reduce_bands`).  The gate is the same
     canonical banding rule as the forward, applied in eager and replayed
-    sweeps alike, so gradients agree byte for byte at any shard/thread
-    count.  Stacked rhs operands (``b.ndim >= 3``) have no cross-batch
-    reduction, and deeply stacked lhs operands would need a second nested
-    reduction — both keep the classic whole kernel.
+    sweeps alike, so gradients agree byte for byte.  Stacked rhs operands
+    (``b.ndim >= 3``) have no cross-batch reduction, and deeply stacked lhs
+    operands would need a second nested reduction — both keep the classic
+    whole kernel.
     """
     units = _matmul_band_count(a.shape, b.shape)
     if units == 0 or b.ndim != 2 or a.ndim > 3 or a.dtype != grad.dtype:
@@ -555,8 +504,8 @@ def _matmul_grad_b(a, grad, b, runner=None):
         rows = a.shape[0]
 
         def partial(band: int, slab: np.ndarray) -> None:
-            r0 = band * _sharding.MATMUL_BAND_ROWS
-            r1 = min(r0 + _sharding.MATMUL_BAND_ROWS, rows)
+            r0 = band * _banding.MATMUL_BAND_ROWS
+            r1 = min(r0 + _banding.MATMUL_BAND_ROWS, rows)
             np.matmul(a[r0:r1].T, grad[r0:r1], out=slab)
 
     else:
@@ -564,23 +513,8 @@ def _matmul_grad_b(a, grad, b, runner=None):
         def partial(band: int, slab: np.ndarray) -> None:
             np.matmul(a[band].T, grad[band], out=slab)
 
-    flops = 2 * _prod(a.shape) * int(b.shape[-1])
-    # Price the partial-slab traffic (units written, then re-read by the
-    # tree combine) so the shard decision sees the reduction's true cost.
-    moved = a.nbytes + grad.nbytes + (2 * units + 1) * out.nbytes
-    _sharding.reduce_bands(
-        units,
-        _sharding.modeled_seconds(flops, moved),
-        partial,
-        out,
-        runner=runner,
-        name="matmul",
-    )
+    _banding.reduce_bands(units, partial, out, name="matmul")
     return out
-
-
-def _matmul_shard_units(in_shapes, out_shape, params, itemsize):
-    return _matmul_band_count(in_shapes[0], in_shapes[1])
 
 
 def _matmul_forward(inputs, params, saved, out):
@@ -592,16 +526,11 @@ def _matmul_forward(inputs, params, saved, out):
     dtype = np.result_type(a, b)
     if out is None or out.shape != shape or out.dtype != dtype:
         out = np.empty(shape, dtype=dtype)
-    _matmul_run_bands(a, b, out, 0, units)
+    _matmul_run_bands(a, b, out, units)
     return out
 
 
-def _matmul_forward_shard(inputs, params, saved, out, start, stop):
-    a, b = inputs
-    _matmul_run_bands(a, b, out, start, stop)
-
-
-def _matmul_backward(ctx, grad, runner=None):
+def _matmul_backward(ctx, grad):
     a, b = ctx.inputs
     needs = ctx.needs
     # Each operand's gradient is a full matmul; skip the ones nobody will
@@ -611,14 +540,10 @@ def _matmul_backward(ctx, grad, runner=None):
     # partials combined through the fixed tree reduce.
     grad_a = grad_b = None
     if needs[0]:
-        grad_a = unbroadcast(_banded_matmul(grad, np.swapaxes(b, -1, -2), runner), a.shape)
+        grad_a = unbroadcast(_banded_matmul(grad, np.swapaxes(b, -1, -2)), a.shape)
     if needs[1]:
-        grad_b = _matmul_grad_b(a, grad, b, runner)
+        grad_b = _matmul_grad_b(a, grad, b)
     return (grad_a, grad_b)
-
-
-def _matmul_backward_shard(ctx, grad, runner):
-    return _matmul_backward(ctx, grad, runner)
 
 
 # --------------------------------------------------------------------------- #
@@ -1047,16 +972,16 @@ def _conv2d_spatial_units(x_shape, w_shape, params) -> int:
     """Output-row band units for a batch-1 conv2d (0 = stay whole).
 
     When the batch axis is a single sample there is nothing to band over, so
-    the fallback axis is H: groups of :data:`~repro.autodiff.sharding.
+    the fallback axis is H: groups of :data:`~repro.autodiff.banding.
     SPATIAL_BAND_ROWS` output rows, each unfolded with its own halo-carrying
     input window.  Same shapes/FLOPs gate as sample banding.
     """
     from repro.autodiff.conv import _output_size
 
     out_h = _output_size(int(x_shape[2]), int(w_shape[2]), params["stride"], params["padding"])
-    units = -(-out_h // _sharding.SPATIAL_BAND_ROWS)
+    units = -(-out_h // _banding.SPATIAL_BAND_ROWS)
     flops = _conv2d_flops(x_shape, w_shape, params["stride"], params["padding"])
-    return units if _sharding.banded(units, flops) else 0
+    return units if _banding.banded(units, flops) else 0
 
 
 def _conv2d_band_count(inputs, params) -> int:
@@ -1076,23 +1001,22 @@ def _conv2d_band_count(inputs, params) -> int:
     if n < 2:
         return _conv2d_spatial_units(x.shape, weight.shape, params)
     flops = _conv2d_flops(x.shape, weight.shape, params["stride"], params["padding"])
-    return n if _sharding.banded(n, flops) else 0
+    return n if _banding.banded(n, flops) else 0
 
 
-def _conv2d_run_bands(inputs, params, col, out, start, stop) -> None:
-    """Compute band units ``[start, stop)`` of a banded conv2d into ``out``.
+def _conv2d_run_bands(inputs, params, col, out, units) -> None:
+    """Compute the ``units`` canonical bands of a banded conv2d into ``out``.
 
     For batches of two or more, each sample is one canonical band: its
-    im2col rows land in the shared ``col`` matrix (disjoint slices,
-    race-free) and its output channels are one im2col-GEMM of its own, so
-    any contiguous grouping of samples is byte-identical to any other.
-    Batch-1 calls dispatch to the spatial (output-row) band kernel instead.
+    im2col rows land in its slice of the shared ``col`` matrix and its
+    output channels are one im2col-GEMM of its own.  Batch-1 calls dispatch
+    to the spatial (output-row) band kernel instead.
     """
     from repro.autodiff.conv import im2col_into
 
     x, weight = inputs[0], inputs[1]
     if x.shape[0] == 1:
-        _conv2d_run_spatial_bands(inputs, params, col, out, start, stop)
+        _conv2d_run_spatial_bands(inputs, params, col, out, units)
         return
     bias = inputs[2] if len(inputs) > 2 else None
     stride, padding = params["stride"], params["padding"]
@@ -1100,9 +1024,9 @@ def _conv2d_run_bands(inputs, params, col, out, start, stop) -> None:
     _, _, out_h, out_w = out.shape
     rows = out_h * out_w
     weight_t = weight.reshape(c_out, -1).T
-    pool = _sharding.scratch_pool()
+    pool = _banding.scratch_pool()
     band = pool.take((rows, c_out), out.dtype)
-    for index in range(start, stop):
+    for index in range(units):
         col_rows = col[index * rows : (index + 1) * rows]
         im2col_into(x[index : index + 1], kh, kw, stride, padding, col_rows)
         np.matmul(col_rows, weight_t, out=band)
@@ -1112,8 +1036,8 @@ def _conv2d_run_bands(inputs, params, col, out, start, stop) -> None:
     pool.release(band)
 
 
-def _conv2d_run_spatial_bands(inputs, params, col, out, start, stop) -> None:
-    """Compute output-row bands ``[start, stop)`` of a batch-1 banded conv2d.
+def _conv2d_run_spatial_bands(inputs, params, col, out, units) -> None:
+    """Compute the ``units`` output-row bands of a batch-1 banded conv2d.
 
     Each band unfolds its halo-carrying input window into its own rows of
     the shared ``col`` matrix (im2col is pure copies, so the assembled
@@ -1129,10 +1053,10 @@ def _conv2d_run_spatial_bands(inputs, params, col, out, start, stop) -> None:
     c_out, _, kh, kw = weight.shape
     _, _, out_h, out_w = out.shape
     weight_t = weight.reshape(c_out, -1).T
-    pool = _sharding.scratch_pool()
-    for band in range(start, stop):
-        r0 = band * _sharding.SPATIAL_BAND_ROWS
-        r1 = min(r0 + _sharding.SPATIAL_BAND_ROWS, out_h)
+    pool = _banding.scratch_pool()
+    for band in range(units):
+        r0 = band * _banding.SPATIAL_BAND_ROWS
+        r1 = min(r0 + _banding.SPATIAL_BAND_ROWS, out_h)
         col_rows = col[r0 * out_w : r1 * out_w]
         im2col_into(x, kh, kw, stride, padding, col_rows, row_start=r0, row_stop=r1)
         band_out = pool.take((col_rows.shape[0], c_out), out.dtype)
@@ -1141,14 +1065,6 @@ def _conv2d_run_spatial_bands(inputs, params, col, out, start, stop) -> None:
             band_out += bias.reshape(1, c_out)
         out[0, :, r0:r1, :] = band_out.reshape(r1 - r0, out_w, c_out).transpose(2, 0, 1)
         pool.release(band_out)
-
-
-def _conv2d_shard_units(in_shapes, out_shape, params, itemsize):
-    n = int(in_shapes[0][0])
-    if n < 2:
-        return _conv2d_spatial_units(in_shapes[0], in_shapes[1], params)
-    flops = _conv2d_flops(in_shapes[0], in_shapes[1], params["stride"], params["padding"])
-    return n if _sharding.banded(n, flops) else 0
 
 
 def _conv2d_forward(inputs, params, saved, out):
@@ -1176,21 +1092,7 @@ def _conv2d_forward(inputs, params, saved, out):
         if col is None or col.shape != col_shape or col.dtype != x.dtype:
             col = np.empty(col_shape, dtype=x.dtype)
             saved["col"] = col
-        # Eager calls inside an active runner scope (the serving gateway's
-        # stage loop) fan the band loop out; values are fixed by the
-        # canonical banding either way.
-        runner = _sharding.active_runner()
-        if runner is None:
-            _conv2d_run_bands(inputs, params, col, out, 0, units)
-        else:
-            flops = _conv2d_flops(x.shape, weight.shape, stride, padding)
-            moved = (x.size + weight.size + out.size) * out.itemsize
-            runner.map_bands(
-                units,
-                _sharding.modeled_seconds(flops, moved),
-                functools.partial(_conv2d_run_bands, inputs, params, col, out),
-                name="conv2d_spatial" if n == 1 else "conv2d_sharded",
-            )
+        _conv2d_run_bands(inputs, params, col, out, units)
         return out
     new_col, out_h, out_w = im2col(x, kh, kw, stride, padding)
     col = _refresh(saved, "col", new_col)
@@ -1201,10 +1103,6 @@ def _conv2d_forward(inputs, params, saved, out):
     return _store(result.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2), out)
 
 
-def _conv2d_forward_shard(inputs, params, saved, out, start, stop):
-    _conv2d_run_bands(inputs, params, saved["col"], out, start, stop)
-
-
 def _conv2d_col_span(band: int, n: int, out_h: int, out_w: int) -> tuple[int, int]:
     """The ``col``/``grad_matrix`` row span one canonical band covers.
 
@@ -1212,14 +1110,14 @@ def _conv2d_col_span(band: int, n: int, out_h: int, out_w: int) -> tuple[int, in
     output-row groups, matching the forward's spatial banding exactly.
     """
     if n == 1:
-        r0 = band * _sharding.SPATIAL_BAND_ROWS
-        r1 = min(r0 + _sharding.SPATIAL_BAND_ROWS, out_h)
+        r0 = band * _banding.SPATIAL_BAND_ROWS
+        r1 = min(r0 + _banding.SPATIAL_BAND_ROWS, out_h)
         return r0 * out_w, r1 * out_w
     rows = out_h * out_w
     return band * rows, (band + 1) * rows
 
 
-def _conv2d_backward(ctx, grad, runner=None):
+def _conv2d_backward(ctx, grad):
     from repro.autodiff.conv import col2im
 
     x, weight = ctx.inputs[0], ctx.inputs[1]
@@ -1249,13 +1147,7 @@ def _conv2d_backward(ctx, grad, runner=None):
                 s0, s1 = _conv2d_col_span(band, n, out_h, out_w)
                 np.sum(grad_matrix[s0:s1], axis=0, out=slab)
 
-            _sharding.reduce_bands(
-                reduce_units,
-                _sharding.modeled_seconds(grad_matrix.size, 2 * grad_matrix.nbytes),
-                bias_partial,
-                flat_bias,
-                runner=runner,
-            )
+            _banding.reduce_bands(reduce_units, bias_partial, flat_bias)
             grad_bias = flat_bias.reshape(bias.shape)
         else:
             grad_bias = grad_matrix.sum(axis=0).reshape(bias.shape)
@@ -1268,20 +1160,7 @@ def _conv2d_backward(ctx, grad, runner=None):
                 s0, s1 = _conv2d_col_span(band, n, out_h, out_w)
                 np.matmul(grad_matrix[s0:s1].T, col[s0:s1], out=slab)
 
-            flops = 2 * grad_matrix.shape[0] * c_out * col.shape[1]
-            moved = (
-                grad_matrix.nbytes
-                + col.nbytes
-                + (2 * reduce_units + 1) * flat_weight.nbytes
-            )
-            _sharding.reduce_bands(
-                reduce_units,
-                _sharding.modeled_seconds(flops, moved),
-                weight_partial,
-                flat_weight,
-                runner=runner,
-                name="conv2d",
-            )
+            _banding.reduce_bands(reduce_units, weight_partial, flat_weight, name="conv2d")
             grad_weight = flat_weight.reshape(weight.shape)
         else:
             grad_weight = (grad_matrix.T @ col).reshape(weight.shape)
@@ -1298,29 +1177,11 @@ def _conv2d_backward(ctx, grad, runner=None):
             rows = out_h * out_w
             grad_x = np.empty(x.shape, dtype=grad.dtype)
             sample_shape = (1,) + x.shape[1:]
-
-            def run_bands(start: int, stop: int) -> None:
-                for index in range(start, stop):
-                    grad_col = grad_matrix[index * rows : (index + 1) * rows] @ weight_matrix
-                    grad_x[index] = col2im(grad_col, sample_shape, kh, kw, stride, padding)[0]
-
-            if runner is None:
-                run_bands(0, units)
-            else:
-                flops = _conv2d_flops(x.shape, weight.shape, stride, padding)
-                moved = (grad.size + weight.size + grad_x.size) * grad.itemsize
-                runner.map_bands(
-                    units,
-                    _sharding.modeled_seconds(flops, moved),
-                    run_bands,
-                    name="conv2d_grad_sharded",
-                )
+            for index in range(units):
+                grad_col = grad_matrix[index * rows : (index + 1) * rows] @ weight_matrix
+                grad_x[index] = col2im(grad_col, sample_shape, kh, kw, stride, padding)[0]
     grads = (grad_x, grad_weight)
     return grads + (grad_bias,) if len(ctx.needs) > 2 else grads
-
-
-def _conv2d_backward_shard(ctx, grad, runner):
-    return _conv2d_backward(ctx, grad, runner)
 
 
 def _max_pool2d_forward(inputs, params, saved, out):
@@ -1337,73 +1198,21 @@ def _max_pool2d_forward(inputs, params, saved, out):
     return _store(new_col.max(axis=2).reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2), out)
 
 
-def _pool_spatial_window(out_h: int, start: int, stop: int) -> tuple[int, int]:
-    """Output rows covered by spatial band units ``[start, stop)``."""
-    r0 = start * _sharding.SPATIAL_BAND_ROWS
-    r1 = min(stop * _sharding.SPATIAL_BAND_ROWS, out_h)
-    return r0, r1
-
-
-def _max_pool2d_forward_shard(inputs, params, saved, out, start, stop):
-    """Band units ``[start, stop)`` of a max pool, writing the recorded slices.
-
-    Pooling is row-independent — im2col rows are pure copies and argmax/max
-    reduce within a row — so any band grouping (samples for real batches,
-    output-row windows for batch 1) is byte-identical to the whole-batch
-    kernel; no eager canonicalization is needed.
-    """
-    from repro.autodiff.conv import im2col_into
-
-    (x,) = inputs
-    kernel, stride = params["kernel"], params["stride"]
-    c = x.shape[1]
-    _, _, out_h, out_w = out.shape
-    pool = _sharding.scratch_pool()
-    if x.shape[0] == 1:
-        r0, r1 = _pool_spatial_window(out_h, start, stop)
-        col = pool.take(((r1 - r0) * out_w, c * kernel * kernel), x.dtype)
-        im2col_into(x, kernel, kernel, stride, 0, col, row_start=r0, row_stop=r1)
-        col3 = col.reshape(-1, c, kernel * kernel)
-        saved["argmax"][r0 * out_w : r1 * out_w] = col3.argmax(axis=2)
-        out[0, :, r0:r1, :] = col3.max(axis=2).reshape(r1 - r0, out_w, c).transpose(2, 0, 1)
-        pool.release(col)
-        return
-    rows = out_h * out_w
-    col = pool.take(((stop - start) * rows, c * kernel * kernel), x.dtype)
-    im2col_into(x[start:stop], kernel, kernel, stride, 0, col)
-    col3 = col.reshape(-1, c, kernel * kernel)
-    saved["argmax"][start * rows : stop * rows] = col3.argmax(axis=2)
-    out[start:stop] = col3.max(axis=2).reshape(stop - start, out_h, out_w, c).transpose(0, 3, 1, 2)
-    pool.release(col)
-
-
-def _max_pool2d_grad_bands(ctx, grad, grad_x, start, stop) -> None:
+def _max_pool2d_backward(ctx, grad):
     from repro.autodiff.conv import col2im
 
+    if not ctx.needs[0]:
+        return (None,)
     (x,) = ctx.inputs
     kernel, stride = ctx.params["kernel"], ctx.params["stride"]
     c = x.shape[1]
-    rows_per_sample = grad.shape[2] * grad.shape[3]
-    argmax = ctx.saved["argmax"][start * rows_per_sample : stop * rows_per_sample]
-    grad_flat = grad[start:stop].transpose(0, 2, 3, 1).reshape(-1, c)
+    grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, c)
     grad_col = np.zeros((grad_flat.shape[0], c, kernel * kernel), dtype=grad.dtype)
     rows = np.arange(grad_flat.shape[0])[:, None]
     cols = np.arange(c)[None, :]
-    grad_col[rows, cols, argmax] = grad_flat
+    grad_col[rows, cols, ctx.saved["argmax"]] = grad_flat
     grad_col = grad_col.reshape(grad_flat.shape[0], c * kernel * kernel)
-    grad_x[start:stop] = col2im(
-        grad_col, (stop - start,) + x.shape[1:], kernel, kernel, stride, 0
-    )
-
-
-def _max_pool2d_backward(ctx, grad, runner=None):
-    if not ctx.needs[0]:
-        return (None,)
-    return (_pool_backward_bands(ctx, grad, _max_pool2d_grad_bands, runner, "max_pool2d"),)
-
-
-def _max_pool2d_backward_shard(ctx, grad, runner):
-    return _max_pool2d_backward(ctx, grad, runner)
+    return (col2im(grad_col, x.shape, kernel, kernel, stride, 0),)
 
 
 def _avg_pool2d_forward(inputs, params, saved, out):
@@ -1417,98 +1226,18 @@ def _avg_pool2d_forward(inputs, params, saved, out):
     return _store(new_col.mean(axis=2).reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2), out)
 
 
-def _avg_pool2d_forward_shard(inputs, params, saved, out, start, stop):
-    from repro.autodiff.conv import im2col_into
-
-    (x,) = inputs
-    kernel, stride = params["kernel"], params["stride"]
-    c = x.shape[1]
-    _, _, out_h, out_w = out.shape
-    pool = _sharding.scratch_pool()
-    if x.shape[0] == 1:
-        r0, r1 = _pool_spatial_window(out_h, start, stop)
-        col = pool.take(((r1 - r0) * out_w, c * kernel * kernel), x.dtype)
-        im2col_into(x, kernel, kernel, stride, 0, col, row_start=r0, row_stop=r1)
-        col3 = col.reshape(-1, c, kernel * kernel)
-        out[0, :, r0:r1, :] = col3.mean(axis=2).reshape(r1 - r0, out_w, c).transpose(2, 0, 1)
-        pool.release(col)
-        return
-    rows = out_h * out_w
-    col = pool.take(((stop - start) * rows, c * kernel * kernel), x.dtype)
-    im2col_into(x[start:stop], kernel, kernel, stride, 0, col)
-    col3 = col.reshape(-1, c, kernel * kernel)
-    out[start:stop] = col3.mean(axis=2).reshape(stop - start, out_h, out_w, c).transpose(0, 3, 1, 2)
-    pool.release(col)
-
-
-def _avg_pool2d_grad_bands(ctx, grad, grad_x, start, stop) -> None:
+def _avg_pool2d_backward(ctx, grad):
     from repro.autodiff.conv import col2im
 
+    if not ctx.needs[0]:
+        return (None,)
     (x,) = ctx.inputs
     kernel, stride = ctx.params["kernel"], ctx.params["stride"]
     c = x.shape[1]
-    grad_flat = grad[start:stop].transpose(0, 2, 3, 1).reshape(-1, c)
+    grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, c)
     grad_col = np.repeat(grad_flat[:, :, None], kernel * kernel, axis=2) / (kernel * kernel)
     grad_col = grad_col.reshape(grad_flat.shape[0], c * kernel * kernel)
-    grad_x[start:stop] = col2im(
-        grad_col, (stop - start,) + x.shape[1:], kernel, kernel, stride, 0
-    )
-
-
-def _avg_pool2d_backward(ctx, grad, runner=None):
-    if not ctx.needs[0]:
-        return (None,)
-    return (_pool_backward_bands(ctx, grad, _avg_pool2d_grad_bands, runner, "avg_pool2d"),)
-
-
-def _avg_pool2d_backward_shard(ctx, grad, runner):
-    return _avg_pool2d_backward(ctx, grad, runner)
-
-
-def _pool_backward_bands(ctx, grad, band_fn, runner, op_name: str) -> np.ndarray:
-    """Run a pool backward over sample spans, fanning out when a runner is set.
-
-    The per-span scatter + col2im touches each sample independently with the
-    same inner loop order as the whole-batch version, so the result is
-    byte-identical at any span grouping — runner or not.
-    """
-    (x,) = ctx.inputs
-    n = x.shape[0]
-    grad_x = np.empty(x.shape, dtype=grad.dtype)
-    fn = functools.partial(band_fn, ctx, grad, grad_x)
-    if runner is None or n < 2:
-        fn(0, n)
-        return grad_x
-    kernel = int(ctx.params["kernel"])
-    flops = grad.size * kernel * kernel
-    moved = (x.size + grad.size + grad_x.size) * grad.itemsize
-    runner.map_bands(
-        n, _sharding.modeled_seconds(flops, moved), fn, name=f"{op_name}_grad_sharded"
-    )
-    return grad_x
-
-
-def _pool_shard_units(in_shapes, out_shape, params, itemsize):
-    """Pools band per sample whenever the modeled step is worth splitting.
-
-    Unlike conv/matmul there is no eager canonicalization to stay consistent
-    with — pooling is bitwise stable under any grouping — so the gate is
-    purely a cost threshold.  Single-sample batches fall back to spatial
-    (output-row) band units, like conv2d.
-    """
-    n = int(in_shapes[0][0])
-    if n >= 2:
-        units = n
-    else:
-        units = -(-int(out_shape[2]) // _sharding.SPATIAL_BAND_ROWS)
-        if units < 2:
-            return 0
-    flops, moved = _pool_cost(in_shapes, out_shape, params, itemsize)
-    if _sharding.banded(units, flops):
-        return units
-    if _sharding.modeled_seconds(flops, moved) < 2 * _sharding.MIN_SHARD_SECONDS:
-        return 0
-    return units
+    return (col2im(grad_col, x.shape, kernel, kernel, stride, 0),)
 
 
 # --------------------------------------------------------------------------- #
@@ -1520,15 +1249,15 @@ _BINARY_SAMPLES = (
     GradSample(shapes=((4,), (3, 4))),  # leading broadcast
 )
 
-register(Op("add", _add_forward, _add_backward, elementwise=True, shardable=True, samples=_BINARY_SAMPLES))
-register(Op("sub", _sub_forward, _sub_backward, elementwise=True, shardable=True, samples=_BINARY_SAMPLES))
-register(Op("mul", _mul_forward, _mul_backward, elementwise=True, shardable=True, samples=_BINARY_SAMPLES))
+register(Op("add", _add_forward, _add_backward, elementwise=True, samples=_BINARY_SAMPLES))
+register(Op("sub", _sub_forward, _sub_backward, elementwise=True, samples=_BINARY_SAMPLES))
+register(Op("mul", _mul_forward, _mul_backward, elementwise=True, samples=_BINARY_SAMPLES))
 register(
     Op(
         "div",
         _div_forward,
         _div_backward,
-        elementwise=True, shardable=True,
+        elementwise=True,
         samples=(
             GradSample(shapes=((3, 4), (3, 4)), low=0.5, high=2.0, positive=True),
             GradSample(shapes=((3, 1), (3, 4)), low=0.5, high=2.0, positive=True),
@@ -1536,14 +1265,14 @@ register(
     )
 )
 register(
-    Op("neg", _neg_forward, _neg_backward, elementwise=True, shardable=True, samples=(GradSample(shapes=((3, 4),)),))
+    Op("neg", _neg_forward, _neg_backward, elementwise=True, samples=(GradSample(shapes=((3, 4),)),))
 )
 register(
     Op(
         "pow",
         _pow_forward,
         _pow_backward,
-        elementwise=True, shardable=True,
+        elementwise=True,
         samples=(
             GradSample(shapes=((3, 4),), params={"power": 2.0}),
             GradSample(shapes=((3, 4),), params={"power": 3.0}, low=0.5, high=2.0, positive=True),
@@ -1555,10 +1284,6 @@ register(
         "matmul",
         _matmul_forward,
         _matmul_backward,
-        shardable=True,
-        shard_units=_matmul_shard_units,
-        forward_shard=_matmul_forward_shard,
-        backward_shard=_matmul_backward_shard,
         cost=_matmul_cost,
         samples=(
             GradSample(shapes=((3, 4), (4, 5))),
@@ -1567,14 +1292,14 @@ register(
     )
 )
 register(
-    Op("exp", _exp_forward, _exp_backward, elementwise=True, shardable=True, samples=(GradSample(shapes=((3, 4),)),))
+    Op("exp", _exp_forward, _exp_backward, elementwise=True, samples=(GradSample(shapes=((3, 4),)),))
 )
 register(
     Op(
         "log",
         _log_forward,
         _log_backward,
-        elementwise=True, shardable=True,
+        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), low=0.5, high=3.0, positive=True),),
     )
 )
@@ -1583,13 +1308,13 @@ register(
         "sqrt",
         _sqrt_forward,
         _sqrt_backward,
-        elementwise=True, shardable=True,
+        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), low=0.5, high=3.0, positive=True),),
     )
 )
 register(
     Op(
-        "tanh", _tanh_forward, _tanh_backward, elementwise=True, shardable=True, samples=(GradSample(shapes=((3, 4),)),)
+        "tanh", _tanh_forward, _tanh_backward, elementwise=True, samples=(GradSample(shapes=((3, 4),)),)
     )
 )
 register(
@@ -1597,7 +1322,7 @@ register(
         "abs",
         _abs_forward,
         _abs_backward,
-        elementwise=True, shardable=True,
+        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), low=0.25, high=2.0, positive=True),),
     )
 )
@@ -1606,7 +1331,7 @@ register(
         "maximum",
         _maximum_forward,
         _maximum_backward,
-        elementwise=True, shardable=True,
+        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), params={"value": 0.1}),),
     )
 )
@@ -1615,7 +1340,7 @@ register(
         "minimum",
         _minimum_forward,
         _minimum_backward,
-        elementwise=True, shardable=True,
+        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), params={"value": 0.1}),),
     )
 )
@@ -1717,7 +1442,7 @@ register(
         "relu",
         _relu_forward,
         _relu_backward,
-        elementwise=True, shardable=True,
+        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), low=0.25, high=2.0, positive=True),),
     )
 )
@@ -1726,7 +1451,7 @@ register(
         "sigmoid",
         _sigmoid_forward,
         _sigmoid_backward,
-        elementwise=True, shardable=True,
+        elementwise=True,
         samples=(GradSample(shapes=((3, 4),)),),
     )
 )
@@ -1802,10 +1527,6 @@ register(
         "conv2d",
         _conv2d_forward,
         _conv2d_backward,
-        shardable=True,
-        shard_units=_conv2d_shard_units,
-        forward_shard=_conv2d_forward_shard,
-        backward_shard=_conv2d_backward_shard,
         cost=_conv2d_cost,
         samples=(
             GradSample(shapes=((2, 3, 5, 5), (4, 3, 3, 3)), params={"stride": 1, "padding": 0}),
@@ -1825,10 +1546,6 @@ register(
         "max_pool2d",
         _max_pool2d_forward,
         _max_pool2d_backward,
-        shardable=True,
-        shard_units=_pool_shard_units,
-        forward_shard=_max_pool2d_forward_shard,
-        backward_shard=_max_pool2d_backward_shard,
         cost=_pool_cost,
         samples=(GradSample(shapes=((2, 3, 4, 4),), params={"kernel": 2, "stride": 2}),),
     )
@@ -1838,10 +1555,6 @@ register(
         "avg_pool2d",
         _avg_pool2d_forward,
         _avg_pool2d_backward,
-        shardable=True,
-        shard_units=_pool_shard_units,
-        forward_shard=_avg_pool2d_forward_shard,
-        backward_shard=_avg_pool2d_backward_shard,
         cost=_pool_cost,
         samples=(GradSample(shapes=((2, 3, 4, 4),), params={"kernel": 2, "stride": 2}),),
     )

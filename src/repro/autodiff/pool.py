@@ -47,14 +47,11 @@ class PoolStats:
 class BufferPool:
     """Reusable ``np.empty`` arrays keyed by (shape, dtype).
 
-    Thread-safe: the free lists and outstanding ledger are shared mutable
-    state, and a pool may be hit from several threads at once — the training
-    loop's pool while a wave-parallel replay runs, or an engine cell executor
-    sharing one pool across worker threads.  A single lock guards every
-    mutation; the critical sections are a list pop/append, so contention is
-    negligible next to the kernels the pool feeds.  Without the lock two
-    concurrent :meth:`acquire` calls could pop the same free-list entry and
-    hand the same array out twice.
+    Thread-safe: a pool may be hit from several threads at once (the
+    engine's thread backend runs cells concurrently, and the banding scratch
+    pool is process-wide).  A single lock guards every mutation; without it
+    two concurrent :meth:`acquire` calls could pop the same free-list entry
+    and hand the same array out twice.
     """
 
     def __init__(self) -> None:
@@ -81,11 +78,9 @@ class BufferPool:
         """A scratch buffer *outside* the arena generations.
 
         Unlike :meth:`acquire`, the buffer is not added to the outstanding
-        ledger, so :meth:`recycle` never reclaims it out from under the
-        caller: the caller owns it until it hands it back with
-        :meth:`release`.  This is the contract sharded replay kernels need —
-        a take/release pair scoped to one kernel call, possibly on an
-        executor worker thread that never activated any thread-local pool.
+        ledger, so :meth:`recycle` never reclaims it: the caller owns it
+        until it hands it back with :meth:`release` (a take/release pair
+        scoped to one banded kernel call).
         """
         key = (tuple(shape), np.dtype(dtype).str)
         with self._lock:

@@ -3,17 +3,10 @@
 When a profiler is active, every :func:`repro.autodiff.ops.apply` dispatch
 records the op's name, wall-clock kernel time, and the FLOP / byte cost the
 registry's metadata assigns to the call.  Captured replays bypass the
-dispatcher (that is the point of capturing), so
-:class:`~repro.autodiff.capture.GraphRecording` reports them wholesale under
-the pseudo-ops ``captured_replay`` / ``captured_inference_replay`` — or,
-when the wave scheduler ran them multi-threaded, under the ``*_parallel``
-variants whose ``meta`` column carries wave count, max wave width, thread
-count and worker utilization.  Sharded kernels add their own rows:
-``<op>_sharded`` per forward span (``<op>_spatial`` when a batch-1 step
-bands over output rows instead of samples), ``<op>_grad_sharded`` for
-banded backward loops, and ``<op>_treereduce`` for cross-batch gradients
-combined through the fixed binary tree (meta carries the shard count and
-pooled partial bytes).
+dispatcher (that is the point of capturing), so the recordings report them
+wholesale under the pseudo-ops ``captured_replay`` /
+``captured_inference_replay``.  Banded cross-batch gradients add an
+``<op>_treereduce`` row (meta carries the pooled partial bytes).
 
 Activation is *process-wide* (guarded by a lock), not thread-local: the
 experiment engine fans cells out over worker threads and ``repro.run
@@ -35,8 +28,7 @@ class OpStat:
     seconds: float = 0.0
     flops: int = 0
     bytes_moved: int = 0
-    #: Free-form per-row annotations (numeric values accumulate as maxima):
-    #: parallel replays report thread count, waves, width and utilization.
+    #: Free-form per-row annotations (numeric values accumulate as maxima).
     meta: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import warnings
 from typing import TYPE_CHECKING, Callable, Sequence, TypeAlias
 
 import numpy as np
@@ -166,10 +165,9 @@ class Tensor:
         #: graph without rebuilding it; ``None`` on leaves and on ops that
         #: cannot be replayed (e.g. training-mode dropout).
         self.forward_fn: Callable[[], np.ndarray] | None = None
-        #: The registry dispatch that produced this node (None on leaves and
-        #: on nodes built through the deprecated closure path); the capture
-        #: layer uses it to fuse elementwise chains, and the cost model reads
-        #: its op metadata.
+        #: The registry dispatch that produced this node (None on leaves);
+        #: the capture layer reruns its kernel on replay, and the cost model
+        #: reads its op metadata.
         self._op_call: "OpCall | None" = None
         region = active_shield_region()
         self.shielded = region is not None
@@ -234,45 +232,6 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Graph construction helpers
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _from_op(
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        op: str,
-        backward_fn: Callable[[np.ndarray], None] | None,
-        forward_fn: Callable[[], np.ndarray] | None = None,
-    ) -> "Tensor":
-        """Create an op-output tensor, wiring gradients only when needed."""
-        requires_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires_grad, parents=parents, op=op)
-        if requires_grad:
-            out.backward_fn = backward_fn
-        out.forward_fn = forward_fn
-        return out
-
-    @staticmethod
-    def _make(
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        op: str,
-        backward_fn: Callable[[np.ndarray], None] | None,
-        forward_fn: Callable[[], np.ndarray] | None = None,
-    ) -> "Tensor":
-        """Deprecated closure-based node constructor (kept for external code).
-
-        In-tree ops are declarative :class:`repro.autodiff.ops.Op` entries
-        dispatched through :func:`repro.autodiff.ops.apply`; third-party
-        code still building raw closure ops keeps working through this shim.
-        """
-        warnings.warn(
-            "Tensor._make is deprecated; register a declarative Op in the "
-            "repro.autodiff.ops registry and dispatch it through "
-            "repro.autodiff.ops.apply",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return Tensor._from_op(data, parents, op, backward_fn, forward_fn)
-
     def _accumulate(self, grad: np.ndarray) -> None:
         """Accumulate an incoming gradient contribution on this tensor."""
         if not self.requires_grad:

@@ -96,7 +96,7 @@ def graph_shield_bytes(objective: Tensor, include_gradients: bool = True) -> tup
         if node.parents and node.op in op_registry.REGISTRY:
             nbytes = op_registry.get(node.op).output_nbytes(node.shape, node.dtype)
         else:
-            # Leaves and externally-built closure ops carry no op metadata.
+            # Leaves carry no op metadata.
             nbytes = node.nbytes
         values += nbytes
         if include_gradients and node.requires_grad:

@@ -14,7 +14,7 @@ Determinism contract (what the transport-parity tests rely on):
 * ``fedavg`` accumulates weighted client vectors into **fixed client
   groups** of :data:`CLIENT_GROUP_SIZE` (grouping by participant index,
   never by arrival), and combines the group partials through
-  :func:`repro.autodiff.sharding.tree_reduce` — a fixed-shape binary tree
+  :func:`repro.autodiff.banding.tree_reduce` — a fixed-shape binary tree
   that is a pure function of the group count.  The result is byte-identical
   whether updates arrive serially, from a thread pool or from worker
   processes, and whatever coordinate chunk size is configured.
@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.autodiff.sharding import scratch_pool, tree_reduce
+from repro.autodiff.banding import scratch_pool, tree_reduce
 from repro.fl.messages import ModelUpdate
 from repro.fl.packing import (
     PackingPlan,

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.autodiff.capture import kernel_runner_scope
 from repro.serve.batching import InferenceReply, InferenceRequest
 from repro.serve.gateway.admission import AdmissionController
 from repro.serve.gateway.continuous import GatewayCore, GatewayPolicy, GatewayRequest
@@ -373,18 +372,12 @@ class GatewayService:
         if secure and not previous_secure and boundary is not None:
             # One amortised switch carries the whole cohort into the enclave.
             boundary.enter_secure_world(sum(r.value.nbytes for r in cohort))
-        # Row-wise execution means every kernel sees batch 1, where the only
-        # parallelism axis is spatial banding: activating a shard runner lets
-        # the banded batch-1 kernels (conv2d output-row bands) fan out over
-        # the replay executor.  Values are fixed by the canonical banding
-        # rule, so the logits stay byte-identical to the unscoped run.
-        with kernel_runner_scope():
-            for request in cohort:
-                if secure:
-                    with self.enclave.shield_scope(stage.name):
-                        request.value = stage.run(request.value)
-                else:
+        for request in cohort:
+            if secure:
+                with self.enclave.shield_scope(stage.name):
                     request.value = stage.run(request.value)
+            else:
+                request.value = stage.run(request.value)
         if secure and not next_secure and boundary is not None:
             boundary.exit_secure_world(sum(r.value.nbytes for r in cohort))
             for request in cohort:

@@ -155,3 +155,57 @@ class TestInferenceFusion:
         # len() counts replayed nodes whether fused or not.
         assert len(recording) == 4  # matmul + exp + tanh + sqrt
         assert recording.fused_ops == 3
+
+
+_BRANCH_SCALES = (1.0, 1.25, 1.5, 1.75)
+
+
+class TestRecordedOrderFusion:
+    """Fusion groups consecutive fusable nodes in recorded order, even across
+    independent branches; every kernel still writes its own node's buffer."""
+
+    def test_independent_branches_fuse_into_one_chain(self, rng):
+        w = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
+
+        def trace(array):
+            with no_grad():
+                x = Tensor(array, is_input=True)
+                branches = [((x * s).tanh().exp() + 1.0).sqrt() for s in _BRANCH_SCALES]
+                merged = branches[0]
+                for branch in branches[1:]:
+                    merged = merged + branch
+                out = merged @ w
+            return InferenceHandles(input=x, output=out)
+
+        captured = CapturedInference()
+        for trial in range(4):
+            batch = rng.normal(size=(8, 16))
+            expected = trace(batch).output.data.copy()
+            actual = captured.run(trace, batch, key="wide").output.data
+            assert expected.tobytes() == actual.tobytes(), f"trial {trial}"
+        recording = next(iter(captured._recordings.values()))
+        kinds = [type(step) for step in recording._plan]
+        assert kinds == [_FusedChain, _ReplayNode]  # all branches, then matmul
+        assert recording.fused_ops == 5 * len(_BRANCH_SCALES) + len(_BRANCH_SCALES) - 1
+
+    def test_branch_gradients_bit_identical_to_eager(self, rng):
+        w = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
+
+        def trace(array):
+            x = Tensor(array, requires_grad=True, is_input=True)
+            branches = [F.sigmoid((x * s).tanh() + 0.5) for s in _BRANCH_SCALES]
+            merged = branches[0]
+            for branch in branches[1:]:
+                merged = merged + branch
+            return TraceHandles(objective=(merged @ w).sum(), input=x)
+
+        eager, captured = EagerExecution(), CapturedExecution()
+        for trial in range(4):
+            batch = rng.normal(size=(8, 16))
+            expected = eager.run(trace, batch)
+            actual = captured.run(trace, batch, key="wide")
+            assert np.array(expected.input.grad).tobytes() == np.array(
+                actual.input.grad
+            ).tobytes(), f"trial {trial}"
+            assert expected.objective.data.tobytes() == actual.objective.data.tobytes()
+        assert captured.stats.replays == 2

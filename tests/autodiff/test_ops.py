@@ -272,3 +272,25 @@ class TestProfiler:
             for _ in range(3):
                 captured.run(trace, rng.normal(size=(2, 4)), key="p")
         assert profiler.as_dict()["captured_replay"]["calls"] == captured.stats.replays == 1
+
+    def test_profiler_record_is_thread_safe(self):
+        """The engine's thread backend records from several threads at once."""
+        from repro.autodiff.profiler import OpProfiler
+
+        profiler = OpProfiler()
+        per_thread, workers = 500, 8
+
+        def hammer():
+            for _ in range(per_thread):
+                profiler.record("hammer", 0.001, 10, 20, meta={"width": 3})
+
+        threads = [threading.Thread(target=hammer) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        stat = profiler.as_dict()["hammer"]
+        assert stat["calls"] == per_thread * workers
+        assert stat["flops"] == 10 * per_thread * workers
+        assert stat["meta"]["width"] == 3

@@ -2,18 +2,16 @@
 
 Two invariants under test, both stronger than "numerically close":
 
-* **Tree-reduced cross-batch gradients** — sharded backward kernels compute
+* **Tree-reduced cross-batch gradients** — banded backward kernels compute
   per-band partial gradients into pooled slabs and combine them through
-  :func:`repro.autodiff.sharding.tree_reduce`, whose combine order is a pure
-  function of the band count.  The reduced bytes must therefore be identical
-  at every shard count and every thread count.
+  :func:`repro.autodiff.banding.tree_reduce`, whose combine order is a pure
+  function of the band count, so the reduced bytes are reproducible.
 
 * **Spatial (H×W) banding for batch 1** — with a single sample there is no
-  batch axis to shard, so conv2d and the pooling ops band over output rows
-  instead (:data:`SPATIAL_BAND_ROWS` rows per band, halo-aware input
-  windows).  im2col is pure copies, so the assembled unfold — and hence the
-  banded forward — must be byte-identical to the whole-image path band
-  layout notwithstanding.
+  batch axis to band, so conv2d bands over output rows instead
+  (:data:`SPATIAL_BAND_ROWS` rows per band, halo-aware input windows).  im2col
+  is pure copies, so the assembled unfold is byte-identical to the
+  whole-image unfold, and replays reproduce the eager values.
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ from repro.autodiff import (
     get_default_dtype,
     profile_ops,
 )
+from repro.autodiff import banding
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
-from repro.autodiff import sharding
 from repro.autodiff.conv import avg_pool2d, conv2d, im2col, im2col_into, max_pool2d
 from repro.autodiff.pool import BufferPool
 
@@ -70,13 +68,7 @@ def _tower_trace(weights):
 @pytest.fixture
 def low_floor(monkeypatch):
     """Band every heavy kernel call the fixtures make, however small."""
-    monkeypatch.setenv("REPRO_SHARD_MIN_FLOPS", "1")
-
-
-@pytest.fixture
-def force_parallel(monkeypatch):
-    """Bypass the core clamp so parallel paths run on few-core CI hosts."""
-    monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
+    monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 1)
 
 
 def _sha(array: np.ndarray) -> str:
@@ -87,24 +79,24 @@ class TestTreeReduce:
     def test_single_slab_copies(self, rng):
         slab = rng.normal(size=(3, 4))
         out = np.empty_like(slab)
-        sharding.tree_reduce([slab.copy()], out)
+        banding.tree_reduce([slab.copy()], out)
         assert out.tobytes() == slab.tobytes()
 
     @pytest.mark.parametrize("count", [2, 3, 5, 7, 8, 13])
     def test_sums_are_close_and_deterministic(self, rng, count):
         slabs = [rng.normal(size=(6, 5)) for _ in range(count)]
         out = np.empty((6, 5))
-        sharding.tree_reduce([s.copy() for s in slabs], out)
+        banding.tree_reduce([s.copy() for s in slabs], out)
         np.testing.assert_allclose(out, np.sum(slabs, axis=0), rtol=1e-9, atol=1e-12)
         again = np.empty((6, 5))
-        sharding.tree_reduce([s.copy() for s in slabs], again)
+        banding.tree_reduce([s.copy() for s in slabs], again)
         assert out.tobytes() == again.tobytes()
 
     def test_combine_order_is_a_function_of_count_alone(self, rng):
         """Filling leaves in any order (any worker schedule) changes nothing."""
         slabs = [rng.normal(size=(4, 4)) for _ in range(5)]
         expected = np.empty((4, 4))
-        sharding.tree_reduce([s.copy() for s in slabs], expected)
+        banding.tree_reduce([s.copy() for s in slabs], expected)
         # Simulate out-of-order leaf completion: the slab *list* is always
         # indexed by band, so arrival order cannot matter — but prove the
         # tree itself differs from a naive left fold only in bits, not value.
@@ -115,93 +107,20 @@ class TestTreeReduce:
 
 
 class TestReduceBands:
-    """reduce_bands fans leaf computation out but fixes the combine order."""
-
-    def _partial(self, bands, rng):
-        partials = [rng.normal(size=(8, 6)) for _ in range(bands)]
-
-        def fill(band: int, slab: np.ndarray) -> None:
-            np.copyto(slab, partials[band])
-
-        return fill
-
-    def test_runnerless_matches_threaded_at_every_worker_count(self, rng):
-        from repro.autodiff.capture import _shared_executor
-
-        units = 7
-        fill = self._partial(units, rng)
-        seconds = 100 * sharding.MIN_SHARD_SECONDS
-        serial = np.empty((8, 6))
-        sharding.reduce_bands(units, seconds, fill, serial)
-        for workers in (2, 8):
-            runner = sharding.ShardRunner(_shared_executor(workers), workers)
-            threaded = np.empty((8, 6))
-            sharding.reduce_bands(units, seconds, fill, threaded, runner=runner)
-            assert serial.tobytes() == threaded.tobytes(), f"workers={workers}"
-
-    def test_profiler_row_records_shards_and_partial_bytes(self, rng):
-        from repro.autodiff.capture import _shared_executor
-
+    def test_profiler_row_records_partial_bytes(self, rng):
         units = 6
-        fill = self._partial(units, rng)
+        partials = [rng.normal(size=(8, 6)) for _ in range(units)]
         out = np.empty((8, 6))
-        runner = sharding.ShardRunner(_shared_executor(4), 4)
         with profile_ops() as profiler:
-            sharding.reduce_bands(
-                units, 100 * sharding.MIN_SHARD_SECONDS, fill, out, runner=runner, name="demo"
+            banding.reduce_bands(
+                units, lambda band, slab: np.copyto(slab, partials[band]), out, name="demo"
             )
         row = profiler.as_dict()["demo_treereduce"]
         assert row["calls"] == 1
-        assert row["meta"]["shards"] >= 2
         assert row["meta"]["partial_bytes"] == units * out.nbytes
-
-
-class TestGradTreeReduceParity:
-    """Gradients are byte-identical across shard counts {1, 2, 5, units}."""
-
-    def _grad_cases(self, rng):
-        return [
-            ("conv2d", [rng.normal(size=(6, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3)),
-                        rng.normal(size=(4,))], {"stride": 1, "padding": 1}),
-            ("matmul", [rng.normal(size=(256, 12)), rng.normal(size=(12, 8))], {}),
-            ("matmul", [rng.normal(size=(6, 20, 5)), rng.normal(size=(5, 7))], {}),
-        ]
-
-    def test_grads_identical_across_shard_and_thread_counts(
-        self, rng, low_floor, force_parallel, monkeypatch
-    ):
-        from repro.autodiff.capture import _shared_executor
-
-        for name, arrays, params in self._grad_cases(rng):
-            probe_rng = np.random.default_rng(7)
-            reference = None
-            # decide_shards picks the shard count from (seconds, units,
-            # workers); pinning it exercises explicit counts {1, 2, 5, units}.
-            for shards in (1, 2, 5, None):
-                if shards is not None:
-                    monkeypatch.setattr(
-                        sharding, "decide_shards", lambda s, u, w, _n=shards: min(_n, u)
-                    )
-                else:
-                    monkeypatch.undo()
-                    monkeypatch.setenv("REPRO_SHARD_MIN_FLOPS", "1")
-                    monkeypatch.setenv("REPRO_REPLAY_FORCE_PARALLEL", "1")
-                for workers in (1, 2, 8):
-                    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-                    node = op_registry.apply(name, tensors, dict(params))
-                    probe = np.random.default_rng(7).normal(size=node.shape)
-                    if workers == 1:
-                        node.backward(probe)
-                    else:
-                        runner = sharding.ShardRunner(_shared_executor(workers), workers)
-                        with sharding.runner_scope(runner):
-                            node.backward(probe)
-                    digest = tuple(_sha(t.grad) for t in tensors)
-                    if reference is None:
-                        reference = digest
-                    assert digest == reference, (
-                        f"{name} shards={shards} workers={workers}"
-                    )
+        expected = np.empty((8, 6))
+        banding.tree_reduce([p.copy() for p in partials], expected)
+        assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -222,7 +141,7 @@ class TestSpatialWindowHalo:
         images = rng.normal(size=(1, 3, h, w))
         full, out_h, out_w = im2col(images, kh, kw, stride, padding)
         assembled = np.empty(full.shape, full.dtype)
-        rows_per_band = sharding.SPATIAL_BAND_ROWS
+        rows_per_band = banding.SPATIAL_BAND_ROWS
         bands = -(-out_h // rows_per_band)
         for band in range(bands):
             r0 = band * rows_per_band
@@ -232,53 +151,18 @@ class TestSpatialWindowHalo:
         assert assembled.tobytes() == full.tobytes()
 
 
-class TestSpatialForwardShards:
-    """Batch-1 forward_shard over output-row bands reproduces the whole op."""
-
-    def _spatial_cases(self, rng):
-        return [
-            ("conv2d", [rng.normal(size=(1, 3, 11, 11)), rng.normal(size=(4, 3, 3, 3)),
-                        rng.normal(size=(4,))], {"stride": 1, "padding": 1}),
-            ("conv2d", [rng.normal(size=(1, 2, 15, 15)), rng.normal(size=(3, 2, 5, 5))],
-             {"stride": 2, "padding": 2}),
-            ("max_pool2d", [rng.normal(size=(1, 4, 18, 18))], {"kernel": 2, "stride": 2}),
-            ("avg_pool2d", [rng.normal(size=(1, 4, 18, 18))], {"kernel": 2, "stride": 2}),
-        ]
-
-    def test_spatial_shards_match_whole_at_any_shard_count(self, rng, low_floor):
-        for name, arrays, params in self._spatial_cases(rng):
-            tensors = [Tensor(a, requires_grad=True) for a in arrays]
-            node = op_registry.apply(name, tensors, dict(params))
-            call = node._op_call
-            op = call.op
-            in_shapes = tuple(t.data.shape for t in call.tensors)
-            units = op.shard_units(in_shapes, node.data.shape, call.params, node.data.itemsize)
-            assert units >= 2, f"{name}: fixture too small for spatial bands"
-            inputs = tuple(t.data for t in call.tensors)
-            for shards in {1, 2, units}:
-                out = np.empty_like(node.data)
-                for start, stop in sharding.partition(units, shards):
-                    op.forward_shard(inputs, call.params, call.saved, out, start, stop)
-                assert out.tobytes() == node.data.tobytes(), f"{name} shards={shards}"
-
+class TestSpatialBands:
     def test_batch_of_two_still_bands_on_samples(self, rng, low_floor):
         """n >= 2 keeps the batch axis: units == n, not spatial bands."""
         arrays = [rng.normal(size=(2, 3, 16, 16)), rng.normal(size=(4, 3, 3, 3))]
-        tensors = [Tensor(a) for a in arrays]
-        node = op_registry.apply("conv2d", tensors, {"stride": 1, "padding": 1})
-        op = node._op_call.op
-        units = op.shard_units(
-            tuple(a.shape for a in arrays), node.data.shape, {"stride": 1, "padding": 1}, 8
-        )
-        assert units == 2
+        params = {"stride": 1, "padding": 1}
+        assert op_registry._conv2d_band_count(arrays, params) == 2
+        # A single sample of the same geometry bands over 16 / 4 output rows.
+        assert op_registry._conv2d_band_count([arrays[0][:1], arrays[1]], params) == 4
 
 
 class TestBatch1CapturedTower:
-    @pytest.mark.parametrize("threads", ["1", "2", "8"])
-    def test_batch1_replay_matches_eager_sha256(
-        self, rng, low_floor, force_parallel, monkeypatch, threads
-    ):
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", threads)
+    def test_batch1_replay_matches_eager_sha256(self, rng, low_floor):
         dtype = get_default_dtype()
         weights = _tower_weights(rng, dtype)
         trace = _tower_trace(weights)
@@ -288,53 +172,23 @@ class TestBatch1CapturedTower:
             expected = eager.run(trace, batch)
             actual = captured.run(trace, batch, key="tower-b1")
             assert _sha(expected.objective.data) == _sha(actual.objective.data), (
-                f"threads={threads} trial={trial}"
+                f"trial={trial}"
             )
             assert _sha(np.array(expected.input.grad)) == _sha(np.array(actual.input.grad)), (
-                f"threads={threads} trial={trial}"
+                f"trial={trial}"
             )
         assert captured.stats.replays >= 1
 
-    def test_batch1_replay_reports_spatial_profile_rows(
-        self, rng, low_floor, force_parallel, monkeypatch
-    ):
-        from repro.autodiff.capture import _ShardedNode
-
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "4")
-        dtype = get_default_dtype()
-        # 48x48 keeps the per-conv cost above the shard floor at batch 1, so
-        # the replay actually fans the spatial bands out (16x16 stays whole).
-        weights = _tower_weights(rng, dtype, head_features=8 * 12 * 12)
-        trace = _tower_trace(weights)
-        captured = CapturedExecution()
-        batch = rng.normal(size=(1, 3, 48, 48)).astype(dtype)
-        with profile_ops() as profiler:
-            for _ in range(6):
-                captured.run(trace, batch, key="tower-b1-prof")
-        recording = next(iter(captured._recordings.values()))
-        spatial_names = {
-            step.profile_name
-            for step in recording._plan.steps
-            if isinstance(step, _ShardedNode)
-        }
-        assert "conv2d_spatial" in spatial_names
-        stats = profiler.as_dict()
-        assert stats["conv2d_spatial"]["calls"] >= 2
-        assert stats["conv2d_spatial"]["meta"]["shards"] >= 2
-
 
 class TestScratchPoolWarmReplay:
-    def test_warm_reduce_replays_allocate_zero_new_slabs(
-        self, rng, low_floor, force_parallel, monkeypatch
-    ):
+    def test_warm_reduce_replays_allocate_zero_new_slabs(self, rng, low_floor):
         """After one cold replay the scratch pool serves every later one."""
-        monkeypatch.setenv("REPRO_REPLAY_THREADS", "4")
         dtype = get_default_dtype()
         weights = _tower_weights(rng, dtype)
         trace = _tower_trace(weights)
         captured = CapturedExecution()
         batch = rng.normal(size=(6, 3, 16, 16)).astype(dtype)
-        pool = sharding.scratch_pool()
+        pool = banding.scratch_pool()
         pool.clear()
         # Eager warmup + recording pass + first replay warm the pool.
         for _ in range(3):

@@ -26,7 +26,6 @@ def _write(path: Path, metrics: dict) -> Path:
             {
                 "area": "ops",
                 "git_sha": "deadbeef",
-                "replay_threads": 4,
                 "dtype": "float64",
                 "metrics": metrics,
             }
@@ -108,47 +107,6 @@ class TestGate:
         assert "cpu_count changed" in out
         assert "host mismatch" in out
 
-    def test_shard_config_mismatch_reports_without_gating(self, tmp_path, capsys):
-        """Different FLOP floors / forced fan-out are different benchmarks."""
-        module = _load_compare_bench()
-        previous = _write(tmp_path / "prev.json", {"replay_seconds": 1.0})
-        current = _write(tmp_path / "cur.json", {"replay_seconds": 2.0})
-        configs = (
-            {"min_band_flops": 2_000_000, "min_shard_seconds": 75e-6, "force_parallel": False},
-            {"min_band_flops": 1, "min_shard_seconds": 75e-6, "force_parallel": True},
-        )
-        for path, config in zip((previous, current), configs):
-            payload = json.loads(path.read_text())
-            payload["shard_config"] = config
-            path.write_text(json.dumps(payload))
-        assert module.main([str(current), str(previous)]) == 0
-        assert "shard_config changed" in capsys.readouterr().out
-
-    def test_matching_shard_config_still_gates(self, tmp_path):
-        module = _load_compare_bench()
-        previous = _write(tmp_path / "prev.json", {"replay_seconds": 1.0})
-        current = _write(tmp_path / "cur.json", {"replay_seconds": 2.0})
-        config = {"min_band_flops": 2_000_000, "min_shard_seconds": 75e-6, "force_parallel": False}
-        for path in (previous, current):
-            payload = json.loads(path.read_text())
-            payload["shard_config"] = dict(config)
-            path.write_text(json.dumps(payload))
-        assert module.main([str(current), str(previous)]) == 1
-
-    def test_trajectory_records_shard_config(self, tmp_path, monkeypatch):
-        """write_bench_trajectory pins the active sharding regime."""
-        conftest_path = _REPO_ROOT / "benchmarks" / "conftest.py"
-        spec = importlib.util.spec_from_file_location("bench_conftest_shard", conftest_path)
-        bench_conftest = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench_conftest)
-        monkeypatch.setattr(bench_conftest, "REPO_ROOT", tmp_path)
-        path = bench_conftest.write_bench_trajectory("ops", {"x_seconds": 1.0})
-        payload = json.loads(path.read_text())
-        config = payload["shard_config"]
-        assert set(config) == {"min_band_flops", "min_shard_seconds", "force_parallel"}
-        assert config["min_band_flops"] > 0
-        assert isinstance(config["force_parallel"], bool)
-
     def test_matching_cpu_count_still_gates(self, tmp_path):
         module = _load_compare_bench()
         previous = _write(tmp_path / "prev.json", {"replay_seconds": 1.0})
@@ -204,9 +162,8 @@ class TestGate:
         record = {
             "area": "ops",
             "git_sha": bench_conftest._git_sha(),
-            "replay_threads": 4,
             "dtype": "float64",
-            "metrics": {"wide_replay_serial_seconds": 0.5, "wide_replay_parallel_speedup": 2.2},
+            "metrics": {"fused_replay_seconds": 0.5, "fused_vs_eager_speedup": 2.2},
         }
         path = tmp_path / "BENCH_ops.json"
         path.write_text(json.dumps(record))

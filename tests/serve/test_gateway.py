@@ -3,7 +3,7 @@
 Covers the gateway's acceptance bar from three sides:
 
 * **determinism** — same seed + offered load ⇒ byte-identical latency
-  histograms, across repeated runs and across ``REPRO_REPLAY_THREADS``;
+  histograms across repeated runs;
 * **admission accounting** — ``offered == admitted + shed`` with the shed
   reasons decided in documented order;
 * **correctness under continuous batching** — real-execution logits are
@@ -14,12 +14,12 @@ Covers the gateway's acceptance bar from three sides:
 
 from __future__ import annotations
 
-import os
+import threading
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, no_grad
+from repro.autodiff import CapturedExecution, Tensor, TraceHandles, banding, no_grad
 from repro.models.simple import SimpleCNN, SimpleCNNConfig
 from repro.serve.batching import InferenceRequest
 from repro.serve.gateway import (
@@ -329,24 +329,6 @@ class TestGatewaySimulation:
             digests.add(report.digest())
         assert len(digests) == 1
 
-    def test_digest_is_invariant_to_replay_threads(self):
-        """The virtual clock owes nothing to the host: REPRO_REPLAY_THREADS
-        must not change a single histogram byte."""
-        costs, workload = self._workload()
-        digests = {}
-        previous = os.environ.get("REPRO_REPLAY_THREADS")
-        try:
-            for threads in ("1", "4"):
-                os.environ["REPRO_REPLAY_THREADS"] = threads
-                report = ServingGateway(costs, self._policy()).simulate(workload)
-                digests[threads] = report.digest()
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_REPLAY_THREADS", None)
-            else:
-                os.environ["REPRO_REPLAY_THREADS"] = previous
-        assert digests["1"] == digests["4"]
-
     def test_shed_accounting_conserves_requests(self):
         costs, workload = self._workload(load=1.5)
         policy = self._policy(admission=AdmissionPolicy(max_queue_depth=32, max_per_session=2))
@@ -426,11 +408,18 @@ class TestGatewayServiceParity:
         service.open_session("client")
         return service, service.serve(requests)
 
-    def test_continuous_equals_static_equals_eager(self, rng):
+    @pytest.mark.parametrize(
+        "max_batch, band_floor", [(4, None), (1, 1)], ids=["batched", "batch1-spatial"]
+    )
+    def test_continuous_equals_static_equals_eager(self, rng, monkeypatch, max_batch, band_floor):
+        """``batch1-spatial`` lowers the banding floor so every batch-1 conv2d
+        really computes in output-row bands, in the gateway and in eager."""
+        if band_floor is not None:
+            monkeypatch.setattr(banding, "MIN_BAND_FLOPS", band_floor)
         model = _model()
         requests = self._requests(rng)
-        _, continuous = self._serve(model, requests, "continuous")
-        _, static = self._serve(model, requests, "static")
+        _, continuous = self._serve(model, requests, "continuous", max_batch=max_batch)
+        _, static = self._serve(model, requests, "static", max_batch=max_batch)
         # Single-request eager: max_batch=1 on one replica is exactly one
         # eager forward per query through the same partition.
         _, single = self._serve(model, requests, "continuous", max_batch=1, replicas=1)
@@ -521,3 +510,22 @@ class TestGatewayServiceParity:
         assert service.enclave.memory_report().region_value_bytes <= after_one
         np.testing.assert_array_equal(first.logits(), eager)
         np.testing.assert_array_equal(report.logits(), eager)
+
+    def test_replays_and_serving_start_no_worker_threads(self, rng):
+        """Captured replays of a banded conv tower and gateway serving run
+        on the calling thread: no replay worker pool is ever started."""
+        model = SimpleCNN(
+            SimpleCNNConfig(in_channels=3, num_classes=4, widths=(8, 16), image_size=32)
+        )
+
+        def trace(array):
+            x = Tensor(array, requires_grad=True, is_input=True)
+            return TraceHandles(objective=model(x).sum(), input=x)
+
+        captured = CapturedExecution()
+        for _ in range(3):
+            captured.run(trace, rng.uniform(size=(8, 3, 32, 32)), key="tower")
+        assert captured.stats.replays == 1
+        self._serve(_model(), self._requests(rng), "continuous", max_batch=1)
+        names = [thread.name for thread in threading.enumerate()]
+        assert not [name for name in names if name.startswith("repro-replay")], names

@@ -13,7 +13,6 @@ import pytest
 
 from repro.attacks.base import Attack
 from repro.attacks.bpda import make_attacker_view
-from repro.autodiff.tensor import Tensor
 from repro.fl.client import HonestClient
 from repro.fl.rounds import FederatedRunConfig, FederatedTrainer, build_federation
 from repro.models.simple import MLPClassifier
@@ -76,54 +75,6 @@ class TestAttackWrappers:
         assert gradient.shape == inputs.shape
 
 
-class TestTensorMakeShim:
-    """Third-party closure-built ops keep working through Tensor._make."""
-
-    def test_make_warns_and_builds_a_working_node(self, rng):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-
-        def forward_fn():
-            return x.data * 2.0
-
-        def backward_fn(grad):
-            x._accumulate(grad * 2.0)
-
-        with pytest.warns(DeprecationWarning, match="repro.autodiff.ops"):
-            out = Tensor._make(forward_fn(), (x,), "double", backward_fn, forward_fn)
-        assert out.op == "double"
-        assert out.requires_grad
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((3, 4), 2.0))
-
-    def test_made_nodes_replay_through_the_captured_backend(self, rng):
-        """Closure ops carry no registry metadata but still record/replay
-        (unfused) because the shim registers their forward thunk."""
-        from repro.autodiff import CapturedExecution, EagerExecution, TraceHandles
-
-        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True, is_parameter=True)
-
-        def trace(array):
-            x = Tensor(array, requires_grad=True, is_input=True)
-
-            def forward_fn():
-                return np.square(x.data)
-
-            def backward_fn(grad):
-                x._accumulate(grad * 2.0 * x.data)
-
-            with pytest.warns(DeprecationWarning):
-                squared = Tensor._make(forward_fn(), (x,), "square", backward_fn, forward_fn)
-            return TraceHandles(objective=(squared @ w).sum(), input=x)
-
-        eager, captured = EagerExecution(), CapturedExecution()
-        for _ in range(4):
-            batch = rng.normal(size=(3, 4))
-            expected = np.array(eager.run(trace, batch).input.grad)
-            actual = np.array(captured.run(trace, batch, key="sq").input.grad)
-            np.testing.assert_array_equal(expected, actual)
-        assert captured.stats.replays == 2
-
-
 class TestInRepoCallersAreMigrated:
     """No example or benchmark may trip the compatibility wrappers again."""
 
@@ -140,17 +91,3 @@ class TestInRepoCallersAreMigrated:
                 if needle in text:
                     offenders.append(f"{path.name}: {needle}")
         assert not offenders, f"deprecated API usage crept back in: {offenders}"
-
-    def test_no_tensor_make_calls_left_in_tree(self):
-        """Every in-tree op goes through the registry; the _make shim is for
-        external code only (its DeprecationWarning must never fire here)."""
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[1]
-        offenders = []
-        for path in sorted((root / "src").rglob("*.py")) + sorted(
-            (root / "examples").glob("*.py")
-        ) + sorted((root / "benchmarks").glob("*.py")):
-            if "._make(" in path.read_text():
-                offenders.append(str(path.relative_to(root)))
-        assert not offenders, f"Tensor._make usage crept back in: {offenders}"
