@@ -15,6 +15,7 @@ from repro.autodiff import (
     resolve_execution_backend,
 )
 from repro.autodiff import functional as F
+from repro.autodiff import ops
 
 
 def _mlp_trace(weights, labels):
@@ -262,3 +263,39 @@ class TestInferenceCapture:
         assert resolve_inference_backend(backend) is backend
         with pytest.raises(ValueError):
             resolve_inference_backend("jit")
+
+
+class TestRegistryNodes:
+    """Every graph node comes from the op registry, so every replayed node
+    reruns an :class:`~repro.autodiff.ops.OpCall` kernel."""
+
+    @pytest.mark.parametrize("family", ["mlp", "cnn", "vit"])
+    def test_every_model_node_carries_an_op_call(
+        self, family, tiny_cnn_factory, tiny_vit_factory
+    ):
+        from repro.autodiff.tensor import topological_order
+        from repro.models.simple import MLPClassifier
+
+        rng = np.random.default_rng(5)
+        if family == "mlp":
+            model = MLPClassifier(input_dim=12, num_classes=3, hidden_dim=8)
+            shape = (2, 12)
+        else:
+            model = tiny_cnn_factory() if family == "cnn" else tiny_vit_factory()
+            shape = (2, 3, 16, 16)
+        labels = np.array([0, 1])
+
+        def trace(array):
+            x = Tensor(array, requires_grad=True, is_input=True)
+            return TraceHandles(objective=F.cross_entropy(model(x), labels), input=x)
+
+        handles = EagerExecution().run(trace, rng.normal(size=shape))
+        derived = [node for node in topological_order(handles.objective) if node.parents]
+        assert derived
+        for node in derived:
+            assert node._op_call is not None, node.op
+            assert node._op_call.output is node
+        recording = GraphRecording(handles)
+        for step in recording._plan.steps:
+            calls = [call for call, _ in step.steps] if hasattr(step, "steps") else [step.call]
+            assert all(call.op.name in ops.REGISTRY for call in calls)

@@ -58,6 +58,34 @@ class TestBandedGate:
         landed = tuple(t.data for t in node._op_call.tensors)
         assert node.data.tobytes() == (landed[0] @ landed[1]).tobytes()
 
+    def test_floor_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 100)
+        assert not banding.banded(2, 99)
+        assert banding.banded(2, 100)
+        monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 1_000)
+        assert not banding.banded(2, 100)
+
+    @pytest.mark.parametrize(
+        "rows,units",
+        [(64, 0), (65, 2), (128, 2), (129, 3), (200, 4)],
+    )
+    def test_matmul_bands_are_ragged_aware(self, rng, low_floor, rows, units):
+        """64-row bands with a short tail; one band or less stays whole."""
+        a, b = rng.normal(size=(rows, 8)), rng.normal(size=(8, 3))
+        assert op_registry._matmul_band_count(a.shape, b.shape) == units
+        node = op_registry.apply("matmul", [Tensor(a), Tensor(b)])
+        landed = tuple(t.data for t in node._op_call.tensors)
+        for r0 in range(0, rows, banding.MATMUL_BAND_ROWS):
+            r1 = min(r0 + banding.MATMUL_BAND_ROWS, rows)
+            expected = landed[0][r0:r1] @ landed[1] if units else (landed[0] @ landed[1])[r0:r1]
+            assert node.data[r0:r1].tobytes() == expected.tobytes()
+
+    def test_stacked_matmul_bands_per_sample(self, low_floor):
+        assert op_registry._matmul_band_count((3, 5, 4), (4, 2)) == 3
+        assert op_registry._matmul_band_count((3, 5, 4), (3, 4, 2)) == 3
+        # A stacked rhs whose leading axis differs from the lhs stays whole.
+        assert op_registry._matmul_band_count((3, 5, 4), (1, 4, 2)) == 0
+
 
 def _tower_weights(rng, dtype):
     return {
@@ -106,6 +134,32 @@ class TestCapturedTowerParity:
             )
         assert captured.stats.replays >= 2
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_replayed_tower_grads_match_eager_in_each_dtype(self, rng, low_floor, dtype):
+        previous = get_default_dtype()
+        set_default_dtype(dtype)
+        try:
+            weights = _tower_weights(rng, dtype)
+            trace = _tower_trace(weights)
+            eager, captured = EagerExecution(), CapturedExecution()
+            for trial in range(3):
+                batch = rng.normal(size=(4, 3, 16, 16)).astype(dtype)
+                grads = []
+                for backend in (eager, captured):
+                    for tensor in weights.values():
+                        tensor.grad = None
+                    handles = backend.run(trace, batch, key=f"tower-{dtype}")
+                    grads.append(
+                        [np.array(handles.input.grad)]
+                        + [np.array(tensor.grad) for tensor in weights.values()]
+                    )
+                assert grads[1][0].dtype == np.dtype(dtype)
+                for expected, actual in zip(*grads):
+                    assert expected.tobytes() == actual.tobytes(), f"trial={trial}"
+            assert captured.stats.replays == 1
+        finally:
+            set_default_dtype(previous)
+
     def test_banded_steps_replay_in_place(self, rng, low_floor):
         """Heavy conv2d/matmul steps write their recorded buffer directly:
         the kernel returns the buffer itself, so no copy is ever needed."""
@@ -144,6 +198,48 @@ class TestCapturedTowerParity:
         assert captured.stats.replays >= 2
         for tensor in weights.values():
             assert tensor.grad is None
+
+
+@pytest.mark.parametrize(
+    "name,shapes,params",
+    [
+        ("conv2d", [(4, 3, 9, 9), (5, 3, 3, 3), (5,)], {"stride": 2, "padding": 1}),
+        ("conv2d", [(1, 3, 11, 11), (4, 3, 3, 3)], {"stride": 1, "padding": 1}),
+        ("matmul", [(150, 12), (12, 7)], {}),
+    ],
+    ids=["conv2d-samples", "conv2d-spatial", "matmul-rows"],
+)
+class TestBandedMatchesWhole:
+    """Banding moves last bits only: banded values stay close to whole-call
+    values, forward and backward."""
+
+    def _run(self, monkeypatch, floor, name, arrays, params, probe):
+        monkeypatch.setattr(banding, "MIN_BAND_FLOPS", floor)
+        tensors = [Tensor(array.copy(), requires_grad=True) for array in arrays]
+        out = op_registry.apply(name, tensors, dict(params))
+        out.backward(probe)
+        return out.data.copy(), [np.array(tensor.grad) for tensor in tensors]
+
+    def test_banded_call_matches_whole_call(self, monkeypatch, name, shapes, params):
+        previous = get_default_dtype()
+        set_default_dtype("float64")
+        try:
+            rng = np.random.default_rng(11)
+            arrays = [rng.normal(size=shape) for shape in shapes]
+            out_shape = op_registry.apply(name, [Tensor(a) for a in arrays], dict(params)).shape
+            probe = rng.normal(size=out_shape)
+            monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 1)
+            if name == "conv2d":
+                assert op_registry._conv2d_band_count(arrays, params) >= 2
+            else:
+                assert op_registry._matmul_band_count(shapes[0], shapes[1]) >= 2
+            banded_out, banded_grads = self._run(monkeypatch, 1, name, arrays, params, probe)
+            whole_out, whole_grads = self._run(monkeypatch, 10**18, name, arrays, params, probe)
+        finally:
+            set_default_dtype(previous)
+        np.testing.assert_allclose(banded_out, whole_out, rtol=1e-12, atol=1e-12)
+        for banded_grad, whole_grad in zip(banded_grads, whole_grads):
+            np.testing.assert_allclose(banded_grad, whole_grad, rtol=1e-12, atol=1e-12)
 
 
 class TestBandedGradcheck:

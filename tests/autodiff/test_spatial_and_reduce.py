@@ -122,6 +122,27 @@ class TestReduceBands:
         banding.tree_reduce([p.copy() for p in partials], expected)
         assert out.tobytes() == expected.tobytes()
 
+    def test_unnamed_reduce_records_no_row(self, rng):
+        partials = [rng.normal(size=(3, 3)) for _ in range(4)]
+        out = np.empty((3, 3))
+        with profile_ops() as profiler:
+            banding.reduce_bands(4, lambda band, slab: np.copyto(slab, partials[band]), out)
+        assert not profiler.as_dict()
+
+    def test_slabs_return_to_the_scratch_pool(self, rng):
+        """Every partial slab is released, so a repeat reduce allocates none."""
+        pool = banding.scratch_pool()
+        out = np.empty((5, 7))
+
+        def partial(band, slab):
+            slab.fill(band)
+
+        banding.reduce_bands(3, partial, out)
+        allocations = pool.stats.allocations
+        banding.reduce_bands(3, partial, out)
+        assert pool.stats.allocations == allocations
+        np.testing.assert_array_equal(out, np.full((5, 7), 3.0))
+
 
 @pytest.mark.parametrize(
     "h,w,kh,kw,stride,padding",
@@ -160,6 +181,17 @@ class TestSpatialBands:
         # A single sample of the same geometry bands over 16 / 4 output rows.
         assert op_registry._conv2d_band_count([arrays[0][:1], arrays[1]], params) == 4
 
+    @pytest.mark.parametrize("height,units", [(3, 0), (4, 0), (5, 2), (16, 4), (17, 5)])
+    def test_single_sample_bands_over_output_rows(self, rng, low_floor, height, units):
+        """ceil(out_h / SPATIAL_BAND_ROWS) bands; a single band stays whole."""
+        arrays = [rng.normal(size=(1, 3, height, height)), rng.normal(size=(4, 3, 3, 3))]
+        params = {"stride": 1, "padding": 1}
+        assert op_registry._conv2d_band_count(arrays, params) == units
+
+    def test_mixed_dtype_conv_stays_whole(self, rng, low_floor):
+        arrays = [rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3)).astype(np.float32)]
+        assert op_registry._conv2d_band_count(arrays, {"stride": 1, "padding": 1}) == 0
+
 
 class TestBatch1CapturedTower:
     def test_batch1_replay_matches_eager_sha256(self, rng, low_floor):
@@ -178,6 +210,23 @@ class TestBatch1CapturedTower:
                 f"trial={trial}"
             )
         assert captured.stats.replays >= 1
+
+
+    @pytest.mark.parametrize("height", [16, 18, 22])
+    def test_batch1_replay_matches_eager_at_ragged_heights(self, rng, low_floor, height):
+        """Heights whose output rows leave short last bands in both convs."""
+        dtype = get_default_dtype()
+        weights = _tower_weights(rng, dtype, head_features=8 * (height // 4) ** 2)
+        trace = _tower_trace(weights)
+        eager, captured = EagerExecution(), CapturedExecution()
+        for trial in range(3):
+            batch = rng.normal(size=(1, 3, height, height)).astype(dtype)
+            expected = eager.run(trace, batch)
+            actual = captured.run(trace, batch, key="tower-b1-ragged")
+            assert _sha(np.array(expected.input.grad)) == _sha(np.array(actual.input.grad)), (
+                f"height={height} trial={trial}"
+            )
+        assert captured.stats.replays == 1
 
 
 class TestScratchPoolWarmReplay:

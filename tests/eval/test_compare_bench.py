@@ -107,6 +107,23 @@ class TestGate:
         assert "cpu_count changed" in out
         assert "host mismatch" in out
 
+    def test_stale_shard_config_does_not_skip_the_gate(self, tmp_path):
+        """Older trajectories (BENCH_fl/BENCH_serving) still carry a
+        ``shard_config``; it no longer names a benchmark regime, so a
+        regression between two of them is gated like any other."""
+        module = _load_compare_bench()
+        previous = _write(tmp_path / "prev.json", {"replay_seconds": 1.0})
+        current = _write(tmp_path / "cur.json", {"replay_seconds": 2.0})
+        configs = (
+            {"min_band_flops": 2_000_000, "force_parallel": False},
+            {"min_band_flops": 1, "force_parallel": True},
+        )
+        for path, config in zip((previous, current), configs):
+            payload = json.loads(path.read_text())
+            payload["shard_config"] = config
+            path.write_text(json.dumps(payload))
+        assert module.main([str(current), str(previous)]) == 1
+
     def test_matching_cpu_count_still_gates(self, tmp_path):
         module = _load_compare_bench()
         previous = _write(tmp_path / "prev.json", {"replay_seconds": 1.0})
