@@ -7,7 +7,7 @@ walks the serving runtime end to end:
 1. train a ViT defender through the artifact cache (re-runs train nothing);
 2. stand up a :class:`~repro.serve.ShieldedInferenceService` — the model's
    stem runs enclave-resident as a partition stage, forwards replay through
-   the grad-free capture cache, and queries are dynamically micro-batched;
+   the captured-graph cache, and queries are dynamically micro-batched;
 3. serve a constant-rate workload and compare against single-request
    serving — same predictions, several times the throughput, a fraction of
    the TEE world switches per request;
@@ -47,14 +47,14 @@ def main() -> None:
     # 2. The serving runtime -------------------------------------------------
     policy = BatchingPolicy(max_batch=8, max_wait_us=4000.0)
     workload = uniform_workload(inputs, inter_arrival_us=150.0)
-    with ShieldedInferenceService(model, policy) as service:
-        print("Stage partition:", service.pool.partition_description())
-        service.serve(uniform_workload(inputs[:16], 150.0))  # warm the capture cache
-        batched = service.serve(workload)
+    service = ShieldedInferenceService(model, policy)
+    print("Stage partition:", service.replica.partition.describe())
+    service.serve(uniform_workload(inputs[:16], 150.0))  # warm the capture cache
+    batched = service.serve(workload)
 
     # 3. Single-request serving for comparison (no batching, eager forwards) -
-    with ShieldedInferenceService(model, BatchingPolicy(max_batch=1), capture="eager") as naive:
-        single = naive.serve(uniform_workload(inputs, inter_arrival_us=150.0))
+    naive = ShieldedInferenceService(model, BatchingPolicy(max_batch=1), capture="eager")
+    single = naive.serve(uniform_workload(inputs, inter_arrival_us=150.0))
 
     stats = batched.stats
     print(
@@ -74,18 +74,18 @@ def main() -> None:
     )
 
     # 4. Attestation-gated sealed queries ------------------------------------
-    with ShieldedInferenceService(model, policy) as service:
-        session = service.open_session("untrusting-client")
-        print("\nSession attested: the client verified the serving enclave's quote.")
-        sealed_query = session.seal_query(inputs[0])
-        service.submit_sealed(0, sealed_query)
-        report = service.serve()
-        reply = report.replies[0]
-        logits = session.open_reply(service.seal_reply(reply))
-        print(
-            f"Sealed round trip ok: predicted class {reply.prediction} "
-            f"(logits intact: {bool(np.array_equal(logits, reply.logits))})"
-        )
+    service = ShieldedInferenceService(model, policy)
+    session = service.open_session("untrusting-client")
+    print("\nSession attested: the client verified the serving enclave's quote.")
+    sealed_query = session.seal_query(inputs[0])
+    service.submit_sealed(0, sealed_query)
+    report = service.serve()
+    reply = report.replies[0]
+    logits = session.open_reply(service.seal_reply(reply))
+    print(
+        f"Sealed round trip ok: predicted class {reply.prediction} "
+        f"(logits intact: {bool(np.array_equal(logits, reply.logits))})"
+    )
 
 
 if __name__ == "__main__":

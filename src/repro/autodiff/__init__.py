@@ -11,17 +11,12 @@ can inspect and shield.
 from repro.autodiff.capture import (
     EXECUTION_BACKENDS,
     CapturedExecution,
-    CapturedInference,
     EagerExecution,
-    EagerInference,
     GraphCaptureError,
     GraphRecording,
-    InferenceHandles,
-    InferenceRecording,
     ReplayPlan,
     TraceHandles,
     resolve_execution_backend,
-    resolve_inference_backend,
 )
 from repro.autodiff.context import (
     ShieldRegion,
@@ -78,17 +73,13 @@ from repro.autodiff.tensor import (
 __all__ = [
     "BufferPool",
     "CapturedExecution",
-    "CapturedInference",
     "EXECUTION_BACKENDS",
     "EagerExecution",
-    "EagerInference",
     "GradSample",
     "GraphCaptureError",
     "GraphNode",
     "GraphRecording",
     "GraphSnapshot",
-    "InferenceHandles",
-    "InferenceRecording",
     "Op",
     "OpCall",
     "OpProfiler",
@@ -100,7 +91,6 @@ __all__ = [
     "elementwise_ops",
     "registered_ops",
     "resolve_execution_backend",
-    "resolve_inference_backend",
     "active_buffer_pool",
     "active_profiler",
     "active_shield_region",

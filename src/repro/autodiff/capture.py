@@ -22,14 +22,16 @@ redraws its mask per call) transparently fall back to eager execution.
 
 A recording owns its buffers, so it must not be shared across threads, and it
 assumes the model parameters do not change between replays (true for the
-attack hot path: defenders are frozen while being attacked).
+attack hot path: defenders are frozen while being attacked).  It records from
+a private copy of the recording query's input, so replays never write into an
+array the caller still holds.
 
-The same machinery also powers the **grad-free inference mode** used by the
-serving runtime (:mod:`repro.serve`): :class:`CapturedInference` records a
-forward-only graph — traced under ``no_grad``, where ops still register
-their ``forward_fn`` thunks but no tape is built — and replays it into the
-same activation buffers, LRU-keyed on (model, partition, batch shape).
-Replayed logits are bit-identical to an eager forward of the same batch.
+The same classes serve the **grad-free inference** hot path of the serving
+runtime (:mod:`repro.serve`): a graph traced under ``no_grad`` still
+registers every op's ``forward_fn`` thunk but builds no tape, so its
+objective (the logits) does not require grad, and a replay reruns only the
+forward kernels.  Replayed logits are bit-identical to an eager forward of
+the same batch.
 """
 
 from __future__ import annotations
@@ -185,21 +187,33 @@ class TraceHandles:
     replay so that side-channel attributes set during the record-time forward
     pass (e.g. a shielded model's ``last_frontier``, an attention module's
     ``last_attention_weights``) point back at the recorded tensors, whose
-    buffers the replay refreshed in place.
+    buffers the replay refreshed in place.  ``on_replay`` (if set) runs after
+    every replay: the serving runtime uses it to re-charge the TEE boundary
+    crossings the recorded eager pass paid.
+
+    The objective of a forward-only trace (built under ``no_grad``) is the
+    output itself; it does not require grad, so no backward pass runs.
     """
 
     objective: Tensor
     input: Tensor
     rebinds: list[tuple[object, str, object]] = field(default_factory=list)
+    on_replay: Callable[[], None] | None = None
 
 
 class GraphRecording:
-    """A replayable snapshot of one (input → objective) graph."""
+    """A replayable snapshot of one (input → objective) graph.
+
+    A replay reruns the backward pass only when the objective requires grad;
+    a graph traced under ``no_grad`` replays its forward kernels alone.
+    """
 
     def __init__(self, handles: TraceHandles):
         self.input = handles.input
         self.objective = handles.objective
         self.rebinds = list(handles.rebinds)
+        self.on_replay = handles.on_replay
+        self.requires_grad = self.objective.requires_grad
         order = topological_order(self.objective)
         dependent: set[int] = {self.input.node_id}
         replay: list[Tensor] = []
@@ -213,6 +227,8 @@ class GraphRecording:
                         f"op {node.op!r} does not support captured-graph replay"
                     )
                 replay.append(node)
+        if not self.requires_grad and self.objective.node_id not in dependent:
+            raise GraphCaptureError("model output does not depend on the input")
         #: Topological order of the whole graph (grads are reset over it).
         self._order = order
         #: Replay plan: consecutive elementwise registry ops are fused into
@@ -229,7 +245,7 @@ class GraphRecording:
         return len(self._order)
 
     def replay(self, inputs: np.ndarray) -> TraceHandles:
-        """Re-execute the recorded forward and backward passes in place."""
+        """Re-execute the recorded forward (and backward) passes in place."""
         inputs = np.asarray(inputs)
         if inputs.shape != self.input.shape:
             raise GraphCaptureError(
@@ -239,21 +255,30 @@ class GraphRecording:
         started = time.perf_counter() if profiler is not None else 0.0
         np.copyto(self.input.data, inputs)
         self._plan.run()
-        for node in self._order:
-            node.grad = None
-        # Inline of Tensor.backward over the recorded order: same seed, same
-        # reversed traversal, same accumulation order — bit-identical grads.
-        self.objective._accumulate(self._seed)
-        for node in self._reversed:
-            if node.backward_fn is None or node.grad is None:
-                continue
-            node.backward_fn(node.grad)
+        if self.requires_grad:
+            for node in self._order:
+                node.grad = None
+            # Inline of Tensor.backward over the recorded order: same seed,
+            # same reversed traversal, same accumulation order — bit-identical
+            # grads.
+            self.objective._accumulate(self._seed)
+            for node in self._reversed:
+                if node.backward_fn is None or node.grad is None:
+                    continue
+                node.backward_fn(node.grad)
         for obj, attribute, value in self.rebinds:
             setattr(obj, attribute, value)
+        if self.on_replay is not None:
+            self.on_replay()
         self.replays += 1
         if profiler is not None:
             profiler.record("captured_replay", time.perf_counter() - started, 0, 0)
-        return TraceHandles(objective=self.objective, input=self.input, rebinds=self.rebinds)
+        return TraceHandles(
+            objective=self.objective,
+            input=self.input,
+            rebinds=self.rebinds,
+            on_replay=self.on_replay,
+        )
 
 
 #: A trace builds the graph for one query: it creates the input tensor from
@@ -268,7 +293,8 @@ class EagerExecution:
 
     def run(self, trace: Trace, inputs: np.ndarray, key: Hashable = None) -> TraceHandles:
         handles = trace(np.asarray(inputs))
-        handles.objective.backward()
+        if handles.objective.requires_grad:
+            handles.objective.backward()
         return handles
 
 
@@ -289,7 +315,10 @@ class CapturedExecution:
 
     ``key`` identifies the *structure* of the query (model identity, loss,
     labels, ...); together with the input shape and dtype it addresses one
-    recording.  Unsupported graphs are remembered and always executed eagerly.
+    recording.  Recording is lazy (second query with the same key), so
+    one-shot graphs (FGSM, trailing partial batches) never pay for a
+    recording nobody will replay.  Unsupported graphs are remembered and
+    always executed eagerly.
     """
 
     name = "captured"
@@ -312,12 +341,14 @@ class CapturedExecution:
             self._recordings.move_to_end(full_key)
             self.stats.replays += 1
             return recording.replay(inputs)
-        handles = trace(inputs)
-        handles.objective.backward()
-        if full_key not in self._seen:
-            # Record lazily, on the second query with the same key: one-shot
-            # graphs (FGSM, trailing partial batches) never pay for a
-            # recording nobody will replay.
+        records = full_key in self._seen
+        # A recording keeps its traced input as the buffer later replays
+        # overwrite, so the recording query traces a private copy rather
+        # than the caller's array.
+        handles = trace(np.array(inputs, copy=True) if records else inputs)
+        if handles.objective.requires_grad:
+            handles.objective.backward()
+        if not records:
             self._seen.add(full_key)
             return handles
         try:
@@ -332,161 +363,6 @@ class CapturedExecution:
         while len(self._recordings) > self.max_recordings:
             self._recordings.popitem(last=False)
         return handles
-
-
-# --------------------------------------------------------------------------- #
-# Grad-free inference capture (the serving hot path)
-# --------------------------------------------------------------------------- #
-@dataclass
-class InferenceHandles:
-    """Live graph handles an inference trace hands back to the backend.
-
-    Unlike :class:`TraceHandles` there is no objective and no tape: the graph
-    is recorded forward-only (ops register ``forward_fn`` thunks even with
-    gradients disabled), so a replay re-runs the NumPy expressions without
-    any backward bookkeeping.  ``rebinds`` works as for gradient traces;
-    ``on_replay`` (if set) runs after every replay — the serving runtime uses
-    it to re-charge the TEE boundary crossings the eager pass paid.
-    """
-
-    input: Tensor
-    output: Tensor
-    rebinds: list[tuple[object, str, object]] = field(default_factory=list)
-    on_replay: Callable[[], None] | None = None
-
-
-class InferenceRecording:
-    """A replayable, tape-free snapshot of one (input → output) forward graph."""
-
-    def __init__(self, handles: InferenceHandles):
-        self.input = handles.input
-        self.output = handles.output
-        self.rebinds = list(handles.rebinds)
-        self.on_replay = handles.on_replay
-        dependent: set[int] = {self.input.node_id}
-        replay: list[Tensor] = []
-        for node in topological_order(self.output):
-            if node is self.input:
-                continue
-            if any(parent.node_id in dependent for parent in node.parents):
-                dependent.add(node.node_id)
-                if node.forward_fn is None:
-                    raise GraphCaptureError(
-                        f"op {node.op!r} does not support captured inference replay"
-                    )
-                replay.append(node)
-        if self.output.node_id not in dependent:
-            raise GraphCaptureError("model output does not depend on the input")
-        #: Replay plan with fused elementwise chains (see
-        #: :class:`GraphRecording`; the same pass serves both).
-        self._plan = ReplayPlan(replay)
-        self.fused_chains = self._plan.fused_chains
-        self.fused_ops = self._plan.fused_ops
-        self.replays = 0
-
-    def __len__(self) -> int:
-        return sum(len(step) if isinstance(step, _FusedChain) else 1 for step in self._plan)
-
-    def replay(self, inputs: np.ndarray) -> InferenceHandles:
-        """Re-execute the recorded forward pass in place; no tape, no grads."""
-        inputs = np.asarray(inputs)
-        if inputs.shape != self.input.shape:
-            raise GraphCaptureError(
-                f"replay input shape {inputs.shape} != recorded {self.input.shape}"
-            )
-        profiler = _profiler.active_profiler()
-        started = time.perf_counter() if profiler is not None else 0.0
-        np.copyto(self.input.data, inputs)
-        self._plan.run()
-        for obj, attribute, value in self.rebinds:
-            setattr(obj, attribute, value)
-        if self.on_replay is not None:
-            self.on_replay()
-        self.replays += 1
-        if profiler is not None:
-            profiler.record(
-                "captured_inference_replay", time.perf_counter() - started, 0, 0
-            )
-        return InferenceHandles(
-            input=self.input, output=self.output, rebinds=self.rebinds, on_replay=self.on_replay
-        )
-
-
-#: An inference trace builds the forward graph for one query and returns its
-#: handles; it must run with gradient recording *enabled* at the tensor-op
-#: level (so forward thunks are registered) but needs no objective.
-InferenceTrace = Callable[[np.ndarray], InferenceHandles]
-
-
-class EagerInference:
-    """Trace a fresh forward graph per query (no recording)."""
-
-    name = "eager"
-
-    def run(self, trace: InferenceTrace, inputs: np.ndarray, key: Hashable = None):
-        return trace(np.asarray(inputs))
-
-
-class CapturedInference:
-    """Record-once / replay-many forward execution with an LRU cache.
-
-    The serving runtime keys recordings on (model identity, partition,
-    batch shape): together with the input dtype that addresses one recording.
-    Recording is lazy (second query with the same key), so one-shot shapes —
-    trailing partial batches the micro-batcher could not pad — never pay for
-    a recording nobody will replay.
-    """
-
-    name = "captured"
-
-    def __init__(self, max_recordings: int = 8):
-        self.max_recordings = max(int(max_recordings), 1)
-        self._recordings: OrderedDict[Hashable, InferenceRecording] = OrderedDict()
-        self._seen: set[Hashable] = set()
-        self._unsupported: set[Hashable] = set()
-        self.stats = CaptureStats()
-
-    def run(self, trace: InferenceTrace, inputs: np.ndarray, key: Hashable = None):
-        inputs = np.asarray(inputs)
-        full_key = (key, inputs.shape, inputs.dtype.str)
-        if full_key in self._unsupported:
-            self.stats.fallbacks += 1
-            return trace(inputs)
-        recording = self._recordings.get(full_key)
-        if recording is not None:
-            self._recordings.move_to_end(full_key)
-            self.stats.replays += 1
-            return recording.replay(inputs)
-        handles = trace(inputs)
-        if full_key not in self._seen:
-            self._seen.add(full_key)
-            return handles
-        try:
-            recording = InferenceRecording(handles)
-        except GraphCaptureError as error:
-            _LOGGER.info("captured inference falling back to eager: %s", error)
-            self._unsupported.add(full_key)
-            self.stats.fallbacks += 1
-            return handles
-        self._recordings[full_key] = recording
-        self.stats.records += 1
-        while len(self._recordings) > self.max_recordings:
-            self._recordings.popitem(last=False)
-        return handles
-
-
-def resolve_inference_backend(spec) -> EagerInference | CapturedInference:
-    """Coerce a backend name or instance into an inference execution backend."""
-    if spec is None or spec == "eager":
-        return EagerInference()
-    if spec == "captured":
-        return CapturedInference()
-    if hasattr(spec, "run") and hasattr(spec, "name"):
-        return spec
-    raise ValueError(
-        f"unknown inference backend {spec!r}; expected one of {EXECUTION_BACKENDS} "
-        "or an object with a .run(trace, inputs, key) method"
-    )
 
 
 def resolve_execution_backend(spec) -> EagerExecution | CapturedExecution:

@@ -72,9 +72,6 @@ class CellExecutor:
 
     def resolve(self, num_tasks: int) -> tuple[str, int]:
         """The (backend, workers) a batch of ``num_tasks`` would actually use."""
-        return self._resolved(num_tasks)
-
-    def _resolved(self, num_tasks: int) -> tuple[str, int]:
         backend = self.config.backend
         workers = self.config.max_workers
         if workers is None:
@@ -98,7 +95,7 @@ class CellExecutor:
         the process backend is selected.
         """
         payloads = list(payloads)
-        backend, workers = self._resolved(len(payloads))
+        backend, workers = self.resolve(len(payloads))
         if backend == "serial":
             return [fn(payload) for payload in payloads]
         _LOGGER.info("fanning out %d cells over %d %s workers", len(payloads), workers, backend)
@@ -120,7 +117,7 @@ class CellExecutor:
         order-sensitive reductions deterministic.
         """
         payloads = list(payloads)
-        backend, workers = self._resolved(len(payloads))
+        backend, workers = self.resolve(len(payloads))
         if backend == "serial":
             for payload in payloads:
                 yield fn(payload)

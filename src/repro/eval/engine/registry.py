@@ -561,7 +561,6 @@ SERVING_SCALES: dict[str, dict[str, Any]] = {
         inter_arrival_us=200.0,
         max_batch=4,
         max_wait_us=2000.0,
-        workers=1,
         sealed=2,
     ),
     "bench": dict(
@@ -569,7 +568,6 @@ SERVING_SCALES: dict[str, dict[str, Any]] = {
         inter_arrival_us=150.0,
         max_batch=8,
         max_wait_us=4000.0,
-        workers=2,
         sealed=4,
     ),
     "full": dict(
@@ -577,7 +575,6 @@ SERVING_SCALES: dict[str, dict[str, Any]] = {
         inter_arrival_us=100.0,
         max_batch=16,
         max_wait_us=8000.0,
-        workers=4,
         sealed=16,
     ),
 }
@@ -591,8 +588,6 @@ _SERVING_PARAM_KEYS = frozenset(
         "inter_arrival_us",
         "max_batch",
         "max_wait_us",
-        "worker_backend",
-        "workers",
         "capture",
         "sealed",
         "target_us",
@@ -611,7 +606,6 @@ def _serving_scenario(
     # convolutions of the CNN families do not, so the serving presets default
     # to the ViT members (any zoo model still serves via --set model=...).
     params["model"] = "vit_b32" if scale != "tiny" else "simple_cnn"
-    params["worker_backend"] = "serial"
     params["capture"] = "captured"
     params.update(defaults)
     for key in list(overrides):

@@ -407,8 +407,8 @@ class ExperimentEngine:
         model, scenario: Scenario, inputs, max_batch: int, capture: str, sealed: int | None = None
     ):
         """One serving run: fresh service, capture warm-up, measured serve."""
-        # Deferred import: repro.serve pulls the fl transports (and through
-        # them this package) back in — same cycle guard as _run_federated.
+        # Deferred import: repro.serve pulls the fl runtime (and through it
+        # this package) back in — same cycle guard as _run_federated.
         from repro.serve import BatchingPolicy, ShieldedInferenceService, uniform_workload
 
         params = scenario.params
@@ -416,32 +416,26 @@ class ExperimentEngine:
             max_batch=max_batch, max_wait_us=float(params["max_wait_us"])
         )
         inter_arrival = float(params["inter_arrival_us"])
-        with ShieldedInferenceService(
-            model,
-            policy,
-            backend=str(params["worker_backend"]),
-            max_workers=int(params["workers"]),
-            capture=capture,
-        ) as service:
-            # Warm-up outside the measured region: every replica must see
-            # each batch shape twice (the capture backend records lazily on
-            # the second sighting), so cover two full waves of full batches.
-            warm_count = 2 * policy.max_batch * service.pool.num_workers
-            repeats = -(-warm_count // len(inputs))
-            warm = np.concatenate([inputs] * repeats, axis=0)[:warm_count]
-            service.serve(uniform_workload(warm, inter_arrival))
-            report = service.serve(uniform_workload(inputs, inter_arrival))
-            sealed = int(params.get("sealed", 0)) if sealed is None else int(sealed)
-            sealed_ok = True
-            if sealed and service.sessions is not None:
-                session = service.open_session("serving.client", seed=0)
-                for index in range(sealed):
-                    payload = inputs[index % len(inputs)]
-                    service.submit_sealed(index, session.seal_query(payload))
-                sealed_report = service.serve()
-                for reply in sealed_report.replies:
-                    opened = session.open_reply(service.seal_reply(reply))
-                    sealed_ok = sealed_ok and bool(np.array_equal(opened, reply.logits))
+        service = ShieldedInferenceService(model, policy, capture=capture)
+        # Warm-up outside the measured region: the replica must see each
+        # batch shape twice (the capture backend records lazily on the
+        # second sighting), so cover two full batches.
+        warm_count = 2 * policy.max_batch
+        repeats = -(-warm_count // len(inputs))
+        warm = np.concatenate([inputs] * repeats, axis=0)[:warm_count]
+        service.serve(uniform_workload(warm, inter_arrival))
+        report = service.serve(uniform_workload(inputs, inter_arrival))
+        sealed = int(params.get("sealed", 0)) if sealed is None else int(sealed)
+        sealed_ok = True
+        if sealed and service.sessions is not None:
+            session = service.open_session("serving.client", seed=0)
+            for index in range(sealed):
+                payload = inputs[index % len(inputs)]
+                service.submit_sealed(index, session.seal_query(payload))
+            sealed_report = service.serve()
+            for reply in sealed_report.replies:
+                opened = session.open_reply(service.seal_reply(reply))
+                sealed_ok = sealed_ok and bool(np.array_equal(opened, reply.logits))
         return report, {"requests": sealed, "roundtrip_ok": sealed_ok}
 
     def _run_serving_throughput(self, scenario: Scenario):

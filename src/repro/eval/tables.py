@@ -327,8 +327,7 @@ def format_serving_throughput(results) -> str:
             f"  {label:<19} {stats['throughput_rps']:>9.1f} req/s  "
             f"batches={stats['batches']:>4} (mean size {stats['mean_batch_size']:.1f}, "
             f"{stats['padded_slots']} padded)  "
-            f"switches/req={stats['world_switches_per_request']:.2f}  "
-            f"[{stats['transport']}x{stats['workers']}]"
+            f"switches/req={stats['world_switches_per_request']:.2f}"
         )
     parity = results.get("parity", {})
     lines.append(

@@ -36,9 +36,7 @@ class Transport:
     """Order-preserving exchange of client tasks for update envelopes.
 
     Beyond the FL-typed :meth:`exchange`, every transport exposes a generic
-    :meth:`map` so other runtimes — the serving worker pool in
-    :mod:`repro.serve` — can fan their own task shapes out over the same
-    serial/thread/process backends without re-deriving the pool semantics.
+    :meth:`map`, which the round also uses to seal and unseal envelopes.
     """
 
     name = "base"
@@ -90,10 +88,6 @@ class ExecutorTransport(Transport):
             workers = self.max_workers if self.max_workers is not None else os.cpu_count() or 1
             name = "thread" if workers > 1 else "serial"
         self.name = name
-
-    def resolve(self, num_tasks: int) -> tuple[str, int]:
-        """The (backend, workers) a batch of ``num_tasks`` would actually use."""
-        return self._executor.resolve(num_tasks)
 
     def map(self, fn: Callable, items: Sequence) -> list:
         items = list(items)

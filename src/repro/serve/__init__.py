@@ -4,8 +4,8 @@ The deployment story of the paper — a TEE-shielded defender answering
 untrusted inference queries — as a serving stack: partition-staged models
 (enclave-resident stem, normal-world trunk, per-crossing cost accounting),
 dynamic micro-batching with padding to captured shapes, grad-free
-captured-forward replay, worker pools over the federation transports, and
-attestation-gated sealed query sessions.
+captured-forward replay on one in-process replica, and attestation-gated
+sealed query sessions.
 
 Quick start::
 
@@ -37,14 +37,18 @@ from repro.serve.gateway import (
     poisson_workload,
     trace_workload,
 )
-from repro.serve.runtime import ServingReport, ServingStats, ShieldedInferenceService
+from repro.serve.runtime import (
+    ServingReplica,
+    ServingReport,
+    ServingStats,
+    ShieldedInferenceService,
+)
 from repro.serve.session import (
     SealedQuery,
     SealedReply,
     ServingSession,
     SessionManager,
 )
-from repro.serve.workers import ServingReplica, ServingWorkerPool
 
 __all__ = [
     "AdmissionPolicy",
@@ -64,7 +68,6 @@ __all__ = [
     "ServingReport",
     "ServingSession",
     "ServingStats",
-    "ServingWorkerPool",
     "SessionManager",
     "ShieldedInferenceService",
     "calibrate_stage_costs",

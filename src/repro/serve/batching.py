@@ -1,7 +1,7 @@
 """Request queue and dynamic micro-batching for the serving runtime.
 
 Inference traffic arrives one sample at a time; the model runs fastest over
-batches whose shapes the captured-inference LRU already holds.  The
+batches whose shapes the capture cache already holds.  The
 :class:`MicroBatcher` bridges the two with the classic serving trade-off:
 
 * **max-batch** — cut a batch as soon as it holds ``max_batch`` requests;
@@ -14,7 +14,7 @@ batches whose shapes the captured-inference LRU already holds.  The
 Arrival times are *virtual* (microseconds on the workload's clock), which
 keeps batch formation — and therefore the request → batch assignment — fully
 deterministic for a given workload, independent of host load.  Service times
-are measured on the real clock by the worker pool.
+are measured on the real clock by the serving replica.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class BatchingPolicy:
 
     max_batch: int = 8
     max_wait_us: float = 5000.0
-    pad_batches: bool = True
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -93,8 +92,6 @@ class BatchingPolicy:
 
     def padded_size(self, count: int) -> int:
         """Smallest schedule size that fits ``count`` samples."""
-        if not self.pad_batches:
-            return count
         for size in self.pad_schedule():
             if size >= count:
                 return size

@@ -14,8 +14,7 @@ Two policies share one event-driven core:
 * ``static`` — the PR-4 wave drainer's semantics on the same virtual clock,
   kept as the parity baseline: batches are cut from the arrival queue by the
   max-batch / max-wait rule, dispatched one per replica in a *wave*, and the
-  next wave starts only when the whole previous wave finished (the
-  transport barrier of ``ServingWorkerPool.run_wave``).
+  next wave starts only when the whole previous wave finished.
 
 The core itself never touches tensors: service times come from the
 :class:`~repro.serve.gateway.costs.StageCostModel`, so a pure simulation can

@@ -7,13 +7,13 @@ into one serving path:
   enclave-resident, the trunk in the normal world — with world-switch and
   byte-transfer costs charged per boundary crossing
   (:mod:`repro.core.partition`);
-* forwards execute through the **grad-free capture** backend
-  (:class:`~repro.autodiff.capture.CapturedInference`): recorded once per
-  (replica, batch shape), replayed bit-identically with reused buffers;
+* forwards execute through the **captured-graph** backend
+  (:class:`~repro.autodiff.capture.CapturedExecution` on ``no_grad``
+  traces): recorded once per batch shape, replayed bit-identically with
+  reused buffers;
 * requests flow through an arrival-ordered queue and a **dynamic
-  micro-batcher** (max-batch / max-wait, padding to cached shapes), then fan
-  out over a **worker pool** of model replicas on the federation transports
-  (:mod:`repro.serve.workers`);
+  micro-batcher** (max-batch / max-wait, padding to cached shapes), and every
+  batch runs in order on one in-process :class:`ServingReplica`;
 * clients may open **attestation-gated sessions** and send sealed queries
   (:mod:`repro.serve.session`).
 
@@ -24,11 +24,17 @@ measured wall-clock per batch plus the simulated TEE boundary time.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.autodiff.capture import TraceHandles, resolve_execution_backend
+from repro.autodiff.context import no_grad
+from repro.autodiff.tensor import Tensor
+from repro.core.partition import ModelPartition
+from repro.core.shielded_model import ShieldedModel
 from repro.models.base import ImageClassifier
 from repro.serve.batching import (
     BatchingPolicy,
@@ -38,10 +44,81 @@ from repro.serve.batching import (
     MicroBatcher,
 )
 from repro.serve.session import SealedQuery, ServingSession, SessionManager
-from repro.serve.workers import ServingWorkerPool
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("serve.runtime")
+
+
+class ServingReplica:
+    """The service's private copy of the served model and its capture cache."""
+
+    def __init__(self, model: ImageClassifier, shielded: bool = True, capture: str = "captured"):
+        model.eval()
+        self.shielded = shielded
+        if shielded:
+            self.model = ShieldedModel(model)
+            self.partition = self.model.partition
+        else:
+            self.model = model
+            self.partition = ModelPartition(model, enclave=None)
+        self.backend = resolve_execution_backend(capture)
+        # Identity token keyed into every recording: a replica only ever
+        # replays graphs it recorded itself.
+        self._token = object()
+
+    def _boundary_stats(self):
+        if not self.shielded:
+            return None
+        return self.model.enclave.boundary.stats
+
+    def _trace(self, array: np.ndarray) -> TraceHandles:
+        with no_grad():
+            input_tensor = Tensor(array, is_input=True, name="serving.input")
+            output = self.model(input_tensor)
+        rebinds: list[tuple[object, str, object]] = []
+        on_replay = None
+        if self.shielded:
+            rebinds = [
+                (self.model, "last_frontier", self.model.last_frontier),
+                (self.model, "last_input", self.model.last_input),
+                (self.model, "last_crossings", self.model.last_crossings),
+            ]
+            # A replay runs no stage code, so re-charge the crossings the
+            # recorded eager pass paid — boundary accounting stays identical
+            # between eager and captured serving.
+            crossings = list(self.model.last_crossings)
+            partition = self.partition
+
+            def on_replay() -> None:
+                partition.replay_crossings(crossings)
+
+        return TraceHandles(
+            objective=output, input=input_tensor, rebinds=rebinds, on_replay=on_replay
+        )
+
+    def infer(self, inputs: np.ndarray) -> dict:
+        """Run one (padded) batch, returning logits plus cost accounting."""
+        boundary = self._boundary_stats()
+        switches_before = boundary.switches if boundary is not None else 0
+        simulated_before = boundary.simulated_time_us if boundary is not None else 0.0
+        capture_before = (
+            dict(self.backend.stats.as_dict()) if hasattr(self.backend, "stats") else None
+        )
+        start = time.perf_counter()
+        handles = self.backend.run(self._trace, inputs, key=(self._token,))
+        service_s = time.perf_counter() - start
+        result = {
+            "logits": np.array(handles.objective.data, copy=True),
+            "service_s": service_s,
+            "world_switches": (boundary.switches - switches_before) if boundary else 0,
+            "boundary_us": (boundary.simulated_time_us - simulated_before) if boundary else 0.0,
+        }
+        if capture_before is not None:
+            after = self.backend.stats.as_dict()
+            result["capture"] = {
+                key: after[key] - capture_before[key] for key in after
+            }
+        return result
 
 
 @dataclass
@@ -63,8 +140,6 @@ class ServingStats:
     world_switches_per_request: float = 0.0
     boundary_time_us: float = 0.0
     capture: dict = field(default_factory=dict)
-    transport: str = "serial"
-    workers: int = 1
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -95,28 +170,14 @@ class ShieldedInferenceService:
         self,
         model: ImageClassifier,
         policy: BatchingPolicy | None = None,
-        backend: str = "serial",
-        max_workers: int | None = None,
         shielded: bool = True,
         capture: str = "captured",
-        max_recordings: int = 8,
     ):
         self.policy = policy if policy is not None else BatchingPolicy()
-        self.pool = ServingWorkerPool(
-            model,
-            backend=backend,
-            max_workers=max_workers,
-            shielded=shielded,
-            capture=capture,
-            max_recordings=max_recordings,
-        )
+        self.replica = ServingReplica(copy.deepcopy(model), shielded=shielded, capture=capture)
         self.shielded = shielded
         self.batcher = MicroBatcher(self.policy)
-        # Sessions attest the *first replica's* enclave: every replica seals
-        # identical stem parameters, so their measurements coincide.
-        self.sessions = (
-            SessionManager(self.pool.replicas[0].model.enclave) if shielded else None
-        )
+        self.sessions = SessionManager(self.replica.model.enclave) if shielded else None
         self._sealed_seen = 0
 
     # ------------------------------------------------------------------ #
@@ -153,23 +214,21 @@ class ShieldedInferenceService:
     # Serving
     # ------------------------------------------------------------------ #
     def serve(self, requests: list[InferenceRequest] | None = None) -> ServingReport:
-        """Drain the queue (plus ``requests``) through batching and the pool."""
+        """Drain the queue (plus ``requests``) through batching and the replica."""
         for request in requests or []:
             self.batcher.submit(request)
         batches = self.batcher.drain()
         replies: list[InferenceReply] = []
-        stats = ServingStats(transport=self.pool.backend_name, workers=self.pool.num_workers)
+        stats = ServingStats()
         stats.sealed_requests = self._sealed_seen
         self._sealed_seen = 0
         capture_totals: dict[str, int] = {}
         start = time.perf_counter()
-        for wave_start in range(0, len(batches), self.pool.num_workers):
-            wave = batches[wave_start : wave_start + self.pool.num_workers]
-            results = self.pool.run_wave([batch.inputs for batch in wave])
-            for batch, result in zip(wave, results):
-                replies.extend(self._assemble(batch, result, stats))
-                for key, value in result.get("capture", {}).items():
-                    capture_totals[key] = capture_totals.get(key, 0) + value
+        for batch in batches:
+            result = self.replica.infer(batch.inputs)
+            replies.extend(self._assemble(batch, result, stats))
+            for key, value in result.get("capture", {}).items():
+                capture_totals[key] = capture_totals.get(key, 0) + value
         stats.wall_seconds = time.perf_counter() - start
         stats.requests = len(replies)
         stats.batches = len(batches)
@@ -191,7 +250,7 @@ class ShieldedInferenceService:
             stats.world_switches_per_request,
         )
         return ServingReport(
-            replies=replies, stats=stats, partition=self.pool.partition_description()
+            replies=replies, stats=stats, partition=self.replica.partition.describe()
         )
 
     def _assemble(
@@ -225,12 +284,3 @@ class ShieldedInferenceService:
         if self.sessions is None or reply.session_id is None:
             raise RuntimeError("reply does not belong to a sealed session")
         return self.sessions.seal_reply(reply.session_id, reply.logits)
-
-    def close(self) -> None:
-        self.pool.close()
-
-    def __enter__(self) -> "ShieldedInferenceService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

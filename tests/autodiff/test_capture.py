@@ -12,6 +12,7 @@ from repro.autodiff import (
     GraphRecording,
     Tensor,
     TraceHandles,
+    no_grad,
     resolve_execution_backend,
 )
 from repro.autodiff import functional as F
@@ -164,21 +165,17 @@ class TestResolveExecutionBackend:
 
 
 # --------------------------------------------------------------------------- #
-# Grad-free inference capture (the serving hot path)
+# Forward-only capture (the serving hot path): graphs traced under no_grad
 # --------------------------------------------------------------------------- #
-from repro.autodiff import CapturedInference, InferenceHandles, no_grad  # noqa: E402
-from repro.autodiff import resolve_inference_backend  # noqa: E402
-
-
 def _inference_trace(weights, hooks=None):
-    """A forward-only trace (no objective, traced under no_grad)."""
+    """A forward-only trace: the logits are the objective, traced under no_grad."""
     w1, w2 = weights
 
-    def trace(array: np.ndarray) -> InferenceHandles:
+    def trace(array: np.ndarray) -> TraceHandles:
         with no_grad():
             x = Tensor(array, is_input=True)
             logits = F.gelu(x @ w1) @ w2
-        return InferenceHandles(input=x, output=logits, on_replay=hooks)
+        return TraceHandles(objective=logits, input=x, on_replay=hooks)
 
     return trace
 
@@ -195,11 +192,11 @@ class TestInferenceCapture:
     def test_replay_outputs_are_bit_identical_to_eager(self, inference_mlp):
         weights, rng = inference_mlp
         trace = _inference_trace(weights)
-        captured = CapturedInference()
+        captured = CapturedExecution()
         for trial in range(4):
             batch = rng.normal(size=(4, 6))
-            expected = np.array(trace(batch).output.data)
-            actual = np.array(captured.run(trace, batch, key="mlp").output.data)
+            expected = np.array(trace(batch).objective.data)
+            actual = np.array(captured.run(trace, batch, key="mlp").objective.data)
             np.testing.assert_array_equal(expected, actual, err_msg=f"trial {trial}")
         assert captured.stats.records == 1
         assert captured.stats.replays == 2
@@ -207,33 +204,59 @@ class TestInferenceCapture:
     def test_no_tape_is_built_under_no_grad(self, inference_mlp):
         weights, rng = inference_mlp
         handles = _inference_trace(weights)(rng.normal(size=(2, 6)))
-        assert handles.output.backward_fn is None
-        assert not handles.output.requires_grad
+        assert handles.objective.backward_fn is None
+        assert not handles.objective.requires_grad
         # ... but the forward thunks are there, which is what replay needs.
-        assert handles.output.forward_fn is not None
+        assert handles.objective.forward_fn is not None
+
+    def test_replays_run_no_backward(self, inference_mlp):
+        weights, rng = inference_mlp
+        trace = _inference_trace(weights)
+        captured = CapturedExecution()
+        for _ in range(3):
+            handles = captured.run(trace, rng.normal(size=(4, 6)), key="fwd")
+        recording = next(iter(captured._recordings.values()))
+        assert not recording.requires_grad
+        assert handles.input.grad is None
+        assert all(weight.grad is None for weight in weights)
 
     def test_on_replay_hook_fires_per_replay_only(self, inference_mlp):
         weights, rng = inference_mlp
         fired = []
         trace = _inference_trace(weights, hooks=lambda: fired.append(1))
-        captured = CapturedInference()
+        captured = CapturedExecution()
         for _ in range(4):
             captured.run(trace, rng.normal(size=(2, 6)), key="hook")
         assert len(fired) == captured.stats.replays == 2
 
     def test_shape_mismatch_is_rejected(self, inference_mlp):
-        from repro.autodiff import InferenceRecording
-
         weights, rng = inference_mlp
         trace = _inference_trace(weights)
-        recording = InferenceRecording(trace(rng.normal(size=(4, 6))))
+        recording = GraphRecording(trace(rng.normal(size=(4, 6))))
         with pytest.raises(GraphCaptureError, match="shape"):
             recording.replay(rng.normal(size=(5, 6)))
+
+    def test_output_independent_of_the_input_is_rejected(self, inference_mlp):
+        (w1, _), rng = inference_mlp
+
+        def trace(array):
+            with no_grad():
+                x = Tensor(array, is_input=True)
+                out = w1.tanh()
+            return TraceHandles(objective=out, input=x)
+
+        with pytest.raises(GraphCaptureError, match="does not depend on the input"):
+            GraphRecording(trace(rng.normal(size=(4, 6))))
+        captured = CapturedExecution()
+        for _ in range(3):
+            captured.run(trace, rng.normal(size=(4, 6)), key="const")
+        assert captured.stats.records == 0
+        assert captured.stats.fallbacks == 2
 
     def test_lru_eviction_bounds_recordings(self, inference_mlp):
         weights, rng = inference_mlp
         trace = _inference_trace(weights)
-        captured = CapturedInference(max_recordings=2)
+        captured = CapturedExecution(max_recordings=2)
         for rows in (1, 2, 3, 1, 2, 3):  # 3 shapes, capacity 2
             captured.run(trace, rng.normal(size=(rows, 6)), key="lru")
             captured.run(trace, rng.normal(size=(rows, 6)), key="lru")
@@ -247,22 +270,39 @@ class TestInferenceCapture:
             with no_grad():
                 x = Tensor(array, is_input=True)
                 out = F.dropout(x, rate=0.5, rng=generator, training=True)
-            return InferenceHandles(input=x, output=out)
+            return TraceHandles(objective=out, input=x)
 
-        captured = CapturedInference()
+        captured = CapturedExecution()
         for _ in range(3):
             handles = captured.run(trace, rng.normal(size=(4, 4)), key="drop")
-            assert handles.output.data.shape == (4, 4)
+            assert handles.objective.data.shape == (4, 4)
         assert captured.stats.records == 0
         assert captured.stats.fallbacks >= 1
 
-    def test_resolver_names(self):
-        assert resolve_inference_backend("eager").name == "eager"
-        assert resolve_inference_backend("captured").name == "captured"
-        backend = CapturedInference()
-        assert resolve_inference_backend(backend) is backend
-        with pytest.raises(ValueError):
-            resolve_inference_backend("jit")
+
+class TestRecordingQueryInput:
+    """A recording owns its input buffer: replays never write into the array
+    the caller passed to the recording query."""
+
+    @staticmethod
+    def _check(trace, rng, shape):
+        captured = CapturedExecution()
+        captured.run(trace, rng.normal(size=shape), key="alias")
+        recording_query = rng.normal(size=shape)
+        kept = recording_query.copy()
+        captured.run(trace, recording_query, key="alias")  # records
+        for _ in range(2):
+            captured.run(trace, rng.normal(size=shape), key="alias")
+        assert captured.stats.records == 1 and captured.stats.replays == 2
+        np.testing.assert_array_equal(recording_query, kept)
+
+    def test_gradient_trace(self, mlp):
+        trace, rng = mlp
+        self._check(trace, rng, (4, 6))
+
+    def test_forward_only_trace(self, inference_mlp):
+        weights, rng = inference_mlp
+        self._check(_inference_trace(weights), rng, (4, 6))
 
 
 class TestRegistryNodes:

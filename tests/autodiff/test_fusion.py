@@ -15,10 +15,8 @@ import pytest
 
 from repro.autodiff import (
     CapturedExecution,
-    CapturedInference,
     EagerExecution,
     GraphRecording,
-    InferenceHandles,
     Tensor,
     TraceHandles,
     no_grad,
@@ -128,13 +126,13 @@ class TestInferenceFusion:
             with no_grad():
                 x = Tensor(array, is_input=True)
                 out = F.sigmoid(F.gelu(x @ w1).tanh() * 0.5) @ w2
-            return InferenceHandles(input=x, output=out)
+            return TraceHandles(objective=out, input=x)
 
-        captured = CapturedInference()
+        captured = CapturedExecution()
         for trial in range(4):
             batch = rng.normal(size=(4, 6))
-            expected = np.array(trace(batch).output.data)
-            actual = np.array(captured.run(trace, batch, key="inf").output.data)
+            expected = np.array(trace(batch).objective.data)
+            actual = np.array(captured.run(trace, batch, key="inf").objective.data)
             np.testing.assert_array_equal(expected, actual, err_msg=f"trial {trial}")
         recording = next(iter(captured._recordings.values()))
         assert recording.fused_chains >= 1
@@ -147,13 +145,14 @@ class TestInferenceFusion:
             with no_grad():
                 x = Tensor(array, is_input=True)
                 out = (x @ w).exp().tanh().sqrt()
-            return InferenceHandles(input=x, output=out)
+            return TraceHandles(objective=out, input=x)
 
-        from repro.autodiff import InferenceRecording
-
-        recording = InferenceRecording(trace(np.abs(rng.normal(size=(2, 4)))))
-        # len() counts replayed nodes whether fused or not.
-        assert len(recording) == 4  # matmul + exp + tanh + sqrt
+        recording = GraphRecording(trace(np.abs(rng.normal(size=(2, 4)))))
+        # The plan replays every input-dependent node, fused or not.
+        replayed = sum(
+            len(step) if isinstance(step, _FusedChain) else 1 for step in recording._plan
+        )
+        assert replayed == 4  # matmul + exp + tanh + sqrt
         assert recording.fused_ops == 3
 
 
@@ -175,13 +174,13 @@ class TestRecordedOrderFusion:
                 for branch in branches[1:]:
                     merged = merged + branch
                 out = merged @ w
-            return InferenceHandles(input=x, output=out)
+            return TraceHandles(objective=out, input=x)
 
-        captured = CapturedInference()
+        captured = CapturedExecution()
         for trial in range(4):
             batch = rng.normal(size=(8, 16))
-            expected = trace(batch).output.data.copy()
-            actual = captured.run(trace, batch, key="wide").output.data
+            expected = trace(batch).objective.data.copy()
+            actual = captured.run(trace, batch, key="wide").objective.data
             assert expected.tobytes() == actual.tobytes(), f"trial {trial}"
         recording = next(iter(captured._recordings.values()))
         kinds = [type(step) for step in recording._plan]

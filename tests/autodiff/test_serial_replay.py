@@ -18,11 +18,8 @@ import pytest
 
 from repro.autodiff import (
     CapturedExecution,
-    CapturedInference,
     EagerExecution,
     GraphRecording,
-    InferenceHandles,
-    InferenceRecording,
     Op,
     Tensor,
     TraceHandles,
@@ -58,7 +55,7 @@ def _wide_grad_trace(weight, branches: int = 4):
 def _wide_inference_trace(weight, branches: int = 4):
     scales = _branch_scales(branches)
 
-    def trace(array: np.ndarray) -> InferenceHandles:
+    def trace(array: np.ndarray) -> TraceHandles:
         with no_grad():
             x = Tensor(array, is_input=True)
             parts = [((x * scale).tanh().exp() + 1.0).sqrt() for scale in scales]
@@ -66,7 +63,7 @@ def _wide_inference_trace(weight, branches: int = 4):
             for part in parts[1:]:
                 merged = merged + part
             out = merged @ weight
-        return InferenceHandles(input=x, output=out)
+        return TraceHandles(objective=out, input=x)
 
     return trace
 
@@ -117,11 +114,11 @@ class TestBitIdentity:
     def test_inference_replay(self, rng, branches):
         weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
         trace = _wide_inference_trace(weight, branches)
-        captured = CapturedInference()
+        captured = CapturedExecution()
         for trial in range(4):
             batch = rng.normal(size=(8, 16))
-            expected = trace(batch).output.data.copy()
-            actual = captured.run(trace, batch, key="wide-inf").output.data
+            expected = trace(batch).objective.data.copy()
+            actual = captured.run(trace, batch, key="wide-inf").objective.data
             assert expected.tobytes() == actual.tobytes(), (
                 f"branches={branches} trial={trial}"
             )
@@ -153,7 +150,7 @@ class TestRecordedOrderPlan:
     def test_steps_respect_dependencies(self, rng):
         """Every replayed node's replayed producers run in an earlier step."""
         weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
-        recording = InferenceRecording(_wide_inference_trace(weight, 8)(rng.normal(size=(8, 16))))
+        recording = GraphRecording(_wide_inference_trace(weight, 8)(rng.normal(size=(8, 16))))
         plan = recording._plan
         replayed = {
             node.node_id for step in plan.steps for node in _step_nodes(step)
@@ -247,23 +244,23 @@ def _saved_free_chain_trace(array):
     with no_grad():
         x = Tensor(array, is_input=True)
         out = ((x * 2.0 + 0.5).tanh().exp() + 1.0).sqrt()
-    return InferenceHandles(input=x, output=out)
+    return TraceHandles(objective=out, input=x)
 
 
 class TestLargeChains:
     def test_large_chain_is_one_fused_step(self, rng):
-        recording = InferenceRecording(_saved_free_chain_trace(rng.normal(size=(256, 256))))
+        recording = GraphRecording(_saved_free_chain_trace(rng.normal(size=(256, 256))))
         (step,) = recording._plan.steps
         assert isinstance(step, _FusedChain)
         assert len(step) == 6
         assert all(out is call.output.data for call, out in step.steps)
 
     def test_large_chain_replay_bit_identical(self, rng):
-        recording = InferenceRecording(_saved_free_chain_trace(rng.normal(size=(256, 256))))
+        recording = GraphRecording(_saved_free_chain_trace(rng.normal(size=(256, 256))))
         for _ in range(2):
             batch = rng.normal(size=(256, 256))
-            replayed = recording.replay(batch).output.data
-            assert replayed.tobytes() == _saved_free_chain_trace(batch).output.data.tobytes()
+            replayed = recording.replay(batch).objective.data
+            assert replayed.tobytes() == _saved_free_chain_trace(batch).objective.data.tobytes()
 
     def test_broadcast_operands_replay_bit_identical(self, rng):
         """Size-1 and lower-rank operands broadcast inside the fused chain."""
@@ -274,13 +271,13 @@ class TestLargeChains:
             with no_grad():
                 x = Tensor(array, is_input=True)
                 out = ((x + bias_row) * 0.5 + bias_vec).tanh()
-            return InferenceHandles(input=x, output=out)
+            return TraceHandles(objective=out, input=x)
 
-        recording = InferenceRecording(trace(rng.normal(size=(512, 128))))
+        recording = GraphRecording(trace(rng.normal(size=(512, 128))))
         assert recording.fused_ops == 4
         batch = rng.normal(size=(512, 128))
-        replayed = recording.replay(batch).output.data
-        assert replayed.tobytes() == trace(batch).output.data.tobytes()
+        replayed = recording.replay(batch).objective.data
+        assert replayed.tobytes() == trace(batch).objective.data.tobytes()
 
     def test_gelu_chain_refreshes_saved_buffers(self, rng):
         """GELU refreshes record-time saved buffers in place on every replay."""
@@ -289,13 +286,13 @@ class TestLargeChains:
             with no_grad():
                 x = Tensor(array, is_input=True)
                 out = F.gelu(x * 2.0)
-            return InferenceHandles(input=x, output=out)
+            return TraceHandles(objective=out, input=x)
 
-        recording = InferenceRecording(trace(rng.normal(size=(64, 64))))
+        recording = GraphRecording(trace(rng.normal(size=(64, 64))))
         for _ in range(3):
             batch = rng.normal(size=(64, 64))
-            replayed = recording.replay(batch).output.data
-            assert replayed.tobytes() == trace(batch).output.data.tobytes()
+            replayed = recording.replay(batch).objective.data
+            assert replayed.tobytes() == trace(batch).objective.data.tobytes()
 
 
 class TestReplayProfiler:
@@ -392,10 +389,8 @@ class TestCallingThread:
 
         def worker(slot: int):
             captured = CapturedExecution()
-            # Copies: the recording keeps the recording query's array as its
-            # input buffer and later replays write into it.
             results[slot] = [
-                np.array(captured.run(trace, batch.copy(), key="wide").input.grad).tobytes()
+                np.array(captured.run(trace, batch, key="wide").input.grad).tobytes()
                 for batch in batches
             ]
 

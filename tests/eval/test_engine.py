@@ -365,7 +365,7 @@ class TestCellExecutor:
         import os
 
         executor = CellExecutor(ExecutorConfig(backend="thread"))
-        backend, workers = executor._resolved(num_tasks=1000)
+        backend, workers = executor.resolve(num_tasks=1000)
         expected = os.cpu_count() or 1
         assert workers == min(expected, 1000)
         assert backend == ("thread" if workers > 1 else "serial")

@@ -26,9 +26,6 @@ class TestBatchingPolicy:
         assert policy.padded_size(4) == 4
         assert policy.padded_size(5) == 8
 
-    def test_padding_can_be_disabled(self):
-        assert BatchingPolicy(max_batch=8, pad_batches=False).padded_size(5) == 5
-
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             BatchingPolicy(max_batch=0)
