@@ -1,8 +1,8 @@
-"""Federated round throughput: serial vs thread vs process transports.
+"""Federated round throughput: serial vs process transports.
 
 Runs the ``fl_fedavg`` scenario through the experiment engine once per
 transport backend and reports updates/second and bytes moved per round.
-Because every client task carries its own derived seed, the three backends
+Because every client task carries its own derived seed, both backends
 must produce bit-identical round histories; every pair of backends run in
 the same bench session is asserted identical here (the definitive parity
 test, independent of selection order, lives in
@@ -37,7 +37,7 @@ _RATES: dict[str, float] = {}
 _SCALE_METRICS: dict[str, float] = {}
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_fl_round_throughput(benchmark, backend):
     """One fl_fedavg run per transport; identical histories, timed fan-out."""
     engine = ExperimentEngine(

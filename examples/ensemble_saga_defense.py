@@ -13,16 +13,14 @@ Run with:  python examples/ensemble_saga_defense.py
 from __future__ import annotations
 
 from repro.eval import render_run
-from repro.eval.engine import CellExecutor, ExecutorConfig, ExperimentEngine
+from repro.eval.engine import ExperimentEngine
 from repro.utils import set_global_seed
 
 
 def main() -> None:
     set_global_seed(13)
-    engine = ExperimentEngine(
-        executor=CellExecutor(ExecutorConfig(backend="auto", max_workers=4)),
-        results_dir="results",
-    )
+    # The default executor runs the cells on one worker process per core.
+    engine = ExperimentEngine(results_dir="results")
     record = engine.run(
         "table4_cifar10",
         scale="bench",

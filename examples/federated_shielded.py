@@ -5,9 +5,9 @@ End-to-end demo of the federation runtime:
 1. four clients, each carrying a TrustZone enclave, enroll with the server's
    attestation gate; their quotes are verified before any update is trusted
    (a tampered quote is shown to be rejected);
-2. the federation trains a global model over the *thread* transport — local
-   updates run in parallel, every broadcast/update sealed through the
-   attested secure channels;
+2. the federation trains a global model over the default ``auto`` transport —
+   local updates run in a fork pool, one worker per core, every
+   broadcast/update sealed through the attested secure channels;
 3. the trained global model is attacked with SAGA, once in the clear
    white-box setting and once with its stem shielded by PELTA.
 
@@ -31,7 +31,7 @@ from repro.fl import (
     ClientConfig,
     FederationRuntime,
     HonestClient,
-    ThreadTransport,
+    get_transport,
 )
 from repro.models import SimpleCNN, SimpleCNNConfig
 from repro.tee.attestation import AttestationQuote
@@ -65,7 +65,7 @@ def main() -> None:
     runtime = FederationRuntime(
         global_model=model_factory(),
         clients=clients,
-        transport=ThreadTransport(max_workers=4),
+        transport=get_transport("auto"),
     )
     sessions = runtime.attest_clients(device_keys)
     print(f"attested {len(sessions)} client enclave(s): {sorted(sessions)}")

@@ -10,8 +10,8 @@ composable pieces:
   defenders and synthetic datasets by a stable config hash so no experiment
   ever retrains what another already trained;
 * a **parallel executor** (:mod:`~repro.eval.engine.executor`) fanning
-  independent (model × attack × shield-setting) cells over thread or process
-  pools with deterministic per-cell RNG seeds;
+  independent (model × attack × shield-setting) cells over a BLAS-pinned
+  fork pool with deterministic per-cell RNG seeds;
 * **structured results** (:mod:`~repro.eval.engine.results`) persisted as
   JSON under ``results/runs/`` and rendered into the paper's tables by
   :mod:`repro.eval.tables`.

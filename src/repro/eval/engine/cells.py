@@ -3,11 +3,11 @@
 A *cell* is one independent (model × attack × shield-setting) evaluation of a
 scenario.  Cells are plain module-level functions over picklable payload
 dictionaries (primitives plus NumPy arrays) so the executor can fan them out
-to worker processes as well as threads; every model is rebuilt inside the
+to worker processes; every model is rebuilt inside the
 cell from its ``state_dict`` and all randomness is drawn from a private
 :class:`~repro.utils.rng.RngRegistry` seeded with the payload's per-task
 seed.  That makes a cell's result a pure function of its payload — identical
-across the serial, thread and process backends, and independent of execution
+across the serial and process backends, and independent of execution
 order.
 """
 

@@ -1,36 +1,50 @@
 """Parallel execution of experiment cells.
 
-Independent (model × attack × shield-setting) cells fan out over a thread or
+Independent (model × attack × shield-setting) cells fan out over a fork-based
 process pool; because every cell draws its randomness from a per-task seed
-(see :mod:`repro.eval.engine.cells`) the three backends produce identical
-results, so the backend is purely a throughput choice:
+(see :mod:`repro.eval.engine.cells`) both backends produce identical results,
+so the backend is purely a throughput choice:
 
-* ``serial`` — run inline; the default when only one worker is available.
-* ``thread`` — ``ThreadPoolExecutor``; NumPy releases the GIL in its large
-  kernels, so attack loops overlap reasonably well.
+* ``serial`` — run inline in the caller.
 * ``process`` — fork-based ``ProcessPoolExecutor``; full parallelism at the
   cost of pickling the payloads (model ``state_dict`` arrays included).
+* ``auto`` (the default) — ``process`` with one worker per core, capped at
+  the number of tasks; ``serial`` when that leaves one worker or the
+  platform cannot fork.
+
+The task callable reaches each worker through the fork, never through
+pickle, so wrapped or patched functions run the same as module-level ones.
+Each worker also pins NumPy's bundled OpenBLAS to its share of the cores
+(``cpu_count // workers`` threads): OpenBLAS otherwise starts one thread per
+core in every worker, and the oversubscribed pool runs slower than serial.
+The parent's BLAS is left at its default, which serial code runs fastest
+at.  No kernel or reduction order depends on the thread count, so outputs
+stay byte-identical.
 
 ``REPRO_ENGINE_BACKEND`` and ``REPRO_ENGINE_WORKERS`` supply process-wide
 *defaults* (e.g. ``REPRO_ENGINE_WORKERS=8 pytest benchmarks/``); an explicit
 ``ExecutorConfig`` value — such as the CLI's ``--backend serial`` — always
-wins over the environment.  Requesting a parallel backend without a worker
-count uses one worker per CPU core.
+wins over the environment.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("eval.engine.executor")
 
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,52 @@ def resolve_executor_config(config: ExecutorConfig | None = None) -> ExecutorCon
     return ExecutorConfig(backend=backend, max_workers=max_workers)
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """NumPy's bundled OpenBLAS, or ``None`` (logged once) without a thread setter."""
+    pattern = os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            library = ctypes.CDLL(path)
+            setter = library.scipy_openblas_set_num_threads64_
+            getter = library.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return library
+    _LOGGER.warning("NumPy's OpenBLAS thread setter not found; pool workers keep BLAS defaults")
+    return None
+
+
+#: The callable a pool worker runs.  Set only in workers, by
+#: :func:`_init_worker`; the parent never writes it.
+_TASK: Callable | None = None
+
+
+def _init_worker(fn: Callable, blas_threads: int) -> None:
+    global _TASK
+    _TASK = fn
+    library = _openblas()
+    if library is not None:
+        library.scipy_openblas_set_num_threads64_(blas_threads)
+
+
+def _run_task(payload):
+    return _TASK(payload)
+
+
+def _fork_pool(fn: Callable, workers: int) -> ProcessPoolExecutor:
+    """A fork pool of ``workers`` that run ``fn`` on their share of the cores."""
+    _openblas()  # look the library up once, before the workers fork
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(fn, max(1, (os.cpu_count() or 1) // workers)),
+    )
+
+
 class CellExecutor:
     """Order-preserving map of a cell function over payloads."""
 
@@ -75,43 +135,29 @@ class CellExecutor:
         backend = self.config.backend
         workers = self.config.max_workers
         if workers is None:
-            # An explicitly parallel backend without a worker count means
-            # "use the machine": one worker per core.
-            workers = (os.cpu_count() or 1) if backend in ("thread", "process") else 1
+            workers = os.cpu_count() or 1
         workers = max(1, min(workers, num_tasks)) if num_tasks else 1
-        if backend == "auto":
-            backend = "thread" if workers > 1 else "serial"
-        if backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
-            _LOGGER.warning("fork start method unavailable; falling back to threads")
-            backend = "thread"
-        if workers == 1:
-            backend = "serial"
-        return backend, workers
+        if backend == "serial" or workers == 1:
+            return "serial", 1
+        if "fork" not in multiprocessing.get_all_start_methods():
+            _LOGGER.warning("fork start method unavailable; running serially")
+            return "serial", 1
+        return "process", workers
 
     def map(self, fn: Callable[[dict], dict], payloads: Sequence[dict]) -> list[dict]:
         """Run ``fn`` over every payload, preserving input order.
 
-        ``fn`` must be a module-level function and the payloads picklable when
-        the process backend is selected.
+        The payloads and results must be picklable when the process backend
+        is selected; ``fn`` itself reaches the workers through the fork.
         """
-        payloads = list(payloads)
-        backend, workers = self.resolve(len(payloads))
-        if backend == "serial":
-            return [fn(payload) for payload in payloads]
-        _LOGGER.info("fanning out %d cells over %d %s workers", len(payloads), workers, backend)
-        if backend == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, payloads))
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            return list(pool.map(fn, payloads))
+        return list(self.imap(fn, payloads))
 
     def imap(self, fn: Callable[[dict], dict], payloads: Sequence[dict]):
         """Lazily yield ``fn(payload)`` results in input order as they complete.
 
         The streaming counterpart of :meth:`map`: on the serial backend each
         payload is only executed when the consumer asks for its result, and
-        on the pooled backends every payload is submitted up front but
+        on the process backend every payload is submitted up front but
         results are yielded head-of-line — the consumer sees them in input
         order regardless of which worker finishes first, which is what keeps
         order-sensitive reductions deterministic.
@@ -122,15 +168,11 @@ class CellExecutor:
             for payload in payloads:
                 yield fn(payload)
             return
-        _LOGGER.info("streaming %d cells over %d %s workers", len(payloads), workers, backend)
-        if backend == "thread":
-            pool = ThreadPoolExecutor(max_workers=workers)
-        else:
-            context = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        _LOGGER.info("running %d cells over %d process workers", len(payloads), workers)
+        pool = _fork_pool(fn, workers)
         try:
-            futures = [pool.submit(fn, payload) for payload in payloads]
+            futures = [pool.submit(_run_task, payload) for payload in payloads]
             for future in futures:
                 yield future.result()
         finally:
-            pool.shutdown(wait=True)
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -16,8 +16,7 @@ Determinism contract (what the transport-parity tests rely on):
   never by arrival), and combines the group partials through
   :func:`repro.autodiff.banding.tree_reduce` — a fixed-shape binary tree
   that is a pure function of the group count.  The result is byte-identical
-  whether updates arrive serially, from a thread pool or from worker
-  processes, and whatever coordinate chunk size is configured.
+  whether updates arrive serially or from worker processes, and whatever coordinate chunk size is configured.
 * ``median`` / ``trimmed_mean`` reduce over **fixed-size coordinate
   chunks** (:func:`default_chunk_elements`), so a thousand-client round
   never materializes the full ``clients x params`` stack; every coordinate

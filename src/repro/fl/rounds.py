@@ -4,7 +4,7 @@ The orchestration now lives in :mod:`repro.fl.runtime`;
 :class:`FederatedTrainer` and :func:`build_federation` are kept as thin
 wrappers so existing callers keep working.  New code should build a
 :class:`~repro.fl.runtime.runtime.FederationRuntime` directly — it adds
-transport selection (serial / thread / process), attestation-gated secure
+transport selection (serial / process), attestation-gated secure
 sessions and round-level hooks.
 """
 

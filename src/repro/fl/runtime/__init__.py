@@ -1,8 +1,8 @@
 """Federation runtime: transport-abstracted, TEE-attested FL rounds.
 
 The runtime decouples *what* a federated round does (broadcast, local
-update, aggregate, evaluate) from *how* its messages move (in-process,
-thread pool, process pool) and *whom* the server trusts (attestation-gated
+update, aggregate, evaluate) from *how* its messages move (in-process or
+over a process pool) and *whom* the server trusts (attestation-gated
 secure sessions for enclave-backed clients).  See
 :class:`~repro.fl.runtime.runtime.FederationRuntime` for the entry point;
 the legacy :class:`~repro.fl.server.FLServer` /
@@ -43,7 +43,6 @@ from repro.fl.runtime.transport import (
     ExecutorTransport,
     InProcessTransport,
     ProcessTransport,
-    ThreadTransport,
     Transport,
     get_transport,
     transport_from_executor,
@@ -66,7 +65,6 @@ __all__ = [
     "RoundHooks",
     "SealedState",
     "SecureTrafficStats",
-    "ThreadTransport",
     "TRANSPORTS",
     "Transport",
     "UpdateEnvelope",

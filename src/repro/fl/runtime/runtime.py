@@ -10,8 +10,8 @@ coupling.  Each round it
    :class:`~repro.fl.runtime.attested.ClientSession` channel when one exists;
 3. exchanges the resulting :class:`~repro.fl.runtime.participant.ClientTask`
    batch over the configured :class:`~repro.fl.runtime.transport.Transport`,
-   so local updates run serially, in a thread pool or in worker processes
-   with bit-identical results;
+   so local updates run serially or in worker processes with bit-identical
+   results;
 4. opens the reply envelopes in participant order, aggregates them with the
    configured rule and installs the new global model;
 5. evaluates and emits a :class:`~repro.fl.messages.RoundResult`.
@@ -44,7 +44,6 @@ from repro.fl.runtime.envelopes import (
 from repro.fl.runtime.participant import ClientTask, Participant, client_task_seed
 from repro.fl.runtime.transport import InProcessTransport, Transport
 from repro.models.base import ImageClassifier
-from repro.tee.secure_channel import SecureChannel
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed, get_global_seed
 
@@ -142,35 +141,6 @@ class SecureTrafficStats:
         }
 
 
-def _seal_broadcast_payload(payload: tuple[str, bytes, bytes, int, int]) -> SealedState:
-    """Seal one client's broadcast (module-level so transports can pickle it).
-
-    Rebuilds exactly the channel :meth:`ClientSession.channel` would mint for
-    ``(f"server.round{round_index}", seed)``, so fanning the sealing across
-    transport workers produces byte-identical ciphertext to the former
-    server-loop path.
-    """
-    client_id, session_key, encoded, round_index, seed = payload
-    nonce_rng = np.random.default_rng(
-        derive_seed(f"fl.session.{client_id}.server.round{round_index}", seed)
-    )
-    return SealedState(message=SecureChannel(session_key, rng=nonce_rng).encrypt(encoded))
-
-
-def _open_reply(
-    payload: tuple[UpdateEnvelope, str, bytes | None, int, dict | None]
-) -> ModelUpdate:
-    """Open one reply envelope (module-level so transports can pickle it)."""
-    reply, client_id, session_key, seed, base = payload
-    channel = None
-    if session_key is not None:
-        nonce_rng = np.random.default_rng(
-            derive_seed(f"fl.session.{client_id}.server.decrypt", seed)
-        )
-        channel = SecureChannel(session_key, rng=nonce_rng)
-    return reply.open(channel, base=base)
-
-
 class FederationRuntime:
     """Drives federated rounds over a pluggable transport."""
 
@@ -265,45 +235,22 @@ class FederationRuntime:
         state: dict[str, np.ndarray],
         encoded: bytes | None,
     ) -> list[ClientTask]:
-        """Build the round's client tasks, fanning per-client sealing out.
+        """Build the round's client tasks, sealing each attested client's copy.
 
         ``encoded`` is the round's state serialised once; only the per-client
-        encryption differs, so sealing parallelizes perfectly across the
-        transport's workers (byte-identically — every channel's nonce stream
-        is a pure function of ``(client_id, round, seed)``).
+        encryption differs, and every channel's nonce stream is a pure
+        function of ``(client_id, round, seed)``.
         """
-        sealed_clients = [
-            client for client in participants if self._session_for(client) is not None
-        ]
-        sealed_states: dict[str, SealedState] = {}
-        if sealed_clients:
-            payloads = [
-                (
-                    client.client_id,
-                    self._session_for(client).session_key,
-                    encoded,
-                    self.round_index,
-                    self.seed,
-                )
-                for client in sealed_clients
-            ]
-            if len(payloads) >= 2:
-                sealed_list = self.transport.map(_seal_broadcast_payload, payloads)
-            else:
-                sealed_list = [_seal_broadcast_payload(payloads[0])]
-            for client, sealed in zip(sealed_clients, sealed_list):
-                sealed_states[client.client_id] = sealed
-                self.secure_stats.sealed_messages += 1
-                self.secure_stats.sealed_bytes += sealed.nbytes
         tasks = []
         for client in participants:
             seed = client_task_seed(self.seed, self.round_index, client.client_id)
             session = self._session_for(client)
             if session is not None:
-                envelope = BroadcastEnvelope(
-                    round_index=self.round_index,
-                    sealed=sealed_states[client.client_id],
-                )
+                channel = session.channel(f"server.round{self.round_index}", self.seed)
+                sealed = SealedState(message=channel.encrypt(encoded))
+                self.secure_stats.sealed_messages += 1
+                self.secure_stats.sealed_bytes += sealed.nbytes
+                envelope = BroadcastEnvelope(round_index=self.round_index, sealed=sealed)
                 session_key = session.session_key
             else:
                 # ``state`` comes from ``state_dict()`` (already fresh copies)
@@ -343,45 +290,6 @@ class FederationRuntime:
         self.secure_stats.update_dense_bytes += update.nbytes
         return update
 
-    def _open_updates(
-        self,
-        participants: Sequence[Participant],
-        replies: Sequence,
-        base: dict[str, np.ndarray] | None = None,
-    ) -> list[ModelUpdate]:
-        """Open a buffered batch of replies, fanning unsealing across workers."""
-        sealed = sum(1 for reply in replies if reply.is_sealed)
-        if sealed >= 2:
-            payloads = []
-            for client, reply in zip(participants, replies):
-                session = None
-                if reply.is_sealed:
-                    session = self._session_for(client)
-                    if session is None:  # pragma: no cover - defensive
-                        raise RuntimeError(
-                            f"sealed reply from sessionless client {client.client_id!r}"
-                        )
-                    self.secure_stats.sealed_messages += 1
-                    self.secure_stats.sealed_bytes += reply.sealed.nbytes
-                payloads.append(
-                    (
-                        reply,
-                        client.client_id,
-                        session.session_key if session is not None else None,
-                        self.seed,
-                        base,
-                    )
-                )
-            updates = self.transport.map(_open_reply, payloads)
-            for update in updates:
-                self.secure_stats.update_payload_bytes += update.payload_nbytes
-                self.secure_stats.update_dense_bytes += update.nbytes
-            return updates
-        return [
-            self._open_one(client, reply, base)
-            for client, reply in zip(participants, replies)
-        ]
-
     def run_round(
         self,
         eval_images: np.ndarray | None = None,
@@ -394,8 +302,7 @@ class FederationRuntime:
         participant order — and folded into the aggregator incrementally, so
         the server never holds every opened update at once.  Custom
         ``hooks.aggregate`` rules fall back to the buffered
-        open-then-aggregate path (with unsealing fanned across the
-        transport's workers).  Both paths run the same canonical packed
+        open-then-aggregate path.  Both paths run the same canonical packed
         computation, so their aggregates are byte-identical.
         """
         participants = self.sample_clients()
@@ -426,7 +333,10 @@ class FederationRuntime:
             aggregated = streamer.finalize()
         else:
             replies = self.transport.exchange(tasks)
-            updates = self._open_updates(participants, replies, base)
+            updates = [
+                self._open_one(client, reply, base)
+                for client, reply in zip(participants, replies)
+            ]
             aggregate = (
                 self.hooks.aggregate
                 if self.hooks.aggregate is not None

@@ -5,17 +5,18 @@ A :class:`Transport` is an order-preserving exchange of
 :class:`~repro.fl.runtime.envelopes.UpdateEnvelope` replies.  The concrete
 backends generalise the experiment engine's
 :class:`~repro.eval.engine.executor.CellExecutor` (same backend names, same
-environment defaults, same order guarantees) to federation traffic:
+environment defaults, same order guarantees, same BLAS-pinned fork pool) to
+federation traffic:
 
 * :class:`InProcessTransport` — clients run inline in the caller;
-* :class:`ThreadTransport` — local updates overlap in a thread pool (NumPy
-  releases the GIL in its large kernels);
 * :class:`ProcessTransport` — fork-based process pool; tasks and replies are
-  pickled, so a round models real serialisation costs.
+  pickled, so a round models real serialisation costs;
+* ``get_transport("auto")`` — the engine's default: a process pool with one
+  worker per core, serial when that leaves one worker.
 
 Because every task carries its own derived seed (see
-:func:`~repro.fl.runtime.participant.run_client_task`), the three backends
-produce bit-identical round histories — the transport is purely a
+:func:`~repro.fl.runtime.participant.run_client_task`), every backend
+produces bit-identical round histories — the transport is purely a
 throughput/deployment choice.
 """
 
@@ -36,7 +37,7 @@ class Transport:
     """Order-preserving exchange of client tasks for update envelopes.
 
     Beyond the FL-typed :meth:`exchange`, every transport exposes a generic
-    :meth:`map`, which the round also uses to seal and unseal envelopes.
+    order-preserving :meth:`map`.
     """
 
     name = "base"
@@ -83,11 +84,7 @@ class ExecutorTransport(Transport):
         # Initial estimate of the backend ``auto`` resolves to; refined to
         # the exact choice (including the small-batch serial downgrade) on
         # every exchange, so run records name what actually ran.
-        name = self._executor.config.backend
-        if name == "auto":
-            workers = self.max_workers if self.max_workers is not None else os.cpu_count() or 1
-            name = "thread" if workers > 1 else "serial"
-        self.name = name
+        self.name, _ = self._executor.resolve(self.max_workers or os.cpu_count() or 1)
 
     def map(self, fn: Callable, items: Sequence) -> list:
         items = list(items)
@@ -108,13 +105,6 @@ class InProcessTransport(ExecutorTransport):
 
     def __init__(self):
         super().__init__(backend="serial")
-
-
-class ThreadTransport(ExecutorTransport):
-    """Overlap client updates in a thread pool."""
-
-    def __init__(self, max_workers: int | None = None):
-        super().__init__(backend="thread", max_workers=max_workers)
 
 
 class ProcessTransport(ExecutorTransport):

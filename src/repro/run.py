@@ -84,7 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", default="auto", choices=BACKENDS, help="cell execution backend"
     )
     parser.add_argument(
-        "--workers", type=int, default=None, help="max parallel cells (default: serial)"
+        "--workers",
+        type=int,
+        default=None,
+        help="max parallel cells (default: one process per core, capped at the cell count)",
     )
     parser.add_argument(
         "--results-dir",
@@ -108,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect per-op kernel counters (counts, seconds, FLOPs, bytes) "
         "during the run and print the profile table afterwards; captured "
         "replays report wholesale as captured_replay (process workers don't "
-        "feed the in-process profiler)",
+        "feed the in-process profiler, so --backend auto runs serially)",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="INFO-level progress logs")
     return parser
@@ -188,7 +191,10 @@ def main(argv: list[str] | None = None) -> int:
         for field in fields(ExperimentConfig):
             if isinstance(field.default, tuple) and isinstance(overrides.get(field.name), str):
                 overrides[field.name] = (overrides[field.name],)
-        executor = CellExecutor(ExecutorConfig(backend=args.backend, max_workers=args.workers))
+        # The op profiler only sees this process, so a profiled ``auto`` run
+        # keeps every cell here.
+        backend = "serial" if args.profile and args.backend == "auto" else args.backend
+        executor = CellExecutor(ExecutorConfig(backend=backend, max_workers=args.workers))
         engine = ExperimentEngine(
             executor=executor,
             results_dir=None if args.no_persist else args.results_dir,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+import os
 import struct
 import zipfile
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.attacks import FGSM, PGD, make_attacker_view
+from repro.autodiff import Tensor, conv2d
 from repro.eval.engine import (
     ArtifactCache,
     CellExecutor,
@@ -26,6 +30,7 @@ from repro.eval.engine import (
     stable_hash,
     unregister_scenario,
 )
+from repro.eval.engine.executor import _openblas
 from repro.eval.harness import ExperimentConfig
 from repro.eval.tables import render_run
 from repro.models.simple import SimpleCNN, SimpleCNNConfig
@@ -339,13 +344,38 @@ def _double_cell(payload: dict) -> dict:
     return {"value": payload["value"] * 2}
 
 
+def _blas_threads_cell(payload: dict) -> dict:
+    return {"threads": _openblas().scipy_openblas_get_num_threads64_()}
+
+
 class TestCellExecutor:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backends_preserve_order(self, backend):
         executor = CellExecutor(ExecutorConfig(backend=backend, max_workers=3))
         payloads = [{"value": index} for index in range(7)]
         results = executor.map(_double_cell, payloads)
         assert [cell["value"] for cell in results] == [0, 2, 4, 6, 8, 10, 12]
+
+    def test_wrapped_callable_reaches_process_workers(self):
+        # A wrapper carrying the wrapped function's name is not the module
+        # attribute pickle would look up; the fork hands it over instead.
+        @functools.wraps(_double_cell)
+        def wrapped(payload):
+            return _double_cell(payload)
+
+        payloads = [{"value": index} for index in range(5)]
+        serial = CellExecutor(ExecutorConfig(backend="serial")).map(wrapped, payloads)
+        executor = CellExecutor(ExecutorConfig(backend="process", max_workers=2))
+        assert executor.map(wrapped, payloads) == serial
+        assert list(executor.imap(wrapped, payloads)) == serial
+
+    def test_process_workers_pin_blas_to_their_core_share(self):
+        if _openblas() is None:
+            pytest.skip("NumPy's OpenBLAS has no thread setter")
+        executor = CellExecutor(ExecutorConfig(backend="process", max_workers=2))
+        results = executor.map(_blas_threads_cell, [{}, {}])
+        expected = max(1, (os.cpu_count() or 1) // 2)
+        assert [cell["threads"] for cell in results] == [expected, expected]
 
     def test_env_provides_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "serial")
@@ -361,21 +391,28 @@ class TestCellExecutor:
         assert executor.config.backend == "serial"
         assert executor.config.max_workers == 1
 
-    def test_parallel_backend_without_workers_uses_the_machine(self):
-        import os
-
-        executor = CellExecutor(ExecutorConfig(backend="thread"))
-        backend, workers = executor.resolve(num_tasks=1000)
+    @pytest.mark.parametrize("backend", ["auto", "process"])
+    def test_parallel_backend_without_workers_uses_the_machine(self, backend, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_ENGINE_WORKERS", raising=False)
+        executor = CellExecutor(ExecutorConfig(backend=backend))
+        resolved, workers = executor.resolve(num_tasks=1000)
         expected = os.cpu_count() or 1
         assert workers == min(expected, 1000)
-        assert backend == ("thread" if workers > 1 else "serial")
+        assert resolved == ("process" if workers > 1 else "serial")
+        assert executor.resolve(num_tasks=1) == ("serial", 1)
+
+    def test_no_fork_falls_back_to_serial(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        executor = CellExecutor(ExecutorConfig(backend="process", max_workers=2))
+        assert executor.resolve(num_tasks=4) == ("serial", 1)
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
             ExecutorConfig(backend="gpu")
 
     @pytest.mark.slow
-    def test_thread_backend_matches_serial_on_real_cells(self):
+    def test_process_backend_matches_serial_on_real_cells(self):
         def run(backend):
             set_global_seed(777)
             engine = ExperimentEngine(
@@ -384,7 +421,33 @@ class TestCellExecutor:
             record = engine.run(Scenario(name="eq", kind="individual", config=_tiny_config()))
             return [result.robust for result in record.results]
 
-        assert run("serial") == run("thread")
+        assert run("serial") == run("process")
+
+
+class TestBlasThreadInvariance:
+    """Pool workers run at fewer BLAS threads than the parent; kernels must not care."""
+
+    @staticmethod
+    def _gradients(threads: int) -> list[bytes]:
+        library = _openblas()
+        before = library.scipy_openblas_get_num_threads64_()
+        library.scipy_openblas_set_num_threads64_(threads)
+        try:
+            rng = np.random.default_rng(3)
+            x = Tensor(rng.normal(size=(8, 16, 32, 32)), requires_grad=True)
+            w = Tensor(rng.normal(size=(32, 16, 3, 3)), requires_grad=True)
+            conv2d(x, w, None, stride=1, padding=1).backward(rng.normal(size=(8, 32, 32, 32)))
+            a = Tensor(rng.normal(size=(256, 384)), requires_grad=True)
+            b = Tensor(rng.normal(size=(384, 320)), requires_grad=True)
+            (a @ b).backward(rng.normal(size=(256, 320)))
+            return [tensor.grad.tobytes() for tensor in (x, w, a, b)]
+        finally:
+            library.scipy_openblas_set_num_threads64_(before)
+
+    def test_conv2d_and_matmul_gradients_identical_at_1_and_2_threads(self):
+        if _openblas() is None:
+            pytest.skip("NumPy's OpenBLAS has no thread setter")
+        assert self._gradients(1) == self._gradients(2)
 
 
 class TestStructuredResults:

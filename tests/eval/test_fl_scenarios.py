@@ -168,10 +168,10 @@ class TestEngineRuns:
     def test_transport_follows_executor_backend(self, tmp_path):
         engine = ExperimentEngine(
             results_dir=tmp_path,
-            executor=ExecutorConfig(backend="thread", max_workers=2),
+            executor=ExecutorConfig(backend="process", max_workers=2),
         )
         record = engine.run("fl_fedavg", scale="tiny", **_SMOKE)
-        assert record.results["transport"] == "thread"
+        assert record.results["transport"] == "process"
 
 
 @pytest.mark.slow

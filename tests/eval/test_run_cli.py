@@ -89,6 +89,21 @@ class TestCli:
     def test_unknown_scenario_is_an_error(self):
         assert main(["definitely_not_a_scenario", "--no-persist"]) == 2
 
+    def test_profile_keeps_the_cells_rows_at_the_default_backend(self, capsys, monkeypatch):
+        # The op profiler only sees the calling process, so a profiled
+        # ``auto`` run must keep its cells out of the worker pool.
+        monkeypatch.delenv("REPRO_ENGINE_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_ENGINE_WORKERS", raising=False)
+        args = ["table3_cifar10", *_TINY_ARGS, "--set", "attacks=fgsm,pgd", "--no-persist"]
+        assert main([*args, "--profile"]) == 0
+        out = capsys.readouterr().out
+        table = out.split("per-op profile", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+        calls = {row.split()[0]: int(row.split()[1]) for row in table}
+        assert calls["conv2d"] > 0
+        assert calls["matmul"] > 0
+        # Only the attack cells replay captured graphs.
+        assert calls["captured_replay"] > 0
+
     @pytest.mark.slow
     def test_run_persists_json_and_prints_table(self, tmp_path, capsys):
         code = main(["table3_cifar10", *_TINY_ARGS, "--results-dir", str(tmp_path)])

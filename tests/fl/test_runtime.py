@@ -148,22 +148,22 @@ class TestTransportParity:
 
     def test_round_histories_bit_identical_across_backends(self):
         serial = self._history("serial")
-        assert self._history("thread") == serial
         assert self._history("process") == serial
+        assert self._history("auto") == serial
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(KeyError):
             get_transport("carrier-pigeon")
 
     def _streamed_aggregate(self, workers: int, aggregation_rule):
-        """Global model bytes after a streamed round on ``workers`` threads."""
+        """Global model bytes after a streamed round on ``workers`` processes."""
         set_global_seed(777)
         rng = np.random.default_rng(5)
         images, labels = _toy_data(rng)
         runtime = FederationRuntime(
             _mlp_factory(),
             _honest_clients(images, labels, count=5),
-            transport=get_transport("thread", max_workers=workers),
+            transport=get_transport("process", max_workers=workers),
             aggregation_rule=aggregation_rule,
         )
         result = runtime.run_round(images, labels)
