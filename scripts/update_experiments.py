@@ -36,7 +36,6 @@ SECTIONS = {
     "table4": "table4",
     "fig3": "fig3_geometry",
     "fig4": "fig4_saga_sample",
-    "ablation_epsilon": "ablation_epsilon",
     "ablation_upsampling": "ablation_upsampling",
     "attack_budget_curve": "attack_budget_curve",
     "robustness_curve": "robustness_curve",

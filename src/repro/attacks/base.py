@@ -6,14 +6,11 @@ owned by :class:`repro.attacks.engine.AttackDriver`: attacks subclass
 (:meth:`~IterativeAttack.step`, optional :meth:`~IterativeAttack.initialize`
 / :meth:`~IterativeAttack.init_state` / :meth:`~IterativeAttack.finalize`),
 and the driver supplies projection-agnostic orchestration: gradient-query
-counting, per-step callbacks and active-set shrinking.  Legacy subclasses
-that only implement :meth:`Attack.craft` keep working through a thin wrapper
-(with a :class:`DeprecationWarning` pointing at the driver API).
+counting, per-step callbacks and active-set shrinking.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -33,11 +30,10 @@ class AttackResult:
     success: np.ndarray
     #: Number of gradient calls issued to the view while crafting (one batched
     #: backward pass counts as one call, matching the seed convention).
-    gradient_queries: int = 0
+    gradient_queries: int
     #: Per-sample gradient-query counts: how many backward passes included
-    #: each sample.  ``None`` for legacy craft-only attacks run outside the
-    #: driver's counting machinery.
-    queries_per_sample: np.ndarray | None = None
+    #: each sample.
+    queries_per_sample: np.ndarray
 
     @property
     def perturbations(self) -> np.ndarray:
@@ -52,8 +48,6 @@ class AttackResult:
     @property
     def total_sample_queries(self) -> int:
         """Total per-sample gradient computations (the active-set metric)."""
-        if self.queries_per_sample is None:
-            return self.gradient_queries * len(self.labels)
         return int(self.queries_per_sample.sum())
 
     def linf_norms(self) -> np.ndarray:
@@ -82,17 +76,13 @@ def project_linf(
 class Attack:
     """Base class for evasion attacks.
 
-    Sub-classes implement :meth:`craft`, which maps a batch of clean samples
-    to adversarial candidates using only the supplied gradient view (so the
-    same attack code runs in the white-box and the PELTA-restricted setting).
-    New attacks should subclass :class:`IterativeAttack` instead and let the
-    driver own the step loop.
+    Attacks see the model only through the supplied gradient view, so the
+    same attack code runs in the white-box and the PELTA-restricted setting.
+    Concrete attacks subclass :class:`IterativeAttack`, whose step loop the
+    driver owns.
     """
 
     name = "attack"
-
-    def craft(self, view, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def run(self, view, inputs: np.ndarray, labels: np.ndarray) -> AttackResult:
         """Craft adversarial examples and record the attacker-side success.
@@ -106,16 +96,6 @@ class Attack:
 
         driver = AttackDriver(DriverConfig(active_set=False, backend=None))
         return driver.run(self, view, inputs, labels)
-
-    def _gradient(self, view, inputs, labels, **kwargs) -> np.ndarray:
-        """Deprecated: query the view directly; the driver counts queries."""
-        warnings.warn(
-            "Attack._gradient is deprecated; call view.gradient(...) directly — "
-            "the attack driver counts gradient queries on the view",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return view.gradient(inputs, labels, **kwargs)
 
 
 class IterativeAttack(Attack):
@@ -177,10 +157,3 @@ class IterativeAttack(Attack):
     def is_successful(self, views, adversarials: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Attacker-side success of the current iterates (view misclassifies)."""
         return views[0].predict(adversarials) != labels
-
-    def craft(self, view, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Full-batch crafting (driver-backed, active-set disabled)."""
-        from repro.attacks.engine.driver import AttackDriver, DriverConfig
-
-        driver = AttackDriver(DriverConfig(active_set=False, backend=None))
-        return driver.run(self, view, inputs, labels).adversarials

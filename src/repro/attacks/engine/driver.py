@@ -21,13 +21,12 @@ Responsibilities the individual attacks no longer carry:
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackResult, IterativeAttack
+from repro.attacks.base import AttackResult, IterativeAttack
 from repro.autodiff.capture import resolve_execution_backend
 from repro.autodiff.tensor import get_default_dtype
 
@@ -125,7 +124,9 @@ class AttackDriver:
     # ------------------------------------------------------------------ #
     # Entry point
     # ------------------------------------------------------------------ #
-    def run(self, attack: Attack, view, inputs: np.ndarray, labels: np.ndarray) -> AttackResult:
+    def run(
+        self, attack: IterativeAttack, view, inputs: np.ndarray, labels: np.ndarray
+    ) -> AttackResult:
         """Run ``attack`` against ``view`` (a view, or a tuple for ensembles)."""
         views = view if isinstance(view, tuple) else (view,)
         inputs = np.asarray(inputs, dtype=get_default_dtype())
@@ -137,8 +138,6 @@ class AttackDriver:
                     underlying.backend = self._backend
         counter = QueryCounter(num_samples)
         counting_views = tuple(CountingView(v, counter) for v in views)
-        if not isinstance(attack, IterativeAttack):
-            return self._run_legacy(attack, counting_views, inputs, labels, counter)
         adversarials = attack.initialize(counting_views, inputs, labels)
         state = attack.init_state(counting_views, inputs, labels)
         active = np.arange(num_samples)
@@ -192,29 +191,6 @@ class AttackDriver:
                     state[key][active] = value
         adversarials = attack.finalize(counting_views, adversarials, inputs, labels, state)
         success = attack.is_successful(counting_views, adversarials, labels)
-        return AttackResult(
-            attack_name=attack.name,
-            originals=inputs,
-            adversarials=adversarials,
-            labels=labels,
-            success=success,
-            gradient_queries=counter.calls,
-            queries_per_sample=counter.per_sample.copy(),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Legacy craft-only attacks
-    # ------------------------------------------------------------------ #
-    def _run_legacy(self, attack, counting_views, inputs, labels, counter) -> AttackResult:
-        warnings.warn(
-            f"{type(attack).__name__} only implements Attack.craft; subclass "
-            "repro.attacks.base.IterativeAttack so the attack driver can own "
-            "its step loop (active-set shrinking, per-step callbacks)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        adversarials = attack.craft(counting_views[0], inputs, labels)
-        success = counting_views[0].predict(adversarials) != labels
         return AttackResult(
             attack_name=attack.name,
             originals=inputs,

@@ -29,7 +29,6 @@ from repro.eval.harness import (
     train_defender,
 )
 from repro.eval.tables import (
-    format_epsilon_sweep,
     format_federated,
     format_fig3,
     format_fig4,
@@ -65,7 +64,6 @@ __all__ = [
     "attack_success_rate",
     "evaluate_attack",
     "evaluate_individual_model",
-    "format_epsilon_sweep",
     "format_federated",
     "format_fig3",
     "format_fig4",

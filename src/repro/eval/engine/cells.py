@@ -222,35 +222,6 @@ def run_saga_sample_cell(payload: dict) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# Ablation cells
-# --------------------------------------------------------------------------- #
-def run_epsilon_cell(payload: dict) -> dict:
-    """PGD at one ε budget against the clear and the shielded defender."""
-    rng = _rng_factory(payload["seed"])
-    model = rebuild_model(payload["model"])
-    epsilon = payload["epsilon"]
-    attack = PGD(
-        epsilon=epsilon,
-        step_size=epsilon / 8,
-        steps=payload["steps"],
-        rng=rng("attacks.pgd"),
-    )
-    images, labels = payload["images"], payload["labels"]
-    driver = _payload_driver(payload)
-    clear_view = make_attacker_view(model)
-    shielded_view = make_attacker_view(
-        ShieldedModel(model), strategy=payload["strategy"], rng=rng("attacks.bpda")
-    )
-    clear_adv = driver.run(attack, clear_view, images, labels).adversarials
-    shielded_adv = driver.run(attack, shielded_view, images, labels).adversarials
-    return {
-        "epsilon": epsilon,
-        "unshielded": robust_accuracy(model.predict, clear_adv, labels),
-        "shielded": robust_accuracy(model.predict, shielded_adv, labels),
-    }
-
-
-# --------------------------------------------------------------------------- #
 # Attack-engine cells: budget curve and robustness curve
 # --------------------------------------------------------------------------- #
 def _cell_view(payload: dict, model, rng):
@@ -317,7 +288,7 @@ def run_budget_curve_cell(payload: dict) -> dict:
 
 #: Robustness-curve attack builders: ε-parameterised instances of the
 #: iterative suite (C&W is not ε-bounded, so it is not part of the sweep).
-_CURVE_ATTACKS = ("fgsm", "pgd", "mim", "apgd")
+CURVE_ATTACKS = ("fgsm", "pgd", "mim", "apgd")
 
 
 def _build_curve_attack(name: str, epsilon: float, steps: int, rng):
@@ -333,7 +304,7 @@ def _build_curve_attack(name: str, epsilon: float, steps: int, rng):
         return MIM(epsilon=epsilon, step_size=epsilon / 8, steps=steps)
     if name == "apgd":
         return APGD(epsilon=epsilon, steps=steps)
-    raise KeyError(f"unknown robustness-curve attack {name!r}; expected {_CURVE_ATTACKS}")
+    raise KeyError(f"unknown robustness-curve attack {name!r}; expected {CURVE_ATTACKS}")
 
 
 def run_robustness_curve_cell(payload: dict) -> dict:

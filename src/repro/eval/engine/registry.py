@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
+from repro.eval.engine.cells import CURVE_ATTACKS
 from repro.eval.harness import ExperimentConfig
 
 #: Kinds the runner knows how to execute.
@@ -28,7 +29,6 @@ SCENARIO_KINDS = (
     "ensemble",  # Table IV: SAGA against the two-member ensemble
     "saga_samples",  # Fig. 4: per-sample SAGA study
     "geometry",  # Fig. 3: attack trajectories on the 2-D toy problem
-    "epsilon_sweep",  # ablation: PGD budget sweep
     "upsampling",  # ablation: attacker upsampling substitutes
     "federated",  # fl_*: federation-runtime workloads (FedAvg, robust agg, ...)
     "budget_curve",  # attack engine: success rate vs gradient-query budget
@@ -270,19 +270,6 @@ def _fig4(scale: str, overrides: dict[str, Any]) -> Scenario:
     return Scenario(name="fig4_saga_sample", kind="saga_samples", config=config, params=params)
 
 
-@register_scenario("ablation_epsilon", "Ablation — PGD robust accuracy vs ε budget")
-def _ablation_epsilon(scale: str, overrides: dict[str, Any]) -> Scenario:
-    params = {
-        "model": overrides.pop("model", "vit_b16" if scale != "tiny" else "simple_cnn"),
-        "epsilons": tuple(
-            float(epsilon) for epsilon in _as_tuple(overrides.pop("epsilons", (0.015, 0.031, 0.062)))
-        ),
-    }
-    overrides.setdefault("models", (params["model"],))
-    config = scaled_experiment_config(scale, dataset="cifar10", **overrides)
-    return Scenario(name="ablation_epsilon", kind="epsilon_sweep", config=config, params=params)
-
-
 # --------------------------------------------------------------------------- #
 # Federated (fl_*) scenarios — executed by the federation runtime
 # --------------------------------------------------------------------------- #
@@ -511,6 +498,17 @@ def _fl_shielded_global(scale: str, overrides: dict[str, Any]) -> Scenario:
 # --------------------------------------------------------------------------- #
 # Attack-engine scenarios (driver: active-set shrinking, backend selection)
 # --------------------------------------------------------------------------- #
+def _checked_attack(overrides: dict[str, Any], known: tuple[str, ...], kind: str) -> str:
+    """Pop the ``attack`` override (default PGD), rejecting unknown names up front.
+
+    Checked at build time so a typo fails before the defender trains.
+    """
+    attack = str(overrides.pop("attack", "pgd"))
+    if attack not in known:
+        raise KeyError(f"unknown {kind} attack {attack!r}; expected one of {known}")
+    return attack
+
+
 @register_scenario(
     "attack_budget_curve",
     "Attack engine — success rate vs gradient-query budget (active-set vs fixed)",
@@ -518,7 +516,7 @@ def _fl_shielded_global(scale: str, overrides: dict[str, Any]) -> Scenario:
 def _attack_budget_curve(scale: str, overrides: dict[str, Any]) -> Scenario:
     params = {
         "model": overrides.pop("model", "vit_b16" if scale != "tiny" else "simple_cnn"),
-        "attack": str(overrides.pop("attack", "pgd")),
+        "attack": _checked_attack(overrides, _TABLE3_ATTACKS, "budget-curve"),
         "settings": tuple(
             str(setting)
             for setting in _as_tuple(overrides.pop("settings", ("clear", "shielded")))
@@ -538,7 +536,7 @@ def _attack_budget_curve(scale: str, overrides: dict[str, Any]) -> Scenario:
 def _robustness_curve(scale: str, overrides: dict[str, Any]) -> Scenario:
     params = {
         "model": overrides.pop("model", "vit_b16" if scale != "tiny" else "simple_cnn"),
-        "attack": str(overrides.pop("attack", "pgd")),
+        "attack": _checked_attack(overrides, CURVE_ATTACKS, "robustness-curve"),
         "epsilons": tuple(
             float(epsilon)
             for epsilon in _as_tuple(overrides.pop("epsilons", (0.015, 0.031, 0.062, 0.124)))

@@ -68,7 +68,6 @@ class ExperimentEngine:
             "ensemble": self._run_ensemble,
             "saga_samples": self._run_saga_samples,
             "geometry": self._run_geometry,
-            "epsilon_sweep": self._run_epsilon_sweep,
             "upsampling": self._run_upsampling,
             "federated": self._run_federated,
             "budget_curve": self._run_budget_curve,
@@ -305,25 +304,6 @@ class ExperimentEngine:
         model = self.cache.get_defender(model_name, config)
         images, labels = self._eval_set(scenario, model.predict, config.eval_samples)
         return model_name, cells.model_spec(model_name, model), images, labels
-
-    def _run_epsilon_sweep(self, scenario: Scenario):
-        config = scenario.config
-        model_name, spec, images, labels = self._single_model_eval(scenario)
-        payloads = [
-            {
-                "seed": self._cell_seed(scenario, model_name, epsilon),
-                "model": spec,
-                "epsilon": float(epsilon),
-                "steps": config.max_attack_steps,
-                "strategy": config.upsampling_strategy,
-                "images": images,
-                "labels": labels,
-                **self._attack_execution(config),
-            }
-            for epsilon in scenario.params["epsilons"]
-        ]
-        rows = self.executor.map(cells.run_epsilon_cell, payloads)
-        return sorted(rows, key=lambda row: row["epsilon"])
 
     # ------------------------------------------------------------------ #
     # Attack-engine scenarios

@@ -150,19 +150,6 @@ def format_fig4(study) -> str:
     return "\n".join(lines)
 
 
-def format_epsilon_sweep(rows: list[Mapping[str, Any]]) -> str:
-    """Ablation: PGD robust accuracy across ε budgets."""
-    lines = [
-        "Ablation — PGD robust accuracy vs epsilon (ViT-B/16 analogue, CIFAR-10 stand-in)",
-        f"{'epsilon':>10}{'unshielded':>14}{'shielded':>12}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['epsilon']:>10.3f}{row['unshielded'] * 100:>13.1f}%{row['shielded'] * 100:>11.1f}%"
-        )
-    return "\n".join(lines)
-
-
 def format_upsampling_ablation(results: Mapping[str, float]) -> str:
     """Ablation: attacker upsampling substitutes against a shielded BiT."""
     lines = ["Ablation — robust accuracy of a shielded BiT under different attacker substitutes"]
@@ -260,8 +247,6 @@ def render_run(record) -> str:
         if isinstance(record, Mapping):
             return _format_fig3_from_dict(results)
         return format_fig3(results)
-    if kind == "epsilon_sweep":
-        return format_epsilon_sweep(results)
     if kind == "upsampling":
         return format_upsampling_ablation(results)
     if kind == "federated":

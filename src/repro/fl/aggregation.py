@@ -16,69 +16,35 @@ Determinism contract (what the transport-parity tests rely on):
   never by arrival), and combines the group partials through
   :func:`repro.autodiff.banding.tree_reduce` — a fixed-shape binary tree
   that is a pure function of the group count.  The result is byte-identical
-  whether updates arrive serially or from worker processes, and whatever coordinate chunk size is configured.
-* ``median`` / ``trimmed_mean`` reduce over **fixed-size coordinate
-  chunks** (:func:`default_chunk_elements`), so a thousand-client round
-  never materializes the full ``clients x params`` stack; every coordinate
-  is reduced independently, making the bytes invariant to the chunk size.
+  whether updates arrive serially or from worker processes.
+* ``median`` / ``trimmed_mean`` keep one packed row per client (exact
+  coordinate-wise order statistics need every client's value) and reduce
+  the ``clients x params`` matrix in one call; every coordinate is reduced
+  independently of the others.
 
-Every rule accepts the classic ``Sequence[ModelUpdate]`` signature; the
-federation runtime additionally drives the same code one update at a time
-through :func:`streaming_aggregator_for`, holding O(chunk) server memory
-for FedAvg instead of all opened updates at once.
+Every rule accepts the classic ``Sequence[ModelUpdate]`` signature and runs
+as its streaming aggregator fed one update at a time; the federation
+runtime drives the same aggregators through :func:`streaming_aggregator_for`
+as replies arrive, so FedAvg never holds all opened updates at once.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.autodiff.banding import scratch_pool, tree_reduce
 from repro.fl.messages import ModelUpdate
-from repro.fl.packing import (
-    PackingPlan,
-    build_plan,
-    pack_into,
-    pack_slice_into,
-    unpack,
-)
+from repro.fl.packing import PackingPlan, build_plan, pack_into, unpack
 
 AggregationRule = Callable[[Sequence[ModelUpdate]], dict[str, np.ndarray]]
 
 #: Participant-index group size of the streaming FedAvg accumulator.  A pure
-#: constant (never derived from workers, transports or chunk knobs) so the
-#: tree shape — hence the aggregate's bytes — depends on the client count
-#: alone.
+#: constant (never derived from workers or transports) so the tree shape —
+#: hence the aggregate's bytes — depends on the client count alone.
 CLIENT_GROUP_SIZE = 32
-
-
-def default_chunk_elements() -> int:
-    """Coordinate chunk size of the robust rules (``REPRO_FL_CHUNK`` override).
-
-    Chunking bounds working memory at ``clients x chunk`` elements; because
-    median and trimmed mean reduce every coordinate independently, the
-    chunk size never changes the aggregate's bytes.
-    """
-    return max(1, int(os.environ.get("REPRO_FL_CHUNK", 1 << 18)))
-
-
-def _check_updates(updates: Sequence[ModelUpdate]) -> PackingPlan:
-    """Validate a batch of updates and return their shared packing plan.
-
-    Beyond key-set equality, every update is checked key by key for shape
-    and dtype agreement with the first update's schema; a mismatch raises a
-    ``ValueError`` naming the offending client and key instead of crashing
-    deep inside a stacked ufunc (or silently broadcasting).
-    """
-    if not updates:
-        raise ValueError("cannot aggregate an empty list of updates")
-    plan = build_plan(updates[0].state)
-    for update in updates:
-        plan.validate(update.state, owner=f"client {update.client_id!r}")
-    return plan
 
 
 # --------------------------------------------------------------------------- #
@@ -183,15 +149,12 @@ class _PackedMatrixStream(StreamingAggregator):
 
     Exact coordinate-wise order statistics need every client's value, so the
     streaming form necessarily retains one packed row per client (the data
-    itself, once — no stacked/sorted copies on top); the chunked reduce then
-    keeps *temporaries* at ``clients x chunk``.
+    itself, once — no stacked copies on top); ``_reduce`` then reduces the
+    whole matrix in place.
     """
 
-    def __init__(self, plan: PackingPlan, num_clients: int, chunk_elements: int | None = None):
+    def __init__(self, plan: PackingPlan, num_clients: int):
         super().__init__(plan, num_clients)
-        self.chunk_elements = (
-            chunk_elements if chunk_elements is not None else default_chunk_elements()
-        )
         self._matrix = np.empty((num_clients, plan.size), dtype=plan.dtype)
 
     def _consume(self, update: ModelUpdate) -> None:
@@ -200,126 +163,70 @@ class _PackedMatrixStream(StreamingAggregator):
             owner=f"client {update.client_id!r}",
         )
 
-    def _reduce(self) -> np.ndarray:
-        out = np.empty(self.plan.size, dtype=self.plan.dtype)
-        for start in range(0, self.plan.size, self.chunk_elements):
-            stop = min(self.plan.size, start + self.chunk_elements)
-            self._reduce_chunk(self._matrix[:, start:stop], out[start:stop])
-        return out
-
-    def _reduce_chunk(self, block: np.ndarray, out: np.ndarray) -> None:  # pragma: no cover
-        raise NotImplementedError
-
 
 class MedianStream(_PackedMatrixStream):
-    """Coordinate-wise median over fixed-size coordinate chunks."""
+    """Coordinate-wise median of the packed client matrix."""
 
-    def _reduce_chunk(self, block: np.ndarray, out: np.ndarray) -> None:
-        np.median(block, axis=0, out=out, overwrite_input=True)
+    def _reduce(self) -> np.ndarray:
+        out = np.empty(self.plan.size, dtype=self.plan.dtype)
+        np.median(self._matrix, axis=0, out=out, overwrite_input=True)
+        return out
 
 
 class TrimmedMeanStream(_PackedMatrixStream):
-    """Coordinate-wise trimmed mean over fixed-size coordinate chunks."""
+    """Coordinate-wise trimmed mean of the packed client matrix."""
 
-    def __init__(
-        self,
-        plan: PackingPlan,
-        num_clients: int,
-        trim_fraction: float = 0.2,
-        chunk_elements: int | None = None,
-    ):
+    def __init__(self, plan: PackingPlan, num_clients: int, trim_fraction: float = 0.2):
         if not 0.0 <= trim_fraction < 0.5:
             raise ValueError("trim_fraction must be in [0, 0.5)")
-        super().__init__(plan, num_clients, chunk_elements)
+        super().__init__(plan, num_clients)
         self.trim_fraction = trim_fraction
 
-    def _reduce_chunk(self, block: np.ndarray, out: np.ndarray) -> None:
+    def _reduce(self) -> np.ndarray:
         trim = int(np.floor(self.trim_fraction * self.num_clients))
-        block.sort(axis=0)
-        kept = block[trim : self.num_clients - trim] if self.num_clients - 2 * trim > 0 else block
+        matrix = self._matrix
+        matrix.sort(axis=0)
+        kept = matrix[trim : self.num_clients - trim] if self.num_clients - 2 * trim > 0 else matrix
+        out = np.empty(self.plan.size, dtype=self.plan.dtype)
         np.mean(kept, axis=0, out=out)
+        return out
 
 
 # --------------------------------------------------------------------------- #
 # Batch rules (classic Sequence[ModelUpdate] signatures)
 # --------------------------------------------------------------------------- #
-def fedavg(updates: Sequence[ModelUpdate]) -> dict[str, np.ndarray]:
-    """Federated averaging: sample-count weighted mean of client parameters.
+def _aggregate_batch(
+    updates: Sequence[ModelUpdate], stream_type: type[StreamingAggregator], **kwargs
+) -> dict[str, np.ndarray]:
+    """Feed ``updates`` in order through a fresh ``stream_type`` aggregator.
 
-    Implemented as the canonical streaming accumulation, so batch and
-    streamed rounds produce byte-identical aggregates.  Validation rides
-    along with the pack (see :func:`~repro.fl.packing.pack_into`) instead of
-    a separate pass over every client.
+    Batch and streamed rounds therefore produce byte-identical aggregates,
+    and validation rides along with the pack (see
+    :func:`~repro.fl.packing.pack_into`) instead of a separate pass.
     """
     if not updates:
         raise ValueError("cannot aggregate an empty list of updates")
-    plan = build_plan(updates[0].state)
-    stream = FedavgStream(plan, len(updates))
+    stream = stream_type(build_plan(updates[0].state), len(updates), **kwargs)
     for update in updates:
         stream.add(update)
     return stream.finalize()
 
 
-def coordinate_median(
-    updates: Sequence[ModelUpdate], chunk_elements: int | None = None
-) -> dict[str, np.ndarray]:
-    """Coordinate-wise median — a simple robust aggregation baseline.
+def fedavg(updates: Sequence[ModelUpdate]) -> dict[str, np.ndarray]:
+    """Federated averaging: sample-count weighted mean of client parameters."""
+    return _aggregate_batch(updates, FedavgStream)
 
-    Gathers one ``clients x chunk`` block at a time straight from the update
-    dicts (via :func:`~repro.fl.packing.pack_slice_into`), so the full
-    packed stack is never materialized.
-    """
-    plan = _check_updates(updates)
-    return _chunked_batch(
-        updates,
-        plan,
-        chunk_elements,
-        lambda block, out, n: np.median(block[:n], axis=0, out=out, overwrite_input=True),
-    )
+
+def coordinate_median(updates: Sequence[ModelUpdate]) -> dict[str, np.ndarray]:
+    """Coordinate-wise median — a simple robust aggregation baseline."""
+    return _aggregate_batch(updates, MedianStream)
 
 
 def trimmed_mean(
-    updates: Sequence[ModelUpdate],
-    trim_fraction: float = 0.2,
-    chunk_elements: int | None = None,
+    updates: Sequence[ModelUpdate], trim_fraction: float = 0.2
 ) -> dict[str, np.ndarray]:
     """Coordinate-wise trimmed mean, discarding the extreme ``trim_fraction``."""
-    if not 0.0 <= trim_fraction < 0.5:
-        raise ValueError("trim_fraction must be in [0, 0.5)")
-    plan = _check_updates(updates)
-    num_updates = len(updates)
-    trim = int(np.floor(trim_fraction * num_updates))
-
-    def reduce_chunk(block: np.ndarray, out: np.ndarray, n: int) -> None:
-        block = block[:n]
-        block.sort(axis=0)
-        kept = block[trim : n - trim] if n - 2 * trim > 0 else block
-        np.mean(kept, axis=0, out=out)
-
-    return _chunked_batch(updates, plan, chunk_elements, reduce_chunk)
-
-
-def _chunked_batch(
-    updates: Sequence[ModelUpdate],
-    plan: PackingPlan,
-    chunk_elements: int | None,
-    reduce_chunk,
-) -> dict[str, np.ndarray]:
-    """Drive a coordinate-chunked reduce over per-chunk gathered blocks."""
-    chunk = chunk_elements if chunk_elements is not None else default_chunk_elements()
-    num_updates = len(updates)
-    pool = scratch_pool()
-    out = np.empty(plan.size, dtype=plan.dtype)
-    block = pool.take((num_updates, min(chunk, plan.size)), plan.dtype)
-    try:
-        for start in range(0, plan.size, chunk):
-            stop = min(plan.size, start + chunk)
-            for row, update in enumerate(updates):
-                pack_slice_into(plan, update.state, start, stop, block[row, : stop - start])
-            reduce_chunk(block[:, : stop - start], out[start:stop], num_updates)
-    finally:
-        pool.release(block)
-    return unpack(plan, out)
+    return _aggregate_batch(updates, TrimmedMeanStream, trim_fraction=trim_fraction)
 
 
 # --------------------------------------------------------------------------- #
@@ -358,12 +265,9 @@ def streaming_aggregator_for(
     if target is fedavg:
         return FedavgStream(plan, num_clients)
     if target is coordinate_median:
-        return MedianStream(plan, num_clients, chunk_elements=kwargs.get("chunk_elements"))
+        return MedianStream(plan, num_clients)
     if target is trimmed_mean:
         return TrimmedMeanStream(
-            plan,
-            num_clients,
-            trim_fraction=float(kwargs.get("trim_fraction", 0.2)),
-            chunk_elements=kwargs.get("chunk_elements"),
+            plan, num_clients, trim_fraction=float(kwargs.get("trim_fraction", 0.2))
         )
     return None

@@ -13,9 +13,6 @@ aggregation rule a single dense view instead:
 * :func:`pack_into` / :func:`unpack` convert between a state mapping and a
   1-D vector of the plan's dtype without intermediate allocations (the
   caller owns the destination buffer, typically drawn from a pool).
-* :func:`pack_slice_into` gathers one coordinate chunk ``[start, stop)`` of
-  a state mapping into a row buffer, so chunked rules (coordinate median /
-  trimmed mean) never materialize a full ``clients x params`` stack.
 
 The plan also centralizes per-key **shape and dtype validation**: a client
 whose update disagrees with the broadcast schema fails with a
@@ -169,25 +166,6 @@ def pack_into(
 def pack(plan: PackingPlan, state: dict, owner: str = "update") -> np.ndarray:
     """Pack ``state`` into a freshly allocated vector of the plan's dtype."""
     return pack_into(plan, state, np.empty(plan.size, dtype=plan.dtype), owner=owner)
-
-
-def pack_slice_into(
-    plan: PackingPlan, state: dict, start: int, stop: int, out: np.ndarray
-) -> np.ndarray:
-    """Gather coordinates ``[start, stop)`` of ``state`` into the row ``out``.
-
-    Only fields overlapping the window are touched, so chunked aggregation
-    reads each client's parameters one coordinate chunk at a time without
-    ever packing the full vector.
-    """
-    for field in plan.fields:
-        if field.stop <= start or field.start >= stop:
-            continue
-        lo = max(start, field.start)
-        hi = min(stop, field.stop)
-        flat = np.asarray(state[field.key]).reshape(-1)
-        np.copyto(out[lo - start : hi - start], flat[lo - field.start : hi - field.start])
-    return out
 
 
 def unpack(plan: PackingPlan, vector: np.ndarray) -> dict[str, np.ndarray]:

@@ -4,10 +4,8 @@ The runtime decouples *what* a federated round does (broadcast, local
 update, aggregate, evaluate) from *how* its messages move (in-process or
 over a process pool) and *whom* the server trusts (attestation-gated
 secure sessions for enclave-backed clients).  See
-:class:`~repro.fl.runtime.runtime.FederationRuntime` for the entry point;
-the legacy :class:`~repro.fl.server.FLServer` /
-:class:`~repro.fl.rounds.FederatedTrainer` API is now a thin wrapper over
-it.
+:class:`~repro.fl.runtime.runtime.FederationRuntime`, the one entry point
+for running rounds.
 """
 
 from repro.fl.runtime.attested import AttestationGate, ClientSession, enroll_and_attest
@@ -31,7 +29,6 @@ from repro.fl.runtime.participant import (
     run_client_task,
 )
 from repro.fl.runtime.runtime import (
-    FederatedRunConfig,
     FederatedRunResult,
     FederationRuntime,
     RoundHooks,
@@ -56,7 +53,6 @@ __all__ = [
     "ClientTask",
     "DeltaState",
     "ExecutorTransport",
-    "FederatedRunConfig",
     "FederatedRunResult",
     "FederationRuntime",
     "InProcessTransport",

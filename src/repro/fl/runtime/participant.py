@@ -86,26 +86,6 @@ class ClientTask:
         return SecureChannel(self.session_key, rng=nonce_rng)
 
 
-def _accepts_rng(client: Participant) -> bool:
-    """Whether the client's ``local_update`` takes the ``rng`` keyword.
-
-    Pre-runtime participant implementations used ``local_update(round_index)``;
-    they still work, at the cost of drawing shuffle randomness from their own
-    (global) streams — which forfeits cross-transport parity for them only.
-    """
-    import inspect
-
-    try:
-        parameters = inspect.signature(client.local_update).parameters
-    except (TypeError, ValueError):  # builtins / C-level callables
-        return True
-    if "rng" in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD for parameter in parameters.values()
-    )
-
-
 def run_client_task(task: ClientTask) -> UpdateEnvelope:
     """Execute one client's round: open the broadcast, train, wrap the update.
 
@@ -116,12 +96,7 @@ def run_client_task(task: ClientTask) -> UpdateEnvelope:
     """
     broadcast = task.envelope.open(task.channel("broadcast"))
     task.client.receive(broadcast)
-    if _accepts_rng(task.client):
-        update = task.client.local_update(
-            task.round_index, rng=np.random.default_rng(task.seed)
-        )
-    else:
-        update = task.client.local_update(task.round_index)
+    update = task.client.local_update(task.round_index, rng=np.random.default_rng(task.seed))
     channel = task.channel("update")
     if task.compression == "none":
         return UpdateEnvelope.from_update(update, channel)

@@ -29,7 +29,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.fl.aggregation import AggregationRule, fedavg, streaming_aggregator_for
-from repro.fl.client import ClientConfig
 from repro.fl.messages import ModelUpdate, RoundResult
 from repro.fl.packing import build_plan
 from repro.fl.runtime.attested import AttestationGate, ClientSession, enroll_and_attest
@@ -59,11 +58,7 @@ RoundCallback = Callable[[RoundResult], None]
 def sample_by_fraction(
     clients: Sequence[Participant], fraction: float, rng: np.random.Generator
 ) -> list[Participant]:
-    """Uniformly sample ``round(fraction * N)`` clients (at least one), in order.
-
-    Shared by the runtime's default sampler and the legacy
-    :meth:`~repro.fl.server.FLServer.sample_clients`.
-    """
+    """Uniformly sample ``round(fraction * N)`` clients (at least one), in order."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     count = max(int(round(fraction * len(clients))), 1)
@@ -91,15 +86,6 @@ class RoundHooks:
     aggregate: AggregationRule | None = None
     evaluate: RoundEvaluator | None = None
     on_round_end: tuple[RoundCallback, ...] = ()
-
-
-@dataclass
-class FederatedRunConfig:
-    """Configuration of a federated training run."""
-
-    num_rounds: int = 3
-    client_fraction: float = 1.0
-    client: ClientConfig = field(default_factory=ClientConfig)
 
 
 @dataclass
@@ -329,7 +315,7 @@ class FederationRuntime:
                 streamer.add(update)
                 train_losses.append(update.train_loss)
                 update_bytes += update.payload_nbytes
-                del update  # dropped immediately; the aggregator holds O(chunk)
+                del update  # dropped immediately; the aggregator holds its packed row
             aggregated = streamer.finalize()
         else:
             replies = self.transport.exchange(tasks)

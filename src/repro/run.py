@@ -4,7 +4,7 @@ Run any registered scenario (table, figure or ablation) by name::
 
     python -m repro.run table3_cifar10
     python -m repro.run table4_cifar10 --scale full --workers 8
-    python -m repro.run ablation_epsilon --set eval_samples=32 --set epsilon_scale=1.5
+    python -m repro.run robustness_curve --set eval_samples=32 --set epsilons=0.015,0.031,0.062
     python -m repro.run fl_fedavg --scale tiny --backend process --workers 4
     python -m repro.run --list
 

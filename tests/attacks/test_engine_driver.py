@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -13,12 +11,12 @@ from repro.attacks import (
     MIM,
     PGD,
     AttackDriver,
+    AttackResult,
     CarliniWagner,
     DriverConfig,
     SelfAttentionGradientAttack,
     make_attacker_view,
 )
-from repro.attacks.base import Attack
 from repro.autodiff.tensor import get_default_dtype, set_default_dtype
 from repro.core.shielded_model import ShieldedModel
 from repro.models.registry import build_model
@@ -240,22 +238,22 @@ class TestQueryCounting:
         assert result.gradient_queries == 2 * saga.steps
 
 
-class TestLegacyCraftWrapper:
-    def test_craft_only_subclass_works_with_deprecation_warning(self, cnn_model, batch):
+    def test_attack_run_reports_per_sample_counts(self, cnn_model, batch):
+        """``Attack.run`` is driver-backed, so every result carries per-sample counts."""
         images, labels = batch
+        result = PGD(epsilon=0.1, step_size=0.02, steps=2).run(
+            make_attacker_view(cnn_model), images, labels
+        )
+        assert result.queries_per_sample.shape == (len(labels),)
+        assert result.total_sample_queries == int(result.queries_per_sample.sum()) == 2 * len(labels)
 
-        class LegacySign(Attack):
-            name = "legacy_sign"
-
-            def craft(self, view, inputs, labels):
-                gradient = view.gradient(inputs, labels)
-                return np.clip(inputs + 0.05 * np.sign(gradient), 0.0, 1.0)
-
-        with pytest.warns(DeprecationWarning, match="IterativeAttack"):
-            result = LegacySign().run(make_attacker_view(cnn_model), images, labels)
-        assert result.adversarials.shape == images.shape
-        assert result.gradient_queries == 1
-        assert result.queries_per_sample.sum() == len(labels)
+    def test_attack_result_requires_query_counts(self, batch):
+        images, labels = batch
+        with pytest.raises(TypeError, match="queries_per_sample"):
+            AttackResult(
+                attack_name="x", originals=images, adversarials=images, labels=labels,
+                success=np.zeros(len(labels), dtype=bool), gradient_queries=0,
+            )
 
 
 class TestDtypeHygiene:

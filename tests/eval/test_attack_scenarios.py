@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.eval.engine import ExperimentEngine, build_scenario, list_scenarios
@@ -60,6 +59,14 @@ class TestBudgetCurveScenario:
             payloads[backend] = record.results
         assert payloads["eager"] == payloads["captured"]
 
+    def test_unknown_attack_rejected(self):
+        """Rejected when the scenario is built, before any defender trains."""
+        with pytest.raises(KeyError, match="budget-curve attack"):
+            build_scenario("attack_budget_curve", scale="tiny", attack="saga")
+        assert build_scenario("attack_budget_curve", scale="tiny", attack="cw").params[
+            "attack"
+        ] == "cw"
+
 
 class TestRobustnessCurveScenario:
     def test_rows_are_sorted_and_bounded(self):
@@ -94,10 +101,7 @@ class TestRobustnessCurveScenario:
         assert record.results[0]["attack"] == "fgsm"
 
     def test_unknown_attack_rejected(self):
-        engine = ExperimentEngine()
-        with pytest.raises(KeyError):
-            engine.run(
-                build_scenario(
-                    "robustness_curve", scale="tiny", attack="warp", epsilons=(0.1,), **_TINY
-                )
-            )
+        """Rejected when the scenario is built, before any defender trains."""
+        for attack in ("warp", "cw"):  # C&W is not ε-bounded
+            with pytest.raises(KeyError, match="robustness-curve attack"):
+                build_scenario("robustness_curve", scale="tiny", attack=attack)

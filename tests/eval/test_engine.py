@@ -332,11 +332,11 @@ class TestScenarioRegistry:
             Scenario(name="x", kind="nope", config=ExperimentConfig())
 
     def test_scalar_param_overrides_do_not_iterate_strings(self):
-        sweep = build_scenario("ablation_epsilon", scale="tiny", epsilons=0.05)
+        sweep = build_scenario("robustness_curve", scale="tiny", epsilons=0.05)
         assert sweep.params["epsilons"] == (0.05,)
         ablation = build_scenario("ablation_upsampling", scale="tiny", strategies="average")
         assert ablation.params["strategies"] == ("average",)
-        multi = build_scenario("ablation_epsilon", scale="tiny", epsilons=("0.01", "0.02"))
+        multi = build_scenario("robustness_curve", scale="tiny", epsilons=("0.01", "0.02"))
         assert multi.params["epsilons"] == (0.01, 0.02)
 
 

@@ -51,7 +51,7 @@ class TestCli:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "table3_cifar10" in out
-        assert "ablation_epsilon" in out
+        assert "robustness_curve" in out
 
     def test_list_shows_kinds_and_scales(self, capsys):
         assert main(["--list"]) == 0

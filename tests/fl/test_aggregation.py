@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.fl import (
     ModelUpdate,
     build_plan,
     coordinate_median,
+    pack,
     fedavg,
     get_aggregation_rule,
     streaming_aggregator_for,
@@ -97,6 +100,26 @@ class TestRobustRules:
     def test_trimmed_mean_validates_fraction(self):
         with pytest.raises(ValueError):
             trimmed_mean([_update("a", 1.0)], trim_fraction=0.6)
+
+    def test_trimmed_mean_rejects_negative_fraction(self):
+        with pytest.raises(ValueError, match="trim_fraction"):
+            trimmed_mean([_update("a", 1.0)], trim_fraction=-0.1)
+
+    @pytest.mark.parametrize("rule", [coordinate_median, trimmed_mean])
+    def test_robust_rules_reject_empty_list(self, rule):
+        with pytest.raises(ValueError, match="empty"):
+            rule([])
+
+    def test_median_of_even_count_averages_middle_pair(self):
+        updates = [_update("a", 1.0), _update("b", 2.0), _update("c", 4.0), _update("d", 9.0)]
+        aggregated = coordinate_median(updates)
+        np.testing.assert_array_equal(aggregated["w"], np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(aggregated["b"], np.full(2, 3.0))
+
+    def test_trimmed_mean_with_zero_fraction_is_plain_mean(self):
+        updates = [_update("a", 1.0), _update("b", 2.0), _update("evil", 9.0)]
+        aggregated = trimmed_mean(updates, trim_fraction=0.0)
+        np.testing.assert_allclose(aggregated["w"], np.full((2, 2), 4.0))
 
     def test_rule_lookup(self):
         assert get_aggregation_rule("fedavg") is fedavg
@@ -206,15 +229,43 @@ class TestStreamingByteIdentity:
         for key in batch:
             assert batch[key].tobytes() == streamed[key].tobytes()
 
-    def test_robust_rules_invariant_to_chunk_size(self):
-        updates = _random_updates(7)
-        for rule in (coordinate_median, trimmed_mean):
-            reference = {key: value.tobytes() for key, value in rule(updates).items()}
-            for chunk in (1, 3, 5, 64, 10**6):
-                chunked = rule(updates, chunk_elements=chunk)
-                assert {k: v.tobytes() for k, v in chunked.items()} == reference, (
-                    f"{rule.__name__} bytes changed at chunk={chunk}"
-                )
+    @pytest.mark.parametrize(
+        "rule, reference",
+        [
+            (coordinate_median, lambda matrix: np.median(matrix, axis=0)),
+            (trimmed_mean, lambda matrix: np.sort(matrix, axis=0)[1:-1].mean(axis=0)),
+        ],
+    )
+    def test_robust_rules_reduce_the_whole_packed_matrix(self, rule, reference):
+        """One reduce over the stacked ``clients x params`` rows, nothing chunked."""
+        updates = _random_updates(7)  # trim_fraction 0.2 of 7 clients drops one per side
+        plan = build_plan(updates[0].state)
+        matrix = np.stack([pack(plan, update.state) for update in updates])
+        expected = reference(matrix)
+        aggregated = rule(updates)
+        assert pack(plan, aggregated).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rule", [coordinate_median, trimmed_mean])
+    def test_robust_rules_leave_client_updates_untouched(self, rule):
+        """The in-place reduce works on the aggregator's own packed rows."""
+        updates = _random_updates(5)
+        before = [
+            {key: value.copy() for key, value in update.state.items()} for update in updates
+        ]
+        rule(updates)
+        for update, saved in zip(updates, before):
+            for key, value in saved.items():
+                np.testing.assert_array_equal(update.state[key], value)
+
+    def test_trim_fraction_preset_streams_with_its_fraction(self):
+        updates = _random_updates(10)
+        preset = functools.partial(trimmed_mean, trim_fraction=0.3)
+        streamed = self._streamed(preset, updates)
+        batch = preset(updates)
+        default = trimmed_mean(updates)
+        for key in batch:
+            assert batch[key].tobytes() == streamed[key].tobytes()
+        assert any(batch[key].tobytes() != default[key].tobytes() for key in batch)
 
     def test_streamed_counts_are_enforced(self):
         updates = _random_updates(4)

@@ -1,4 +1,4 @@
-"""Tests for the FL server, clients (honest and compromised) and orchestration."""
+"""Tests for the FL clients (honest and compromised), runtime rounds and poisoning."""
 
 from __future__ import annotations
 
@@ -6,25 +6,33 @@ import numpy as np
 import pytest
 
 from repro.attacks import PGD
+from repro.data.splits import iid_partition
 from repro.fl import (
     ClientConfig,
     CompromisedClient,
-    FLServer,
-    FederatedRunConfig,
-    FederatedTrainer,
+    FederationRuntime,
     GlobalModelBroadcast,
     HonestClient,
+    RoundHooks,
     add_backdoor_trigger,
-    build_federation,
     fedavg,
     flip_labels,
     poison_with_backdoor,
 )
+from repro.fl.runtime import client_task_seed
 from repro.models.simple import MLPClassifier
 
 
 def _mlp_factory():
     return MLPClassifier(input_dim=12, num_classes=3, hidden_dim=12, input_shape=(3, 2, 2))
+
+
+def _iid_clients(images, labels, parts, config=None):
+    """One honest client per index array in ``parts``."""
+    return [
+        HonestClient(f"client{i}", _mlp_factory, images[part], labels[part], config=config)
+        for i, part in enumerate(parts)
+    ]
 
 
 def _toy_federated_data(rng, samples_per_class: int = 30):
@@ -68,59 +76,49 @@ class TestHonestClient:
         assert np.isfinite(update.train_loss)
 
 
-class TestServerAndTrainer:
+class TestRuntimeRounds:
     def test_round_improves_global_accuracy(self, rng):
         images, labels = _toy_federated_data(rng, samples_per_class=40)
-        server, clients = build_federation(
-            _mlp_factory, images, labels, num_clients=3,
-            client_config=ClientConfig(local_epochs=2, batch_size=16, learning_rate=0.05),
-        )
-        before = server.global_model.accuracy(images, labels)
-        trainer = FederatedTrainer(server, clients, FederatedRunConfig(num_rounds=3))
-        result = trainer.run(eval_images=images, eval_labels=labels)
+        config = ClientConfig(local_epochs=2, batch_size=16, learning_rate=0.05)
+        clients = _iid_clients(images, labels, iid_partition(labels, 3, rng=rng), config)
+        runtime = FederationRuntime(_mlp_factory(), clients)
+        before = runtime.global_model.accuracy(images, labels)
+        result = runtime.run(3, eval_images=images, eval_labels=labels)
         assert len(result.rounds) == 3
         assert result.final_accuracy > before
         assert result.final_accuracy > 0.8
 
-    def test_client_sampling_fraction(self, rng):
+    def test_round_installs_fedavg_of_client_updates(self, rng):
+        """The streamed round installs exactly the batch FedAvg of its updates."""
         images, labels = _toy_federated_data(rng)
-        server, clients = build_federation(_mlp_factory, images, labels, num_clients=4)
-        sampled = server.sample_clients(clients, fraction=0.5)
-        assert len(sampled) == 2
-        with pytest.raises(ValueError):
-            server.sample_clients(clients, fraction=0.0)
-
-    def test_aggregate_installs_fedavg_of_updates(self, rng):
-        images, labels = _toy_federated_data(rng)
-        server, clients = build_federation(_mlp_factory, images, labels, num_clients=2)
-        broadcast = server.broadcast()
+        parts = iid_partition(labels, 2, rng=rng)
+        runtime = FederationRuntime(_mlp_factory(), _iid_clients(images, labels, parts), seed=11)
+        broadcast = GlobalModelBroadcast(round_index=0, state=runtime.global_model.state_dict())
         updates = []
-        for client in clients:
+        for client in _iid_clients(images, labels, parts):
             client.receive(broadcast.copy())
-            updates.append(client.local_update(0))
-        server.aggregate(updates)
+            seed = client_task_seed(11, 0, client.client_id)
+            updates.append(client.local_update(0, rng=np.random.default_rng(seed)))
+        runtime.run_round()
         expected = fedavg(updates)
-        for name, parameter in server.global_model.named_parameters():
-            np.testing.assert_allclose(parameter.data, expected[name])
+        for name, value in runtime.global_model.state_dict().items():
+            np.testing.assert_array_equal(value, expected[name])
 
-    def test_subclass_aggregate_and_broadcast_overrides_are_honoured(self, rng):
-        """run_round must keep routing through the overridable server methods."""
-        calls = {"broadcast": 0, "aggregate": 0}
 
-        class SpyServer(FLServer):
-            def broadcast(self):
-                calls["broadcast"] += 1
-                return super().broadcast()
-
-            def aggregate(self, updates):
-                calls["aggregate"] += 1
-                return super().aggregate(updates)
-
+    def test_aggregate_hook_sees_every_update_once_per_round(self, rng):
+        """A custom rule receives the round's opened updates and its result is installed."""
         images, labels = _toy_federated_data(rng)
-        server = SpyServer(_mlp_factory())
-        clients = [HonestClient("c0", _mlp_factory, images[:30], labels[:30])]
-        server.run_round(clients)
-        assert calls == {"broadcast": 1, "aggregate": 1}
+        seen: list[list[str]] = []
+
+        def spy(updates):
+            seen.append([update.client_id for update in updates])
+            return fedavg(updates)
+
+        clients = _iid_clients(images, labels, iid_partition(labels, 2, rng=rng))
+        runtime = FederationRuntime(_mlp_factory(), clients, hooks=RoundHooks(aggregate=spy))
+        runtime.run(2)
+        assert seen == [["client0", "client1"]] * 2
+        assert runtime.round_index == 2
 
     def test_round_result_records_compromised_clients(self, rng):
         images, labels = _toy_federated_data(rng)
@@ -129,11 +127,13 @@ class TestServerAndTrainer:
             "evil", _mlp_factory, images[30:60], labels[30:60],
             attack=PGD(epsilon=0.1, step_size=0.02, steps=2),
         )
-        server = FLServer(_mlp_factory())
-        result = server.run_round([honest, compromised], eval_images=images, eval_labels=labels)
+        runtime = FederationRuntime(_mlp_factory(), [honest, compromised])
+        result = runtime.run_round(images, labels)
         assert result.compromised_clients == ["evil"]
+        assert result.participating_clients == ["h", "evil"]
         assert result.update_bytes > 0
-        assert server.round_index == 1
+        assert 0.0 <= result.global_accuracy <= 1.0
+        assert runtime.round_index == 1
 
 
 class TestCompromisedClient:

@@ -1,4 +1,4 @@
-"""Tests of flat state packing: plans, validation, chunk gathers, roundtrips."""
+"""Tests of flat state packing: plans, validation, roundtrips."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.fl import (
     build_plan,
     pack,
     pack_into,
-    pack_slice_into,
     unpack,
 )
 
@@ -70,6 +69,17 @@ class TestPackRoundtrip:
         expected = np.concatenate([state[key].reshape(-1) for key in plan.keys])
         np.testing.assert_array_equal(out, expected)
 
+    def test_pack_into_matrix_row_leaves_other_rows_untouched(self):
+        """The robust aggregators pack each client straight into its matrix row."""
+        first, second = _state(np.random.default_rng(1)), _state(np.random.default_rng(2))
+        plan = build_plan(first)
+        matrix = np.full((3, plan.size), -7.0)
+        pack_into(plan, first, matrix[0])
+        pack_into(plan, second, matrix[2])
+        np.testing.assert_array_equal(matrix[0], pack(plan, first))
+        np.testing.assert_array_equal(matrix[1], np.full(plan.size, -7.0))
+        np.testing.assert_array_equal(matrix[2], pack(plan, second))
+
     def test_pack_accepts_non_ndarray_values(self):
         plan = build_plan({"w": np.zeros(3)})
         packed = pack(plan, {"w": [1.0, 2.0, 3.0]})
@@ -117,24 +127,3 @@ class TestValidation:
         state = _state()
         plan = build_plan(state)
         plan.validate(state)  # must not raise
-
-
-class TestSliceGather:
-    def test_chunks_reassemble_to_full_pack(self):
-        state = _state()
-        plan = build_plan(state)
-        full = pack(plan, state)
-        for chunk in (1, 3, 17, plan.size):
-            gathered = np.empty(plan.size)
-            for start in range(0, plan.size, chunk):
-                stop = min(plan.size, start + chunk)
-                pack_slice_into(plan, state, start, stop, gathered[start:stop])
-            np.testing.assert_array_equal(gathered, full)
-
-    def test_slice_only_touches_overlapping_fields(self):
-        state = _state()
-        plan = build_plan(state)
-        field = plan.fields[2]
-        window = np.empty(field.size)
-        pack_slice_into(plan, state, field.start, field.stop, window)
-        np.testing.assert_array_equal(window, state[field.key].reshape(-1))

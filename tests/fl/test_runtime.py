@@ -25,7 +25,14 @@ from repro.fl import (
     apply_delta,
 )
 from repro.fl.messages import ModelUpdate
-from repro.fl.runtime import decode_state, encode_state, seal_state, unseal_state
+from repro.fl.runtime import (
+    client_task_seed,
+    decode_state,
+    encode_state,
+    sample_by_fraction,
+    seal_state,
+    unseal_state,
+)
 from repro.models.simple import MLPClassifier
 from repro.tee.attestation import AttestationQuote
 from repro.tee.enclave import TrustZoneEnclave
@@ -352,20 +359,38 @@ class TestCompromisedDetection:
         result = runtime.run_round(images, labels)
         assert result.compromised_clients == ["stealthy"]
 
-    def test_legacy_local_update_signature_still_runs(self, rng):
-        """Pre-runtime participants without the rng keyword keep working."""
+    def test_local_update_receives_the_task_seeded_rng(self, rng):
+        """Every client task passes ``rng`` — seeded per (round, client) — to the client."""
+        states: dict[str, dict] = {}
 
-        class LegacyClient(HonestClient):
-            def local_update(self, round_index):  # old, rng-less signature
+        class RecordingClient(HonestClient):
+            def local_update(self, round_index, rng=None):
+                states[self.client_id] = rng.bit_generator.state
+                return super().local_update(round_index, rng=rng)
+
+        images, labels = _toy_data(rng)
+        clients = [
+            RecordingClient(f"r{i}", _mlp_factory, images[i::2], labels[i::2]) for i in range(2)
+        ]
+        FederationRuntime(_mlp_factory(), clients, seed=3, round_index=4).run_round()
+        for client in clients:
+            expected = np.random.default_rng(client_task_seed(3, 4, client.client_id))
+            assert states[client.client_id] == expected.bit_generator.state
+
+    def test_rng_less_local_update_is_rejected(self, rng):
+        """``local_update(round_index, rng=...)`` is the one participant signature."""
+
+        class RngLessClient(HonestClient):
+            def local_update(self, round_index):
                 return super().local_update(round_index)
 
         images, labels = _toy_data(rng)
         runtime = FederationRuntime(
-            _mlp_factory(), [LegacyClient("legacy", _mlp_factory, images[:30], labels[:30])]
+            _mlp_factory(), [RngLessClient("old", _mlp_factory, images[:30], labels[:30])]
         )
-        result = runtime.run_round(images, labels)
-        assert result.participating_clients == ["legacy"]
-        assert np.isfinite(result.mean_client_loss)
+        with pytest.raises(TypeError, match="rng"):
+            runtime.run_round()
+        assert runtime.round_index == 0
 
     def test_honest_subclass_is_not_flagged(self, rng):
         class QuietClient(HonestClient):
@@ -408,6 +433,20 @@ class TestRoundHooks:
             FederationRuntime(
                 _mlp_factory(), _honest_clients(images, labels), client_fraction=0.0
             ).run_round()
+
+    def test_sample_by_fraction_rounds_and_keeps_participant_order(self):
+        population = [f"c{i}" for i in range(10)]
+        sampled = sample_by_fraction(population, 0.34, np.random.default_rng(0))
+        assert len(sampled) == 3
+        assert sampled == sorted(sampled, key=population.index)
+        assert len(set(sampled)) == 3
+        assert sample_by_fraction(population, 0.01, np.random.default_rng(0)) != []
+        assert sample_by_fraction(population, 1.0, np.random.default_rng(0)) == population
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_sample_by_fraction_rejects_out_of_range(self, fraction):
+        with pytest.raises(ValueError, match="fraction"):
+            sample_by_fraction(["a", "b"], fraction, np.random.default_rng(0))
 
     def test_all_nan_losses_stay_silent(self, rng):
         """A round whose every train_loss is NaN reports NaN, no warning."""
