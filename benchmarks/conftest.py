@@ -1,4 +1,4 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the benchmark suite.
 
 Every benchmark regenerates one table or figure of the paper through the
 experiment engine at *bench scale*: scaled-down models trained on synthetic
@@ -26,8 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.autodiff import get_default_dtype
-from repro.eval.engine import ExperimentEngine, scaled_experiment_config
-from repro.eval.harness import ExperimentConfig
+from repro.eval.engine import ExperimentConfig, ExperimentEngine, scaled_experiment_config
 from repro.utils.rng import set_global_seed
 
 BENCH_SCALE = "full" if os.environ.get("REPRO_BENCH_SCALE") == "full" else "bench"

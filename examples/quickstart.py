@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from repro.attacks import AttackDriver, DriverConfig, PGD, make_attacker_view
 from repro.core import ShieldedModel, format_bytes, measure_shielded_model
-from repro.eval import ExperimentConfig, robust_accuracy, select_correctly_classified
-from repro.eval.engine import ArtifactCache
+from repro.eval import robust_accuracy, select_correctly_classified
+from repro.eval.engine import ArtifactCache, ExperimentConfig
 from repro.utils import set_global_seed
 
 

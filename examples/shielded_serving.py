@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.eval import ExperimentConfig
-from repro.eval.engine import ArtifactCache
+from repro.eval.engine import ArtifactCache, ExperimentConfig
 from repro.serve import BatchingPolicy, ShieldedInferenceService, uniform_workload
 from repro.utils import set_global_seed
 

@@ -16,7 +16,8 @@ ICDCS 2023) end to end on a pure-NumPy substrate:
 * :mod:`repro.fl` — the federated learning substrate with honest and
   compromised clients;
 * :mod:`repro.data` / :mod:`repro.eval` — synthetic benchmark datasets and
-  the harness regenerating the paper's tables and figures.
+  the experiment engine (:mod:`repro.eval.engine`) regenerating the paper's
+  tables and figures.
 """
 
 from repro.core.shielded_model import ShieldedModel

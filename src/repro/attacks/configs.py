@@ -82,7 +82,7 @@ class AttackSuiteConfig:
 
     dataset: str = "cifar10"
     #: Multiplier applied to ε and the step size.  The synthetic datasets have
-    #: somewhat larger class margins than CIFAR, so the harness may use a
+    #: somewhat larger class margins than CIFAR, so an experiment may use a
     #: scale > 1 to keep the unshielded attacks in the saturated regime the
     #: paper reports (the substitution is recorded in EXPERIMENTS.md).
     epsilon_scale: float = 1.0
@@ -143,7 +143,7 @@ def build_saga(
 ) -> SelfAttentionGradientAttack:
     """Instantiate the ensemble SAGA attack of Table IV.
 
-    ``alpha_cnn`` overrides the published weighting factor; the bench harness
+    ``alpha_cnn`` overrides the published weighting factor; the bench scenarios
     uses a balanced value on the synthetic substrate (where gradients of the
     two member families have comparable magnitude) so that SAGA meaningfully
     targets both members, as in the paper's evaluation.

@@ -61,7 +61,6 @@ from repro.autodiff.pool import BufferPool, active_buffer_pool, use_buffer_pool
 from repro.autodiff.profiler import OpProfiler, active_profiler, profile_ops
 from repro.autodiff.tensor import (
     Tensor,
-    as_tensor,
     concat,
     get_default_dtype,
     set_default_dtype,
@@ -94,7 +93,6 @@ __all__ = [
     "active_buffer_pool",
     "active_profiler",
     "active_shield_region",
-    "as_tensor",
     "avg_pool2d",
     "col2im",
     "concat",

@@ -400,13 +400,6 @@ def topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def as_tensor(value: "ArrayLike", requires_grad: bool = False) -> Tensor:
-    """Coerce ``value`` to a :class:`Tensor` (no copy if already one)."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value, requires_grad=requires_grad)
-
-
 #: Anything the engine accepts where an array is expected (a real alias,
 #: usable with isinstance-free static checkers; defined after Tensor so the
 #: union can reference the class itself).

@@ -1,4 +1,4 @@
-"""Evaluation metrics: clean accuracy, astuteness (robust accuracy), success rate.
+"""Evaluation metrics: astuteness (robust accuracy) over correctly classified samples.
 
 The paper's metric (§V-A) is *astuteness*: the robust accuracy of a defender
 over a set of samples it originally classified correctly, after adversarial
@@ -8,21 +8,7 @@ perturbed sample correctly, so its robust accuracy stays at 100 %.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class AstutenessResult:
-    """Robust accuracy of one defender against one attack."""
-
-    attack_name: str
-    robust_accuracy: float
-    attack_success_rate: float
-    num_samples: int
-    mean_linf: float = 0.0
-    mean_l2: float = 0.0
 
 
 def select_correctly_classified(
@@ -70,34 +56,3 @@ def robust_accuracy(predict_fn, adversarials: np.ndarray, labels: np.ndarray, ba
         predictions = predict_fn(adversarials[start:stop])
         correct += int((predictions == labels[start:stop]).sum())
     return correct / len(labels)
-
-
-def attack_success_rate(predict_fn, adversarials: np.ndarray, labels: np.ndarray) -> float:
-    """Complement of robust accuracy: fraction of samples the attack flipped."""
-    accuracy = robust_accuracy(predict_fn, adversarials, labels)
-    if np.isnan(accuracy):
-        return float("nan")
-    return 1.0 - accuracy
-
-
-def evaluate_attack(
-    predict_fn,
-    attack_name: str,
-    originals: np.ndarray,
-    adversarials: np.ndarray,
-    labels: np.ndarray,
-) -> AstutenessResult:
-    """Package the defender-side evaluation of one attack run."""
-    accuracy = robust_accuracy(predict_fn, adversarials, labels)
-    perturbation = np.asarray(adversarials) - np.asarray(originals)
-    flat = perturbation.reshape(len(labels), -1) if len(labels) else perturbation.reshape(0, 1)
-    mean_linf = float(np.abs(flat).max(axis=1).mean()) if len(labels) else 0.0
-    mean_l2 = float(np.sqrt((flat**2).sum(axis=1)).mean()) if len(labels) else 0.0
-    return AstutenessResult(
-        attack_name=attack_name,
-        robust_accuracy=accuracy,
-        attack_success_rate=1.0 - accuracy if not np.isnan(accuracy) else float("nan"),
-        num_samples=len(labels),
-        mean_linf=mean_linf,
-        mean_l2=mean_l2,
-    )

@@ -1,19 +1,20 @@
 """Unified experiment engine.
 
-The engine replaces the seed harness's copy-pasted orchestration with four
+The engine is the one experiment API of the reproduction, built from four
 composable pieces:
 
 * a **scenario registry** (:mod:`~repro.eval.engine.registry`) where every
   table / figure / ablation is a declarative entry over a shared
-  :class:`~repro.eval.harness.ExperimentConfig`;
+  :class:`~repro.eval.engine.registry.ExperimentConfig`;
 * an **artifact cache** (:mod:`~repro.eval.engine.cache`) keying trained
   defenders and synthetic datasets by a stable config hash so no experiment
   ever retrains what another already trained;
 * a **parallel executor** (:mod:`~repro.eval.engine.executor`) fanning
   independent (model × attack × shield-setting) cells over a BLAS-pinned
   fork pool with deterministic per-cell RNG seeds;
-* **structured results** (:mod:`~repro.eval.engine.results`) persisted as
-  JSON under ``results/runs/`` and rendered into the paper's tables by
+* **structured results** (:mod:`~repro.eval.engine.results`): the Table III
+  rows, Table IV block and Fig. 4 study, persisted as JSON under
+  ``results/runs/`` and rendered into the paper's tables by
   :mod:`repro.eval.tables`.
 
 Run scenarios from Python (``ExperimentEngine().run("table3_cifar10")``) or
@@ -21,13 +22,19 @@ from the CLI (``python -m repro.run table3_cifar10``).
 """
 
 from repro.eval.engine.cache import ArtifactCache, CacheStats, stable_hash
-from repro.eval.engine.cells import model_spec, rebuild_model, run_attack_in_batches
+from repro.eval.engine.cells import (
+    SHIELD_SETTINGS,
+    model_spec,
+    rebuild_model,
+    run_attack_in_batches,
+)
 from repro.eval.engine.executor import BACKENDS, CellExecutor, ExecutorConfig
 from repro.eval.engine.registry import (
     GATEWAY_SCALES,
     SCALES,
     SCENARIO_KINDS,
     SERVING_SCALES,
+    ExperimentConfig,
     Scenario,
     build_scenario,
     list_scenarios,
@@ -37,7 +44,10 @@ from repro.eval.engine.registry import (
     unregister_scenario,
 )
 from repro.eval.engine.results import (
+    EnsembleBenchmarkResult,
+    IndividualModelResult,
     RunRecord,
+    SagaSampleStudy,
     ensemble_result_from_payload,
     individual_results_from_payload,
     load_run,
@@ -53,13 +63,18 @@ __all__ = [
     "BACKENDS",
     "CacheStats",
     "CellExecutor",
+    "EnsembleBenchmarkResult",
     "ExecutorConfig",
+    "ExperimentConfig",
     "ExperimentEngine",
     "GATEWAY_SCALES",
+    "IndividualModelResult",
     "RunRecord",
     "SCALES",
     "SCENARIO_KINDS",
     "SERVING_SCALES",
+    "SHIELD_SETTINGS",
+    "SagaSampleStudy",
     "Scenario",
     "build_scenario",
     "ensemble_result_from_payload",

@@ -1,8 +1,8 @@
 """Artifact cache for trained defenders and synthetic datasets.
 
 Every table / figure of the paper evaluates the *same* small set of trained
-defenders, but the seed harness retrained them from scratch in every entry
-point.  The cache keys each artifact by a stable hash of the configuration
+defenders; retraining them in every entry point would dominate the run
+time.  The cache keys each artifact by a stable hash of the configuration
 fields that actually influence it (plus the global RNG seed and the default
 dtype), so the Table IV ensemble benchmark and the Fig. 4 sample study reuse
 the defenders the Table III benchmark already trained.
@@ -24,19 +24,16 @@ import json
 import os
 import zipfile
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.autodiff.tensor import get_default_dtype
-from repro.data.synthetic import SyntheticImageDataset
+from repro.data.synthetic import SyntheticImageDataset, make_dataset
+from repro.eval.engine.registry import ExperimentConfig
 from repro.models.base import ImageClassifier
 from repro.models.registry import build_model
 from repro.nn.trainer import fit_classifier
 from repro.utils.logging import get_logger
 from repro.utils.rng import get_global_seed, spawn_rng
 from repro.utils.serialization import load_state, save_state
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.eval.harness import ExperimentConfig
 
 _LOGGER = get_logger("eval.engine.cache")
 
@@ -112,13 +109,13 @@ class ArtifactCache:
     # ------------------------------------------------------------------ #
     # Keys
     # ------------------------------------------------------------------ #
-    def dataset_key(self, config: "ExperimentConfig") -> str:
+    def dataset_key(self, config: ExperimentConfig) -> str:
         payload = {name: getattr(config, name) for name in DATASET_KEY_FIELDS}
         payload["num_classes"] = config.resolved_num_classes()
         payload["seed"] = get_global_seed()
         return stable_hash(payload)
 
-    def defender_key(self, model_name: str, config: "ExperimentConfig") -> str:
+    def defender_key(self, model_name: str, config: ExperimentConfig) -> str:
         payload = {name: getattr(config, name) for name in DEFENDER_KEY_FIELDS}
         payload["num_classes"] = config.resolved_num_classes()
         payload["model"] = model_name
@@ -129,23 +126,30 @@ class ArtifactCache:
     # ------------------------------------------------------------------ #
     # Datasets
     # ------------------------------------------------------------------ #
-    def get_dataset(self, config: "ExperimentConfig") -> SyntheticImageDataset:
-        """Return the experiment dataset, building it on first use."""
-        from repro.eval.harness import prepare_dataset
-
+    def get_dataset(self, config: ExperimentConfig) -> SyntheticImageDataset:
+        """Return the synthetic stand-in dataset, building it on first use."""
         key = self.dataset_key(config)
         if key in self._datasets:
             self.stats.dataset_hits += 1
             return self._datasets[key]
         self.stats.dataset_misses += 1
-        dataset = prepare_dataset(config)
+        kwargs = dict(
+            train_per_class=config.train_per_class,
+            test_per_class=config.test_per_class,
+            image_size=config.image_size,
+        )
+        if config.num_classes is not None and config.dataset != "cifar10":
+            kwargs["num_classes"] = config.num_classes
+        if config.dataset == "cifar10" and config.num_classes not in (None, 10):
+            raise ValueError("the CIFAR-10 stand-in always has 10 classes")
+        dataset = make_dataset(config.dataset, **kwargs)
         self._datasets[key] = dataset
         return dataset
 
     # ------------------------------------------------------------------ #
     # Trained defenders
     # ------------------------------------------------------------------ #
-    def get_defender(self, model_name: str, config: "ExperimentConfig") -> ImageClassifier:
+    def get_defender(self, model_name: str, config: ExperimentConfig) -> ImageClassifier:
         """Return a trained defender, training it only on a full cache miss."""
         key = self.defender_key(model_name, config)
         if key in self._defenders:
@@ -193,7 +197,7 @@ class ArtifactCache:
         return model
 
     def _build(
-        self, model_name: str, dataset: SyntheticImageDataset, config: "ExperimentConfig"
+        self, model_name: str, dataset: SyntheticImageDataset, config: ExperimentConfig
     ) -> ImageClassifier:
         return build_model(
             model_name,
@@ -235,7 +239,7 @@ class ArtifactCache:
             pass
 
     def _save_to_disk(
-        self, key: str, model_name: str, config: "ExperimentConfig", model: ImageClassifier
+        self, key: str, model_name: str, config: ExperimentConfig, model: ImageClassifier
     ) -> None:
         path = self._defender_path(key)
         if path is None:

@@ -123,6 +123,10 @@ def run_individual_cell(payload: dict) -> dict:
 # --------------------------------------------------------------------------- #
 # Table IV cells: SAGA per shield setting, plus the random-noise baseline
 # --------------------------------------------------------------------------- #
+#: Table IV / Fig. 4 shield settings: which ensemble members PELTA shields.
+SHIELD_SETTINGS = ("none", "vit_only", "cnn_only", "both")
+
+
 def _member_views(payload: dict, vit_model, cnn_model, rng):
     """Attacker views of the two ensemble members for one shield setting."""
     setting = payload["setting"]

@@ -18,12 +18,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.eval.harness import (
-    EnsembleBenchmarkResult,
-    IndividualModelResult,
-    SagaSampleStudy,
-)
-
 RESULTS_SCHEMA_VERSION = 1
 
 
@@ -91,6 +85,45 @@ def load_runs(results_dir: str | Path) -> dict[str, dict[str, Any]]:
         record = load_run(path)
         records[record.get("scenario", path.stem)] = record
     return records
+
+
+# --------------------------------------------------------------------------- #
+# Paper result blocks: Table III rows, Table IV block, Fig. 4 sample study
+# --------------------------------------------------------------------------- #
+@dataclasses.dataclass
+class IndividualModelResult:
+    """One row group of Table III: a defender against every attack."""
+
+    model_name: str
+    dataset: str
+    clean_accuracy: float
+    #: ``robust[attack]["unshielded" | "shielded"]`` robust accuracy.
+    robust: dict[str, dict[str, float]] = dataclasses.field(default_factory=dict)
+    eval_samples: int = 0
+
+
+@dataclasses.dataclass
+class EnsembleBenchmarkResult:
+    """One dataset block of Table IV."""
+
+    dataset: str
+    vit_name: str
+    cnn_name: str
+    clean_accuracy: dict[str, float] = dataclasses.field(default_factory=dict)
+    random_astuteness: dict[str, float] = dataclasses.field(default_factory=dict)
+    #: ``robust[setting][row]`` with rows "vit", "cnn", "ensemble".
+    robust: dict[str, dict[str, float]] = dataclasses.field(default_factory=dict)
+    eval_samples: int = 0
+
+
+@dataclasses.dataclass
+class SagaSampleStudy:
+    """Per-setting outcome of SAGA on a single correctly classified sample."""
+
+    dataset: str
+    label: int
+    #: ``settings[setting]`` with perturbation norms and member predictions.
+    settings: dict[str, dict[str, float | int | bool]] = dataclasses.field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,11 +18,19 @@ from pathlib import Path
 import numpy as np
 
 from repro.attacks.configs import build_attack_suite
+from repro.eval.astuteness import select_correctly_classified
 from repro.eval.engine import cells
 from repro.eval.engine.cache import ArtifactCache
 from repro.eval.engine.executor import CellExecutor, ExecutorConfig
 from repro.eval.engine.registry import Scenario, build_scenario
-from repro.eval.engine.results import RunRecord, save_run, timestamp
+from repro.eval.engine.results import (
+    EnsembleBenchmarkResult,
+    IndividualModelResult,
+    RunRecord,
+    SagaSampleStudy,
+    save_run,
+    timestamp,
+)
 from repro.eval.geometry import run_geometry_study
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed, get_global_seed
@@ -115,8 +123,6 @@ class ExperimentEngine:
         }
 
     def _eval_set(self, scenario: Scenario, predict_fn, max_samples: int):
-        from repro.eval.astuteness import select_correctly_classified
-
         dataset = self.cache.get_dataset(scenario.config)
         return select_correctly_classified(
             predict_fn, dataset.test_images, dataset.test_labels, max_samples
@@ -126,8 +132,6 @@ class ExperimentEngine:
     # Table III
     # ------------------------------------------------------------------ #
     def _run_individual(self, scenario: Scenario):
-        from repro.eval.harness import IndividualModelResult
-
         config = scenario.config
         dataset = self.cache.get_dataset(config)
         suite_config = config.attack_suite_config()
@@ -212,8 +216,6 @@ class ExperimentEngine:
         }
 
     def _run_ensemble(self, scenario: Scenario):
-        from repro.eval.harness import SHIELD_SETTINGS, EnsembleBenchmarkResult
-
         config = scenario.config
         dataset = self.cache.get_dataset(config)
         vit_model, cnn_model = self._ensemble_members(scenario)
@@ -240,7 +242,7 @@ class ExperimentEngine:
         result.random_astuteness = cells.run_noise_cell(noise_payload)["robust"]
         payloads = [
             self._saga_payload(scenario, specs, setting, images, labels)
-            for setting in SHIELD_SETTINGS
+            for setting in cells.SHIELD_SETTINGS
         ]
         for cell in self.executor.map(cells.run_saga_cell, payloads):
             result.robust[cell["setting"]] = cell["robust"]
@@ -251,15 +253,13 @@ class ExperimentEngine:
                 cell["robust"]["cnn"],
                 cell["robust"]["ensemble"],
             )
-        result.robust = {setting: result.robust[setting] for setting in SHIELD_SETTINGS}
+        result.robust = {setting: result.robust[setting] for setting in cells.SHIELD_SETTINGS}
         return result
 
     # ------------------------------------------------------------------ #
     # Fig. 4
     # ------------------------------------------------------------------ #
     def _run_saga_samples(self, scenario: Scenario):
-        from repro.eval.harness import SHIELD_SETTINGS, SagaSampleStudy
-
         config = scenario.config
         sample_index = int(scenario.params.get("sample_index", 0))
         vit_model, cnn_model = self._ensemble_members(scenario)
@@ -277,11 +277,11 @@ class ExperimentEngine:
         study = SagaSampleStudy(dataset=config.dataset, label=int(label[0]))
         payloads = [
             self._saga_payload(scenario, specs, setting, image, label)
-            for setting in SHIELD_SETTINGS
+            for setting in cells.SHIELD_SETTINGS
         ]
         for cell in self.executor.map(cells.run_saga_sample_cell, payloads):
             study.settings[cell["setting"]] = cell["outcome"]
-        study.settings = {setting: study.settings[setting] for setting in SHIELD_SETTINGS}
+        study.settings = {setting: study.settings[setting] for setting in cells.SHIELD_SETTINGS}
         return study
 
     # ------------------------------------------------------------------ #

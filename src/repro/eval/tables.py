@@ -12,7 +12,13 @@ from typing import Any, Mapping
 
 from repro.attacks.configs import TABLE2_PARAMETERS
 from repro.core.memory_cost import format_bytes, paper_table1
-from repro.eval.harness import EnsembleBenchmarkResult, IndividualModelResult
+from repro.eval.engine.results import (
+    EnsembleBenchmarkResult,
+    IndividualModelResult,
+    ensemble_result_from_payload,
+    individual_results_from_payload,
+    saga_study_from_payload,
+)
 
 
 def format_table1() -> str:
@@ -219,12 +225,6 @@ def format_federated(payload: Mapping[str, Any]) -> str:
 def render_run(record) -> str:
     """Render a run record (live :class:`~repro.eval.engine.RunRecord` or a
     JSON dict loaded from ``results/runs/``) into its printable block."""
-    from repro.eval.engine.results import (
-        ensemble_result_from_payload,
-        individual_results_from_payload,
-        saga_study_from_payload,
-    )
-
     if isinstance(record, Mapping):
         kind, results = record["kind"], record["results"]
         hydrate = True

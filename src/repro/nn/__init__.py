@@ -21,7 +21,6 @@ from repro.nn.layers import (
     WSConv2d,
     ZeroPad2d,
 )
-from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.trainer import TrainingHistory, fit_classifier, make_optimizer, train_epoch
@@ -35,7 +34,6 @@ __all__ = [
     "BatchNorm2d",
     "ClassToken",
     "Conv2d",
-    "CrossEntropyLoss",
     "Dropout",
     "Flatten",
     "GlobalAvgPool2d",
@@ -43,7 +41,6 @@ __all__ = [
     "LayerNorm",
     "Linear",
     "MLPBlock",
-    "MSELoss",
     "MaxPool2d",
     "Module",
     "MultiHeadSelfAttention",

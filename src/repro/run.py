@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from repro.autodiff.tensor import set_default_dtype
 from repro.eval.engine import (
     BACKENDS,
     CellExecutor,
     ExecutorConfig,
+    ExperimentConfig,
     ExperimentEngine,
     SCALES,
     scenario_catalog,
@@ -184,10 +186,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides = dict(_parse_override(item) for item in args.overrides)
         # Tuple-typed config fields (models, attacks, ...) accept a single
         # bare value on the command line.
-        from dataclasses import fields
-
-        from repro.eval.harness import ExperimentConfig
-
         for field in fields(ExperimentConfig):
             if isinstance(field.default, tuple) and isinstance(overrides.get(field.name), str):
                 overrides[field.name] = (overrides[field.name],)

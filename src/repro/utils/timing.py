@@ -1,4 +1,4 @@
-"""Simple wall-clock timing utilities used by the evaluation harness."""
+"""Simple wall-clock timing utilities."""
 
 from __future__ import annotations
 

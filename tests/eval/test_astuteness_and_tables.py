@@ -6,10 +6,6 @@ import numpy as np
 import pytest
 
 from repro.eval import (
-    EnsembleBenchmarkResult,
-    IndividualModelResult,
-    attack_success_rate,
-    evaluate_attack,
     format_table1,
     format_table2,
     format_table3,
@@ -17,6 +13,7 @@ from repro.eval import (
     robust_accuracy,
     select_correctly_classified,
 )
+from repro.eval.engine import EnsembleBenchmarkResult, IndividualModelResult
 from repro.eval.geometry import make_toy_problem, run_geometry_study, train_toy_classifier
 
 
@@ -46,27 +43,15 @@ class TestMetrics:
         selected_images, selected_labels = select_correctly_classified(predictor, images, labels, 4)
         assert len(selected_labels) == 0
 
-    def test_robust_accuracy_and_success_rate(self, rng):
+    def test_robust_accuracy(self, rng):
         adversarials = rng.uniform(size=(4, 1, 2, 2))
         labels = np.array([0, 0, 1, 1])
         predictor = _FixedPredictor(np.array([0, 1, 1, 0]))
         accuracy = robust_accuracy(predictor, adversarials, labels)
         assert accuracy == pytest.approx(0.5)
-        assert attack_success_rate(predictor, adversarials, labels) == pytest.approx(0.5)
 
     def test_robust_accuracy_empty_set_is_nan(self):
         assert np.isnan(robust_accuracy(lambda b: np.zeros(0), np.zeros((0, 1)), np.zeros(0)))
-
-    def test_evaluate_attack_records_norms(self, rng):
-        originals = rng.uniform(size=(3, 1, 2, 2))
-        adversarials = np.clip(originals + 0.1, 0.0, 1.0)
-        labels = np.array([0, 1, 0])
-        predictor = _FixedPredictor(labels.copy())
-        result = evaluate_attack(predictor, "demo", originals, adversarials, labels)
-        assert result.robust_accuracy == 1.0
-        assert result.attack_success_rate == 0.0
-        assert result.mean_linf <= 0.1 + 1e-9
-        assert result.num_samples == 3
 
 
 class TestTableFormatting:

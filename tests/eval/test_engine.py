@@ -17,6 +17,7 @@ from repro.eval.engine import (
     ArtifactCache,
     CellExecutor,
     ExecutorConfig,
+    ExperimentConfig,
     ExperimentEngine,
     Scenario,
     build_scenario,
@@ -31,7 +32,6 @@ from repro.eval.engine import (
     unregister_scenario,
 )
 from repro.eval.engine.executor import _openblas
-from repro.eval.harness import ExperimentConfig
 from repro.eval.tables import render_run
 from repro.models.simple import SimpleCNN, SimpleCNNConfig
 from repro.utils.rng import set_global_seed
@@ -327,6 +327,12 @@ class TestScenarioRegistry:
             unregister_scenario("custom_test_scenario")
         assert "custom_test_scenario" not in list_scenarios()
 
+    def test_unknown_table3_attack_rejected(self):
+        with pytest.raises(KeyError, match="pgdd"):
+            build_scenario("table3_cifar10", scale="tiny", attacks=("pgd", "pgdd"))
+        scenario = build_scenario("table3_cifar10", scale="tiny", attacks=("cw", "pgd"))
+        assert scenario.config.attacks == ("cw", "pgd")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Scenario(name="x", kind="nope", config=ExperimentConfig())
@@ -486,6 +492,24 @@ def _tiny_view():
 
 
 class TestRunAttackInBatchesEngine:
+    def test_covers_every_sample_in_order(self, rng):
+        _, view = _tiny_view()
+        images = rng.uniform(size=(7, 3, 8, 8))
+        labels = np.array([0, 1, 2, 0, 1, 2, 0])
+        adversarials = run_attack_in_batches(FGSM(epsilon=0.05), view, images, labels, batch_size=3)
+        assert adversarials.shape == images.shape
+        # FGSM perturbs every pixel by exactly epsilon (up to clipping).
+        assert np.abs(adversarials - images).max() <= 0.05 + 1e-12
+
+    def test_batched_equals_single_batch_for_deterministic_attack(self, rng):
+        _, view = _tiny_view()
+        images = rng.uniform(size=(6, 3, 8, 8))
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        attack = PGD(epsilon=0.05, step_size=0.02, steps=3)
+        batched = run_attack_in_batches(attack, view, images, labels, batch_size=2)
+        single = run_attack_in_batches(attack, view, images, labels, batch_size=6)
+        np.testing.assert_allclose(batched, single)
+
     def test_empty_input_returns_empty_array_of_right_shape(self):
         _, view = _tiny_view()
         images = np.zeros((0, 3, 8, 8))

@@ -1,18 +1,16 @@
-"""End-to-end tests of the experiment harness on unit-test-sized configurations."""
+"""End-to-end tests of the paper's scenarios (Table III, Table IV, Fig. 4)
+through the experiment engine on unit-test-sized configurations."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.eval import (
+from repro.eval.engine import (
     SHIELD_SETTINGS,
+    ArtifactCache,
     ExperimentConfig,
-    prepare_dataset,
-    run_ensemble_benchmark,
-    run_individual_benchmark,
-    saga_sample_study,
-    train_defender,
+    ExperimentEngine,
+    Scenario,
 )
 
 _TINY = dict(
@@ -43,14 +41,25 @@ class TestExperimentConfig:
         assert suite_config.epsilon_scale == 2.0
         assert suite_config.max_steps == 5
 
-    def test_prepare_dataset_respects_num_classes(self):
+    def test_dataset_respects_num_classes(self):
         config = ExperimentConfig(dataset="imagenet", num_classes=6, train_per_class=2, test_per_class=1)
-        dataset = prepare_dataset(config)
+        dataset = ArtifactCache().get_dataset(config)
         assert dataset.num_classes == 6
 
     def test_cifar10_class_count_is_fixed(self):
         with pytest.raises(ValueError):
-            prepare_dataset(ExperimentConfig(dataset="cifar10", num_classes=7))
+            ArtifactCache().get_dataset(ExperimentConfig(dataset="cifar10", num_classes=7))
+
+
+class TestExperimentConfigDefaults:
+    def test_saga_alpha_override_defaults_to_balanced(self):
+        assert ExperimentConfig().saga_alpha_cnn == 0.5
+
+    def test_attacks_tuple_defaults_to_table3_suite(self):
+        assert ExperimentConfig().attacks == ("fgsm", "pgd", "mim", "cw", "apgd")
+
+    def test_upsampling_strategy_defaults_to_auto(self):
+        assert ExperimentConfig().upsampling_strategy == "auto"
 
 
 @pytest.mark.slow
@@ -63,7 +72,8 @@ class TestIndividualBenchmark:
             attacks=("fgsm", "pgd"),
             **_TINY,
         )
-        results = run_individual_benchmark(config)
+        scenario = Scenario(name="individual_cifar10", kind="individual", config=config)
+        results = ExperimentEngine().run(scenario, persist=False).results
         assert len(results) == 1
         result = results[0]
         assert result.clean_accuracy > 0.6
@@ -84,7 +94,8 @@ class TestEnsembleBenchmark:
             ensemble_cnn="simple_cnn",
             **_TINY,
         )
-        result = run_ensemble_benchmark(config)
+        scenario = Scenario(name="ensemble_cifar10", kind="ensemble", config=config)
+        result = ExperimentEngine().run(scenario, persist=False).results
         assert set(result.robust) == set(SHIELD_SETTINGS)
         for setting in SHIELD_SETTINGS:
             for row in ("vit", "cnn", "ensemble"):
@@ -100,7 +111,13 @@ class TestEnsembleBenchmark:
             ensemble_cnn="simple_cnn",
             **_TINY,
         )
-        study = saga_sample_study(config, sample_index=0)
+        scenario = Scenario(
+            name="saga_sample_cifar10",
+            kind="saga_samples",
+            config=config,
+            params={"sample_index": 0},
+        )
+        study = ExperimentEngine().run(scenario, persist=False).results
         assert set(study.settings) == set(SHIELD_SETTINGS)
         for outcome in study.settings.values():
             assert outcome["linf"] <= 0.031 * 2.0 + 1e-9
@@ -109,9 +126,10 @@ class TestEnsembleBenchmark:
 
 @pytest.mark.slow
 class TestTrainDefender:
-    def test_train_defender_reaches_reasonable_accuracy(self):
+    def test_trained_defender_reaches_reasonable_accuracy(self):
         config = ExperimentConfig(dataset="cifar10", **_TINY)
-        dataset = prepare_dataset(config)
-        model = train_defender("simple_cnn", dataset, config)
+        cache = ArtifactCache()
+        dataset = cache.get_dataset(config)
+        model = cache.get_defender("simple_cnn", config)
         assert model.accuracy(dataset.test_images, dataset.test_labels) > 0.6
         assert not model.training

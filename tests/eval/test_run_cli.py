@@ -89,6 +89,17 @@ class TestCli:
     def test_unknown_scenario_is_an_error(self):
         assert main(["definitely_not_a_scenario", "--no-persist"]) == 2
 
+    def test_unknown_table3_attack_is_an_error_before_training(self, capsys, monkeypatch):
+        import repro.eval.engine.cache as cache_module
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a defender was trained for a rejected scenario")
+
+        monkeypatch.setattr(cache_module, "fit_classifier", no_training)
+        args = ["table3_cifar10", "--scale", "tiny", "--set", "attacks=pgdd", "--no-persist"]
+        assert main(args) == 2
+        assert "pgdd" in capsys.readouterr().err
+
     def test_profile_keeps_the_cells_rows_at_the_default_backend(self, capsys, monkeypatch):
         # The op profiler only sees the calling process, so a profiled
         # ``auto`` run must keep its cells out of the worker pool.

@@ -1,9 +1,8 @@
-"""Additional cross-cutting coverage: harness utilities, upsamplers, enclaves.
+"""Additional cross-cutting coverage: upsamplers, enclaves, the random baseline.
 
-These tests close gaps that the per-module suites do not reach: the batched
-attack runner used by the Table III harness, the flat-adjoint upsampler, the
-SGX paging model, and a couple of defensive-behaviour checks on the public
-API.
+These tests close gaps that the per-module suites do not reach: the
+flat-adjoint upsampler, the SGX paging model, and a couple of
+defensive-behaviour checks on the public API.
 """
 
 from __future__ import annotations
@@ -11,52 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attacks import (
-    FGSM,
-    PGD,
-    RandomProjectionUpsampler,
-    RandomUniform,
-    make_attacker_view,
-)
+from repro.attacks import RandomProjectionUpsampler, RandomUniform, make_attacker_view
 from repro.core import RestrictedWhiteBoxView, ShieldedModel
-from repro.eval import run_attack_in_batches
-from repro.eval.harness import ExperimentConfig
 from repro.models.simple import MLPClassifier, SimpleCNN, SimpleCNNConfig
 from repro.tee import SGXEnclave, TrustZoneEnclave
 
 
 def _tiny_cnn() -> SimpleCNN:
     return SimpleCNN(SimpleCNNConfig(in_channels=3, num_classes=3, widths=(4, 8), image_size=8))
-
-
-class TestRunAttackInBatches:
-    def test_covers_every_sample_in_order(self, rng):
-        model = _tiny_cnn()
-        view = make_attacker_view(model)
-        images = rng.uniform(size=(7, 3, 8, 8))
-        labels = np.array([0, 1, 2, 0, 1, 2, 0])
-        adversarials = run_attack_in_batches(FGSM(epsilon=0.05), view, images, labels, batch_size=3)
-        assert adversarials.shape == images.shape
-        # FGSM perturbs every pixel by exactly epsilon (up to clipping).
-        assert np.abs(adversarials - images).max() <= 0.05 + 1e-12
-
-    def test_empty_input(self, rng):
-        model = _tiny_cnn()
-        view = make_attacker_view(model)
-        adversarials = run_attack_in_batches(
-            FGSM(epsilon=0.05), view, np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=np.int64), 4
-        )
-        assert adversarials.shape[0] == 0
-
-    def test_batched_equals_single_batch_for_deterministic_attack(self, rng):
-        model = _tiny_cnn()
-        view = make_attacker_view(model)
-        images = rng.uniform(size=(6, 3, 8, 8))
-        labels = np.array([0, 1, 2, 0, 1, 2])
-        attack = PGD(epsilon=0.05, step_size=0.02, steps=3)
-        batched = run_attack_in_batches(attack, view, images, labels, batch_size=2)
-        single = run_attack_in_batches(attack, view, images, labels, batch_size=6)
-        np.testing.assert_allclose(batched, single)
 
 
 class TestFlatUpsamplerAndMlpShield:
@@ -101,17 +62,6 @@ class TestEnclaveVariantsWithShieldedModels:
         second = ShieldedModel(_tiny_cnn())
         assert first.enclave is not second.enclave
         assert first.enclave.sealed_keys() == second.enclave.sealed_keys()
-
-
-class TestExperimentConfigDefaults:
-    def test_saga_alpha_override_defaults_to_balanced(self):
-        assert ExperimentConfig().saga_alpha_cnn == 0.5
-
-    def test_attacks_tuple_defaults_to_table3_suite(self):
-        assert ExperimentConfig().attacks == ("fgsm", "pgd", "mim", "cw", "apgd")
-
-    def test_upsampling_strategy_defaults_to_auto(self):
-        assert ExperimentConfig().upsampling_strategy == "auto"
 
 
 class TestRandomBaselineAgainstShieldedModel:
