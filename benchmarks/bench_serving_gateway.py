@@ -95,10 +95,7 @@ def test_gateway_determinism(tail_latency_record, engine):
     policy = engine._gateway_policy(scenario, "continuous", slo_us)
     digests = set()
     for _ in range(2):
-        report = ServingGateway(costs, policy).simulate(
-            workload, attested_fraction=float(params["attested_fraction"])
-        )
-        digests.add(report.digest())
+        digests.add(ServingGateway(costs, policy).simulate(workload).digest())
     assert len(digests) == 1, "same seed + workload produced differing histograms"
     recorded = min(results["sweep"], key=lambda row: abs(row["load"] - load))
     assert digests == {recorded["continuous"]["latency_digest"]}, (

@@ -43,7 +43,6 @@ SECTIONS = {
     "serving_throughput": "serving_throughput",
     "serving_latency_slo": "serving_latency_slo",
     "serving_tail_latency": "serving_tail_latency",
-    "serving_soak": "serving_soak",
 }
 
 _MARKER = "<!-- BEGIN RESULTS: {key} -->"

@@ -7,9 +7,10 @@ Two orthogonal pieces of thread-local state are tracked here:
   (:class:`shield_scope`), which is how PELTA tags the quantities that live
   inside the enclave.
 
-The state is per-thread so the experiment engine's thread backend can run
-independent attack cells concurrently: one cell's ``no_grad`` inference must
-not disable gradient recording in another cell's backward pass.
+The state is per-thread because eager runs and captured replays execute on
+whatever thread calls them (``test_serial_replay.py::TestCallingThread``):
+one caller's ``no_grad`` inference must not disable gradient recording in
+another thread's backward pass.
 """
 
 from __future__ import annotations

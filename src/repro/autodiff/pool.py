@@ -47,11 +47,12 @@ class PoolStats:
 class BufferPool:
     """Reusable ``np.empty`` arrays keyed by (shape, dtype).
 
-    Thread-safe: a pool may be hit from several threads at once (the
-    engine's thread backend runs cells concurrently, and the banding scratch
-    pool is process-wide).  A single lock guards every mutation; without it
-    two concurrent :meth:`acquire` calls could pop the same free-list entry
-    and hand the same array out twice.
+    Thread-safe: a pool may be hit from several threads at once (replays
+    run on whatever thread calls them, ``test_serial_replay.py::
+    TestCallingThread``, and the banding scratch pool is process-wide).  A
+    single lock guards every mutation; without it two concurrent
+    :meth:`acquire` calls could pop the same free-list entry and hand the
+    same array out twice.
     """
 
     def __init__(self) -> None:

@@ -22,6 +22,7 @@ from typing import Any, Callable, Mapping
 
 from repro.attacks.configs import AttackSuiteConfig
 from repro.eval.engine.cells import CURVE_ATTACKS
+from repro.models.registry import MODEL_REGISTRY
 
 #: Default number of classes for each benchmark dataset stand-in.
 _DATASET_CLASSES = {"cifar10": 10, "cifar100": 100, "imagenet": 20}
@@ -93,7 +94,6 @@ SCENARIO_KINDS = (
     "serving_throughput",  # serving runtime: batched vs single-request throughput
     "serving_latency",  # serving runtime: latency percentiles vs SLO target
     "serving_tail_latency",  # gateway: p50/p99/p999 vs offered load, SLO-gated
-    "serving_soak",  # gateway: sustained open-loop soak with shedding + autoscaling
 )
 
 
@@ -225,13 +225,27 @@ def build_scenario(name: str, scale: str = "bench", **overrides) -> Scenario:
     if name not in _BUILDERS:
         raise KeyError(f"unknown scenario {name!r}; available: {sorted(_BUILDERS)}")
     scenario = _BUILDERS[name](scale, dict(overrides))
+    _check_models(scenario)
     if not scenario.description:
         scenario = replace(scenario, description=_DESCRIPTIONS.get(name, ""))
     return scenario
 
 
+def _check_models(scenario: Scenario) -> None:
+    """Reject an unknown model name up front, so a typo fails before training."""
+    config = scenario.config
+    names = [*config.models, config.ensemble_vit, config.ensemble_cnn]
+    if "model" in scenario.params:
+        names.append(scenario.params["model"])
+    for model in names:
+        if model not in MODEL_REGISTRY:
+            raise KeyError(f"unknown model {model!r}; available: {sorted(MODEL_REGISTRY)}")
+
+
 # --------------------------------------------------------------------------- #
-# Built-in scenarios (the paper's tables, figures and ablations)
+# Built-in scenarios.  Each description ends with the reason the scenario
+# exists: a paper table or figure, a BENCHMARK.json workload, a CI step or
+# benchmarks/bench_*.py file, or a ROADMAP item.
 # --------------------------------------------------------------------------- #
 #: Defender line-up of each Table III dataset block, per scale.
 TABLE3_MODELS: dict[str, dict[str, tuple[str, ...]]] = {
@@ -278,9 +292,14 @@ def _checked_attack(attack: Any, known: tuple[str, ...], kind: str) -> str:
 
 
 def _register_table3(dataset: str) -> None:
+    reason = "paper Table III"
+    if dataset == "cifar10":
+        reason += ", BENCHMARK.json table3_vit_l16/table3_bit_r101x3, CI backend-parity smoke"
+
     @register_scenario(
         f"table3_{dataset}",
-        f"Table III — individual defenders vs the white-box suite ({dataset} stand-in)",
+        f"Table III — individual defenders vs the white-box suite ({dataset} stand-in); "
+        f"reason: {reason}",
     )
     def _build(scale: str, overrides: dict[str, Any]) -> Scenario:
         overrides.setdefault("models", TABLE3_MODELS[scale][dataset])
@@ -295,7 +314,8 @@ def _register_table3(dataset: str) -> None:
 def _register_table4(dataset: str) -> None:
     @register_scenario(
         f"table4_{dataset}",
-        f"Table IV — ViT+BiT ensemble vs SAGA under four shield settings ({dataset} stand-in)",
+        f"Table IV — ViT+BiT ensemble vs SAGA under four shield settings ({dataset} stand-in); "
+        "reason: paper Table IV",
     )
     def _build(scale: str, overrides: dict[str, Any]) -> Scenario:
         overrides.setdefault("num_classes", DATASET_CLASSES[scale][dataset])
@@ -323,7 +343,10 @@ def _as_tuple(value) -> tuple:
     return tuple(value)
 
 
-@register_scenario("fig3_geometry", "Figure 3 — attack geometry on the 2-D toy problem")
+@register_scenario(
+    "fig3_geometry",
+    "Figure 3 — attack geometry on the 2-D toy problem; reason: paper Fig. 3",
+)
 def _fig3(scale: str, overrides: dict[str, Any]) -> Scenario:
     params = {"epsilon": 0.5, "step_size": 0.08, "steps": 12}
     params.update(overrides.pop("params", {}))
@@ -331,7 +354,10 @@ def _fig3(scale: str, overrides: dict[str, Any]) -> Scenario:
     return Scenario(name="fig3_geometry", kind="geometry", config=config, params=params)
 
 
-@register_scenario("fig4_saga_sample", "Figure 4 — SAGA on one sample per shield setting")
+@register_scenario(
+    "fig4_saga_sample",
+    "Figure 4 — SAGA on one sample per shield setting; reason: paper Fig. 4",
+)
 def _fig4(scale: str, overrides: dict[str, Any]) -> Scenario:
     params = {"sample_index": overrides.pop("sample_index", 0)}
     overrides.setdefault("ensemble_vit", "vit_l16" if scale != "tiny" else "vit_b32")
@@ -473,7 +499,11 @@ def _fl_scenario(
     return Scenario(name=name, kind="federated", config=config, params=params)
 
 
-@register_scenario("fl_fedavg", "Federated — FedAvg over the federation runtime (transport-parallel)")
+@register_scenario(
+    "fl_fedavg",
+    "Federated — FedAvg over the federation runtime; "
+    "reason: CI FL smoke, bench_fl_round_throughput.py",
+)
 def _fl_fedavg(scale: str, overrides: dict[str, Any]) -> Scenario:
     return _fl_scenario(
         "fl_fedavg",
@@ -490,7 +520,8 @@ def _fl_fedavg(scale: str, overrides: dict[str, Any]) -> Scenario:
 
 @register_scenario(
     "fl_robust_aggregation",
-    "Federated — trimmed-mean / median vs boosted model-poisoning clients",
+    "Federated — trimmed-mean / median vs boosted model-poisoning clients; reason: the "
+    "paper's abstract names poisoning the FL scheme's local data as a dissemination strategy",
 )
 def _fl_robust_aggregation(scale: str, overrides: dict[str, Any]) -> Scenario:
     return _fl_scenario(
@@ -509,7 +540,11 @@ def _fl_robust_aggregation(scale: str, overrides: dict[str, Any]) -> Scenario:
     )
 
 
-@register_scenario("fl_poisoning", "Federated — backdoor success vs poisoned-data fraction")
+@register_scenario(
+    "fl_poisoning",
+    "Federated — backdoor success vs poisoned-data fraction; reason: the paper's abstract "
+    "names poisoning the FL scheme's local data as a dissemination strategy",
+)
 def _fl_poisoning(scale: str, overrides: dict[str, Any]) -> Scenario:
     return _fl_scenario(
         "fl_poisoning",
@@ -525,7 +560,8 @@ def _fl_poisoning(scale: str, overrides: dict[str, Any]) -> Scenario:
 
 @register_scenario(
     "fl_thousand_clients",
-    "Federated — thousand-client rounds: streaming aggregation + delta-compressed envelopes",
+    "Federated — thousand-client rounds: streaming aggregation + delta-compressed envelopes; "
+    "reason: BENCHMARK.json fl_thousand_clients, CI FL scale smoke",
 )
 def _fl_thousand_clients(scale: str, overrides: dict[str, Any]) -> Scenario:
     # A small image size keeps the per-client model cheap: the scenario
@@ -549,7 +585,8 @@ def _fl_thousand_clients(scale: str, overrides: dict[str, Any]) -> Scenario:
 
 @register_scenario(
     "fl_shielded_global",
-    "Federated — attested TEE clients train the global model; PGD vs its shield",
+    "Federated — attested TEE clients train the global model; PGD vs its shield; "
+    "reason: the paper's FL deployment, BENCHMARK.json fl_sealed_training",
 )
 def _fl_shielded_global(scale: str, overrides: dict[str, Any]) -> Scenario:
     return _fl_scenario(
@@ -570,7 +607,8 @@ def _fl_shielded_global(scale: str, overrides: dict[str, Any]) -> Scenario:
 # --------------------------------------------------------------------------- #
 @register_scenario(
     "attack_budget_curve",
-    "Attack engine — success rate vs gradient-query budget (active-set vs fixed)",
+    "Attack engine — success rate vs gradient-query budget (active-set vs fixed); "
+    "reason: CI attack smoke, ROADMAP item 7 (captured attack backend)",
 )
 def _attack_budget_curve(scale: str, overrides: dict[str, Any]) -> Scenario:
     params = {
@@ -592,7 +630,8 @@ def _attack_budget_curve(scale: str, overrides: dict[str, Any]) -> Scenario:
 
 @register_scenario(
     "robustness_curve",
-    "Attack engine — attack success vs ε sweep, clear and shielded (any suite attack)",
+    "Attack engine — attack success vs ε sweep, clear and shielded (any suite attack); "
+    "reason: CI robustness-curve smoke",
 )
 def _robustness_curve(scale: str, overrides: dict[str, Any]) -> Scenario:
     params = {
@@ -681,7 +720,8 @@ def _serving_scenario(
 
 @register_scenario(
     "serving_throughput",
-    "Serving — dynamic micro-batching vs single-request throughput (captured vs eager parity)",
+    "Serving — dynamic micro-batching vs single-request throughput (captured vs eager parity); "
+    "reason: CI serving smoke, bench_serving_throughput.py",
 )
 def _serving_throughput(scale: str, overrides: dict[str, Any]) -> Scenario:
     return _serving_scenario("serving_throughput", "serving_throughput", scale, overrides)
@@ -689,7 +729,8 @@ def _serving_throughput(scale: str, overrides: dict[str, Any]) -> Scenario:
 
 @register_scenario(
     "serving_latency_slo",
-    "Serving — latency percentiles and SLO attainment across max-wait budgets",
+    "Serving — latency percentiles and SLO attainment across max-wait budgets; reason: "
+    "ROADMAP item 4 (the max-wait baseline a gateway batching policy must match)",
 )
 def _serving_latency_slo(scale: str, overrides: dict[str, Any]) -> Scenario:
     return _serving_scenario(
@@ -703,20 +744,18 @@ def _serving_latency_slo(scale: str, overrides: dict[str, Any]) -> Scenario:
 
 
 # --------------------------------------------------------------------------- #
-# Serving-gateway scenarios (virtual-clock simulation: tail latency, soak)
+# Serving-gateway scenario (virtual-clock simulation: tail latency)
 # --------------------------------------------------------------------------- #
 #: Gateway workload shape per scale.  ``requests`` is the open-loop arrival
-#: count per load point; ``num_sessions`` spans the paper-scale sealed-session
-#: population (10^4 at tiny through 10^6 at full).
+#: count per load point; ``num_sessions`` is the sealed-session population
+#: (10^4 at tiny through 10^6 at full).
 GATEWAY_SCALES: dict[str, dict[str, Any]] = {
     "tiny": dict(
         requests=1_500,
         num_sessions=10_000,
         max_batch=8,
         replicas=2,
-        max_replicas=4,
         loads=(0.5, 0.8, 1.05),
-        load=1.05,
         max_queue_depth=256,
         max_per_session=8,
     ),
@@ -725,9 +764,7 @@ GATEWAY_SCALES: dict[str, dict[str, Any]] = {
         num_sessions=100_000,
         max_batch=8,
         replicas=2,
-        max_replicas=6,
         loads=(0.5, 0.8, 0.95),
-        load=1.05,
         max_queue_depth=512,
         max_per_session=8,
     ),
@@ -736,9 +773,7 @@ GATEWAY_SCALES: dict[str, dict[str, Any]] = {
         num_sessions=1_000_000,
         max_batch=16,
         replicas=4,
-        max_replicas=12,
         loads=(0.5, 0.8, 0.95, 1.1),
-        load=1.1,
         max_queue_depth=1024,
         max_per_session=8,
     ),
@@ -753,24 +788,17 @@ _GATEWAY_PARAM_KEYS = frozenset(
         "max_batch",
         "max_wait_us",
         "replicas",
-        "max_replicas",
-        "autoscale",
         "loads",
-        "load",
         "policies",
         "slo_us",
         "slo_forward_multiple",
-        "attested_fraction",
         "max_queue_depth",
         "max_per_session",
         "gflops",
         "gate_load",
         "gate_attainment",
-        "trace",
     }
 )
-
-_GATEWAY_TUPLE_KEYS = frozenset({"loads", "policies"})
 
 
 def _gateway_scenario(
@@ -785,8 +813,6 @@ def _gateway_scenario(
     params["policies"] = ("continuous", "static")
     params["slo_us"] = None
     params["slo_forward_multiple"] = 4.0
-    params["attested_fraction"] = 1.0
-    params["autoscale"] = False
     params["gflops"] = 2.0
     params.update(defaults)
     for key in list(overrides):
@@ -803,7 +829,8 @@ def _gateway_scenario(
 
 @register_scenario(
     "serving_tail_latency",
-    "Gateway — p50/p99/p999 vs offered load, continuous vs static batching, SLO-gated",
+    "Gateway — p50/p99/p999 vs offered load, continuous vs static batching, SLO-gated; "
+    "reason: CI gateway smoke, bench_serving_gateway.py",
 )
 def _serving_tail_latency(scale: str, overrides: dict[str, Any]) -> Scenario:
     return _gateway_scenario(
@@ -817,22 +844,10 @@ def _serving_tail_latency(scale: str, overrides: dict[str, Any]) -> Scenario:
 
 
 @register_scenario(
-    "serving_soak",
-    "Gateway — sustained open-loop soak: admission shedding, autoscaling, conservation invariants",
+    "ablation_upsampling",
+    "Ablation — attacker upsampling substitutes vs a shielded BiT; "
+    "reason: bench_ablation_upsampling.py, ROADMAP item 1 (fitted-stem upsampler)",
 )
-def _serving_soak(scale: str, overrides: dict[str, Any]) -> Scenario:
-    return _gateway_scenario(
-        "serving_soak",
-        "serving_soak",
-        scale,
-        overrides,
-        autoscale=True,
-        attested_fraction=0.98,
-        policies=("continuous",),
-    )
-
-
-@register_scenario("ablation_upsampling", "Ablation — attacker upsampling substitutes vs a shielded BiT")
 def _ablation_upsampling(scale: str, overrides: dict[str, Any]) -> Scenario:
     params = {
         "model": overrides.pop("model", "bit_m_r101x3" if scale != "tiny" else "simple_cnn"),

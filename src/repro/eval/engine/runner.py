@@ -83,7 +83,6 @@ class ExperimentEngine:
             "serving_throughput": self._run_serving_throughput,
             "serving_latency": self._run_serving_latency,
             "serving_tail_latency": self._run_serving_tail_latency,
-            "serving_soak": self._run_serving_soak,
         }[scenario.kind]
         _LOGGER.info("running scenario %s (%s)", scenario.name, scenario.kind)
         start = time.perf_counter()
@@ -516,15 +515,9 @@ class ExperimentEngine:
         )
 
     def _gateway_policy(self, scenario: Scenario, policy: str, slo_us: float):
-        from repro.serve.gateway import AdmissionPolicy, AutoscalerPolicy, GatewayPolicy
+        from repro.serve.gateway import AdmissionPolicy, GatewayPolicy
 
         params = scenario.params
-        autoscaler = None
-        if params.get("autoscale"):
-            autoscaler = AutoscalerPolicy(
-                min_replicas=int(params["replicas"]),
-                max_replicas=int(params["max_replicas"]),
-            )
         return GatewayPolicy(
             policy=policy,
             max_batch=int(params["max_batch"]),
@@ -535,7 +528,6 @@ class ExperimentEngine:
                 max_queue_depth=int(params["max_queue_depth"]),
                 max_per_session=int(params["max_per_session"]),
             ),
-            autoscaler=autoscaler,
         )
 
     def _gateway_slo_us(self, scenario: Scenario, costs) -> float:
@@ -566,10 +558,7 @@ class ExperimentEngine:
             row = {"load": float(load), "offered_rps": workload.offered_rps}
             for policy in policies:
                 gateway = ServingGateway(costs, self._gateway_policy(scenario, policy, slo_us))
-                report = gateway.simulate(
-                    workload, attested_fraction=float(params["attested_fraction"])
-                )
-                metrics = report.metrics
+                metrics = gateway.simulate(workload).metrics
                 row[policy] = {
                     "p50_us": metrics["latency"]["p50_us"],
                     "p99_us": metrics["latency"]["p99_us"],
@@ -583,6 +572,15 @@ class ExperimentEngine:
                     "mean_batch_size": metrics["mean_batch_size"],
                     "continuous_joins": metrics["continuous_joins"],
                     "latency_digest": metrics["latency_digest"],
+                    "invariants": {
+                        "offered_equals_admitted_plus_shed": bool(
+                            metrics["offered"]
+                            == metrics["admitted"] + sum(metrics["shed"].values())
+                        ),
+                        "all_admitted_completed": bool(
+                            metrics["completed"] == metrics["admitted"]
+                        ),
+                    },
                 }
                 _LOGGER.info(
                     "tail latency load=%.2f policy=%s p99=%.0fus slo=%.1f%%",
@@ -629,59 +627,6 @@ class ExperimentEngine:
             "attainment_ok": bool(attainment_ok),
             "continuous_p99_beats_static": bool(p99_ok),
             "passed": bool(attainment_ok and p99_ok),
-        }
-
-    def _run_serving_soak(self, scenario: Scenario):
-        from repro.serve.gateway import ServingGateway, poisson_workload, trace_workload
-
-        params = scenario.params
-        costs = self._gateway_costs(scenario)
-        slo_us = self._gateway_slo_us(scenario, costs)
-        capacity = costs.capacity_rps(int(params["replicas"]), int(params["max_batch"]))
-        if params.get("trace"):
-            workload = trace_workload(
-                params["trace"],
-                num_sessions=int(params["num_sessions"]),
-                seed_name=f"gateway.{scenario.name}.trace",
-            )
-        else:
-            workload = poisson_workload(
-                rate_rps=float(params["load"]) * capacity,
-                requests=int(params["requests"]),
-                num_sessions=int(params["num_sessions"]),
-                seed_name=f"gateway.{scenario.name}.soak",
-            )
-        policy = str(tuple(params["policies"])[0])
-        gateway = ServingGateway(costs, self._gateway_policy(scenario, policy, slo_us))
-        report = gateway.simulate(
-            workload, attested_fraction=float(params["attested_fraction"])
-        )
-        metrics = report.metrics
-        shed_total = sum(metrics["shed"].values())
-        invariants = {
-            "offered_equals_admitted_plus_shed": bool(
-                metrics["offered"] == metrics["admitted"] + shed_total
-            ),
-            "all_admitted_completed": bool(metrics["completed"] == metrics["admitted"]),
-        }
-        _LOGGER.info(
-            "soak: %d offered, %d completed, shed=%s, %d scale events, invariants=%s",
-            metrics["offered"],
-            metrics["completed"],
-            metrics["shed"],
-            len(metrics["scale_events"]),
-            invariants,
-        )
-        return {
-            "model": params["model"],
-            "policy": policy,
-            "load": float(params["load"]),
-            "capacity_rps": capacity,
-            "slo_us": slo_us,
-            "num_sessions": int(params["num_sessions"]),
-            "replicas_final": report.replicas_final,
-            "metrics": metrics,
-            "invariants": invariants,
         }
 
     # ------------------------------------------------------------------ #

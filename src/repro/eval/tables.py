@@ -261,8 +261,6 @@ def render_run(record) -> str:
         return format_serving_latency(results)
     if kind == "serving_tail_latency":
         return format_serving_tail_latency(results)
-    if kind == "serving_soak":
-        return format_serving_soak(results)
     raise ValueError(f"cannot render unknown scenario kind {kind!r}")
 
 
@@ -383,33 +381,6 @@ def format_serving_tail_latency(results) -> str:
             f">= {gate.get('min_attainment', 0.0) * 100:.0f}% at {gate.get('load', 0.0):.2f}x load; "
             f"continuous p99 beats static at top load: {gate.get('continuous_p99_beats_static')}"
         )
-    return "\n".join(lines)
-
-
-def format_serving_soak(results) -> str:
-    """Render the gateway soak payload: shedding, autoscaling, invariants."""
-    metrics = results.get("metrics", {})
-    latency = metrics.get("latency", {})
-    lines = [
-        f"Serving soak — {results.get('model', '?')} "
-        f"[{results.get('policy', '?')}] at {results.get('load', 0.0):.2f}x capacity "
-        f"({results.get('num_sessions', 0):,} sealed sessions)",
-        f"  offered={metrics.get('offered', 0):,}  admitted={metrics.get('admitted', 0):,}  "
-        f"completed={metrics.get('completed', 0):,}  shed={metrics.get('shed', {})}",
-        f"  p50={latency.get('p50_us', 0.0) / 1000.0:.2f}ms  "
-        f"p99={latency.get('p99_us', 0.0) / 1000.0:.2f}ms  "
-        f"p999={latency.get('p999_us', 0.0) / 1000.0:.2f}ms  "
-        f"goodput={metrics.get('goodput_rps', 0.0):.1f} req/s  "
-        f"SLO={metrics.get('slo_attainment', 0.0) * 100:.1f}%",
-        f"  replicas: final={results.get('replicas_final', 0)} "
-        f"({len(metrics.get('scale_events', []))} scale event(s))  "
-        f"continuous joins={metrics.get('continuous_joins', 0):,}",
-    ]
-    invariants = results.get("invariants", {})
-    lines.append(
-        "  invariants: "
-        + "  ".join(f"{name}={bool(value)}" for name, value in sorted(invariants.items()))
-    )
     return "\n".join(lines)
 
 

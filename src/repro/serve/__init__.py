@@ -28,14 +28,12 @@ from repro.serve.batching import (
 )
 from repro.serve.gateway import (
     AdmissionPolicy,
-    AutoscalerPolicy,
     GatewayPolicy,
     GatewayReport,
     GatewayService,
     ServingGateway,
     calibrate_stage_costs,
     poisson_workload,
-    trace_workload,
 )
 from repro.serve.runtime import (
     ServingReplica,
@@ -52,7 +50,6 @@ from repro.serve.session import (
 
 __all__ = [
     "AdmissionPolicy",
-    "AutoscalerPolicy",
     "BatchingPolicy",
     "GatewayPolicy",
     "GatewayReport",
@@ -72,6 +69,5 @@ __all__ = [
     "ShieldedInferenceService",
     "calibrate_stage_costs",
     "poisson_workload",
-    "trace_workload",
     "uniform_workload",
 ]

@@ -3,9 +3,8 @@
 The gateway layers a deterministic, virtual-clock serving frontend on the
 micro-batching runtime: admission control after the sealed handshake
 (bounded queues, load shedding, per-session fairness), **continuous
-batching** at partition-stage boundaries, queue-depth-driven replica
-autoscaling with hysteresis, and an open-loop Poisson / trace load
-generator sized for 10^4–10^6 sealed sessions.
+batching** at partition-stage boundaries over a fixed replica pool, and an
+open-loop Poisson load generator.
 
 Quick start::
 
@@ -26,7 +25,6 @@ from repro.serve.gateway.admission import (
     AdmissionController,
     AdmissionPolicy,
 )
-from repro.serve.gateway.autoscaler import AutoscalerPolicy, ReplicaAutoscaler
 from repro.serve.gateway.continuous import (
     GATEWAY_POLICIES,
     GatewayCore,
@@ -37,16 +35,11 @@ from repro.serve.gateway.costs import StageCost, StageCostModel, calibrate_stage
 from repro.serve.gateway.events import EventLoop
 from repro.serve.gateway.gateway import GatewayReport, GatewayService, ServingGateway
 from repro.serve.gateway.latency import GatewayMetrics, LatencyHistogram
-from repro.serve.gateway.loadgen import (
-    OpenLoopWorkload,
-    poisson_workload,
-    trace_workload,
-)
+from repro.serve.gateway.loadgen import OpenLoopWorkload, poisson_workload
 
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
-    "AutoscalerPolicy",
     "EventLoop",
     "GATEWAY_POLICIES",
     "GatewayCore",
@@ -57,12 +50,10 @@ __all__ = [
     "GatewayService",
     "LatencyHistogram",
     "OpenLoopWorkload",
-    "ReplicaAutoscaler",
     "SHED_REASONS",
     "ServingGateway",
     "StageCost",
     "StageCostModel",
     "calibrate_stage_costs",
     "poisson_workload",
-    "trace_workload",
 ]

@@ -31,7 +31,6 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from repro.serve.gateway.admission import AdmissionController, AdmissionPolicy
-from repro.serve.gateway.autoscaler import AutoscalerPolicy, ReplicaAutoscaler
 from repro.serve.gateway.costs import StageCostModel
 from repro.serve.gateway.events import EventLoop
 from repro.serve.gateway.latency import GatewayMetrics
@@ -50,8 +49,6 @@ class GatewayPolicy:
     replicas: int = 1
     slo_us: float = 50_000.0
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    #: None disables autoscaling (fixed replica count).
-    autoscaler: AutoscalerPolicy | None = None
 
     def __post_init__(self):
         if self.policy not in GATEWAY_POLICIES:
@@ -107,25 +104,14 @@ class GatewayCore:
         self.stage_executor = stage_executor
         self.on_complete = on_complete
         self.queues: list[deque[GatewayRequest]] = [deque() for _ in costs.stages]
-        self.inflight = 0
-        self.arrivals_done = False
         self._cohort_ids = 0
-        # Continuous-mode replica pool: per-replica state + an id-ordered
-        # idle heap so dispatch order never depends on completion ties.
-        self._replica_state: dict[int, str] = {
-            index: "idle" for index in range(policy.replicas)
-        }
+        # Continuous-mode replica pool: an id-ordered idle heap over the
+        # fixed replica count, so dispatch order never depends on
+        # completion ties.
         self._idle: list[int] = list(range(policy.replicas))
-        self._next_replica = policy.replicas
         # Static-mode wave bookkeeping.
-        self._static_width = policy.replicas
         self._static_pending = 0
         self._static_wakeup_us = -1.0
-        self.autoscaler = (
-            ReplicaAutoscaler(policy.autoscaler) if policy.autoscaler is not None else None
-        )
-        if self.autoscaler is not None:
-            self.loop.after(policy.autoscaler.tick_us, self._tick)
 
     # ------------------------------------------------------------------ #
     # Intake
@@ -138,76 +124,12 @@ class GatewayCore:
             self.metrics.record_shed(reason)
             return reason
         self.metrics.admitted += 1
-        self.inflight += 1
         self.queues[0].append(request)
         if self.policy.policy == "continuous":
             self._dispatch()
         else:
             self._try_wave()
         return None
-
-    def finish_arrivals(self) -> None:
-        self.arrivals_done = True
-
-    def idle(self) -> bool:
-        return self.inflight == 0
-
-    # ------------------------------------------------------------------ #
-    # Replica pool (continuous)
-    # ------------------------------------------------------------------ #
-    def active_replicas(self) -> int:
-        if self.policy.policy == "static":
-            return self._static_width
-        return sum(1 for state in self._replica_state.values() if state != "retiring")
-
-    def _tick(self) -> None:
-        backlog = sum(len(queue) for queue in self.queues)
-        replicas = self.active_replicas()
-        desired = self.autoscaler.evaluate(self.loop.now_us, backlog, replicas)
-        if desired > replicas:
-            self._scale_up()
-        elif desired < replicas:
-            self._scale_down()
-        if not (self.arrivals_done and self.idle()):
-            self.loop.after(self.policy.autoscaler.tick_us, self._tick)
-        self.metrics.scale_events = list(self.autoscaler.events)
-
-    def _scale_up(self) -> None:
-        if self.policy.policy == "static":
-            self.loop.after(
-                self.policy.autoscaler.startup_us, self._static_replica_ready
-            )
-            return
-        replica = self._next_replica
-        self._next_replica += 1
-        self._replica_state[replica] = "starting"
-        self.loop.after(
-            self.policy.autoscaler.startup_us, lambda: self._replica_ready(replica)
-        )
-
-    def _static_replica_ready(self) -> None:
-        self._static_width += 1
-
-    def _replica_ready(self, replica: int) -> None:
-        if self._replica_state.get(replica) != "starting":
-            return
-        self._replica_state[replica] = "idle"
-        heappush(self._idle, replica)
-        self._dispatch()
-
-    def _scale_down(self) -> None:
-        if self.policy.policy == "static":
-            self._static_width = max(1, self._static_width - 1)
-            return
-        # Retire an idle replica when one exists, else the newest busy one
-        # (it finishes its cohort, then leaves).
-        if self._idle:
-            replica = heappop(self._idle)
-            self._replica_state.pop(replica, None)
-            return
-        busy = [r for r, state in self._replica_state.items() if state == "busy"]
-        if busy:
-            self._replica_state[max(busy)] = "retiring"
 
     # ------------------------------------------------------------------ #
     # Continuous batching
@@ -224,9 +146,6 @@ class GatewayCore:
             if stage_index is None:
                 return
             replica = heappop(self._idle)
-            if self._replica_state.get(replica) != "idle":
-                continue
-            self._replica_state[replica] = "busy"
             queue = self.queues[stage_index]
             cohort = [queue.popleft() for _ in range(min(self.policy.max_batch, len(queue)))]
             self._start_cohort(replica, stage_index, cohort)
@@ -243,11 +162,9 @@ class GatewayCore:
                 request.entry_size = size
             metrics.batches += 1
             metrics.batched_samples += size
-            # The continuous-batching event: these requests start executing
-            # while other cohorts are still in flight — under the static
-            # wave barrier they would wait for the whole wave to drain.
-            if any(state == "busy" for state in self._replica_state.values()):
-                metrics.continuous_joins += size
+            # Every member of an entry cohort counts as a join: it starts
+            # without waiting for a wave barrier to drain.
+            metrics.continuous_joins += size
         else:
             distinct = len({request.entry_cohort for request in cohort})
             metrics.continuous_joins += distinct - 1
@@ -276,12 +193,7 @@ class GatewayCore:
                 self._complete_request(request)
             else:
                 self.queues[request.stage].append(request)
-        state = self._replica_state.get(replica)
-        if state == "retiring":
-            self._replica_state.pop(replica, None)
-        elif state == "busy":
-            self._replica_state[replica] = "idle"
-            heappush(self._idle, replica)
+        heappush(self._idle, replica)
         self._dispatch()
 
     # ------------------------------------------------------------------ #
@@ -292,7 +204,7 @@ class GatewayCore:
             return
         queue = self.queues[0]
         batches: list[list[GatewayRequest]] = []
-        while queue and len(batches) < self._static_width:
+        while queue and len(batches) < self.policy.replicas:
             head = queue[0]
             if len(queue) >= self.policy.max_batch:
                 count = self.policy.max_batch
@@ -348,6 +260,5 @@ class GatewayCore:
         if latency_us <= self.policy.slo_us:
             metrics.within_slo += 1
         self.admission.release(request.session_key)
-        self.inflight -= 1
         if self.on_complete is not None:
             self.on_complete(request, latency_us)

@@ -1,11 +1,11 @@
 """Deterministic virtual-clock event loop for the serving gateway.
 
-The gateway never sleeps on the host clock: every arrival, batch cut, stage
-completion, replica provisioning delay and autoscaler tick is an event on a
-*virtual* microsecond clock, executed in strict ``(time, sequence)`` order.
-Two runs with the same workload therefore interleave identically — down to
-the byte — regardless of host load, thread count or wall-clock jitter, which
-is what makes the tail-latency numbers reproducible enough to gate CI on.
+The gateway never sleeps on the host clock: every arrival, batch cut and
+stage completion is an event on a *virtual* microsecond clock, executed in
+strict ``(time, sequence)`` order.  Two runs with the same workload therefore
+interleave identically — down to the byte — regardless of host load, thread
+count or wall-clock jitter, which is what makes the tail-latency numbers
+reproducible enough to gate CI on.
 
 Handlers are plain callables; an event scheduled *at the current time* runs
 after every already-scheduled event of that timestamp (FIFO within a tick).

@@ -3,13 +3,13 @@
 Two front doors over the same scheduling core
 (:class:`~repro.serve.gateway.continuous.GatewayCore`):
 
-* :class:`ServingGateway` — the **simulation**: an open-loop workload of up
-  to 10^6 requests over 10^4–10^6 sealed sessions flows through admission,
-  per-stage queues and replica autoscaling on the virtual clock, with stage
-  executions priced by the FLOP-calibrated
-  :class:`~repro.serve.gateway.costs.StageCostModel`.  No tensor work runs,
-  so offered-load sweeps finish in seconds and the resulting latency
-  histograms are bit-reproducible (same seed ⇒ same digest).
+* :class:`ServingGateway` — the **simulation**: an open-loop Poisson
+  workload flows through admission and per-stage queues onto a fixed
+  replica pool on the virtual clock, with stage executions priced by the
+  FLOP-calibrated :class:`~repro.serve.gateway.costs.StageCostModel`.  No
+  tensor work runs, so offered-load sweeps finish in seconds and the
+  resulting latency histograms are bit-reproducible (same seed ⇒ same
+  digest).
 
 * :class:`GatewayService` — the **real-execution mode**: actual
   :class:`~repro.serve.batching.InferenceRequest` payloads run through the
@@ -54,7 +54,6 @@ class GatewayReport:
     metrics: dict
     capacity_rps: float
     offered_rps: float
-    replicas_final: int
     stages: list[dict]
     replies: list[InferenceReply] = field(default_factory=list)
 
@@ -75,18 +74,17 @@ class GatewayReport:
             "policy": self.policy,
             "capacity_rps": self.capacity_rps,
             "offered_rps": self.offered_rps,
-            "replicas_final": self.replicas_final,
             "metrics": self.metrics,
             "stages": list(self.stages),
         }
 
 
-def _drain(loop: EventLoop, core: GatewayCore, offer_next, count: int) -> None:
-    """Pump ``count`` arrivals through the core, then run the loop dry.
+def _drain(loop: EventLoop, offer_next, count: int) -> None:
+    """Pump ``count`` arrivals through the loop, then run it dry.
 
     Arrivals are scheduled one ahead of the clock (an event chain instead of
-    10^6 pre-pushed heap entries), so the live heap stays proportional to the
-    in-flight population, not the workload size.
+    every arrival pre-pushed onto the heap), so the live heap stays
+    proportional to the in-flight population, not the workload size.
     """
     index = 0
 
@@ -94,16 +92,10 @@ def _drain(loop: EventLoop, core: GatewayCore, offer_next, count: int) -> None:
         nonlocal index
         here = index
         index += 1
-        if index < count:
-            offer_next(here, pump)
-        else:
-            offer_next(here, None)
-            core.finish_arrivals()
+        offer_next(here, pump if index < count else None)
 
     if count > 0:
         offer_next(-1, pump)
-    else:
-        core.finish_arrivals()
     loop.run()
 
 
@@ -120,19 +112,15 @@ class ServingGateway:
             self.policy.max_batch,
         )
 
-    def simulate(
-        self, workload: OpenLoopWorkload, attested_fraction: float = 1.0
-    ) -> GatewayReport:
+    def simulate(self, workload: OpenLoopWorkload) -> GatewayReport:
         """Run one open-loop workload to completion on the virtual clock.
 
-        ``attested_fraction`` bounds which session indices completed the
-        sealed handshake: arrivals on the rest are shed as ``unattested``
-        (the simulation's stand-in for clients that skipped attestation).
+        Every session of the workload counts as having completed the sealed
+        handshake; :class:`GatewayService` is where unattested requests shed.
         """
         loop = EventLoop()
         core = GatewayCore(loop, self.costs, self.policy)
-        attested = int(round(workload.num_sessions * float(attested_fraction)))
-        core.admission.attest_below(attested)
+        core.admission.attest_below(workload.num_sessions)
         arrival_us = workload.arrival_us
         session_index = workload.session_index
 
@@ -147,20 +135,17 @@ class ServingGateway:
             if pump is not None:
                 loop.at(float(arrival_us[previous + 1]), pump)
 
-        _drain(loop, core, offer, len(workload))
+        _drain(loop, offer, len(workload))
         return self._report(loop, core, workload.offered_rps)
 
     def _report(self, loop: EventLoop, core: GatewayCore, offered_rps: float) -> GatewayReport:
         metrics = core.metrics
         metrics.horizon_us = loop.now_us
-        if core.autoscaler is not None:
-            metrics.scale_events = list(core.autoscaler.events)
         report = GatewayReport(
             policy=self.policy.policy,
             metrics=metrics.as_dict(),
             capacity_rps=self.capacity_rps(),
             offered_rps=float(offered_rps),
-            replicas_final=core.active_replicas(),
             stages=self.costs.describe(),
         )
         _LOGGER.info(
@@ -326,7 +311,7 @@ class GatewayService:
                 loop.at(float(pending[previous + 1][2]), pump)
 
         with no_grad():
-            _drain(loop, core, offer, len(pending))
+            _drain(loop, offer, len(pending))
 
         metrics = core.metrics
         metrics.horizon_us = loop.now_us
@@ -339,7 +324,6 @@ class GatewayService:
             metrics=metrics.as_dict(),
             capacity_rps=costs.capacity_rps(self.policy.replicas, self.policy.max_batch),
             offered_rps=0.0,
-            replicas_final=core.active_replicas(),
             stages=self.partition.describe(),
             replies=ordered,
         )

@@ -112,7 +112,6 @@ class GatewayMetrics:
     continuous_joins: int = 0
     world_switches: int = 0
     boundary_time_us: float = 0.0
-    scale_events: list[dict] = field(default_factory=list)
     replica_busy_us: float = 0.0
     latency: LatencyHistogram = field(default_factory=LatencyHistogram)
 
@@ -141,7 +140,6 @@ class GatewayMetrics:
             "continuous_joins": self.continuous_joins,
             "world_switches": self.world_switches,
             "boundary_time_us": self.boundary_time_us,
-            "scale_events": list(self.scale_events),
             "latency": self.latency.percentiles(),
             "latency_digest": self.latency.digest(),
         }

@@ -1,23 +1,21 @@
-"""Open-loop load generation: Poisson and trace-file arrival processes.
+"""Open-loop load generation: a seeded Poisson arrival process.
 
 *Open loop* means arrivals never wait for the service: the generator draws
-the full arrival sequence up front from the offered rate (or a trace), and
-the gateway either keeps up or sheds.  That is the regime where tail
-latency means something — a closed-loop driver throttles itself exactly
-when the system is slow, hiding the queue growth a p999 is supposed to
-expose.
+the full arrival sequence up front from the offered rate, and the gateway
+either keeps up or sheds.  That is the regime where tail latency means
+something — a closed-loop driver throttles itself exactly when the system is
+slow, hiding the queue growth a p999 is supposed to expose.
 
 Requests carry only integers (arrival time, session index, payload index),
-so a million-request workload is three NumPy arrays, not a million Python
-objects.  Sessions model sealed clients: ``num_sessions`` spans the 10^4 to
-10^6 "simulated sealed sessions" range, with each request assigned a session
-by a seeded draw so per-session admission quotas see realistic collisions.
+so a workload is three NumPy arrays, not one Python object per request.
+Sessions model sealed clients: each request is assigned one of
+``num_sessions`` by a seeded draw, so per-session admission quotas see
+realistic collisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +30,7 @@ class OpenLoopWorkload:
     session_index: np.ndarray
     payload_index: np.ndarray
     num_sessions: int
-    #: Nominal offered rate (requests/s); 0 for trace workloads.
+    #: Nominal offered rate (requests/s).
     offered_rps: float = 0.0
 
     def __post_init__(self):
@@ -80,55 +78,4 @@ def poisson_workload(
         payload_index=payloads,
         num_sessions=max(num_sessions, 1),
         offered_rps=float(rate_rps),
-    )
-
-
-def trace_workload(
-    trace: str | Path | np.ndarray,
-    num_sessions: int | None = None,
-    num_payloads: int = 1,
-    seed_name: str = "gateway.trace",
-) -> OpenLoopWorkload:
-    """Workload from a recorded arrival trace.
-
-    ``trace`` is either an array of arrival times (µs) or a path to a text
-    file with one line per request: ``<arrival_us>`` or
-    ``<arrival_us> <session_index>``.  Session indices absent from the trace
-    are drawn with a seeded generator, like the Poisson path.
-    """
-    sessions: np.ndarray | None = None
-    if isinstance(trace, (str, Path)):
-        rows = []
-        for line in Path(trace).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(part) for part in line.split()])
-        if not rows:
-            raise ValueError(f"trace {trace} holds no arrivals")
-        arrival_us = np.array([row[0] for row in rows], dtype=np.float64)
-        if all(len(row) > 1 for row in rows):
-            sessions = np.array([int(row[1]) for row in rows], dtype=np.int64)
-    else:
-        arrival_us = np.asarray(trace, dtype=np.float64)
-    if len(arrival_us) == 0:
-        raise ValueError("trace holds no arrivals")
-    if np.any(np.diff(arrival_us) < 0):
-        raise ValueError("trace arrivals must be non-decreasing")
-    rng = np.random.default_rng(derive_seed(seed_name))
-    if sessions is None:
-        count = num_sessions if num_sessions is not None else 1
-        sessions = rng.integers(0, max(count, 1), size=len(arrival_us), dtype=np.int64)
-    resolved_sessions = (
-        int(num_sessions) if num_sessions is not None else int(sessions.max()) + 1
-    )
-    payloads = rng.integers(0, max(num_payloads, 1), size=len(arrival_us), dtype=np.int64)
-    span = arrival_us[-1] - arrival_us[0]
-    rate = (len(arrival_us) - 1) / (span / 1e6) if span > 0 else 0.0
-    return OpenLoopWorkload(
-        arrival_us=arrival_us,
-        session_index=sessions,
-        payload_index=payloads,
-        num_sessions=max(resolved_sessions, 1),
-        offered_rps=float(rate),
     )

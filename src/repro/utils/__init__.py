@@ -1,15 +1,13 @@
-"""Shared utilities: seeded RNG, configuration, logging, serialization, timing."""
+"""Shared utilities: seeded RNG, configuration, logging, serialization."""
 
 from repro.utils.config import ConfigError, config_from_dict, config_to_dict
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngRegistry, get_global_seed, get_rng, set_global_seed, spawn_rng
 from repro.utils.serialization import load_state, save_state
-from repro.utils.timing import Timer
 
 __all__ = [
     "ConfigError",
     "RngRegistry",
-    "Timer",
     "config_from_dict",
     "config_to_dict",
     "get_global_seed",

@@ -337,6 +337,23 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError):
             Scenario(name="x", kind="nope", config=ExperimentConfig())
 
+    @pytest.mark.parametrize("name", sorted(list_scenarios()))
+    def test_unknown_model_rejected_at_build(self, name):
+        scenario = build_scenario(name, scale="tiny")
+        if "model" in scenario.params:
+            variants = [{"model": "nope"}]
+        elif scenario.kind in ("ensemble", "saga_samples"):
+            variants = [{"ensemble_vit": "nope"}, {"ensemble_cnn": "nope"}]
+        else:
+            variants = [{"models": ("simple_cnn", "nope")}]
+        for overrides in variants:
+            with pytest.raises(KeyError, match="unknown model 'nope'"):
+                build_scenario(name, scale="tiny", **overrides)
+
+    def test_every_builtin_description_names_its_reason(self):
+        for name, description in list_scenarios().items():
+            assert "; reason: " in description, name
+
     def test_scalar_param_overrides_do_not_iterate_strings(self):
         sweep = build_scenario("robustness_curve", scale="tiny", epsilons=0.05)
         assert sweep.params["epsilons"] == (0.05,)

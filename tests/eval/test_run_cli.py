@@ -76,7 +76,6 @@ class TestCli:
         assert positions["engine"] < out.index("table3_cifar10") < positions["federated"]
         assert positions["federated"] < out.index("fl_fedavg") < positions["serving"]
         assert out.index("serving_tail_latency") > positions["serving"]
-        assert out.index("serving_soak") > positions["serving"]
 
     def test_cache_stats_on_empty_directory(self, tmp_path, capsys):
         assert main(["--cache-stats", "--results-dir", str(tmp_path)]) == 0
@@ -99,6 +98,19 @@ class TestCli:
         args = ["table3_cifar10", "--scale", "tiny", "--set", "attacks=pgdd", "--no-persist"]
         assert main(args) == 2
         assert "pgdd" in capsys.readouterr().err
+
+    def test_unknown_model_is_an_error_before_training(self, capsys, monkeypatch):
+        import repro.eval.engine.cache as cache_module
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a defender was trained for a rejected scenario")
+
+        monkeypatch.setattr(cache_module, "fit_classifier", no_training)
+        args = [
+            "table3_cifar10", "--scale", "tiny", "--set", "models=simple_cnn,nope", "--no-persist"
+        ]
+        assert main(args) == 2
+        assert "unknown model 'nope'" in capsys.readouterr().err
 
     def test_profile_keeps_the_cells_rows_at_the_default_backend(self, capsys, monkeypatch):
         # The op profiler only sees the calling process, so a profiled

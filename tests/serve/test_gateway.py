@@ -25,18 +25,15 @@ from repro.serve.batching import InferenceRequest
 from repro.serve.gateway import (
     AdmissionController,
     AdmissionPolicy,
-    AutoscalerPolicy,
     EventLoop,
     GatewayPolicy,
     GatewayService,
     LatencyHistogram,
-    ReplicaAutoscaler,
     SHED_REASONS,
     ServingGateway,
     StageCost,
     StageCostModel,
     poisson_workload,
-    trace_workload,
 )
 from repro.utils.rng import set_global_seed
 
@@ -165,21 +162,6 @@ class TestLoadGeneration:
         with pytest.raises(ValueError, match="requests"):
             poisson_workload(100.0, requests=0, num_sessions=1)
 
-    def test_trace_from_array_and_file(self, tmp_path):
-        arrivals = np.array([0.0, 100.0, 250.0, 600.0])
-        from_array = trace_workload(arrivals, num_sessions=4, seed_name="t.trace")
-        np.testing.assert_array_equal(from_array.arrival_us, arrivals)
-        path = tmp_path / "trace.txt"
-        path.write_text("# header\n0 1\n100 2\n250 1\n600 3\n")
-        from_file = trace_workload(path)
-        np.testing.assert_array_equal(from_file.arrival_us, arrivals)
-        assert list(from_file.session_index) == [1, 2, 1, 3]
-        assert from_file.num_sessions == 4
-
-    def test_trace_rejects_disorder(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            trace_workload(np.array([0.0, 50.0, 25.0]))
-
 
 # --------------------------------------------------------------------------- #
 # Admission control
@@ -229,49 +211,6 @@ class TestAdmissionControl:
         assert not controller.is_attested(None)
         controller.attest("named")
         assert controller.is_attested("named")
-
-
-# --------------------------------------------------------------------------- #
-# Autoscaler
-# --------------------------------------------------------------------------- #
-class TestAutoscaler:
-    _POLICY = AutoscalerPolicy(
-        min_replicas=1, max_replicas=4, high_watermark=8.0, low_watermark=1.0,
-        tick_us=1000.0, breach_ticks=2, cooldown_us=5000.0, startup_us=500.0,
-    )
-
-    def test_hysteresis_requires_consecutive_breaches(self):
-        scaler = ReplicaAutoscaler(self._POLICY)
-        assert scaler.evaluate(0.0, queue_depth=100, replicas=1) == 1
-        assert scaler.evaluate(1000.0, queue_depth=100, replicas=1) == 2
-        assert scaler.events[-1]["to"] == 2
-
-    def test_cooldown_holds_after_acting(self):
-        scaler = ReplicaAutoscaler(self._POLICY)
-        scaler.evaluate(0.0, 100, 1)
-        assert scaler.evaluate(1000.0, 100, 1) == 2
-        # Still breaching, but inside the cooldown window: hold.
-        assert scaler.evaluate(2000.0, 100, 2) == 2
-        assert scaler.evaluate(3000.0, 100, 2) == 2
-
-    def test_dead_band_never_scales(self):
-        scaler = ReplicaAutoscaler(self._POLICY)
-        for tick in range(10):
-            assert scaler.evaluate(tick * 1000.0, queue_depth=4, replicas=2) == 2
-        assert scaler.events == []
-
-    def test_scale_down_at_low_watermark(self):
-        scaler = ReplicaAutoscaler(self._POLICY)
-        assert scaler.evaluate(0.0, 0, 3) == 3
-        assert scaler.evaluate(1000.0, 0, 3) == 2
-
-    def test_bounds_are_respected(self):
-        scaler = ReplicaAutoscaler(self._POLICY)
-        assert scaler.evaluate(0.0, 1000, 4) == 4
-        assert scaler.evaluate(1000.0, 1000, 4) == 4  # already at max
-        scaler = ReplicaAutoscaler(self._POLICY)
-        assert scaler.evaluate(0.0, 0, 1) == 1
-        assert scaler.evaluate(1000.0, 0, 1) == 1  # already at min
 
 
 # --------------------------------------------------------------------------- #
@@ -332,20 +271,14 @@ class TestGatewaySimulation:
     def test_shed_accounting_conserves_requests(self):
         costs, workload = self._workload(load=1.5)
         policy = self._policy(admission=AdmissionPolicy(max_queue_depth=32, max_per_session=2))
-        report = ServingGateway(costs, policy).simulate(workload, attested_fraction=0.9)
+        report = ServingGateway(costs, policy).simulate(workload)
         metrics = report.metrics
         shed_total = sum(metrics["shed"].values())
         assert metrics["offered"] == len(workload)
         assert metrics["offered"] == metrics["admitted"] + shed_total
         assert metrics["completed"] == metrics["admitted"]
-        assert metrics["shed"]["unattested"] > 0
         assert metrics["shed"].get("queue_full", 0) > 0
-
-    def test_unattested_sessions_never_admit(self):
-        costs, workload = self._workload(load=0.5, requests=200)
-        report = ServingGateway(costs, self._policy()).simulate(workload, attested_fraction=0.0)
-        assert report.metrics["admitted"] == 0
-        assert report.metrics["shed"] == {"unattested": 200}
+        assert "unattested" not in metrics["shed"]
 
     def test_continuous_beats_static_p99_at_high_load(self):
         costs, workload = self._workload(load=0.95)
@@ -354,21 +287,6 @@ class TestGatewaySimulation:
         assert continuous.percentiles()["p99_us"] <= static.percentiles()["p99_us"]
         assert continuous.metrics["continuous_joins"] > 0
         assert static.metrics["continuous_joins"] == 0
-
-    def test_autoscaler_reacts_to_overload(self):
-        costs, workload = self._workload(load=2.0, requests=3000)
-        policy = self._policy(
-            replicas=1,
-            admission=AdmissionPolicy(max_queue_depth=4096, max_per_session=64),
-            autoscaler=AutoscalerPolicy(
-                min_replicas=1, max_replicas=4, high_watermark=8.0, low_watermark=0.5,
-                tick_us=10_000.0, breach_ticks=2, cooldown_us=50_000.0, startup_us=20_000.0,
-            ),
-        )
-        report = ServingGateway(costs, policy).simulate(workload)
-        assert report.metrics["scale_events"], "overload never triggered a scale event"
-        assert report.metrics["scale_events"][0]["to"] > report.metrics["scale_events"][0]["from"]
-        assert report.replicas_final >= 1
 
     def test_report_shape(self):
         costs, workload = self._workload(load=0.5, requests=300)
@@ -476,6 +394,25 @@ class TestGatewayServiceParity:
         assert report.metrics["shed"] == {"unattested": 1}
         assert service.sealed_requests == 0, "a shed ciphertext was decrypted"
         assert report.replies == []
+
+    def test_unattested_sessions_never_admit(self, rng):
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(policy="continuous", max_batch=4))
+        service.open_session("client-a")
+        inputs = rng.uniform(size=(6, 3, 8, 8))
+        # Odd requests come from a session that skipped open_session.
+        report = service.serve(
+            [InferenceRequest(request_id=i, payload=inputs[i], arrival_us=i * 50.0,
+                              session_id="client-a" if i % 2 == 0 else "client-b")
+             for i in range(6)]
+        )
+        metrics = report.metrics
+        assert metrics["offered"] == 6
+        assert metrics["admitted"] == 3
+        assert metrics["shed"] == {"unattested": 3}
+        assert metrics["completed"] == metrics["admitted"]
+        assert [reply.request_id for reply in report.replies] == [0, 2, 4]
+        assert [reply.session_id for reply in report.replies] == ["client-a"] * 3
 
     def test_clear_gateway_serves_without_sessions(self, rng):
         model = _model()

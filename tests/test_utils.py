@@ -1,4 +1,4 @@
-"""Tests for repro.utils (rng, config, serialization, timing, logging)."""
+"""Tests for repro.utils (rng, config, serialization, logging)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 from repro.utils import (
     ConfigError,
     RngRegistry,
-    Timer,
     config_from_dict,
     config_to_dict,
     get_logger,
@@ -96,27 +95,6 @@ class TestSerialization:
         assert set(loaded) == {"weight", "bias"}
         np.testing.assert_allclose(loaded["weight"], state["weight"])
         np.testing.assert_allclose(loaded["bias"], state["bias"])
-
-
-class TestTimer:
-    def test_accumulates_elapsed_time(self):
-        timer = Timer()
-        with timer:
-            sum(range(1000))
-        with timer:
-            sum(range(1000))
-        assert timer.calls == 2
-        assert timer.elapsed > 0.0
-        assert timer.mean > 0.0
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.calls == 0
-        assert timer.elapsed == 0.0
-        assert timer.mean == 0.0
 
 
 class TestLogging:
