@@ -4,8 +4,8 @@ Runs the ``serving_tail_latency`` scenario at bench scale: an open-loop
 Poisson workload over 10^5 sealed sessions pushed through the deterministic
 event-loop gateway at several fractions of saturation capacity, once under
 continuous batching (new admissions join in-flight work at partition-stage
-boundaries) and once under the static wave drainer (the PR-4 micro-batcher
-semantics, kept as the parity baseline).
+boundaries) and once under the static wave drainer (max-batch / max-wait
+waves, kept as the parity baseline).
 
 Three properties are asserted, matching the gateway acceptance bar:
 
@@ -16,10 +16,8 @@ Three properties are asserted, matching the gateway acceptance bar:
 * the simulation is **deterministic** — the latency histogram digest is
   byte-identical when the same seed and workload are replayed.
 
-The tail-latency numbers land in ``BENCH_serving.json`` next to the
-serving-throughput bench's metrics (same-SHA merge in
-``write_bench_trajectory``), extending the serving trajectory that
-``scripts/compare_bench.py`` gates CI on.
+The tail-latency numbers land in ``BENCH_serving.json``, the serving
+trajectory that ``scripts/compare_bench.py`` gates CI on.
 """
 
 from __future__ import annotations

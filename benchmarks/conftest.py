@@ -59,32 +59,16 @@ def write_bench_trajectory(area: str, metrics: dict) -> Path:
     The file pins the context a benchmark ran under (git SHA, cpu count,
     dtype) next to its normalized metrics, so consecutive revisions' files
     form a performance trajectory that ``scripts/compare_bench.py`` gates CI
-    on.
-
-    Several benches may contribute to the same area (the serving-throughput
-    and serving-gateway benches both feed ``BENCH_serving.json``): when the
-    existing file carries the *same* git SHA, the new metrics merge into it
-    rather than clobbering the other bench's numbers.  A file from an older
-    revision is replaced wholesale, so the trajectory never mixes SHAs.
+    on.  Each area has exactly one writing bench, so the file is replaced
+    wholesale.
     """
     path = REPO_ROOT / f"BENCH_{area}.json"
-    sha = _git_sha()
-    merged = {key: float(value) for key, value in metrics.items()}
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except (OSError, ValueError):
-            previous = {}
-        if previous.get("git_sha") == sha:
-            stale = dict(previous.get("metrics", {}))
-            stale.update(merged)
-            merged = stale
     record = {
         "area": area,
-        "git_sha": sha,
+        "git_sha": _git_sha(),
         "cpu_count": os.cpu_count() or 1,
         "dtype": str(get_default_dtype()),
-        "metrics": {key: float(value) for key, value in sorted(merged.items())},
+        "metrics": {key: float(value) for key, value in sorted(metrics.items())},
     }
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return path

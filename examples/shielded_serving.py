@@ -1,16 +1,17 @@
-"""Serve a PELTA-shielded defender to untrusted clients at batch speed.
+"""Serve a PELTA-shielded defender to untrusted clients through the gateway.
 
 The deployment story of the paper: a TEE-shielded model answers inference
 queries from clients that do not trust the hosting platform.  This example
-walks the serving runtime end to end:
+walks the serving gateway end to end:
 
 1. train a ViT defender through the artifact cache (re-runs train nothing);
-2. stand up a :class:`~repro.serve.ShieldedInferenceService` — the model's
-   stem runs enclave-resident as a partition stage, forwards replay through
-   the captured-graph cache, and queries are dynamically micro-batched;
-3. serve a constant-rate workload and compare against single-request
-   serving — same predictions, several times the throughput, a fraction of
-   the TEE world switches per request;
+2. stand up a :class:`~repro.serve.GatewayService` — the model's stem runs
+   enclave-resident as a partition stage, and admitted requests are
+   scheduled in cohorts that share one enclave entry/exit pair;
+3. serve the same 96 queries three ways — continuous batching, static
+   waves, and one request at a time — and compare wall-clock throughput and
+   TEE world switches per request; cohort members run row-wise, so the
+   logits are bit-identical across all three;
 4. open an attestation-gated session and round-trip a sealed query: the
    client verifies the enclave quote before any ciphertext flows.
 
@@ -19,11 +20,46 @@ Run with:  python examples/shielded_serving.py
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.eval.engine import ArtifactCache, ExperimentConfig
-from repro.serve import BatchingPolicy, ShieldedInferenceService, uniform_workload
+from repro.serve import AdmissionPolicy, GatewayPolicy, GatewayService, InferenceRequest
 from repro.utils import set_global_seed
+
+INTER_ARRIVAL_US = 150.0
+
+
+def _requests(inputs: np.ndarray, session_id: str) -> list[InferenceRequest]:
+    return [
+        InferenceRequest(
+            request_id=index,
+            payload=inputs[index],
+            arrival_us=index * INTER_ARRIVAL_US,
+            session_id=session_id,
+        )
+        for index in range(len(inputs))
+    ]
+
+
+def _serve(model, inputs: np.ndarray, label: str, **policy):
+    """One fresh gateway: calibrate on a short warm-up, then serve ``inputs``."""
+    admission = AdmissionPolicy(max_queue_depth=256, max_per_session=len(inputs))
+    service = GatewayService(model, GatewayPolicy(admission=admission, **policy))
+    service.open_session("client")
+    service.serve(_requests(inputs[:8], "client"))  # calibrates the stage costs
+    start = time.perf_counter()
+    report = service.serve(_requests(inputs, "client"))
+    seconds = time.perf_counter() - start
+    metrics = report.metrics
+    assert metrics["completed"] == len(inputs), metrics
+    print(
+        f"{label:<28} {len(inputs) / seconds:7.1f} req/s  "
+        f"{metrics['batches']:3d} stem cohorts (mean size {metrics['mean_batch_size']:.1f}), "
+        f"{metrics['world_switches'] / metrics['completed']:.2f} world switches/request"
+    )
+    return service, report
 
 
 def main() -> None:
@@ -43,44 +79,26 @@ def main() -> None:
     dataset = cache.get_dataset(config)
     inputs = dataset.test_images[:96]
 
-    # 2. The serving runtime -------------------------------------------------
-    policy = BatchingPolicy(max_batch=8, max_wait_us=4000.0)
-    workload = uniform_workload(inputs, inter_arrival_us=150.0)
-    service = ShieldedInferenceService(model, policy)
-    print("Stage partition:", service.replica.partition.describe())
-    service.serve(uniform_workload(inputs[:16], 150.0))  # warm the capture cache
-    batched = service.serve(workload)
-
-    # 3. Single-request serving for comparison (no batching, eager forwards) -
-    naive = ShieldedInferenceService(model, BatchingPolicy(max_batch=1), capture="eager")
-    single = naive.serve(uniform_workload(inputs, inter_arrival_us=150.0))
-
-    stats = batched.stats
-    print(
-        f"\nBatched:  {stats.throughput_rps:8.1f} req/s in {stats.batches} batches "
-        f"(mean size {stats.mean_batch_size:.1f}), "
-        f"{stats.world_switches_per_request:.2f} world switches/request, "
-        f"p95 latency {stats.latency_us_p95 / 1000.0:.2f} ms"
+    # 2-3. The same queries, three scheduling policies -----------------------
+    service, continuous = _serve(
+        model, inputs, "continuous (max_batch=8)", policy="continuous", max_batch=8
     )
-    print(
-        f"Single:   {single.stats.throughput_rps:8.1f} req/s, "
-        f"{single.stats.world_switches_per_request:.2f} world switches/request"
+    print("Stage partition:", continuous.stages)
+    _, static = _serve(model, inputs, "static (max_batch=8)", policy="static", max_batch=8)
+    _, single = _serve(
+        model, inputs, "one at a time (max_batch=1)", policy="continuous", max_batch=1, replicas=1
     )
-    print(
-        f"Speedup:  {stats.throughput_rps / single.stats.throughput_rps:.2f}x, "
-        f"predictions identical: "
-        f"{bool(np.array_equal(batched.predictions(), single.predictions()))}"
-    )
+    assert np.array_equal(continuous.logits(), static.logits())
+    assert np.array_equal(continuous.logits(), single.logits())
+    print("Logits bit-identical across the three policies: True")
 
     # 4. Attestation-gated sealed queries ------------------------------------
-    service = ShieldedInferenceService(model, policy)
     session = service.open_session("untrusting-client")
     print("\nSession attested: the client verified the serving enclave's quote.")
-    sealed_query = session.seal_query(inputs[0])
-    service.submit_sealed(0, sealed_query)
-    report = service.serve()
-    reply = report.replies[0]
+    service.submit_sealed(0, session.seal_query(inputs[0]))
+    reply = service.serve().replies[0]
     logits = session.open_reply(service.seal_reply(reply))
+    assert np.array_equal(logits, continuous.logits()[0])
     print(
         f"Sealed round trip ok: predicted class {reply.prediction} "
         f"(logits intact: {bool(np.array_equal(logits, reply.logits))})"

@@ -40,8 +40,6 @@ SECTIONS = {
     "attack_budget_curve": "attack_budget_curve",
     "robustness_curve": "robustness_curve",
     "federated": "fl_",
-    "serving_throughput": "serving_throughput",
-    "serving_latency_slo": "serving_latency_slo",
     "serving_tail_latency": "serving_tail_latency",
 }
 

@@ -26,12 +26,11 @@ attack hot path: defenders are frozen while being attacked).  It records from
 a private copy of the recording query's input, so replays never write into an
 array the caller still holds.
 
-The same classes serve the **grad-free inference** hot path of the serving
-runtime (:mod:`repro.serve`): a graph traced under ``no_grad`` still
-registers every op's ``forward_fn`` thunk but builds no tape, so its
-objective (the logits) does not require grad, and a replay reruns only the
-forward kernels.  Replayed logits are bit-identical to an eager forward of
-the same batch.
+The same classes replay **grad-free inference** graphs: a graph traced
+under ``no_grad`` still registers every op's ``forward_fn`` thunk but builds
+no tape, so its objective (the logits) does not require grad, and a replay
+reruns only the forward kernels.  Replayed logits are bit-identical to an
+eager forward of the same batch.
 """
 
 from __future__ import annotations
@@ -187,9 +186,7 @@ class TraceHandles:
     replay so that side-channel attributes set during the record-time forward
     pass (e.g. a shielded model's ``last_frontier``, an attention module's
     ``last_attention_weights``) point back at the recorded tensors, whose
-    buffers the replay refreshed in place.  ``on_replay`` (if set) runs after
-    every replay: the serving runtime uses it to re-charge the TEE boundary
-    crossings the recorded eager pass paid.
+    buffers the replay refreshed in place.
 
     The objective of a forward-only trace (built under ``no_grad``) is the
     output itself; it does not require grad, so no backward pass runs.
@@ -198,7 +195,6 @@ class TraceHandles:
     objective: Tensor
     input: Tensor
     rebinds: list[tuple[object, str, object]] = field(default_factory=list)
-    on_replay: Callable[[], None] | None = None
 
 
 class GraphRecording:
@@ -212,7 +208,6 @@ class GraphRecording:
         self.input = handles.input
         self.objective = handles.objective
         self.rebinds = list(handles.rebinds)
-        self.on_replay = handles.on_replay
         self.requires_grad = self.objective.requires_grad
         order = topological_order(self.objective)
         dependent: set[int] = {self.input.node_id}
@@ -268,8 +263,6 @@ class GraphRecording:
                 node.backward_fn(node.grad)
         for obj, attribute, value in self.rebinds:
             setattr(obj, attribute, value)
-        if self.on_replay is not None:
-            self.on_replay()
         self.replays += 1
         if profiler is not None:
             profiler.record("captured_replay", time.perf_counter() - started, 0, 0)
@@ -277,7 +270,6 @@ class GraphRecording:
             objective=self.objective,
             input=self.input,
             rebinds=self.rebinds,
-            on_replay=self.on_replay,
         )
 
 

@@ -13,9 +13,7 @@ interleaving secure and clear stages — is accounted correctly without
 touching the forward pass.
 
 The plan also records the crossing sequence of the last run
-(:class:`BoundaryCrossing` entries), which the serving runtime replays
-against the boundary when a captured forward is re-executed without running
-any stage code (see :mod:`repro.autodiff.capture`).
+(:class:`BoundaryCrossing` entries).
 """
 
 from __future__ import annotations
@@ -116,22 +114,3 @@ class ModelPartition:
         return StagedForwardResult(
             output=hidden, frontier=frontier, crossings=crossings, stage_outputs=stage_outputs
         )
-
-    def replay_crossings(self, crossings: list[BoundaryCrossing]) -> float:
-        """Charge a recorded crossing sequence to the boundary.
-
-        Used when a captured forward replays: no stage code runs, so the
-        world-switch costs the eager pass paid are re-charged explicitly,
-        keeping the boundary statistics identical between eager and captured
-        serving paths.  Returns the simulated time charged (µs).
-        """
-        if self.enclave is None or not crossings:
-            return 0.0
-        boundary = self.enclave.boundary
-        total = 0.0
-        for crossing in crossings:
-            if crossing.direction == "enter":
-                total += boundary.enter_secure_world(crossing.payload_bytes)
-            else:
-                total += boundary.exit_secure_world(crossing.payload_bytes)
-        return total

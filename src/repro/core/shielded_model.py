@@ -38,13 +38,11 @@ class ShieldedModel:
         self,
         model: ImageClassifier,
         enclave: Enclave | None = None,
-        accumulate_regions: bool = False,
     ):
         self.model = model
         self.enclave = enclave if enclave is not None else TrustZoneEnclave(
             name=f"{type(model).__name__.lower()}.enclave"
         )
-        self.accumulate_regions = accumulate_regions
         #: Staged execution plan: shield-target stages run inside the
         #: enclave, and every secure/clear stage edge charges the world
         #: boundary explicitly (see :mod:`repro.core.partition`).
@@ -71,8 +69,7 @@ class ShieldedModel:
         crossing back to the normal world is the *frontier* — the paper's
         shallowest clear layer, whose adjoint the attacker can still read.
         """
-        if not self.accumulate_regions:
-            self.enclave.flush_regions()
+        self.enclave.flush_regions()
         self.last_input = x
         result = self.partition.run(x)
         self.last_frontier = result.frontier

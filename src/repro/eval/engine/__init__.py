@@ -33,7 +33,6 @@ from repro.eval.engine.registry import (
     GATEWAY_SCALES,
     SCALES,
     SCENARIO_KINDS,
-    SERVING_SCALES,
     ExperimentConfig,
     Scenario,
     build_scenario,
@@ -72,7 +71,6 @@ __all__ = [
     "RunRecord",
     "SCALES",
     "SCENARIO_KINDS",
-    "SERVING_SCALES",
     "SHIELD_SETTINGS",
     "SagaSampleStudy",
     "Scenario",

@@ -91,8 +91,6 @@ SCENARIO_KINDS = (
     "federated",  # fl_*: federation-runtime workloads (FedAvg, robust agg, ...)
     "budget_curve",  # attack engine: success rate vs gradient-query budget
     "robustness_curve",  # attack engine: success rate vs ε sweep
-    "serving_throughput",  # serving runtime: batched vs single-request throughput
-    "serving_latency",  # serving runtime: latency percentiles vs SLO target
     "serving_tail_latency",  # gateway: p50/p99/p999 vs offered load, SLO-gated
 )
 
@@ -648,98 +646,6 @@ def _robustness_curve(scale: str, overrides: dict[str, Any]) -> Scenario:
     config = scaled_experiment_config(scale, dataset="cifar10", **overrides)
     return Scenario(
         name="robustness_curve", kind="robustness_curve", config=config, params=params
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Serving-runtime scenarios (partition staging, micro-batching, capture replay)
-# --------------------------------------------------------------------------- #
-#: Serving workload shape per scale (request count, arrival rate, batching).
-SERVING_SCALES: dict[str, dict[str, Any]] = {
-    "tiny": dict(
-        requests=24,
-        inter_arrival_us=200.0,
-        max_batch=4,
-        max_wait_us=2000.0,
-        sealed=2,
-    ),
-    "bench": dict(
-        requests=96,
-        inter_arrival_us=150.0,
-        max_batch=8,
-        max_wait_us=4000.0,
-        sealed=4,
-    ),
-    "full": dict(
-        requests=512,
-        inter_arrival_us=100.0,
-        max_batch=16,
-        max_wait_us=8000.0,
-        sealed=16,
-    ),
-}
-
-#: Every parameter the serving runners consume; overrides naming one of these
-#: route to the scenario params, never to the ExperimentConfig.
-_SERVING_PARAM_KEYS = frozenset(
-    {
-        "model",
-        "requests",
-        "inter_arrival_us",
-        "max_batch",
-        "max_wait_us",
-        "capture",
-        "sealed",
-        "target_us",
-        "waits",
-    }
-)
-
-_SERVING_TUPLE_KEYS = frozenset({"waits"})
-
-
-def _serving_scenario(
-    name: str, kind: str, scale: str, overrides: dict[str, Any], **defaults
-) -> Scenario:
-    params = dict(SERVING_SCALES[scale])
-    # ViTs batch superbly on this substrate (stacked matmuls); the im2col
-    # convolutions of the CNN families do not, so the serving presets default
-    # to the ViT members (any zoo model still serves via --set model=...).
-    params["model"] = "vit_b32" if scale != "tiny" else "simple_cnn"
-    params["capture"] = "captured"
-    params.update(defaults)
-    for key in list(overrides):
-        if key in params or key in _SERVING_PARAM_KEYS:
-            value = overrides.pop(key)
-            if key in _SERVING_TUPLE_KEYS:
-                value = tuple(float(item) for item in _as_tuple(value))
-            params[key] = value
-    config = scaled_experiment_config(scale, dataset="cifar10", **overrides)
-    return Scenario(name=name, kind=kind, config=config, params=params)
-
-
-@register_scenario(
-    "serving_throughput",
-    "Serving — dynamic micro-batching vs single-request throughput (captured vs eager parity); "
-    "reason: CI serving smoke, bench_serving_throughput.py",
-)
-def _serving_throughput(scale: str, overrides: dict[str, Any]) -> Scenario:
-    return _serving_scenario("serving_throughput", "serving_throughput", scale, overrides)
-
-
-@register_scenario(
-    "serving_latency_slo",
-    "Serving — latency percentiles and SLO attainment across max-wait budgets; reason: "
-    "ROADMAP item 4 (the max-wait baseline a gateway batching policy must match)",
-)
-def _serving_latency_slo(scale: str, overrides: dict[str, Any]) -> Scenario:
-    return _serving_scenario(
-        "serving_latency_slo",
-        "serving_latency",
-        scale,
-        overrides,
-        target_us=50_000.0,
-        waits=(0.0, 2000.0, 8000.0),
     )
 
 

@@ -80,8 +80,6 @@ class ExperimentEngine:
             "federated": self._run_federated,
             "budget_curve": self._run_budget_curve,
             "robustness_curve": self._run_robustness_curve,
-            "serving_throughput": self._run_serving_throughput,
-            "serving_latency": self._run_serving_latency,
             "serving_tail_latency": self._run_serving_tail_latency,
         }[scenario.kind]
         _LOGGER.info("running scenario %s (%s)", scenario.name, scenario.kind)
@@ -368,128 +366,6 @@ class ExperimentEngine:
         return sorted(rows, key=lambda row: row["epsilon"])
 
     # ------------------------------------------------------------------ #
-    # Serving-runtime scenarios
-    # ------------------------------------------------------------------ #
-    def _serving_setup(self, scenario: Scenario):
-        """Trained defender plus the request-payload array for the workload."""
-        params = scenario.params
-        model = self.cache.get_defender(params["model"], scenario.config)
-        dataset = self.cache.get_dataset(scenario.config)
-        requests = int(params["requests"])
-        images = dataset.test_images
-        repeats = -(-requests // len(images))  # ceil division
-        inputs = np.concatenate([images] * repeats, axis=0)[:requests]
-        return model, inputs
-
-    @staticmethod
-    def _serve_workload(
-        model, scenario: Scenario, inputs, max_batch: int, capture: str, sealed: int | None = None
-    ):
-        """One serving run: fresh service, capture warm-up, measured serve."""
-        # Deferred import: repro.serve pulls the fl runtime (and through it
-        # this package) back in — same cycle guard as _run_federated.
-        from repro.serve import BatchingPolicy, ShieldedInferenceService, uniform_workload
-
-        params = scenario.params
-        policy = BatchingPolicy(
-            max_batch=max_batch, max_wait_us=float(params["max_wait_us"])
-        )
-        inter_arrival = float(params["inter_arrival_us"])
-        service = ShieldedInferenceService(model, policy, capture=capture)
-        # Warm-up outside the measured region: the replica must see each
-        # batch shape twice (the capture backend records lazily on the
-        # second sighting), so cover two full batches.
-        warm_count = 2 * policy.max_batch
-        repeats = -(-warm_count // len(inputs))
-        warm = np.concatenate([inputs] * repeats, axis=0)[:warm_count]
-        service.serve(uniform_workload(warm, inter_arrival))
-        report = service.serve(uniform_workload(inputs, inter_arrival))
-        sealed = int(params.get("sealed", 0)) if sealed is None else int(sealed)
-        sealed_ok = True
-        if sealed and service.sessions is not None:
-            session = service.open_session("serving.client", seed=0)
-            for index in range(sealed):
-                payload = inputs[index % len(inputs)]
-                service.submit_sealed(index, session.seal_query(payload))
-            sealed_report = service.serve()
-            for reply in sealed_report.replies:
-                opened = session.open_reply(service.seal_reply(reply))
-                sealed_ok = sealed_ok and bool(np.array_equal(opened, reply.logits))
-        return report, {"requests": sealed, "roundtrip_ok": sealed_ok}
-
-    def _run_serving_throughput(self, scenario: Scenario):
-        params = scenario.params
-        model, inputs = self._serving_setup(scenario)
-        max_batch = int(params["max_batch"])
-        capture = str(params["capture"])
-        batched, sealed = self._serve_workload(model, scenario, inputs, max_batch, capture)
-        # The baseline is the pre-serving path: one eager forward per query,
-        # no batching, no capture.  The captured single-request run isolates
-        # how much of the speedup batching adds on top of replay alone.
-        # Only the headline run exercises the sealed-session round trip.
-        single, _ = self._serve_workload(model, scenario, inputs, 1, "eager", sealed=0)
-        single_captured, _ = self._serve_workload(model, scenario, inputs, 1, capture, sealed=0)
-        eager, _ = self._serve_workload(model, scenario, inputs, max_batch, "eager", sealed=0)
-        speedup = batched.stats.throughput_rps / max(single.stats.throughput_rps, 1e-9)
-        _LOGGER.info(
-            "serving throughput: batched %.1f rps vs single-request %.1f rps (%.2fx)",
-            batched.stats.throughput_rps,
-            single.stats.throughput_rps,
-            speedup,
-        )
-        return {
-            "model": params["model"],
-            "partition": batched.partition,
-            "batched": batched.stats.as_dict(),
-            "single": single.stats.as_dict(),
-            "single_captured": single_captured.stats.as_dict(),
-            "batched_eager": eager.stats.as_dict(),
-            "speedup": speedup,
-            "batching_only_speedup": batched.stats.throughput_rps
-            / max(single_captured.stats.throughput_rps, 1e-9),
-            "parity": {
-                "batched_vs_single": bool(
-                    np.array_equal(batched.predictions(), single.predictions())
-                ),
-                "captured_vs_eager": bool(np.array_equal(batched.logits(), eager.logits())),
-            },
-            "world_switches_per_request": {
-                "batched": batched.stats.world_switches_per_request,
-                "single": single.stats.world_switches_per_request,
-            },
-            "sealed": sealed,
-        }
-
-    def _run_serving_latency(self, scenario: Scenario):
-        from dataclasses import replace as dc_replace
-
-        params = scenario.params
-        model, inputs = self._serving_setup(scenario)
-        target_us = float(params["target_us"])
-        rows = []
-        for wait in params["waits"]:
-            sweep = dc_replace(
-                scenario, params={**dict(params), "max_wait_us": float(wait), "sealed": 0}
-            )
-            report, _ = self._serve_workload(
-                model, sweep, inputs, int(params["max_batch"]), str(params["capture"])
-            )
-            latencies = report.latencies_us()
-            rows.append(
-                {
-                    "max_wait_us": float(wait),
-                    "throughput_rps": report.stats.throughput_rps,
-                    "mean_batch_size": report.stats.mean_batch_size,
-                    "latency_us_p50": report.stats.latency_us_p50,
-                    "latency_us_p95": report.stats.latency_us_p95,
-                    "latency_us_p99": report.stats.latency_us_p99,
-                    "slo_attainment": float((latencies <= target_us).mean()),
-                    "world_switches_per_request": report.stats.world_switches_per_request,
-                }
-            )
-        return {"model": params["model"], "target_us": target_us, "sweep": rows}
-
-    # ------------------------------------------------------------------ #
     # Serving-gateway scenarios (virtual-clock simulation)
     # ------------------------------------------------------------------ #
     def _gateway_costs(self, scenario: Scenario):
@@ -570,7 +446,6 @@ class ExperimentEngine:
                     "shed_rate": metrics["shed_rate"],
                     "shed": metrics["shed"],
                     "mean_batch_size": metrics["mean_batch_size"],
-                    "continuous_joins": metrics["continuous_joins"],
                     "latency_digest": metrics["latency_digest"],
                     "invariants": {
                         "offered_equals_admitted_plus_shed": bool(

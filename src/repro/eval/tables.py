@@ -255,10 +255,6 @@ def render_run(record) -> str:
         return format_budget_curve(results)
     if kind == "robustness_curve":
         return format_robustness_curve(results)
-    if kind == "serving_throughput":
-        return format_serving_throughput(results)
-    if kind == "serving_latency":
-        return format_serving_latency(results)
     if kind == "serving_tail_latency":
         return format_serving_tail_latency(results)
     raise ValueError(f"cannot render unknown scenario kind {kind!r}")
@@ -285,68 +281,6 @@ def format_budget_curve(results) -> str:
                     f"active={point['active']:>4}  "
                     f"success={point['success_rate'] * 100:5.1f}%"
                 )
-    return "\n".join(lines)
-
-
-def format_serving_throughput(results) -> str:
-    """Render the serving_throughput payload: batched vs single + parity."""
-    stages = "/".join(
-        f"{entry['stage']}{'*' if entry['secure'] else ''}"
-        for entry in results.get("partition", [])
-    )
-    lines = [
-        f"Serving throughput — {results.get('model', '?')} "
-        f"(stages {stages}; * = enclave-resident)"
-    ]
-    for mode, label in (
-        ("batched", "batched (captured)"),
-        ("single_captured", "single (captured)"),
-        ("single", "single (eager)"),
-    ):
-        stats = results.get(mode)
-        if not stats:
-            continue
-        lines.append(
-            f"  {label:<19} {stats['throughput_rps']:>9.1f} req/s  "
-            f"batches={stats['batches']:>4} (mean size {stats['mean_batch_size']:.1f}, "
-            f"{stats['padded_slots']} padded)  "
-            f"switches/req={stats['world_switches_per_request']:.2f}"
-        )
-    parity = results.get("parity", {})
-    lines.append(
-        f"  speedup vs single-request serving: {results.get('speedup', 0.0):.2f}x "
-        f"({results.get('batching_only_speedup', 0.0):.2f}x from batching alone)  "
-        f"parity: batched-vs-single={parity.get('batched_vs_single')} "
-        f"captured-vs-eager={parity.get('captured_vs_eager')}"
-    )
-    sealed = results.get("sealed", {})
-    if sealed.get("requests"):
-        lines.append(
-            f"  sealed sessions: {sealed['requests']} quer"
-            f"{'y' if sealed['requests'] == 1 else 'ies'} "
-            f"round-tripped ok={sealed['roundtrip_ok']}"
-        )
-    return "\n".join(lines)
-
-
-def format_serving_latency(results) -> str:
-    """Render the serving_latency payload: percentile sweep vs the SLO."""
-    target = results.get("target_us", 0.0)
-    lines = [
-        f"Serving latency — {results.get('model', '?')} "
-        f"(SLO target {target / 1000.0:.1f} ms)"
-    ]
-    for row in results.get("sweep", []):
-        lines.append(
-            f"  wait={row['max_wait_us'] / 1000.0:>5.1f}ms  "
-            f"{row['throughput_rps']:>8.1f} req/s  "
-            f"batch={row['mean_batch_size']:.1f}  "
-            f"p50={row['latency_us_p50'] / 1000.0:6.2f}ms "
-            f"p95={row['latency_us_p95'] / 1000.0:6.2f}ms "
-            f"p99={row['latency_us_p99'] / 1000.0:6.2f}ms  "
-            f"SLO={row['slo_attainment'] * 100:5.1f}%  "
-            f"switches/req={row['world_switches_per_request']:.2f}"
-        )
     return "\n".join(lines)
 
 

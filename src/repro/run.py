@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list:
         # Group by subsystem: the attack/eval engine scenarios, the
-        # federation runtime, and the serving stack (runtime + gateway).
+        # federation runtime, and the serving gateway.
         groups: dict[str, list[dict]] = {"engine": [], "federated": [], "serving": []}
         for row in scenario_catalog():
             if row["kind"] == "federated":

@@ -1,31 +1,27 @@
-"""Shielded inference serving runtime.
+"""Shielded inference serving gateway.
 
 The deployment story of the paper — a TEE-shielded defender answering
-untrusted inference queries — as a serving stack: partition-staged models
-(enclave-resident stem, normal-world trunk, per-crossing cost accounting),
-dynamic micro-batching with padding to captured shapes, grad-free
-captured-forward replay on one in-process replica, and attestation-gated
-sealed query sessions.
+untrusted inference queries — as one serving path: a partition-staged model
+(enclave-resident stem, normal-world trunk, per-crossing cost accounting)
+behind attestation-gated sealed query sessions, scheduled by the
+continuous-batching :class:`~repro.serve.gateway.GatewayService`.  Cohort
+members execute row-wise, so every reply's logits are bit-identical to a
+single-request eager forward whatever the scheduling policy.
 
 Quick start::
 
-    from repro.serve import BatchingPolicy, ShieldedInferenceService, uniform_workload
+    from repro.serve import GatewayPolicy, GatewayService, InferenceRequest
 
-    service = ShieldedInferenceService(model, BatchingPolicy(max_batch=8))
-    report = service.serve(uniform_workload(test_images, inter_arrival_us=500))
-    report.predictions()          # one per request, arrival order
-    report.stats.throughput_rps   # measured
-    report.stats.world_switches_per_request
+    service = GatewayService(model, GatewayPolicy(policy="continuous", max_batch=8))
+    session = service.open_session("client")
+    for index, image in enumerate(test_images):
+        service.submit_sealed(index, session.seal_query(image), arrival_us=500.0 * index)
+    report = service.serve()
+    report.predictions()                 # one per admitted request, arrival order
+    report.metrics["world_switches"]     # one enter/exit pair per stem cohort
 """
 
-from repro.serve.batching import (
-    BatchingPolicy,
-    InferenceReply,
-    InferenceRequest,
-    MicroBatch,
-    MicroBatcher,
-    uniform_workload,
-)
+from repro.serve.batching import InferenceReply, InferenceRequest
 from repro.serve.gateway import (
     AdmissionPolicy,
     GatewayPolicy,
@@ -34,12 +30,6 @@ from repro.serve.gateway import (
     ServingGateway,
     calibrate_stage_costs,
     poisson_workload,
-)
-from repro.serve.runtime import (
-    ServingReplica,
-    ServingReport,
-    ServingStats,
-    ShieldedInferenceService,
 )
 from repro.serve.session import (
     SealedQuery,
@@ -50,24 +40,16 @@ from repro.serve.session import (
 
 __all__ = [
     "AdmissionPolicy",
-    "BatchingPolicy",
     "GatewayPolicy",
     "GatewayReport",
     "GatewayService",
     "InferenceReply",
     "InferenceRequest",
-    "MicroBatch",
-    "MicroBatcher",
     "SealedQuery",
     "SealedReply",
     "ServingGateway",
-    "ServingReplica",
-    "ServingReport",
     "ServingSession",
-    "ServingStats",
     "SessionManager",
-    "ShieldedInferenceService",
     "calibrate_stage_costs",
     "poisson_workload",
-    "uniform_workload",
 ]

@@ -1,10 +1,10 @@
 """Continuous-batching serving gateway with open-loop load generation.
 
-The gateway layers a deterministic, virtual-clock serving frontend on the
-micro-batching runtime: admission control after the sealed handshake
-(bounded queues, load shedding, per-session fairness), **continuous
-batching** at partition-stage boundaries over a fixed replica pool, and an
-open-loop Poisson load generator.
+The gateway is a deterministic, virtual-clock serving frontend over a
+partition-staged (optionally shielded) model: admission control after the
+sealed handshake (bounded queues, load shedding, per-session fairness),
+**continuous batching** at partition-stage boundaries over a fixed replica
+pool, and an open-loop Poisson load generator.
 
 Quick start::
 

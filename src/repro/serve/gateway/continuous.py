@@ -11,8 +11,8 @@ Two policies share one event-driven core:
   entire forward to drain.  Service quanta are single stages, so head-of-line
   blocking is bounded by one stage, not one forward.
 
-* ``static`` — the PR-4 wave drainer's semantics on the same virtual clock,
-  kept as the parity baseline: batches are cut from the arrival queue by the
+* ``static`` — a wave drainer on the same virtual clock, kept as the
+  parity baseline: batches are cut from the arrival queue by the
   max-batch / max-wait rule, dispatched one per replica in a *wave*, and the
   next wave starts only when the whole previous wave finished.
 
@@ -20,7 +20,8 @@ The core itself never touches tensors: service times come from the
 :class:`~repro.serve.gateway.costs.StageCostModel`, so a pure simulation can
 push 10^5+ requests per second of host time.  A ``stage_executor`` hook lets
 the real-execution mode run actual partition stages for each cohort — same
-scheduler, same accounting, real logits.
+scheduler, same accounting, real logits — and reject the members whose sealed
+query does not open, which leave their cohort before it is priced.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class GatewayRequest:
         "session_key",
         "arrival_us",
         "stage",
-        "entry_cohort",
         "entry_size",
         "payload",
         "value",
@@ -78,7 +78,6 @@ class GatewayRequest:
         self.session_key = session_key
         self.arrival_us = float(arrival_us)
         self.stage = 0
-        self.entry_cohort = -1
         self.entry_size = 0
         self.payload = payload
         self.value = None
@@ -93,7 +92,7 @@ class GatewayCore:
         costs: StageCostModel,
         policy: GatewayPolicy,
         admission: AdmissionController | None = None,
-        stage_executor: Callable[[int, list[GatewayRequest]], None] | None = None,
+        stage_executor: Callable[[int, list[GatewayRequest]], list[GatewayRequest]] | None = None,
         on_complete: Callable[[GatewayRequest, float], None] | None = None,
     ):
         self.loop = loop
@@ -104,7 +103,6 @@ class GatewayCore:
         self.stage_executor = stage_executor
         self.on_complete = on_complete
         self.queues: list[deque[GatewayRequest]] = [deque() for _ in costs.stages]
-        self._cohort_ids = 0
         # Continuous-mode replica pool: an id-ordered idle heap over the
         # fixed replica count, so dispatch order never depends on
         # completion ties.
@@ -151,23 +149,19 @@ class GatewayCore:
             self._start_cohort(replica, stage_index, cohort)
 
     def _start_cohort(self, replica: int, stage_index: int, cohort: list[GatewayRequest]) -> None:
+        self._execute(stage_index, cohort)
+        if not cohort:
+            # Every member was rejected: the replica is free at once.
+            self.loop.after(0.0, lambda: self._complete_cohort(replica, cohort))
+            return
         size = len(cohort)
         metrics = self.metrics
         metrics.stage_executions += 1
         if stage_index == 0:
-            cohort_id = self._cohort_ids
-            self._cohort_ids += 1
             for request in cohort:
-                request.entry_cohort = cohort_id
                 request.entry_size = size
             metrics.batches += 1
             metrics.batched_samples += size
-            # Every member of an entry cohort counts as a join: it starts
-            # without waiting for a wave barrier to drain.
-            metrics.continuous_joins += size
-        else:
-            distinct = len({request.entry_cohort for request in cohort})
-            metrics.continuous_joins += distinct - 1
         service_us = self.costs.stage(stage_index).service_us(size)
         switches, crossing_us = self.costs.stage_crossings(stage_index, size)
         out_bytes = (
@@ -182,8 +176,6 @@ class GatewayCore:
         metrics.boundary_time_us += crossing_us
         total_us = service_us + crossing_us
         metrics.replica_busy_us += total_us
-        if self.stage_executor is not None:
-            self.stage_executor(stage_index, cohort)
         self.loop.after(total_us, lambda: self._complete_cohort(replica, cohort))
 
     def _complete_cohort(self, replica: int, cohort: list[GatewayRequest]) -> None:
@@ -197,7 +189,7 @@ class GatewayCore:
         self._dispatch()
 
     # ------------------------------------------------------------------ #
-    # Static waves (the PR-4 drainer's semantics)
+    # Static waves
     # ------------------------------------------------------------------ #
     def _try_wave(self) -> None:
         if self._static_pending > 0:
@@ -224,6 +216,11 @@ class GatewayCore:
             self._start_static_batch(batch)
 
     def _start_static_batch(self, batch: list[GatewayRequest]) -> None:
+        for stage_index in range(len(self.costs.stages)):
+            self._execute(stage_index, batch)
+        if not batch:
+            self.loop.after(0.0, lambda: self._complete_static_batch(batch))
+            return
         size = len(batch)
         metrics = self.metrics
         metrics.batches += 1
@@ -236,9 +233,6 @@ class GatewayCore:
         metrics.boundary_time_us += crossing_us
         total_us = self.costs.forward_us(size)
         metrics.replica_busy_us += total_us
-        if self.stage_executor is not None:
-            for stage_index in range(len(self.costs.stages)):
-                self.stage_executor(stage_index, batch)
         self.loop.after(total_us, lambda: self._complete_static_batch(batch))
 
     def _complete_static_batch(self, batch: list[GatewayRequest]) -> None:
@@ -250,8 +244,21 @@ class GatewayCore:
             self._try_wave()
 
     # ------------------------------------------------------------------ #
-    # Completion
+    # Real execution and completion
     # ------------------------------------------------------------------ #
+    def _execute(self, stage_index: int, cohort: list[GatewayRequest]) -> None:
+        """Run one stage of a cohort through the executor, if there is one.
+
+        The executor removes (in place) and returns the members it could not
+        open; each is rejected here before any cost is priced, so the cohort
+        that is charged is the cohort that ran.
+        """
+        if self.stage_executor is None:
+            return
+        for request in self.stage_executor(stage_index, cohort):
+            self.metrics.rejected += 1
+            self.admission.release(request.session_key)
+
     def _complete_request(self, request: GatewayRequest) -> None:
         latency_us = self.loop.now_us - request.arrival_us
         metrics = self.metrics

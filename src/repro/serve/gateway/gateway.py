@@ -39,8 +39,10 @@ from repro.serve.gateway.admission import AdmissionController
 from repro.serve.gateway.continuous import GatewayCore, GatewayPolicy, GatewayRequest
 from repro.serve.gateway.costs import StageCostModel, calibrate_stage_costs
 from repro.serve.gateway.events import EventLoop
+from repro.serve.gateway.latency import GatewayMetrics
 from repro.serve.gateway.loadgen import OpenLoopWorkload
 from repro.serve.session import SealedQuery, ServingSession, SessionManager
+from repro.tee.errors import AttestationError, SecureChannelError
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("serve.gateway")
@@ -267,12 +269,21 @@ class GatewayService:
         """Drain pending (plus ``requests``) through the gateway scheduler."""
         from repro.autodiff.context import no_grad
 
-        if self.enclave is not None and not self.model.accumulate_regions:
+        if self.enclave is not None:
             # Same rule as ShieldedModel.forward: each drain starts from an
             # empty enclave, or every request's stem regions stay resident.
             self.enclave.flush_regions()
         for request in requests or []:
             self.submit(request)
+        if self._costs is None and not self._pending:
+            # Nothing to calibrate on and nothing to serve.
+            return GatewayReport(
+                policy=self.policy.policy,
+                metrics=GatewayMetrics(slo_us=self.policy.slo_us).as_dict(),
+                capacity_rps=0.0,
+                offered_rps=0.0,
+                stages=self.partition.describe(),
+            )
         costs = self.costs()
         pending = sorted(self._pending, key=lambda item: (item[2], item[0]))
         self._pending = []
@@ -332,7 +343,15 @@ class GatewayService:
     # ------------------------------------------------------------------ #
     # Real stage execution (row-wise, cohort-amortised crossings)
     # ------------------------------------------------------------------ #
-    def _execute_stage(self, stage_index: int, cohort: list[GatewayRequest]) -> None:
+    def _execute_stage(
+        self, stage_index: int, cohort: list[GatewayRequest]
+    ) -> list[GatewayRequest]:
+        """Run one stage over a cohort; returns the members it rejected.
+
+        A member whose sealed query fails to open (tampered ciphertext, or a
+        session closed since submission) is removed from ``cohort`` before
+        the enclave entry is charged; every other member still runs.
+        """
         from repro.autodiff.tensor import Tensor
 
         stage = self.partition.stages[stage_index]
@@ -341,17 +360,26 @@ class GatewayService:
         next_secure = (
             self._secure[stage_index + 1] if stage_index + 1 < len(self._secure) else False
         )
+        rejected: list[GatewayRequest] = []
         for request in cohort:
             if request.value is None:
                 payload = request.payload
+                request.payload = None
                 if isinstance(payload, SealedQuery):
                     # Admission happened before any execution: only now is
                     # the ciphertext of an *admitted* request opened.
-                    payload = self.sessions.unseal_query(payload)
+                    try:
+                        payload = self.sessions.unseal_query(payload)
+                    except (SecureChannelError, AttestationError):
+                        rejected.append(request)
+                        continue
                     self.sealed_requests += 1
                 array = np.asarray(payload)
                 request.value = Tensor(array[None], is_input=True, name="gateway.input")
-                request.payload = None
+        if rejected:
+            cohort[:] = [request for request in cohort if request.value is not None]
+        if not cohort:
+            return rejected
         boundary = self.enclave.boundary if self.enclave is not None else None
         if secure and not previous_secure and boundary is not None:
             # One amortised switch carries the whole cohort into the enclave.
@@ -366,3 +394,4 @@ class GatewayService:
             boundary.exit_secure_world(sum(r.value.nbytes for r in cohort))
             for request in cohort:
                 request.value.shielded = False
+        return rejected

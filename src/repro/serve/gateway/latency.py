@@ -101,6 +101,9 @@ class GatewayMetrics:
     offered: int = 0
     admitted: int = 0
     completed: int = 0
+    #: Admitted requests dropped at first execution (a sealed query that
+    #: fails to open); ``completed + rejected == admitted``.
+    rejected: int = 0
     shed: dict[str, int] = field(default_factory=dict)
     #: Completions within the SLO target (goodput numerator).
     within_slo: int = 0
@@ -109,7 +112,6 @@ class GatewayMetrics:
     batches: int = 0
     batched_samples: int = 0
     stage_executions: int = 0
-    continuous_joins: int = 0
     world_switches: int = 0
     boundary_time_us: float = 0.0
     replica_busy_us: float = 0.0
@@ -127,6 +129,7 @@ class GatewayMetrics:
             "offered": self.offered,
             "admitted": self.admitted,
             "completed": self.completed,
+            "rejected": self.rejected,
             "shed": dict(sorted(self.shed.items())),
             "shed_rate": self.shed_total() / self.offered if self.offered else 0.0,
             "slo_us": self.slo_us,
@@ -137,7 +140,6 @@ class GatewayMetrics:
             "batches": self.batches,
             "mean_batch_size": self.batched_samples / self.batches if self.batches else 0.0,
             "stage_executions": self.stage_executions,
-            "continuous_joins": self.continuous_joins,
             "world_switches": self.world_switches,
             "boundary_time_us": self.boundary_time_us,
             "latency": self.latency.percentiles(),

@@ -165,9 +165,9 @@ class TestResolveExecutionBackend:
 
 
 # --------------------------------------------------------------------------- #
-# Forward-only capture (the serving hot path): graphs traced under no_grad
+# Forward-only capture: graphs traced under no_grad
 # --------------------------------------------------------------------------- #
-def _inference_trace(weights, hooks=None):
+def _inference_trace(weights):
     """A forward-only trace: the logits are the objective, traced under no_grad."""
     w1, w2 = weights
 
@@ -175,7 +175,7 @@ def _inference_trace(weights, hooks=None):
         with no_grad():
             x = Tensor(array, is_input=True)
             logits = F.gelu(x @ w1) @ w2
-        return TraceHandles(objective=logits, input=x, on_replay=hooks)
+        return TraceHandles(objective=logits, input=x)
 
     return trace
 
@@ -219,15 +219,6 @@ class TestInferenceCapture:
         assert not recording.requires_grad
         assert handles.input.grad is None
         assert all(weight.grad is None for weight in weights)
-
-    def test_on_replay_hook_fires_per_replay_only(self, inference_mlp):
-        weights, rng = inference_mlp
-        fired = []
-        trace = _inference_trace(weights, hooks=lambda: fired.append(1))
-        captured = CapturedExecution()
-        for _ in range(4):
-            captured.run(trace, rng.normal(size=(2, 6)), key="hook")
-        assert len(fired) == captured.stats.replays == 2
 
     def test_shape_mismatch_is_rejected(self, inference_mlp):
         weights, rng = inference_mlp

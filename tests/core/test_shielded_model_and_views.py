@@ -66,19 +66,12 @@ class TestShieldedModel:
         shielded.logits(rng.uniform(size=(2, 3, 8, 8)))
         assert shielded.enclave.boundary.stats.switches == 4
 
-    def test_regions_flushed_between_forwards_by_default(self, rng):
+    def test_regions_flushed_between_forwards(self, rng):
         shielded = ShieldedModel(_tiny_cnn())
         shielded.logits(rng.uniform(size=(2, 3, 8, 8)))
         first = shielded.enclave.used_bytes
         shielded.logits(rng.uniform(size=(2, 3, 8, 8)))
         assert shielded.enclave.used_bytes == first  # not accumulating
-
-    def test_accumulate_regions_option(self, rng):
-        shielded = ShieldedModel(_tiny_cnn(), accumulate_regions=True)
-        shielded.logits(rng.uniform(size=(1, 3, 8, 8)))
-        first = shielded.enclave.used_bytes
-        shielded.logits(rng.uniform(size=(1, 3, 8, 8)))
-        assert shielded.enclave.used_bytes > first
 
     def test_shield_report_breaks_chain_rule(self, rng):
         model = _tiny_cnn()

@@ -142,32 +142,23 @@ class TestGate:
         with pytest.raises(SystemExit, match="metrics"):
             module.main([str(good), str(bad)])
 
-    def test_same_sha_trajectory_writes_merge(self, tmp_path, monkeypatch):
-        """Two benches feeding one area merge their metrics at the same SHA."""
+    def test_trajectory_write_replaces_the_file(self, tmp_path, monkeypatch):
+        """Each area has one writer: a rewrite at the same SHA keeps no stale key."""
         conftest_path = _REPO_ROOT / "benchmarks" / "conftest.py"
-        spec = importlib.util.spec_from_file_location("bench_conftest_merge", conftest_path)
+        spec = importlib.util.spec_from_file_location("bench_conftest_write", conftest_path)
         bench_conftest = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench_conftest)
         monkeypatch.setattr(bench_conftest, "REPO_ROOT", tmp_path)
-        bench_conftest.write_bench_trajectory("serving", {"throughput_rps": 100.0})
-        path = bench_conftest.write_bench_trajectory(
-            "serving", {"gateway_p99_us": 5000.0, "throughput_rps": 120.0}
+        first = json.loads(
+            bench_conftest.write_bench_trajectory("serving", {"throughput_rps": 100.0})
+            .read_text()
         )
+        path = bench_conftest.write_bench_trajectory("serving", {"gateway_p99_us": 5000.0})
         payload = json.loads(path.read_text())
-        # Same revision: the second writer merged in, overriding shared keys.
-        assert payload["metrics"] == {
-            "gateway_p99_us": 5000.0,
-            "throughput_rps": 120.0,
-        }
+        assert payload["git_sha"] == first["git_sha"]
+        assert payload["metrics"] == {"gateway_p99_us": 5000.0}
         assert payload["cpu_count"] == (os.cpu_count() or 1)
-        # A file from a different revision is replaced, never mixed.
-        stale = dict(payload, git_sha="0" * 40)
-        path.write_text(json.dumps(stale))
-        payload = json.loads(
-            bench_conftest.write_bench_trajectory("serving", {"fresh_rps": 7.0}).read_text()
-        )
-        assert payload["metrics"] == {"fresh_rps": 7.0}
-        assert payload["git_sha"] != "0" * 40
+        assert payload["area"] == "serving"
 
     def test_gates_the_real_trajectory_files(self, tmp_path):
         """A BENCH file written by the bench conftest gates cleanly vs itself."""

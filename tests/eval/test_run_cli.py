@@ -63,7 +63,7 @@ class TestCli:
                 break
         else:  # pragma: no cover - the scenario is always registered
             pytest.fail("table3_cifar10 missing from --list output")
-        assert "serving_throughput" in out
+        assert "serving_tail_latency" in out
         assert "federated" in out
 
     def test_list_groups_scenarios_by_subsystem(self, capsys):

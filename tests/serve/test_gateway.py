@@ -15,18 +15,21 @@ Covers the gateway's acceptance bar from three sides:
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.autodiff import CapturedExecution, Tensor, TraceHandles, banding, no_grad
 from repro.models.simple import SimpleCNN, SimpleCNNConfig
-from repro.serve.batching import InferenceRequest
+from repro.serve.batching import InferenceReply, InferenceRequest
 from repro.serve.gateway import (
     AdmissionController,
     AdmissionPolicy,
     EventLoop,
+    GatewayCore,
     GatewayPolicy,
+    GatewayRequest,
     GatewayService,
     LatencyHistogram,
     SHED_REASONS,
@@ -35,6 +38,7 @@ from repro.serve.gateway import (
     StageCostModel,
     poisson_workload,
 )
+from repro.tee.errors import AttestationError, SecureChannelError
 from repro.utils.rng import set_global_seed
 
 
@@ -45,6 +49,21 @@ def _seed():
 
 def _model() -> SimpleCNN:
     return SimpleCNN(SimpleCNNConfig(in_channels=3, num_classes=4, widths=(4, 8), image_size=8))
+
+
+def _tampered(sealed):
+    """The same sealed query with its first ciphertext byte zeroed."""
+    ciphertext = b"\x00" + sealed.message.ciphertext[1:]
+    return replace(sealed, message=replace(sealed.message, ciphertext=ciphertext))
+
+
+def _eager(model, payloads) -> np.ndarray:
+    """Single-request eager logits: one batch-of-one forward per payload."""
+    with no_grad():
+        return np.stack(
+            [model(Tensor(np.asarray(payload)[None], is_input=True)).data[0]
+             for payload in payloads]
+        )
 
 
 def _costs(secure_first: bool = True) -> StageCostModel:
@@ -285,8 +304,6 @@ class TestGatewaySimulation:
         continuous = ServingGateway(costs, self._policy("continuous")).simulate(workload)
         static = ServingGateway(costs, self._policy("static")).simulate(workload)
         assert continuous.percentiles()["p99_us"] <= static.percentiles()["p99_us"]
-        assert continuous.metrics["continuous_joins"] > 0
-        assert static.metrics["continuous_joins"] == 0
 
     def test_report_shape(self):
         costs, workload = self._workload(load=0.5, requests=300)
@@ -300,6 +317,108 @@ class TestGatewaySimulation:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown policy"):
             GatewayPolicy(policy="chaotic")
+
+    @pytest.mark.parametrize("knob", ["max_batch", "replicas"])
+    def test_rejects_non_positive_sizes(self, knob):
+        with pytest.raises(ValueError, match=knob):
+            GatewayPolicy(**{knob: 0})
+
+
+# --------------------------------------------------------------------------- #
+# Scheduling core: cohort sizes, static waits, rejection at first execution
+# --------------------------------------------------------------------------- #
+class TestGatewayCore:
+    def _run(self, policy: str, arrivals, bad=(), executor=True, **kwargs):
+        """Offer one request per arrival time to a fresh core and run it dry.
+
+        The stub executor rejects the ``bad`` request ids at stage 0, the way
+        :class:`GatewayService` rejects a sealed query that does not open.
+        Returns the core, ``{request_id: latency_us}`` of the completions and
+        the ``(stage, request ids)`` of every executed cohort.
+        """
+        kwargs.setdefault("max_batch", 4)
+        kwargs.setdefault("replicas", 1)
+        kwargs.setdefault("admission", AdmissionPolicy(max_queue_depth=256, max_per_session=64))
+        costs = _costs()
+        executed: list[tuple[int, list[int]]] = []
+        latencies: dict[int, float] = {}
+
+        def stage_executor(stage_index, cohort):
+            executed.append((stage_index, [request.request_id for request in cohort]))
+            rejected = [r for r in cohort if stage_index == 0 and r.request_id in bad]
+            cohort[:] = [r for r in cohort if r not in rejected]
+            return rejected
+
+        loop = EventLoop()
+        core = GatewayCore(
+            loop, costs, GatewayPolicy(policy=policy, **kwargs),
+            stage_executor=stage_executor if executor else None,
+            on_complete=lambda request, latency: latencies.__setitem__(
+                request.request_id, latency
+            ),
+        )
+        core.admission.attest_below(2)
+        for request_id, arrival_us in arrivals:
+            request = GatewayRequest(request_id, request_id % 2, arrival_us)
+            loop.at(arrival_us, lambda request=request: core.offer(request))
+        loop.run()
+        return core, latencies, executed
+
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_cohorts_never_exceed_max_batch(self, policy):
+        core, latencies, executed = self._run(
+            policy, [(i, 0.0) for i in range(20)], max_batch=4, replicas=2
+        )
+        assert sorted(latencies) == list(range(20))
+        assert max(len(ids) for _, ids in executed) == 4
+        for stage_index in range(2):
+            ran = sorted(i for stage, ids in executed if stage == stage_index for i in ids)
+            assert ran == list(range(20)), f"stage {stage_index} ran {ran}"
+        assert core.metrics.batched_samples == 20
+
+    def test_static_wave_waits_out_max_wait_for_a_partial_batch(self):
+        arrivals = [(0, 0.0), (1, 100.0)]
+        forward_us = _costs().forward_us(2)
+        core, static, _ = self._run("static", arrivals, executor=False, max_wait_us=4000.0)
+        # Two requests never fill max_batch=4: the wave is cut at the head's
+        # max-wait deadline and both ride one batch.
+        assert static[0] == pytest.approx(4000.0 + forward_us)
+        assert static[1] == pytest.approx(3900.0 + forward_us)
+        assert core.metrics.batches == 1
+        _, continuous, _ = self._run("continuous", arrivals, executor=False)
+        assert continuous[0] < 4000.0
+
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_rejected_members_are_released_and_counted(self, policy):
+        core, latencies, executed = self._run(
+            policy, [(i, float(i)) for i in range(6)], bad={1, 4}
+        )
+        metrics = core.metrics
+        assert metrics.admitted == 6
+        assert metrics.rejected == 2
+        assert metrics.completed == 4
+        assert metrics.completed + metrics.rejected == metrics.admitted
+        assert metrics.batched_samples == 4
+        assert metrics.latency.total == 4
+        assert sorted(latencies) == [0, 2, 3, 5]
+        assert core.admission.depth == 0
+        assert core.admission.session_in_flight(0) == core.admission.session_in_flight(1) == 0
+        assert all(not {1, 4} & set(ids) for stage, ids in executed if stage > 0)
+
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_emptied_cohort_frees_its_replica_at_zero_cost(self, policy):
+        survivors = [(4, 10_000.0), (5, 10_001.0)]
+        arrivals = [(i, float(i)) for i in range(4)] + survivors
+        core, latencies, _ = self._run(policy, arrivals, bad={0, 1, 2, 3})
+        clean, clean_latencies, _ = self._run(policy, survivors, executor=False)
+        assert core.metrics.rejected == 4
+        # The all-rejected cohort charged nothing and held the only replica
+        # for no time: the survivors are served exactly as if alone.
+        assert latencies == clean_latencies
+        for key in ("batches", "stage_executions", "world_switches",
+                    "boundary_time_us", "replica_busy_us"):
+            assert getattr(core.metrics, key) == getattr(clean.metrics, key), key
+        assert core.metrics.latency.digest() == clean.metrics.latency.digest()
 
 
 # --------------------------------------------------------------------------- #
@@ -343,11 +462,7 @@ class TestGatewayServiceParity:
         _, single = self._serve(model, requests, "continuous", max_batch=1, replicas=1)
         np.testing.assert_array_equal(continuous.logits(), static.logits())
         np.testing.assert_array_equal(continuous.logits(), single.logits())
-        with no_grad():
-            eager = np.stack(
-                [model(Tensor(np.asarray(r.payload)[None], is_input=True)).data[0]
-                 for r in requests]
-            )
+        eager = _eager(model, [request.payload for request in requests])
         np.testing.assert_array_equal(continuous.logits(), eager)
         assert [reply.request_id for reply in continuous.replies] == list(range(len(requests)))
 
@@ -395,6 +510,314 @@ class TestGatewayServiceParity:
         assert service.sealed_requests == 0, "a shed ciphertext was decrypted"
         assert report.replies == []
 
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_tampered_sealed_query_is_rejected_alone(self, rng, policy):
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(
+            policy=policy, max_batch=4,
+            admission=AdmissionPolicy(max_queue_depth=4, max_per_session=8),
+        ))
+        session = service.open_session("a")
+        payloads = rng.uniform(size=(3, 3, 8, 8))
+        for index, payload in enumerate(payloads):
+            sealed = session.seal_query(payload)
+            if index == 1:
+                sealed = _tampered(sealed)
+            service.submit_sealed(index, sealed, arrival_us=index * 10.0)
+        report = service.serve()
+        metrics = report.metrics
+        assert metrics["rejected"] == 1
+        assert metrics["completed"] + metrics["rejected"] == metrics["admitted"] == 3
+        assert service.sealed_requests == 2
+        assert [reply.request_id for reply in report.replies] == [0, 2]
+        np.testing.assert_array_equal(report.logits(), _eager(model, payloads[[0, 2]]))
+        # The rejected request gave its admission slot back.
+        assert service.admission.depth == 0
+        assert service.admission.session_in_flight("a") == 0
+        follow = service.serve(
+            [InferenceRequest(request_id=10 + i, payload=rng.uniform(size=(3, 8, 8)),
+                              arrival_us=1000.0 + i, session_id="a") for i in range(4)]
+        )
+        assert follow.metrics["admitted"] == 4
+        assert follow.metrics["shed"] == {}
+        assert len(follow.replies) == 4
+
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_closed_session_query_is_rejected(self, rng, policy):
+        """The closed session's query arrives alone, so its whole cohort
+        (or static batch) empties and must charge nothing."""
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(policy=policy, max_batch=4))
+        closing = service.open_session("closing")
+        staying = service.open_session("staying")
+        payloads = rng.uniform(size=(2, 3, 8, 8))
+        service.submit_sealed(0, closing.seal_query(payloads[0]), arrival_us=0.0)
+        service.submit_sealed(1, staying.seal_query(payloads[1]), arrival_us=100_000.0)
+        service.sessions.close("closing")
+        before = service.enclave.boundary.stats.switches
+        report = service.serve()
+        metrics = report.metrics
+        assert metrics["rejected"] == 1
+        assert metrics["completed"] == 1
+        assert [reply.request_id for reply in report.replies] == [1]
+        assert report.predictions()[0] == int(model.predict(payloads[1][None])[0])
+        # Only the survivor's cohort crossed the enclave boundary.
+        assert metrics["world_switches"] == service.enclave.boundary.stats.switches - before == 2
+        assert metrics["batches"] == 1
+        assert service.admission.depth == 0
+
+    def test_tampered_query_shed_at_admission_is_never_opened(self, rng):
+        """Lazy unseal: a shed ciphertext is not decrypted, so its tampering
+        is never even noticed — it counts as shed, not rejected."""
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(
+            policy="continuous", max_batch=4,
+            admission=AdmissionPolicy(max_queue_depth=1, max_per_session=8),
+        ))
+        session = service.open_session("a")
+        payloads = rng.uniform(size=(2, 3, 8, 8))
+        service.submit_sealed(0, session.seal_query(payloads[0]), arrival_us=0.0)
+        service.submit_sealed(1, _tampered(session.seal_query(payloads[1])), arrival_us=10.0)
+        report = service.serve()
+        metrics = report.metrics
+        assert metrics["shed"] == {"queue_full": 1}
+        assert metrics["rejected"] == 0
+        assert metrics["completed"] == metrics["admitted"] == 1
+        assert service.sealed_requests == 1
+        assert [reply.request_id for reply in report.replies] == [0]
+
+    def test_rejected_members_cost_nothing_in_continuous_cohorts(self, rng):
+        """Survivors of a cohort that lost members are priced, scheduled and
+        charged at the boundary exactly as if the rejected queries never
+        arrived."""
+        model = _model()
+        payloads = rng.uniform(size=(5, 3, 8, 8))
+
+        def serve(indices, bad=()):
+            service = GatewayService(model, GatewayPolicy(policy="continuous", max_batch=4))
+            session = service.open_session("a")
+            for index in indices:
+                sealed = session.seal_query(payloads[index])
+                service.submit_sealed(
+                    index, _tampered(sealed) if index in bad else sealed,
+                    arrival_us=index * 10.0,
+                )
+            before = service.enclave.boundary.stats.switches
+            report = service.serve()
+            return report, service.enclave.boundary.stats.switches - before
+
+        mixed, mixed_switches = serve(range(5), bad={1, 3})
+        clean, clean_switches = serve([0, 2, 4])
+        assert mixed.metrics["rejected"] == 2
+        assert mixed_switches == clean_switches == mixed.metrics["world_switches"]
+        np.testing.assert_array_equal(mixed.logits(), clean.logits())
+        assert [(r.request_id, r.latency_us, r.batch_size) for r in mixed.replies] == [
+            (r.request_id, r.latency_us, r.batch_size) for r in clean.replies
+        ]
+        assert mixed.metrics["boundary_time_us"] == clean.metrics["boundary_time_us"]
+
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_reply_world_switches_are_the_per_request_share(self, rng, policy):
+        requests = self._requests(rng)
+        _, report = self._serve(_model(), requests, policy)
+        metrics = report.metrics
+        share = metrics["world_switches"] / metrics["completed"]
+        assert share > 0
+        assert all(reply.world_switches == share for reply in report.replies)
+        assert sum(reply.world_switches for reply in report.replies) == pytest.approx(
+            metrics["world_switches"]
+        )
+
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_clear_gateway_never_switches(self, rng, policy):
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(policy=policy, max_batch=4),
+                                 shielded=False)
+        assert service.enclave is None
+        inputs = rng.uniform(size=(5, 3, 8, 8))
+        report = service.serve(
+            [InferenceRequest(request_id=i, payload=inputs[i], arrival_us=i * 50.0)
+             for i in range(5)]
+        )
+        assert report.metrics["world_switches"] == 0
+        assert report.metrics["boundary_time_us"] == 0.0
+        assert [reply.world_switches for reply in report.replies] == [0.0] * 5
+        np.testing.assert_array_equal(report.logits(), _eager(model, inputs))
+
+    def test_metrics_populated_after_a_drain(self, rng):
+        requests = self._requests(rng)
+        _, report = self._serve(_model(), requests, "continuous")
+        metrics = report.metrics
+        latency = metrics["latency"]
+        assert metrics["offered"] == metrics["admitted"] == metrics["completed"] == len(requests)
+        assert metrics["throughput_rps"] > 0
+        assert metrics["horizon_us"] >= requests[-1].arrival_us
+        assert 0.0 < latency["p50_us"] <= latency["p90_us"] <= latency["p99_us"]
+        assert latency["p99_us"] <= latency["p999_us"] <= latency["max_us"]
+        assert metrics["mean_batch_size"] == pytest.approx(
+            metrics["completed"] / metrics["batches"]
+        )
+        assert 0.0 <= metrics["slo_attainment"] <= 1.0
+        assert all(reply.latency_us > 0 for reply in report.replies)
+        assert report.capacity_rps > 0
+
+    @pytest.mark.parametrize("max_batch", [1, 4], ids=["batch1", "batch4"])
+    def test_reply_batch_size_is_the_stem_cohort_size(self, rng, max_batch):
+        requests = self._requests(rng)
+        _, report = self._serve(_model(), requests, "continuous", max_batch=max_batch)
+        sizes = [reply.batch_size for reply in report.replies]
+        assert all(1 <= size <= max_batch for size in sizes)
+        # Every member of a cohort of k reports k, so k divides its count.
+        for size in set(sizes):
+            assert sizes.count(size) % size == 0, sizes
+        assert report.metrics["batches"] == sum(sizes.count(k) // k for k in set(sizes))
+        if max_batch == 1:
+            assert report.metrics["batches"] == len(requests)
+
+    def test_sealed_and_clear_queries_share_one_drain(self, rng):
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(policy="continuous", max_batch=4))
+        session = service.open_session("client")
+        inputs = rng.uniform(size=(4, 3, 8, 8))
+        for index in (0, 2):
+            service.submit_sealed(index, session.seal_query(inputs[index]),
+                                  arrival_us=index * 10.0)
+        report = service.serve(
+            [InferenceRequest(request_id=index, payload=inputs[index],
+                              arrival_us=index * 10.0, session_id="client")
+             for index in (1, 3)]
+        )
+        assert service.sealed_requests == 2
+        assert [reply.request_id for reply in report.replies] == [0, 1, 2, 3]
+        np.testing.assert_array_equal(report.logits(), _eager(model, inputs))
+
+    def test_replies_follow_arrival_order_not_submission_order(self, rng):
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(policy="continuous", max_batch=4))
+        service.open_session("client")
+        inputs = rng.uniform(size=(4, 3, 8, 8))
+        requests = [InferenceRequest(request_id=i, payload=inputs[i], arrival_us=i * 10.0,
+                                     session_id="client") for i in range(4)]
+        for request in reversed(requests[2:]):
+            service.submit(request)
+        report = service.serve(requests[:2])
+        assert [reply.request_id for reply in report.replies] == [0, 1, 2, 3]
+        np.testing.assert_array_equal(report.logits(), _eager(model, inputs))
+
+    def test_session_quota_sheds_only_the_busy_session(self, rng):
+        service = GatewayService(_model(), GatewayPolicy(
+            policy="static", max_batch=8,
+            admission=AdmissionPolicy(max_queue_depth=64, max_per_session=2),
+        ))
+        service.open_session("chatty")
+        service.open_session("quiet")
+        inputs = rng.uniform(size=(5, 3, 8, 8))
+        sessions = ["chatty"] * 4 + ["quiet"]
+        report = service.serve(
+            [InferenceRequest(request_id=i, payload=inputs[i], arrival_us=float(i),
+                              session_id=sessions[i]) for i in range(5)]
+        )
+        assert report.metrics["shed"] == {"session_quota": 2}
+        assert [(reply.request_id, reply.session_id) for reply in report.replies] == [
+            (0, "chatty"), (1, "chatty"), (4, "quiet")
+        ]
+
+    def test_sealed_reply_opens_only_for_its_session(self, rng):
+        service = GatewayService(_model(), GatewayPolicy(policy="continuous"))
+        owner = service.open_session("owner")
+        other = service.open_session("other")
+        service.submit_sealed(0, owner.seal_query(rng.uniform(size=(3, 8, 8))))
+        reply = service.serve().replies[0]
+        sealed = service.seal_reply(reply)
+        np.testing.assert_array_equal(owner.open_reply(sealed), reply.logits)
+        with pytest.raises(SecureChannelError):
+            other.open_reply(sealed)
+
+    def test_seal_reply_needs_a_sealed_session(self, rng):
+        clear = GatewayService(_model(), GatewayPolicy(policy="continuous"), shielded=False)
+        reply = clear.serve(
+            [InferenceRequest(request_id=0, payload=rng.uniform(size=(3, 8, 8)))]
+        ).replies[0]
+        with pytest.raises(RuntimeError):
+            clear.seal_reply(reply)
+        shielded = GatewayService(_model(), GatewayPolicy(policy="continuous"))
+        anonymous = InferenceReply(
+            request_id=0, prediction=0, logits=reply.logits, latency_us=1.0,
+            batch_size=1, world_switches=0.0,
+        )
+        with pytest.raises(RuntimeError):
+            shielded.seal_reply(anonymous)
+
+    def test_submit_sealed_needs_a_shielded_gateway(self, rng):
+        shielded = GatewayService(_model(), GatewayPolicy(policy="continuous"))
+        sealed = shielded.open_session("a").seal_query(rng.uniform(size=(3, 8, 8)))
+        clear = GatewayService(_model(), GatewayPolicy(policy="continuous"), shielded=False)
+        with pytest.raises(RuntimeError):
+            clear.submit_sealed(0, sealed)
+
+    def test_cost_calibration_never_decrypts(self, rng):
+        service = GatewayService(_model(), GatewayPolicy(policy="continuous"))
+        session = service.open_session("a")
+        service.submit_sealed(0, session.seal_query(rng.uniform(size=(3, 8, 8))))
+        costs = service.costs()
+        assert service.sealed_requests == 0
+        assert [stage.secure for stage in costs.stages] == [True, False]
+        service.serve()
+        assert service.sealed_requests == 1
+        assert service.costs() is costs
+
+    @pytest.mark.parametrize("shielded", [True, False], ids=["shielded", "clear"])
+    def test_empty_first_drain_returns_an_empty_report(self, rng, shielded):
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(policy="continuous"), shielded=shielded)
+        report = service.serve()
+        assert report.replies == []
+        assert report.metrics["offered"] == report.metrics["completed"] == 0
+        assert report.stages == service.partition.describe()
+        # The next drain still calibrates and serves normally.
+        payload = rng.uniform(size=(3, 8, 8))
+        if shielded:
+            service.open_session("a")
+        follow = service.serve(
+            [InferenceRequest(request_id=0, payload=payload,
+                              session_id="a" if shielded else None)]
+        )
+        assert follow.predictions().tolist() == model.predict(payload[None]).tolist()
+
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_replies_match_direct_prediction(self, rng, policy):
+        model = _model()
+        requests = self._requests(rng)
+        _, report = self._serve(model, requests, policy)
+        inputs = np.stack([request.payload for request in requests])
+        np.testing.assert_array_equal(report.predictions(), model.predict(inputs))
+        assert [reply.request_id for reply in report.replies] == list(range(len(requests)))
+
+    def test_stages_mark_the_secure_stem(self, rng):
+        requests = self._requests(rng, count=2)
+        _, shielded = self._serve(_model(), requests, "continuous")
+        assert shielded.stages == [
+            {"stage": "stem", "secure": True},
+            {"stage": "trunk", "secure": False},
+        ]
+        clear = GatewayService(_model(), GatewayPolicy(policy="continuous"), shielded=False)
+        report = clear.serve([InferenceRequest(request_id=0, payload=requests[0].payload)])
+        assert report.stages == [
+            {"stage": "stem", "secure": False},
+            {"stage": "trunk", "secure": False},
+        ]
+
+    def test_duplicate_session_id_rejected(self):
+        service = GatewayService(_model(), GatewayPolicy(policy="continuous"))
+        service.open_session("client-d")
+        with pytest.raises(AttestationError):
+            service.open_session("client-d")
+
+    def test_clear_gateway_has_no_sessions(self):
+        service = GatewayService(_model(), GatewayPolicy(policy="continuous"), shielded=False)
+        with pytest.raises(RuntimeError):
+            service.open_session("client-e")
+
     def test_unattested_sessions_never_admit(self, rng):
         model = _model()
         service = GatewayService(model, GatewayPolicy(policy="continuous", max_batch=4))
@@ -434,11 +857,7 @@ class TestGatewayServiceParity:
         ))
         service.open_session("client")
         requests = self._requests(rng, count=4)
-        with no_grad():
-            eager = np.stack(
-                [model(Tensor(np.asarray(r.payload)[None], is_input=True)).data[0]
-                 for r in requests]
-            )
+        eager = _eager(model, [request.payload for request in requests])
         first = service.serve(list(requests))
         after_one = service.enclave.memory_report().region_value_bytes
         assert after_one > 0
