@@ -6,8 +6,8 @@ ICDCS 2023) end to end on a pure-NumPy substrate:
 
 * :mod:`repro.autodiff` — reverse-mode autodiff with an explicit graph;
 * :mod:`repro.nn` / :mod:`repro.models` — layer library and the defender zoo
-  (ViT, ResNet-v2, BiT, ensembles);
-* :mod:`repro.tee` — simulated TrustZone / SGX enclaves, world switching,
+  (ViT, ResNet-v2, BiT);
+* :mod:`repro.tee` — simulated TrustZone enclaves, world switching,
   secure channels and attestation;
 * :mod:`repro.core` — PELTA itself: the shielding algorithm (Alg. 1),
   shielded models and the restricted white-box views;

@@ -27,13 +27,11 @@ from repro.autodiff.context import (
     shield_scope,
 )
 from repro.autodiff.conv import (
-    avg_pool2d,
     col2im,
     conv2d,
     conv_transpose2d_numpy,
     global_avg_pool2d,
     im2col,
-    max_pool2d,
 )
 from repro.autodiff.functional import (
     cross_entropy,
@@ -93,7 +91,6 @@ __all__ = [
     "active_buffer_pool",
     "active_profiler",
     "active_shield_region",
-    "avg_pool2d",
     "col2im",
     "concat",
     "conv2d",
@@ -108,7 +105,6 @@ __all__ = [
     "is_grad_enabled",
     "log_softmax",
     "margin_loss",
-    "max_pool2d",
     "mse_loss",
     "nll_loss",
     "no_grad",

@@ -1,4 +1,4 @@
-"""Differentiable convolution and pooling primitives (im2col based).
+"""Differentiable convolution and global pooling primitives (im2col based).
 
 Input layout is ``(N, C, H, W)`` throughout, weights are
 ``(out_channels, in_channels, kh, kw)``.  The differentiable ops are
@@ -149,18 +149,6 @@ def conv2d(
         raise ValueError(f"input has {c_in} channels but weight expects {c_in_w}")
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return ops.apply("conv2d", inputs, {"stride": stride, "padding": padding})
-
-
-def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Max pooling with square windows (no padding)."""
-    stride = stride if stride is not None else kernel
-    return ops.apply("max_pool2d", (x,), {"kernel": kernel, "stride": stride})
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling with square windows (no padding)."""
-    stride = stride if stride is not None else kernel
-    return ops.apply("avg_pool2d", (x,), {"kernel": kernel, "stride": stride})
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

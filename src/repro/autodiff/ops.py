@@ -331,13 +331,6 @@ def _conv2d_cost(in_shapes, out_shape, params, itemsize):
     return flops, moved
 
 
-def _pool_cost(in_shapes, out_shape, params, itemsize):
-    kernel = int(params["kernel"])
-    flops = _prod(out_shape) * kernel * kernel
-    moved = (_prod(in_shapes[0]) + _prod(out_shape)) * itemsize
-    return flops, moved
-
-
 def _view_cost(in_shapes, out_shape, params, itemsize):
     """Shape ops move metadata only (the kernels return views where possible)."""
     return 0, 0
@@ -956,7 +949,7 @@ def _dropout_backward(ctx, grad):
 
 
 # --------------------------------------------------------------------------- #
-# Convolution / pooling kernels (previously in conv.py closures)
+# Convolution kernels
 # --------------------------------------------------------------------------- #
 def _conv2d_flops(x_shape, w_shape, stride: int, padding: int) -> int:
     from repro.autodiff.conv import _output_size
@@ -1182,62 +1175,6 @@ def _conv2d_backward(ctx, grad):
                 grad_x[index] = col2im(grad_col, sample_shape, kh, kw, stride, padding)[0]
     grads = (grad_x, grad_weight)
     return grads + (grad_bias,) if len(ctx.needs) > 2 else grads
-
-
-def _max_pool2d_forward(inputs, params, saved, out):
-    from repro.autodiff.conv import im2col
-
-    (x,) = inputs
-    kernel, stride = params["kernel"], params["stride"]
-    n, c, _, _ = x.shape
-    new_col, out_h, out_w = im2col(x, kernel, kernel, stride, 0)
-    new_col = new_col.reshape(-1, c, kernel * kernel)
-    # The backward routes gradients through ``argmax``; refresh it in place
-    # to match the replayed forward pass.
-    _refresh(saved, "argmax", new_col.argmax(axis=2))
-    return _store(new_col.max(axis=2).reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2), out)
-
-
-def _max_pool2d_backward(ctx, grad):
-    from repro.autodiff.conv import col2im
-
-    if not ctx.needs[0]:
-        return (None,)
-    (x,) = ctx.inputs
-    kernel, stride = ctx.params["kernel"], ctx.params["stride"]
-    c = x.shape[1]
-    grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, c)
-    grad_col = np.zeros((grad_flat.shape[0], c, kernel * kernel), dtype=grad.dtype)
-    rows = np.arange(grad_flat.shape[0])[:, None]
-    cols = np.arange(c)[None, :]
-    grad_col[rows, cols, ctx.saved["argmax"]] = grad_flat
-    grad_col = grad_col.reshape(grad_flat.shape[0], c * kernel * kernel)
-    return (col2im(grad_col, x.shape, kernel, kernel, stride, 0),)
-
-
-def _avg_pool2d_forward(inputs, params, saved, out):
-    from repro.autodiff.conv import im2col
-
-    (x,) = inputs
-    kernel, stride = params["kernel"], params["stride"]
-    n, c, _, _ = x.shape
-    new_col, out_h, out_w = im2col(x, kernel, kernel, stride, 0)
-    new_col = new_col.reshape(-1, c, kernel * kernel)
-    return _store(new_col.mean(axis=2).reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2), out)
-
-
-def _avg_pool2d_backward(ctx, grad):
-    from repro.autodiff.conv import col2im
-
-    if not ctx.needs[0]:
-        return (None,)
-    (x,) = ctx.inputs
-    kernel, stride = ctx.params["kernel"], ctx.params["stride"]
-    c = x.shape[1]
-    grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, c)
-    grad_col = np.repeat(grad_flat[:, :, None], kernel * kernel, axis=2) / (kernel * kernel)
-    grad_col = grad_col.reshape(grad_flat.shape[0], c * kernel * kernel)
-    return (col2im(grad_col, x.shape, kernel, kernel, stride, 0),)
 
 
 # --------------------------------------------------------------------------- #
@@ -1539,23 +1476,5 @@ register(
                 shapes=((1, 2, 11, 11), (3, 2, 3, 3), (3,)), params={"stride": 1, "padding": 1}
             ),
         ),
-    )
-)
-register(
-    Op(
-        "max_pool2d",
-        _max_pool2d_forward,
-        _max_pool2d_backward,
-        cost=_pool_cost,
-        samples=(GradSample(shapes=((2, 3, 4, 4),), params={"kernel": 2, "stride": 2}),),
-    )
-)
-register(
-    Op(
-        "avg_pool2d",
-        _avg_pool2d_forward,
-        _avg_pool2d_backward,
-        cost=_pool_cost,
-        samples=(GradSample(shapes=((2, 3, 4, 4),), params={"kernel": 2, "stride": 2}),),
     )
 )

@@ -20,34 +20,26 @@ from repro.core.selection import (
 from repro.core.shielded_model import ShieldedModel
 from repro.core.shielding import (
     PeltaShieldReport,
-    chain_rule_is_broken,
-    clear_adjoint_candidates,
     input_connected_ids,
     pelta_shield,
 )
 from repro.core.views import (
     FullWhiteBoxView,
-    GradientView,
     RestrictedWhiteBoxView,
-    make_view,
 )
 
 __all__ = [
     "BoundaryCrossing",
     "FullWhiteBoxView",
-    "GradientView",
     "ModelPartition",
     "PeltaShieldReport",
     "RestrictedWhiteBoxView",
     "ShieldMemoryEstimate",
     "ShieldedModel",
     "StagedForwardResult",
-    "chain_rule_is_broken",
-    "clear_adjoint_candidates",
     "estimate_paper_model",
     "format_bytes",
     "input_connected_ids",
-    "make_view",
     "measure_shielded_model",
     "paper_table1",
     "pelta_shield",

@@ -62,12 +62,6 @@ class ModelPartition:
         if not self.stages:
             raise ValueError(f"{type(model).__name__} declares no forward stages")
 
-    def secure_stages(self) -> list[ForwardStage]:
-        """Stages the plan runs inside the enclave."""
-        if self.enclave is None:
-            return []
-        return [stage for stage in self.stages if stage.shield_target]
-
     def describe(self) -> list[dict]:
         """JSON-able stage table (for run records and demos)."""
         return [

@@ -19,7 +19,7 @@ with only the adjoint of the shallowest clear layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.autodiff.graph import GraphNode, GraphSnapshot
 from repro.tee.enclave import Enclave
@@ -136,40 +136,3 @@ def pelta_shield(
                 enclave.seal(f"pelta.node{node_id}.{node.op}", node.tensor)
     return report
 
-
-def chain_rule_is_broken(graph: GraphSnapshot, report: PeltaShieldReport) -> bool:
-    """Check that the attacker cannot complete the chain rule to any input.
-
-    The attacker needs, for every path from an input leaf to the output, every
-    local jacobian along that path.  The defense succeeds if every edge
-    leaving an input leaf towards a shielded region is masked — equivalently,
-    if every child of every input whose value was shielded has its
-    input-jacobian masked.  The function returns True when no clear jacobian
-    edge leaves any input leaf towards the rest of the graph.
-    """
-    for input_node in graph.inputs():
-        for child in graph.children(input_node.node_id):
-            edge = (input_node.node_id, child.node_id)
-            if edge not in report.shielded_jacobian_edges:
-                return False
-    return True
-
-
-def clear_adjoint_candidates(
-    graph: GraphSnapshot, report: PeltaShieldReport
-) -> list[GraphNode]:
-    """Nodes whose adjoint remains visible to the attacker (δ_{L+1} candidates).
-
-    These are the *clear* transform nodes that directly consume a shielded
-    value: their own gradient is computed in the normal world, so the
-    attacker can read it, but the jacobians linking them back to the input
-    are masked.
-    """
-    candidates: list[GraphNode] = []
-    for node in graph.transforms():
-        if node.node_id in report.shielded_value_ids:
-            continue
-        parent_ids = set(node.parent_ids)
-        if parent_ids & report.shielded_value_ids:
-            candidates.append(node)
-    return candidates

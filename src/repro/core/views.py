@@ -25,7 +25,7 @@ per-query Python overhead on iterative attacks.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -39,24 +39,6 @@ from repro.tee.errors import EnclaveAccessError
 
 #: Upsampling operator signature: maps the frontier adjoint back to input shape.
 Upsampler = Callable[[np.ndarray, tuple[int, ...]], np.ndarray]
-
-
-class GradientView(Protocol):
-    """Interface every attack uses to interact with a defender."""
-
-    num_classes: int
-
-    def logits(self, inputs: np.ndarray) -> np.ndarray:  # pragma: no cover - protocol
-        ...
-
-    def predict(self, inputs: np.ndarray) -> np.ndarray:  # pragma: no cover - protocol
-        ...
-
-    def loss(self, inputs, labels, loss: str = "ce", **kwargs) -> np.ndarray:  # pragma: no cover
-        ...
-
-    def gradient(self, inputs, labels, loss: str = "ce", **kwargs) -> np.ndarray:  # pragma: no cover
-        ...
 
 
 def _objective(logits: Tensor, labels: np.ndarray, loss: str, confidence: float) -> Tensor:
@@ -252,20 +234,3 @@ class RestrictedWhiteBoxView:
         """Attention maps of the clear trunk (still visible to the attacker)."""
         return self.model.attention_maps()
 
-
-def make_view(
-    model: ImageClassifier | ShieldedModel,
-    upsampler: Upsampler | None = None,
-    backend="eager",
-):
-    """Build the appropriate view for a defender.
-
-    Plain models get a :class:`FullWhiteBoxView`; shielded models get a
-    :class:`RestrictedWhiteBoxView` and therefore require an ``upsampler``.
-    ``backend`` selects the gradient execution mode (``"eager"``/``"captured"``).
-    """
-    if isinstance(model, ShieldedModel):
-        if upsampler is None:
-            raise ValueError("a shielded model requires an upsampler for the attacker view")
-        return RestrictedWhiteBoxView(model, upsampler, backend=backend)
-    return FullWhiteBoxView(model, backend=backend)

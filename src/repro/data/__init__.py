@@ -1,7 +1,7 @@
 """Data substrate: synthetic benchmark datasets, loaders, transforms, splits."""
 
 from repro.data.batching import DataLoader
-from repro.data.splits import dirichlet_partition, iid_partition, train_validation_split
+from repro.data.splits import dirichlet_partition, iid_partition
 from repro.data.synthetic import (
     DATASET_FACTORIES,
     SyntheticImageConfig,
@@ -11,14 +11,7 @@ from repro.data.synthetic import (
     make_dataset,
     make_imagenet_like,
 )
-from repro.data.transforms import (
-    apply_patch,
-    clip_to_unit,
-    denormalize,
-    l2_distance,
-    linf_distance,
-    normalize,
-)
+from repro.data.transforms import apply_patch, clip_to_unit
 
 __all__ = [
     "DATASET_FACTORIES",
@@ -27,15 +20,10 @@ __all__ = [
     "SyntheticImageDataset",
     "apply_patch",
     "clip_to_unit",
-    "denormalize",
     "dirichlet_partition",
     "iid_partition",
-    "l2_distance",
-    "linf_distance",
     "make_cifar10_like",
     "make_cifar100_like",
     "make_dataset",
     "make_imagenet_like",
-    "normalize",
-    "train_validation_split",
 ]

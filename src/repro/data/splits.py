@@ -1,26 +1,10 @@
-"""Dataset splitting utilities, including federated (per-client) partitions."""
+"""Federated (per-client) dataset partitions."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.utils.rng import spawn_rng
-
-
-def train_validation_split(
-    images: np.ndarray,
-    labels: np.ndarray,
-    validation_fraction: float = 0.2,
-    rng: np.random.Generator | None = None,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Shuffle and split a dataset into train and validation parts."""
-    if not 0.0 < validation_fraction < 1.0:
-        raise ValueError("validation_fraction must be in (0, 1)")
-    rng = rng if rng is not None else spawn_rng("splits.validation")
-    order = rng.permutation(len(labels))
-    cut = int(len(labels) * (1.0 - validation_fraction))
-    train_idx, val_idx = order[:cut], order[cut:]
-    return (images[train_idx], labels[train_idx]), (images[val_idx], labels[val_idx])
 
 
 def iid_partition(

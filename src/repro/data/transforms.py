@@ -1,4 +1,4 @@
-"""Input transforms: normalisation, clipping and patch application."""
+"""Input transforms: clipping and patch application."""
 
 from __future__ import annotations
 
@@ -8,16 +8,6 @@ import numpy as np
 def clip_to_unit(images: np.ndarray) -> np.ndarray:
     """Clip pixel values to the valid ``[0, 1]`` range."""
     return np.clip(images, 0.0, 1.0)
-
-
-def normalize(images: np.ndarray, mean: float = 0.5, std: float = 0.5) -> np.ndarray:
-    """Standardise pixel values (used when a model expects centred inputs)."""
-    return (np.asarray(images) - mean) / std
-
-
-def denormalize(images: np.ndarray, mean: float = 0.5, std: float = 0.5) -> np.ndarray:
-    """Invert :func:`normalize`."""
-    return np.asarray(images) * std + mean
 
 
 def apply_patch(
@@ -32,15 +22,3 @@ def apply_patch(
     _, patch_h, patch_w = patch.shape
     images[:, :, row : row + patch_h, col : col + patch_w] = patch
     return clip_to_unit(images)
-
-
-def linf_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-sample l-infinity distance between two batches."""
-    diff = np.abs(np.asarray(a) - np.asarray(b))
-    return diff.reshape(len(diff), -1).max(axis=1)
-
-
-def l2_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-sample l2 distance between two batches."""
-    diff = np.asarray(a) - np.asarray(b)
-    return np.sqrt((diff.reshape(len(diff), -1) ** 2).sum(axis=1))

@@ -11,28 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def flip_labels(
-    labels: np.ndarray,
-    num_classes: int,
-    fraction: float = 1.0,
-    rng: np.random.Generator | None = None,
-    offset: int = 1,
-) -> np.ndarray:
-    """Deterministically flip a fraction of labels to a different class."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    labels = np.array(labels, copy=True)
-    count = int(round(fraction * len(labels)))
-    if count == 0:
-        return labels
-    if rng is None:
-        indices = np.arange(count)
-    else:
-        indices = rng.choice(len(labels), size=count, replace=False)
-    labels[indices] = (labels[indices] + offset) % num_classes
-    return labels
-
-
 def add_backdoor_trigger(
     images: np.ndarray,
     trigger_value: float = 1.0,

@@ -19,7 +19,6 @@ from repro.fl.runtime.envelopes import (
     decode_state,
     encode_state,
     make_delta,
-    seal_state,
     unseal_state,
 )
 from repro.fl.runtime.participant import (
@@ -39,7 +38,6 @@ from repro.fl.runtime.transport import (
     TRANSPORTS,
     ExecutorTransport,
     InProcessTransport,
-    ProcessTransport,
     Transport,
     get_transport,
     transport_from_executor,
@@ -57,7 +55,6 @@ __all__ = [
     "FederationRuntime",
     "InProcessTransport",
     "Participant",
-    "ProcessTransport",
     "RoundHooks",
     "SealedState",
     "SecureTrafficStats",
@@ -73,7 +70,6 @@ __all__ = [
     "make_delta",
     "run_client_task",
     "sample_by_fraction",
-    "seal_state",
     "transport_from_executor",
     "unseal_state",
 ]

@@ -66,9 +66,6 @@ class AttestationGate:
         """Register a client's device key and expected enclave measurement."""
         self._enrolled[client_id] = (bytes(device_key), bytes(expected_measurement))
 
-    def is_enrolled(self, client_id: str) -> bool:
-        return client_id in self._enrolled
-
     def establish(
         self, client_id: str, attest: Callable[[bytes], AttestationQuote]
     ) -> ClientSession:

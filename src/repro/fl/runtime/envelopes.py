@@ -46,11 +46,6 @@ class SealedState:
         return self.message.nbytes
 
 
-def seal_state(channel: SecureChannel, state: dict[str, np.ndarray]) -> SealedState:
-    """Encrypt a state mapping into a :class:`SealedState`."""
-    return SealedState(message=channel.encrypt(encode_state(state)))
-
-
 def unseal_state(channel: SecureChannel, sealed: SealedState) -> dict[str, np.ndarray]:
     """Verify and decrypt a :class:`SealedState` back into a state mapping."""
     return decode_state(channel.decrypt(sealed.message))

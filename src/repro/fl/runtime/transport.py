@@ -9,8 +9,8 @@ environment defaults, same order guarantees, same BLAS-pinned fork pool) to
 federation traffic:
 
 * :class:`InProcessTransport` — clients run inline in the caller;
-* :class:`ProcessTransport` — fork-based process pool; tasks and replies are
-  pickled, so a round models real serialisation costs;
+* ``get_transport("process")`` — fork-based process pool; tasks and replies
+  are pickled, so a round models real serialisation costs;
 * ``get_transport("auto")`` — the engine's default: a process pool with one
   worker per core, serial when that leaves one worker.
 
@@ -105,13 +105,6 @@ class InProcessTransport(ExecutorTransport):
 
     def __init__(self):
         super().__init__(backend="serial")
-
-
-class ProcessTransport(ExecutorTransport):
-    """Fan client updates out to worker processes (tasks are pickled)."""
-
-    def __init__(self, max_workers: int | None = None):
-        super().__init__(backend="process", max_workers=max_workers)
 
 
 def get_transport(name: str = "serial", max_workers: int | None = None) -> Transport:

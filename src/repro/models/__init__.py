@@ -2,12 +2,10 @@
 
 from repro.models.base import ImageClassifier
 from repro.models.bit import BiTBlock, BiTConfig, BiTModel, bit_m_r101x3, bit_m_r152x4
-from repro.models.ensemble import RandomSelectionEnsemble
 from repro.models.paper_configs import (
     PAPER_MODEL_SPECS,
     PaperBiTSpec,
     PaperViTSpec,
-    paper_spec,
 )
 from repro.models.registry import MODEL_REGISTRY, build_model, list_models
 from repro.models.resnet import PreActBlock, ResNetConfig, ResNetV2, resnet56, resnet164
@@ -25,7 +23,6 @@ __all__ = [
     "PaperBiTSpec",
     "PaperViTSpec",
     "PreActBlock",
-    "RandomSelectionEnsemble",
     "ResNetConfig",
     "ResNetV2",
     "SimpleCNN",
@@ -36,7 +33,6 @@ __all__ = [
     "bit_m_r152x4",
     "build_model",
     "list_models",
-    "paper_spec",
     "resnet56",
     "resnet164",
     "vit_b16",

@@ -105,9 +105,3 @@ PAPER_MODEL_SPECS: dict[str, PaperViTSpec | PaperBiTSpec] = {
     ),
 }
 
-
-def paper_spec(name: str) -> PaperViTSpec | PaperBiTSpec:
-    """Return the Table I specification registered under ``name``."""
-    if name not in PAPER_MODEL_SPECS:
-        raise KeyError(f"no paper specification for model {name!r}")
-    return PAPER_MODEL_SPECS[name]

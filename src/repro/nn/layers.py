@@ -1,4 +1,4 @@
-"""Core layers: dense, convolutional, normalisation, activations, pooling."""
+"""Core layers: dense, convolutional, normalisation, activations, dropout, padding."""
 
 from __future__ import annotations
 
@@ -175,69 +175,6 @@ class GELU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.gelu(x)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Softmax(Module):
-    """Softmax along a fixed axis."""
-
-    def __init__(self, axis: int = -1):
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.softmax(x, axis=self.axis)
-
-
-class MaxPool2d(Module):
-    """Max pooling with a square window."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv_ops.max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    """Average pooling with a square window."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv_ops.avg_pool2d(x, self.kernel_size, self.stride)
-
-
-class GlobalAvgPool2d(Module):
-    """Global average pooling, collapsing the spatial dimensions."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv_ops.global_avg_pool2d(x)
-
-
-class Flatten(Module):
-    """Flatten every dimension except the batch dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
 
 
 class Dropout(Module):

@@ -167,33 +167,3 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-
-class Sequential(Module):
-    """Apply sub-modules in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._sequence: list[Module] = []
-        for index, module in enumerate(modules):
-            setattr(self, f"layer{index}", module)
-            self._sequence.append(module)
-
-    def append(self, module: Module) -> "Sequential":
-        """Append one more module to the sequence."""
-        setattr(self, f"layer{len(self._sequence)}", module)
-        self._sequence.append(module)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._sequence)
-
-    def __iter__(self):
-        return iter(self._sequence)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._sequence[index]
-
-    def forward(self, x):
-        for module in self._sequence:
-            x = module(x)
-        return x

@@ -29,15 +29,17 @@ class InferenceRequest:
 
 @dataclass
 class InferenceReply:
-    """The serving runtime's answer to one request."""
+    """The gateway's answer to one completed request."""
 
     request_id: int
     prediction: int
     logits: np.ndarray
-    #: End-to-end latency on the virtual clock: queue wait + batch service.
+    #: Arrival-to-completion time on the virtual clock (µs): queue wait plus
+    #: stage service, the stages' world-switch crossings included.
     latency_us: float
-    #: Size of the batch (before padding) this request was served in.
+    #: Size of the stem cohort (a static batch under the static policy) the
+    #: request entered with; the gateway never pads a cohort.
     batch_size: int
-    #: This request's share of the batch's TEE world switches.
+    #: Even share of the drain's TEE world switches (total / completed).
     world_switches: float
     session_id: str | None = None

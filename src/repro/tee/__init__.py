@@ -1,7 +1,7 @@
 """Trusted execution environment substrate (enclaves, attestation, channels)."""
 
 from repro.tee.attestation import AttestationQuote, measure_payload, produce_quote, verify_quote
-from repro.tee.enclave import Enclave, EnclaveMemoryReport, SGXEnclave, TrustZoneEnclave
+from repro.tee.enclave import Enclave, EnclaveMemoryReport, TrustZoneEnclave
 from repro.tee.errors import (
     AttestationError,
     EnclaveAccessError,
@@ -25,7 +25,6 @@ __all__ = [
     "EnclaveMemoryError",
     "EnclaveMemoryReport",
     "EncryptedMessage",
-    "SGXEnclave",
     "SecureChannel",
     "SecureChannelError",
     "TEEError",

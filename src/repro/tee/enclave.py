@@ -29,7 +29,6 @@ from repro.tee.attestation import AttestationQuote, measure_payload, produce_quo
 from repro.tee.errors import EnclaveAccessError, EnclaveMemoryError
 from repro.tee.world import WorldBoundary
 
-_KB = 1024
 _MB = 1024 * 1024
 
 
@@ -54,12 +53,10 @@ class Enclave:
         name: str,
         memory_limit_bytes: int,
         boundary: WorldBoundary | None = None,
-        enforce_limit: bool = True,
     ):
         self.name = name
         self.memory_limit_bytes = int(memory_limit_bytes)
         self.boundary = boundary if boundary is not None else WorldBoundary()
-        self.enforce_limit = enforce_limit
         self._sealed: dict[str, np.ndarray] = {}
         self._regions: list[ShieldRegion] = []
 
@@ -152,8 +149,6 @@ class Enclave:
         self._check_capacity(0)
 
     def _check_capacity(self, extra_bytes: int) -> None:
-        if not self.enforce_limit:
-            return
         if self.used_bytes + extra_bytes > self.memory_limit_bytes:
             raise EnclaveMemoryError(
                 f"enclave {self.name!r} over budget: "
@@ -196,30 +191,3 @@ class TrustZoneEnclave(Enclave):
         limit = memory_limit_bytes if memory_limit_bytes is not None else self.DEFAULT_LIMIT_BYTES
         super().__init__(name, limit, **kwargs)
 
-
-class SGXEnclave(Enclave):
-    """Intel SGX enclave with a larger (EPC-sized) budget.
-
-    SGX offers looser memory constraints than TrustZone (the paper contrasts
-    the two); exceeding the EPC does not fail but incurs a paging penalty,
-    which :meth:`paging_penalty_us` exposes for the §VI overhead benchmark.
-    """
-
-    DEFAULT_LIMIT_BYTES = 128 * _MB
-
-    def __init__(
-        self,
-        name: str = "sgx",
-        memory_limit_bytes: int | None = None,
-        page_fault_cost_us: float = 8.0,
-        **kwargs,
-    ):
-        limit = memory_limit_bytes if memory_limit_bytes is not None else self.DEFAULT_LIMIT_BYTES
-        super().__init__(name, limit, enforce_limit=False, **kwargs)
-        self.page_fault_cost_us = page_fault_cost_us
-
-    def paging_penalty_us(self) -> float:
-        """Estimated EPC paging penalty for the current occupancy."""
-        overflow = max(self.used_bytes - self.memory_limit_bytes, 0)
-        pages = overflow / (4 * _KB)
-        return pages * self.page_fault_cost_us

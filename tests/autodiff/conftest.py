@@ -1,4 +1,4 @@
-"""Shared precision helpers for the autodiff test suite.
+"""Shared helpers for the autodiff test suite.
 
 CI runs this directory under both ``REPRO_DTYPE=float64`` and ``float32``
 (the fusion and pooling layers must be dtype-clean), so numeric-gradient
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff import get_default_dtype
+from repro.autodiff import Tensor, get_default_dtype
 
 
 def is_float64() -> bool:
@@ -52,3 +52,17 @@ def away_from(x: np.ndarray, points=(0.0,), margin: float = 0.05) -> np.ndarray:
         close = np.abs(delta) < margin
         x[close] = point + np.where(delta[close] >= 0.0, margin, -margin)
     return x
+
+
+def window_pool(x: Tensor, reduce) -> Tensor:
+    """2×2, stride-2 pooling of an ``(N, C, H, W)`` tensor from general ops.
+
+    Crops odd trailing rows/columns, splits each spatial axis into
+    (windows, 2) and reduces the two window axes with ``reduce``
+    (``Tensor.max`` or ``Tensor.mean``), so test towers keep their
+    downsampling stages without a dedicated pooling kernel.
+    """
+    n, c, height, width = x.shape
+    rows, cols = height // 2, width // 2
+    windows = x[:, :, : 2 * rows, : 2 * cols].reshape(n, c, rows, 2, cols, 2)
+    return reduce(windows, axis=(3, 5))

@@ -1,4 +1,4 @@
-"""Tests for convolution / pooling primitives and the attacker-side transposed conv."""
+"""Tests for convolution / global pooling primitives and the attacker-side transposed conv."""
 
 from __future__ import annotations
 
@@ -7,13 +7,11 @@ import pytest
 
 from repro.autodiff import (
     Tensor,
-    avg_pool2d,
     col2im,
     conv2d,
     conv_transpose2d_numpy,
     global_avg_pool2d,
     im2col,
-    max_pool2d,
     numerical_gradient,
     relative_error,
 )
@@ -88,28 +86,6 @@ class TestConv2d:
 
 
 class TestPooling:
-    def test_max_pool_forward(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = max_pool2d(Tensor(x), 2).data
-        np.testing.assert_allclose(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-
-    def test_avg_pool_forward(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = avg_pool2d(Tensor(x), 2).data
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_max_pool_gradient_goes_to_argmax(self):
-        x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4), requires_grad=True)
-        max_pool2d(x, 2).sum().backward()
-        expected = np.zeros((4, 4))
-        expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
-        np.testing.assert_allclose(x.grad[0, 0], expected)
-
-    def test_avg_pool_gradient_uniform(self):
-        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-        avg_pool2d(x, 2).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
-
     def test_global_avg_pool_shape_and_gradient(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
         out = global_avg_pool2d(x)

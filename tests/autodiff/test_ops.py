@@ -29,7 +29,7 @@ EXPECTED_OPS = {
     "reshape", "transpose", "getitem", "pad", "concat", "stack",
     "relu", "sigmoid", "gelu", "softmax", "log_softmax",
     "nll_loss", "margin_loss", "dropout",
-    "conv2d", "max_pool2d", "avg_pool2d",
+    "conv2d",
 }
 
 

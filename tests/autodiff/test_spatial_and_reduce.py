@@ -32,8 +32,10 @@ from repro.autodiff import (
 from repro.autodiff import banding
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
-from repro.autodiff.conv import avg_pool2d, conv2d, im2col, im2col_into, max_pool2d
+from repro.autodiff.conv import conv2d, im2col, im2col_into
 from repro.autodiff.pool import BufferPool
+
+from tests.autodiff.conftest import window_pool
 
 
 def _tower_weights(rng, dtype, head_features=128):
@@ -50,15 +52,15 @@ def _tower_weights(rng, dtype, head_features=128):
 
 
 def _tower_trace(weights):
-    """conv → relu → max_pool → conv → avg_pool → flatten → matmul head."""
+    """conv → relu → 2×2 max → conv → 2×2 mean → flatten → matmul head."""
 
     def trace(array: np.ndarray) -> TraceHandles:
         x = Tensor(array, requires_grad=True, is_input=True)
         h = conv2d(x, weights["w1"], weights["b1"], stride=1, padding=1)
         h = F.relu(h)
-        h = max_pool2d(h, 2)
+        h = window_pool(h, Tensor.max)
         h = conv2d(h, weights["w2"], stride=1, padding=1)
-        h = avg_pool2d(h, 2)
+        h = window_pool(h, Tensor.mean)
         logits = h.reshape(h.shape[0], -1) @ weights["head"]
         return TraceHandles(objective=(logits * logits).sum(), input=x)
 

@@ -11,14 +11,14 @@ from repro.core import (
     FullWhiteBoxView,
     RestrictedWhiteBoxView,
     ShieldedModel,
-    chain_rule_is_broken,
-    make_view,
     measure_shielded_model,
 )
 from repro.core.views import _per_sample_loss
 from repro.models.simple import SimpleCNN, SimpleCNNConfig
 from repro.models.vit import ViTConfig, VisionTransformer
 from repro.tee import Enclave, EnclaveAccessError, TrustZoneEnclave
+
+from tests.shield_checks import chain_rule_is_broken
 
 
 def _tiny_cnn() -> SimpleCNN:
@@ -144,12 +144,6 @@ class TestFullWhiteBoxView:
         view = FullWhiteBoxView(_tiny_cnn())
         with pytest.raises(ValueError):
             view.gradient(rng.uniform(size=(1, 3, 8, 8)), np.array([0]), loss="bogus")
-
-    def test_make_view_dispatch(self):
-        model = _tiny_cnn()
-        assert isinstance(make_view(model), FullWhiteBoxView)
-        with pytest.raises(ValueError):
-            make_view(ShieldedModel(model))  # needs an upsampler
 
 
 class TestRestrictedWhiteBoxView:

@@ -14,13 +14,10 @@ from repro.core.selection import (
     select_first_transforms,
     select_shield_tagged,
 )
-from repro.core.shielding import (
-    chain_rule_is_broken,
-    clear_adjoint_candidates,
-    input_connected_ids,
-    pelta_shield,
-)
+from repro.core.shielding import input_connected_ids, pelta_shield
 from repro.tee import Enclave
+
+from tests.shield_checks import chain_rule_is_broken, clear_adjoint_candidates
 
 
 def _chain_graph(depth: int = 4, width: int = 3):

@@ -13,17 +13,12 @@ from repro.data import (
     SyntheticImageDataset,
     apply_patch,
     clip_to_unit,
-    denormalize,
     dirichlet_partition,
     iid_partition,
-    l2_distance,
-    linf_distance,
     make_cifar10_like,
     make_cifar100_like,
     make_dataset,
     make_imagenet_like,
-    normalize,
-    train_validation_split,
 )
 from repro.utils.rng import set_global_seed
 
@@ -105,17 +100,6 @@ class TestDataLoader:
 
 
 class TestSplits:
-    def test_train_validation_split_sizes(self, rng):
-        images = rng.uniform(size=(20, 2))
-        labels = np.arange(20)
-        (train_x, train_y), (val_x, val_y) = train_validation_split(images, labels, 0.25, rng=rng)
-        assert len(train_y) == 15 and len(val_y) == 5
-        assert set(train_y.tolist()) | set(val_y.tolist()) == set(range(20))
-
-    def test_train_validation_split_validates_fraction(self, rng):
-        with pytest.raises(ValueError):
-            train_validation_split(rng.uniform(size=(4, 2)), np.arange(4), 1.5)
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=10, max_value=60))
     def test_iid_partition_is_a_partition(self, num_clients, num_samples):
@@ -143,10 +127,6 @@ class TestSplits:
 
 
 class TestTransforms:
-    def test_normalize_denormalize_roundtrip(self, rng):
-        images = rng.uniform(size=(2, 3, 4, 4))
-        np.testing.assert_allclose(denormalize(normalize(images)), images)
-
     def test_clip_to_unit(self):
         np.testing.assert_allclose(clip_to_unit(np.array([-0.5, 0.5, 1.5])), [0.0, 0.5, 1.0])
 
@@ -158,9 +138,3 @@ class TestTransforms:
         mask = np.ones_like(images, dtype=bool)
         mask[:, :, 3:5, 4:6] = False
         np.testing.assert_allclose(patched[mask], images[mask])
-
-    def test_distances(self):
-        a = np.zeros((2, 3, 2, 2))
-        b = np.full((2, 3, 2, 2), 0.5)
-        np.testing.assert_allclose(linf_distance(a, b), [0.5, 0.5])
-        np.testing.assert_allclose(l2_distance(a, b), [0.5 * np.sqrt(12)] * 2)

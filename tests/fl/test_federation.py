@@ -16,7 +16,6 @@ from repro.fl import (
     RoundHooks,
     add_backdoor_trigger,
     fedavg,
-    flip_labels,
     poison_with_backdoor,
 )
 from repro.fl.runtime import client_task_seed
@@ -170,25 +169,24 @@ class TestCompromisedClient:
 
 
 class TestPoisoningHelpers:
-    def test_flip_labels_fraction(self):
-        labels = np.zeros(10, dtype=np.int64)
-        flipped = flip_labels(labels, num_classes=5, fraction=0.5)
-        assert (flipped != 0).sum() == 5
-
-    def test_flip_labels_validates_fraction(self):
-        with pytest.raises(ValueError):
-            flip_labels(np.zeros(4, dtype=np.int64), 2, fraction=1.5)
-
     def test_backdoor_trigger_is_stamped(self, rng):
         images = rng.uniform(size=(3, 3, 8, 8)) * 0.2
         stamped = add_backdoor_trigger(images, trigger_size=2)
         np.testing.assert_allclose(stamped[:, :, -2:, -2:], 1.0)
 
-    def test_backdoor_trigger_corners(self, rng):
-        images = np.zeros((1, 1, 4, 4))
-        assert add_backdoor_trigger(images, trigger_size=1, corner="top_left")[0, 0, 0, 0] == 1.0
+    @pytest.mark.parametrize(
+        "corner, row, col",
+        [("top_left", 0, 0), ("top_right", 0, 3), ("bottom_left", 3, 0), ("bottom_right", 3, 3)],
+    )
+    def test_backdoor_trigger_corners(self, corner, row, col):
+        stamped = add_backdoor_trigger(np.zeros((1, 1, 4, 4)), trigger_size=1, corner=corner)
+        expected = np.zeros((4, 4))
+        expected[row, col] = 1.0
+        np.testing.assert_array_equal(stamped[0, 0], expected)
+
+    def test_backdoor_trigger_unknown_corner_rejected(self):
         with pytest.raises(ValueError):
-            add_backdoor_trigger(images, corner="middle")
+            add_backdoor_trigger(np.zeros((1, 1, 4, 4)), corner="middle")
 
     def test_poison_with_backdoor_relabels(self, rng):
         images = rng.uniform(size=(10, 3, 8, 8))
@@ -198,3 +196,13 @@ class TestPoisoningHelpers:
         )
         assert (poisoned_labels == 0).sum() == 4
         assert poisoned_images.shape == images.shape
+
+    def test_poison_with_zero_fraction_is_a_copy(self, rng):
+        images = rng.uniform(size=(4, 3, 8, 8))
+        labels = np.arange(4)
+        poisoned_images, poisoned_labels = poison_with_backdoor(
+            images, labels, target_class=0, fraction=0.0
+        )
+        np.testing.assert_array_equal(poisoned_images, images)
+        np.testing.assert_array_equal(poisoned_labels, labels)
+        assert poisoned_images is not images and poisoned_labels is not labels

@@ -18,19 +18,21 @@ from repro.fl import (
     UpdateEnvelope,
     enroll_and_attest,
     get_transport,
+    transport_from_executor,
     trimmed_mean,
     coordinate_median,
     fedavg,
     make_delta,
     apply_delta,
 )
+from repro.eval.engine.executor import CellExecutor, ExecutorConfig
 from repro.fl.messages import ModelUpdate
 from repro.fl.runtime import (
+    SealedState,
     client_task_seed,
     decode_state,
     encode_state,
     sample_by_fraction,
-    seal_state,
     unseal_state,
 )
 from repro.models.simple import MLPClassifier
@@ -75,6 +77,10 @@ def _honest_clients(images, labels, count=3, enclaves=False, config=None):
     ]
 
 
+def _seal(channel, state):
+    return SealedState(message=channel.encrypt(encode_state(state)))
+
+
 # --------------------------------------------------------------------------- #
 # Envelopes
 # --------------------------------------------------------------------------- #
@@ -88,7 +94,7 @@ class TestEnvelopes:
     def test_sealed_state_roundtrip_and_tamper_detection(self, rng):
         channel = SecureChannel(b"k" * 32, rng=rng)
         state = {"w": rng.normal(size=(2, 2))}
-        sealed = seal_state(channel, state)
+        sealed = _seal(channel, state)
         np.testing.assert_array_equal(unseal_state(channel, sealed)["w"], state["w"])
         import dataclasses
 
@@ -96,7 +102,7 @@ class TestEnvelopes:
             sealed.message, ciphertext=bytes(value ^ 0xFF for value in sealed.message.ciphertext)
         )
         with pytest.raises(SecureChannelError):
-            channel.decrypt(tampered)
+            unseal_state(channel, dataclasses.replace(sealed, message=tampered))
 
     def test_envelope_requires_exactly_one_payload(self):
         with pytest.raises(ValueError):
@@ -112,7 +118,7 @@ class TestEnvelopes:
 
     def test_sealed_broadcast_requires_channel(self, rng):
         channel = SecureChannel(b"k" * 32, rng=rng)
-        envelope = BroadcastEnvelope(round_index=0, sealed=seal_state(channel, {"w": np.ones(2)}))
+        envelope = BroadcastEnvelope(round_index=0, sealed=_seal(channel, {"w": np.ones(2)}))
         with pytest.raises(SecureChannelError):
             envelope.open(None)
 
@@ -131,14 +137,15 @@ class TestEnvelopes:
 # Transport parity
 # --------------------------------------------------------------------------- #
 class TestTransportParity:
-    def _history(self, backend: str):
+    def _history(self, backend: str, transport=None):
+        """Round history on ``transport``, else on ``get_transport(backend)``."""
         set_global_seed(4242)
         rng = np.random.default_rng(11)
         images, labels = _toy_data(rng)
         runtime = FederationRuntime(
             _mlp_factory(),
             _honest_clients(images, labels),
-            transport=get_transport(backend, max_workers=2),
+            transport=transport or get_transport(backend, max_workers=2),
         )
         result = runtime.run(2, images, labels)
         return [
@@ -157,6 +164,14 @@ class TestTransportParity:
         serial = self._history("serial")
         assert self._history("process") == serial
         assert self._history("auto") == serial
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_transport_from_executor_reuses_its_backend(self, backend):
+        executor = CellExecutor(ExecutorConfig(backend=backend, max_workers=2))
+        transport = transport_from_executor(executor)
+        assert transport.describe()["max_workers"] == 2
+        assert self._history(backend, transport) == self._history("serial")
+        assert transport.name == backend
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(KeyError):

@@ -18,7 +18,6 @@ from repro.models import (
     VisionTransformer,
     build_model,
     list_models,
-    paper_spec,
 )
 from repro.models.paper_configs import PAPER_MODEL_SPECS
 
@@ -180,9 +179,7 @@ class TestRegistryAndPaperConfigs:
     def test_paper_specs_cover_table1(self):
         assert set(PAPER_MODEL_SPECS) == {"vit_l16", "vit_b16", "bit_m_r101x3", "bit_m_r152x4"}
 
-    def test_paper_spec_lookup(self):
-        spec = paper_spec("vit_l16")
+    def test_paper_spec_geometry(self):
+        spec = PAPER_MODEL_SPECS["vit_l16"]
         assert spec.dim == 1024
         assert spec.num_patches == (224 // 16) ** 2
-        with pytest.raises(KeyError):
-            paper_spec("unknown")

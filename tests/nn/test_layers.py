@@ -8,20 +8,13 @@ import pytest
 from repro.autodiff import Tensor, numerical_gradient, relative_error
 from repro.nn import (
     GELU,
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
-    Flatten,
-    GlobalAvgPool2d,
     GroupNorm,
     LayerNorm,
     Linear,
-    MaxPool2d,
     ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
     WSConv2d,
     ZeroPad2d,
 )
@@ -134,25 +127,11 @@ class TestNormalisation:
         _layer_grad_check(GroupNorm(2, 4), rng.normal(size=(2, 4, 3, 3)))
 
 
-class TestActivationsAndPooling:
-    @pytest.mark.parametrize(
-        "layer", [ReLU(), GELU(), Sigmoid(), Tanh(), Softmax(axis=-1)],
-        ids=["relu", "gelu", "sigmoid", "tanh", "softmax"],
-    )
+class TestActivationsAndDropout:
+    @pytest.mark.parametrize("layer", [ReLU(), GELU()], ids=["relu", "gelu"])
     def test_activation_shapes(self, layer, rng):
         x = rng.normal(size=(3, 7))
         assert layer(Tensor(x)).shape == (3, 7)
-
-    def test_max_and_avg_pool_layers(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
-        assert MaxPool2d(2)(x).shape == (2, 3, 4, 4)
-        assert AvgPool2d(4)(x).shape == (2, 3, 2, 2)
-
-    def test_global_avg_pool_layer(self, rng):
-        assert GlobalAvgPool2d()(Tensor(rng.normal(size=(2, 5, 4, 4)))).shape == (2, 5)
-
-    def test_flatten(self, rng):
-        assert Flatten()(Tensor(rng.normal(size=(2, 3, 4, 4)))).shape == (2, 48)
 
     def test_dropout_eval_is_identity(self, rng):
         layer = Dropout(0.5)

@@ -1,4 +1,4 @@
-"""Tests for the Module / Parameter / Sequential abstractions."""
+"""Tests for the Module / Parameter abstractions."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.nn import Linear, Module, Parameter, ReLU, Sequential
+from repro.nn import Linear, Module, Parameter, ReLU
 from repro.nn.layers import BatchNorm2d
 
 
@@ -19,6 +19,15 @@ class _TwoLayer(Module):
 
     def forward(self, x):
         return self.second(self.first(x)) * self.scale
+
+
+class _Chain(Module):
+    """Container that registers each layer by attribute as ``layer<i>``."""
+
+    def __init__(self, *layers: Module):
+        super().__init__()
+        for index, layer in enumerate(layers):
+            setattr(self, f"layer{index}", layer)
 
 
 class TestParameterRegistration:
@@ -60,7 +69,7 @@ class TestTrainingHelpers:
         assert all(p.grad is None for p in model.parameters())
 
     def test_train_eval_propagates(self):
-        model = Sequential(Linear(2, 2), ReLU())
+        model = _Chain(Linear(2, 2), ReLU())
         model.eval()
         assert not model.training
         assert all(not module.training for module in model.modules())
@@ -114,21 +123,20 @@ class TestStateDict:
             bn.load_state_dict(state)
 
 
-class TestSequential:
-    def test_applies_in_order(self):
-        model = Sequential(Linear(3, 5), ReLU(), Linear(5, 2))
-        out = model(Tensor(np.ones((4, 3))))
-        assert out.shape == (4, 2)
+class TestAttributeRegistration:
+    def test_parameters_follow_registration_order(self):
+        model = _Chain(Linear(3, 5), ReLU(), Linear(5, 2))
+        names = [name for name, _ in model.named_parameters()]
+        assert names == ["layer0.weight", "layer0.bias", "layer2.weight", "layer2.bias"]
 
-    def test_len_iter_getitem(self):
+    def test_named_modules_are_qualified(self):
         layers = [Linear(2, 2), ReLU()]
-        model = Sequential(*layers)
-        assert len(model) == 2
-        assert list(model) == layers
-        assert model[0] is layers[0]
+        model = _Chain(*layers)
+        assert [name for name, _ in model.named_modules()] == ["", "layer0", "layer1"]
+        assert model.modules()[1:] == layers
 
-    def test_append_registers_parameters(self):
-        model = Sequential(Linear(2, 2))
+    def test_late_assignment_registers_parameters(self):
+        model = _Chain(Linear(2, 2))
         before = len(model.parameters())
-        model.append(Linear(2, 2))
+        model.layer1 = Linear(2, 2)
         assert len(model.parameters()) == before + 2

@@ -674,6 +674,15 @@ class TestGatewayServiceParity:
         if max_batch == 1:
             assert report.metrics["batches"] == len(requests)
 
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_reply_latency_is_queue_wait_plus_stage_service(self, rng, policy):
+        service, report = self._serve(_model(), self._requests(rng, count=1), policy)
+        (reply,) = report.replies
+        # A lone request never waits on a cohort; a static wave holds a
+        # partial batch for max_wait_us before it starts.
+        wait_us = service.policy.max_wait_us if policy == "static" else 0.0
+        assert reply.latency_us == pytest.approx(wait_us + service.costs().forward_us(1))
+
     def test_sealed_and_clear_queries_share_one_drain(self, rng):
         model = _model()
         service = GatewayService(model, GatewayPolicy(policy="continuous", max_batch=4))

@@ -11,7 +11,6 @@ from repro.tee import (
     Enclave,
     EnclaveAccessError,
     EnclaveMemoryError,
-    SGXEnclave,
     TrustZoneEnclave,
 )
 
@@ -104,21 +103,10 @@ class TestMemoryAccounting:
         with pytest.raises(EnclaveMemoryError):
             enclave.check_capacity()
 
-    def test_limit_not_enforced_when_disabled(self):
-        enclave = Enclave("e", memory_limit_bytes=8, enforce_limit=False)
-        enclave.seal("big", np.zeros(100))  # should not raise
-        assert enclave.used_bytes > enclave.memory_limit_bytes
-
 
 class TestEnclaveVariants:
     def test_trustzone_default_limit_is_30mb(self):
         assert TrustZoneEnclave().memory_limit_bytes == 30 * _MB
-
-    def test_sgx_default_limit_and_paging_penalty(self):
-        enclave = SGXEnclave(memory_limit_bytes=1024, page_fault_cost_us=10.0)
-        assert enclave.paging_penalty_us() == 0.0
-        enclave.seal("large", np.zeros(4096))  # overflows EPC but does not raise
-        assert enclave.paging_penalty_us() > 0.0
 
     def test_measurement_changes_with_content(self, rng):
         enclave = Enclave("e", memory_limit_bytes=_MB)

@@ -101,12 +101,12 @@ class TestSealCapacityFailures:
             enclave.seal("w", np.zeros(200))
         np.testing.assert_array_equal(enclave.unseal("w", authorized=True), np.zeros(100))
 
-    def test_unenforced_enclave_seals_over_budget(self):
-        enclave = Enclave("loose", memory_limit_bytes=8, enforce_limit=False)
+    def test_seal_parameters_may_fill_the_budget_exactly(self):
+        enclave = Enclave("snug", memory_limit_bytes=800)
         sealed = enclave.seal_parameters([self._parameter(100, "w")])
         assert sealed == 800
         assert enclave.used_bytes == 800
-        enclave.check_capacity()  # never raises while enforcement is off
+        enclave.check_capacity()  # at the limit, not over it
 
     def test_check_capacity_failure_during_shielded_model_construction(self):
         from repro.core.shielded_model import ShieldedModel

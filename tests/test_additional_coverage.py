@@ -1,7 +1,7 @@
 """Additional cross-cutting coverage: upsamplers, enclaves, the random baseline.
 
 These tests close gaps that the per-module suites do not reach: the
-flat-adjoint upsampler, the SGX paging model, and a couple of
+flat-adjoint upsampler, caller-built enclaves, and a couple of
 defensive-behaviour checks on the public API.
 """
 
@@ -13,7 +13,7 @@ import pytest
 from repro.attacks import RandomProjectionUpsampler, RandomUniform, make_attacker_view
 from repro.core import RestrictedWhiteBoxView, ShieldedModel
 from repro.models.simple import MLPClassifier, SimpleCNN, SimpleCNNConfig
-from repro.tee import SGXEnclave, TrustZoneEnclave
+from repro.tee import Enclave, TrustZoneEnclave
 
 
 def _tiny_cnn() -> SimpleCNN:
@@ -42,12 +42,14 @@ class TestFlatUpsamplerAndMlpShield:
 
 
 class TestEnclaveVariantsWithShieldedModels:
-    def test_shielded_model_with_sgx_enclave(self, rng):
+    def test_shielded_model_with_caller_built_enclave(self, rng):
         model = _tiny_cnn()
-        shielded = ShieldedModel(model, enclave=SGXEnclave(name="sgx-test"))
+        enclave = Enclave("custom", memory_limit_bytes=1024 * 1024)
+        shielded = ShieldedModel(model, enclave=enclave)
         predictions = shielded.predict(rng.uniform(size=(3, 3, 8, 8)))
         assert predictions.shape == (3,)
-        assert shielded.enclave.paging_penalty_us() == 0.0
+        assert shielded.enclave is enclave
+        assert 0 < enclave.used_bytes <= enclave.memory_limit_bytes
 
     def test_custom_trustzone_budget_is_respected(self):
         from repro.tee import EnclaveMemoryError

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.attacks import PGD, RandomUniform, make_attacker_view
-from repro.core import ShieldedModel, chain_rule_is_broken
+from repro.core import ShieldedModel
 from repro.eval import robust_accuracy, select_correctly_classified
 from repro.tee import EnclaveAccessError
+
+from tests.shield_checks import chain_rule_is_broken
 
 
 @pytest.mark.slow

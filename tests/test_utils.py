@@ -1,18 +1,13 @@
-"""Tests for repro.utils (rng, config, serialization, logging)."""
+"""Tests for repro.utils (rng, serialization, logging)."""
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 
 import numpy as np
-import pytest
 
 from repro.utils import (
-    ConfigError,
     RngRegistry,
-    config_from_dict,
-    config_to_dict,
     get_logger,
     get_rng,
     load_state,
@@ -60,30 +55,6 @@ class TestRng:
         cached = registry.get("s")
         fresh = registry.spawn("s")
         assert cached is not fresh
-
-
-@dataclasses.dataclass
-class _DemoConfig:
-    alpha: float = 1.0
-    steps: int = 10
-
-
-class TestConfig:
-    def test_roundtrip(self):
-        config = _DemoConfig(alpha=2.5, steps=3)
-        assert config_from_dict(_DemoConfig, config_to_dict(config)) == config
-
-    def test_unknown_key_raises(self):
-        with pytest.raises(ConfigError):
-            config_from_dict(_DemoConfig, {"alpha": 1.0, "bogus": 2})
-
-    def test_non_dataclass_raises(self):
-        with pytest.raises(ConfigError):
-            config_to_dict({"not": "a dataclass"})
-
-    def test_from_dict_requires_dataclass_type(self):
-        with pytest.raises(ConfigError):
-            config_from_dict(dict, {"a": 1})
 
 
 class TestSerialization:
