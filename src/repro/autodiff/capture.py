@@ -60,8 +60,8 @@ class _ReplayNode:
     """One non-fused replay step: rerun the node's kernel into its buffer.
 
     Non-elementwise kernels whose operands share the buffer's dtype get the
-    buffer as ``out=``: banded conv2d and matmul write it in place, the
-    others land their result there.  A kernel that returns another array is
+    buffer as ``out=``: banded conv2d and every matmul write it in place,
+    the others land their result there.  A kernel that returns another array is
     copied in, unless that array already is the buffer's memory (views from
     reshape, transpose or basic slicing of a refreshed parent); the copy
     flag is decided on the first replay.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autodiff import ops
+from repro.autodiff.pool import scratch_pool
 from repro.autodiff.tensor import Tensor
 
 
@@ -37,71 +38,33 @@ def im2col(
 
 
 def im2col_into(
-    images: np.ndarray,
-    kh: int,
-    kw: int,
-    stride: int,
-    padding: int,
-    out: np.ndarray,
-    row_start: int = 0,
-    row_stop: int | None = None,
+    images: np.ndarray, kh: int, kw: int, stride: int, padding: int, out: np.ndarray
 ) -> None:
-    """Unfold image patches directly into ``out`` (``(N*rows*out_w, C*kh*kw)``).
+    """Unfold image patches directly into ``out`` (``(N*out_h*out_w, C*kh*kw)``).
 
     Bit-identical to :func:`im2col` (both copy the same padded-input
-    elements), but writes the caller's buffer in place (a band of a
-    recorded ``saved["col"]`` matrix) and draws its padded scratch from the
-    banding scratch pool.
-
-    ``row_start``/``row_stop`` restrict the unfold to an *output-row* window
-    (the spatial banding axis for batch-1 kernels): ``out`` then holds only
-    the window's ``(row_stop - row_start) * out_w`` patch rows per sample.
-    The window's input slice carries its halo, so each band is a value-exact
-    copy of its rows of the full unfold.
+    elements), but writes the caller's buffer in place (one sample's rows of
+    a recorded ``saved["col"]`` matrix) and draws its padded scratch from the
+    process-wide :func:`~repro.autodiff.pool.scratch_pool`.
     """
-    from repro.autodiff import banding as _banding
-
     if not out.flags.c_contiguous:
         raise ValueError("im2col_into requires a C-contiguous out buffer")
     n, c, h, w = images.shape
     out_h = _output_size(h, kh, stride, padding)
     out_w = _output_size(w, kw, stride, padding)
-    if row_stop is None:
-        row_stop = out_h
-    rows = row_stop - row_start
     pool = None
-    if row_start == 0 and row_stop == out_h:
-        if padding:
-            pool = _banding.scratch_pool()
-            padded = pool.take((n, c, h + 2 * padding, w + 2 * padding), images.dtype)
-            padded.fill(0)
-            padded[:, :, padding : padding + h, padding : padding + w] = images
-        else:
-            padded = images
+    if padding:
+        pool = scratch_pool()
+        padded = pool.take((n, c, h + 2 * padding, w + 2 * padding), images.dtype)
+        padded.fill(0)
+        padded[:, :, padding : padding + h, padding : padding + w] = images
     else:
-        # Halo-aware window: padded rows [p0, p1) cover every input row the
-        # requested output rows read (kh tall per row, stride apart).
-        p0 = row_start * stride
-        p1 = (row_stop - 1) * stride + kh
-        if padding == 0:
-            padded = images[:, :, p0:p1, :]
-        else:
-            pool = _banding.scratch_pool()
-            padded = pool.take((n, c, p1 - p0, w + 2 * padding), images.dtype)
-            padded.fill(0)
-            # Intersect the window with the real (unpadded) image rows; the
-            # rest of the window stays zero, exactly as np.pad would leave it.
-            i0 = max(p0 - padding, 0)
-            i1 = min(p1 - padding, h)
-            if i1 > i0:
-                padded[
-                    :, :, i0 + padding - p0 : i1 + padding - p0, padding : padding + w
-                ] = images[:, :, i0:i1, :]
-    # ``out`` viewed as (N, rows, out_w, C, kh, kw): position [s, oy, ox, ch,
+        padded = images
+    # ``out`` viewed as (N, out_h, out_w, C, kh, kw): position [s, oy, ox, ch,
     # y, x] is exactly where im2col's transpose lands patch [s, ch, oy, ox].
-    col = out.reshape(n, rows, out_w, c, kh, kw)
+    col = out.reshape(n, out_h, out_w, c, kh, kw)
     for y in range(kh):
-        y_max = y + stride * rows
+        y_max = y + stride * out_h
         for x in range(kw):
             x_max = x + stride * out_w
             col[:, :, :, :, y, x] = padded[:, :, y:y_max:stride, x:x_max:stride].transpose(

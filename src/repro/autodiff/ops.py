@@ -37,8 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.autodiff import profiler as _profiler
-from repro.autodiff import banding as _banding
-from repro.autodiff.pool import active_buffer_pool
+from repro.autodiff.pool import active_buffer_pool, scratch_pool
 from repro.autodiff.tensor import Tensor, get_default_dtype, unbroadcast
 
 __all__ = [
@@ -427,115 +426,21 @@ def _pow_backward(ctx, grad):
     return (grad * power * x ** (power - 1.0),)
 
 
-def _matmul_band_count(a_shape, b_shape) -> int:
-    """Canonical band units of ``a @ b`` along the leading axis (0 = whole).
-
-    2-D matmuls band in :data:`~repro.autodiff.banding.MATMUL_BAND_ROWS`-row
-    groups (per-row bands would degrade the GEMM into GEMVs); stacked
-    operands (``a.ndim >= 3``) band per leading-axis sample, each band a full
-    GEMM.  ``b`` must be 2-D (shared rhs) or stacked alongside ``a`` —
-    anything fancier stays whole.  Deterministic in shapes/FLOPs only.
-    """
-    flops = 2 * _prod(a_shape) * int(b_shape[-1])
-    if len(a_shape) == 2 and len(b_shape) == 2:
-        units = -(-int(a_shape[0]) // _banding.MATMUL_BAND_ROWS)
-    elif len(a_shape) >= 3 and (
-        len(b_shape) == 2
-        or (len(b_shape) == len(a_shape) and b_shape[0] == a_shape[0])
-    ):
-        units = int(a_shape[0])
-    else:
-        return 0
-    return units if _banding.banded(units, flops) else 0
-
-
-def _matmul_run_bands(a, b, out, units) -> None:
-    """Compute the ``units`` canonical bands of a banded matmul into ``out``.
-
-    Every band is its own ``np.matmul`` call.
-    """
-    if a.ndim == 2:
-        rows = out.shape[0]
-        for band in range(units):
-            r0 = band * _banding.MATMUL_BAND_ROWS
-            r1 = min(r0 + _banding.MATMUL_BAND_ROWS, rows)
-            np.matmul(a[r0:r1], b, out=out[r0:r1])
-        return
-    stacked_b = b.ndim == a.ndim
-    for index in range(units):
-        np.matmul(a[index], b[index] if stacked_b else b, out=out[index])
-
-
-def _banded_matmul(a, b):
-    """``a @ b`` through the canonical banding rule (shared by fwd and bwd)."""
-    units = _matmul_band_count(a.shape, b.shape)
-    if units == 0:
-        return np.matmul(a, b)
-    result = np.empty(a.shape[:-1] + (b.shape[-1],), dtype=np.result_type(a, b))
-    _matmul_run_bands(a, b, result, units)
-    return result
-
-
-def _matmul_grad_b(a, grad, b):
-    """Gradient w.r.t. the rhs: ``aᵀ @ grad`` reduced across the band axis.
-
-    Unlike ``grad_a`` (whose output rows are the band axis), every band of
-    ``a``/``grad`` contributes to *every* element of ``grad_b`` — so banding
-    it means per-band partial GEMMs combined through the fixed binary tree
-    (:func:`repro.autodiff.banding.reduce_bands`).  The gate is the same
-    canonical banding rule as the forward, applied in eager and replayed
-    sweeps alike, so gradients agree byte for byte.  Stacked rhs operands
-    (``b.ndim >= 3``) have no cross-batch reduction, and deeply stacked lhs
-    operands would need a second nested reduction — both keep the classic
-    whole kernel.
-    """
-    units = _matmul_band_count(a.shape, b.shape)
-    if units == 0 or b.ndim != 2 or a.ndim > 3 or a.dtype != grad.dtype:
-        return unbroadcast(np.matmul(np.swapaxes(a, -1, -2), grad), b.shape)
-    out = np.empty(b.shape, dtype=np.result_type(a, grad))
-    if a.ndim == 2:
-        rows = a.shape[0]
-
-        def partial(band: int, slab: np.ndarray) -> None:
-            r0 = band * _banding.MATMUL_BAND_ROWS
-            r1 = min(r0 + _banding.MATMUL_BAND_ROWS, rows)
-            np.matmul(a[r0:r1].T, grad[r0:r1], out=slab)
-
-    else:
-
-        def partial(band: int, slab: np.ndarray) -> None:
-            np.matmul(a[band].T, grad[band], out=slab)
-
-    _banding.reduce_bands(units, partial, out, name="matmul")
-    return out
-
-
 def _matmul_forward(inputs, params, saved, out):
     a, b = inputs
-    units = _matmul_band_count(a.shape, b.shape)
-    if units == 0:
-        return np.matmul(a, b, out=out) if out is not None else np.matmul(a, b)
-    shape = a.shape[:-1] + (b.shape[-1],)
-    dtype = np.result_type(a, b)
-    if out is None or out.shape != shape or out.dtype != dtype:
-        out = np.empty(shape, dtype=dtype)
-    _matmul_run_bands(a, b, out, units)
-    return out
+    return np.matmul(a, b, out=out) if out is not None else np.matmul(a, b)
 
 
 def _matmul_backward(ctx, grad):
     a, b = ctx.inputs
     needs = ctx.needs
     # Each operand's gradient is a full matmul; skip the ones nobody will
-    # read (e.g. frozen parameters during attack queries).  grad_a routes
-    # through the canonical banding rule (its lhs rows are the batch axis);
-    # grad_b reduces *across* the batch — banded calls compute per-band
-    # partials combined through the fixed tree reduce.
+    # read (e.g. frozen parameters during attack queries).
     grad_a = grad_b = None
     if needs[0]:
-        grad_a = unbroadcast(_banded_matmul(grad, np.swapaxes(b, -1, -2)), a.shape)
+        grad_a = unbroadcast(np.matmul(grad, np.swapaxes(b, -1, -2)), a.shape)
     if needs[1]:
-        grad_b = _matmul_grad_b(a, grad, b)
+        grad_b = unbroadcast(np.matmul(np.swapaxes(a, -1, -2), grad), b.shape)
     return (grad_a, grad_b)
 
 
@@ -951,6 +856,27 @@ def _dropout_backward(ctx, grad):
 # --------------------------------------------------------------------------- #
 # Convolution kernels
 # --------------------------------------------------------------------------- #
+#: FLOP floor before a batched conv2d computes one im2col-GEMM per sample.
+#: This is cache blocking: each sample's unfold stays small enough to stay in
+#: cache, which measures faster than one whole-batch GEMM on the BiT and
+#: ResNet defenders.  Read at call time, so tests can lower it to band small
+#: fixtures; within one process it must stay fixed between recording and
+#: replay, because per-sample and whole-batch GEMMs differ in the last bits.
+MIN_BAND_FLOPS = 2_000_000
+
+
+def banded(units: int, flops: int) -> bool:
+    """Whether a conv2d call of ``units`` samples computes per-sample bands.
+
+    A pure function of the call's shapes and FLOPs, so the eager pass that
+    records a graph and the replays that re-execute it always agree.
+    """
+    if units < 2:
+        return False
+    floor = MIN_BAND_FLOPS
+    return flops >= floor and flops // units >= max(floor // 32, 1)
+
+
 def _conv2d_flops(x_shape, w_shape, stride: int, padding: int) -> int:
     from repro.autodiff.conv import _output_size
 
@@ -961,63 +887,39 @@ def _conv2d_flops(x_shape, w_shape, stride: int, padding: int) -> int:
     return 2 * int(n) * int(c_out) * out_h * out_w * int(c_in) * int(kh) * int(kw)
 
 
-def _conv2d_spatial_units(x_shape, w_shape, params) -> int:
-    """Output-row band units for a batch-1 conv2d (0 = stay whole).
-
-    When the batch axis is a single sample there is nothing to band over, so
-    the fallback axis is H: groups of :data:`~repro.autodiff.banding.
-    SPATIAL_BAND_ROWS` output rows, each unfolded with its own halo-carrying
-    input window.  Same shapes/FLOPs gate as sample banding.
-    """
-    from repro.autodiff.conv import _output_size
-
-    out_h = _output_size(int(x_shape[2]), int(w_shape[2]), params["stride"], params["padding"])
-    units = -(-out_h // _banding.SPATIAL_BAND_ROWS)
-    flops = _conv2d_flops(x_shape, w_shape, params["stride"], params["padding"])
-    return units if _banding.banded(units, flops) else 0
-
-
 def _conv2d_band_count(inputs, params) -> int:
-    """Canonical band units for a conv2d call (0 = stay whole).
+    """Per-sample band units for a conv2d call (0 = stay whole).
 
-    Batches of two or more band per *sample*; a single-sample batch falls
-    back to *spatial* (output-row) bands.  Like matmul banding, the decision
-    is shapes/FLOPs only — plus a dtype equality gate, because the banded
-    kernel computes every band in the common dtype via preallocated buffers.
-    Mixed-dtype calls keep the classic whole-batch path (in eager mode *and*
-    in replays, so recorded values always match).
+    Batches of two or more that pass :func:`banded` compute one im2col-GEMM
+    per sample.  The decision is shapes/FLOPs only — plus a dtype equality
+    gate, because the banded kernel computes every band in the common dtype
+    via preallocated buffers.  Mixed-dtype calls keep the whole-batch path
+    (in eager mode *and* in replays, so recorded values always match).
     """
     x, weight = inputs[0], inputs[1]
     if any(operand.dtype != x.dtype for operand in inputs[1:]):
         return 0
     n = int(x.shape[0])
-    if n < 2:
-        return _conv2d_spatial_units(x.shape, weight.shape, params)
     flops = _conv2d_flops(x.shape, weight.shape, params["stride"], params["padding"])
-    return n if _banding.banded(n, flops) else 0
+    return n if banded(n, flops) else 0
 
 
 def _conv2d_run_bands(inputs, params, col, out, units) -> None:
-    """Compute the ``units`` canonical bands of a banded conv2d into ``out``.
+    """Compute the ``units`` per-sample bands of a banded conv2d into ``out``.
 
-    For batches of two or more, each sample is one canonical band: its
-    im2col rows land in its slice of the shared ``col`` matrix and its
-    output channels are one im2col-GEMM of its own.  Batch-1 calls dispatch
-    to the spatial (output-row) band kernel instead.
+    Each sample's im2col rows land in its slice of the shared ``col`` matrix
+    and its output channels are one im2col-GEMM of its own.
     """
     from repro.autodiff.conv import im2col_into
 
     x, weight = inputs[0], inputs[1]
-    if x.shape[0] == 1:
-        _conv2d_run_spatial_bands(inputs, params, col, out, units)
-        return
     bias = inputs[2] if len(inputs) > 2 else None
     stride, padding = params["stride"], params["padding"]
     c_out, _, kh, kw = weight.shape
     _, _, out_h, out_w = out.shape
     rows = out_h * out_w
     weight_t = weight.reshape(c_out, -1).T
-    pool = _banding.scratch_pool()
+    pool = scratch_pool()
     band = pool.take((rows, c_out), out.dtype)
     for index in range(units):
         col_rows = col[index * rows : (index + 1) * rows]
@@ -1027,37 +929,6 @@ def _conv2d_run_bands(inputs, params, col, out, units) -> None:
             band += bias.reshape(1, c_out)
         out[index] = band.reshape(out_h, out_w, c_out).transpose(2, 0, 1)
     pool.release(band)
-
-
-def _conv2d_run_spatial_bands(inputs, params, col, out, units) -> None:
-    """Compute the ``units`` output-row bands of a batch-1 banded conv2d.
-
-    Each band unfolds its halo-carrying input window into its own rows of
-    the shared ``col`` matrix (im2col is pure copies, so the assembled
-    matrix is byte-identical to the whole unfold) and runs one GEMM of its
-    own — the per-band GEMM is what makes batch-1 values canonical, exactly
-    as per-sample GEMMs do for real batches.
-    """
-    from repro.autodiff.conv import im2col_into
-
-    x, weight = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    stride, padding = params["stride"], params["padding"]
-    c_out, _, kh, kw = weight.shape
-    _, _, out_h, out_w = out.shape
-    weight_t = weight.reshape(c_out, -1).T
-    pool = _banding.scratch_pool()
-    for band in range(units):
-        r0 = band * _banding.SPATIAL_BAND_ROWS
-        r1 = min(r0 + _banding.SPATIAL_BAND_ROWS, out_h)
-        col_rows = col[r0 * out_w : r1 * out_w]
-        im2col_into(x, kh, kw, stride, padding, col_rows, row_start=r0, row_stop=r1)
-        band_out = pool.take((col_rows.shape[0], c_out), out.dtype)
-        np.matmul(col_rows, weight_t, out=band_out)
-        if bias is not None:
-            band_out += bias.reshape(1, c_out)
-        out[0, :, r0:r1, :] = band_out.reshape(r1 - r0, out_w, c_out).transpose(2, 0, 1)
-        pool.release(band_out)
 
 
 def _conv2d_forward(inputs, params, saved, out):
@@ -1096,20 +967,6 @@ def _conv2d_forward(inputs, params, saved, out):
     return _store(result.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2), out)
 
 
-def _conv2d_col_span(band: int, n: int, out_h: int, out_w: int) -> tuple[int, int]:
-    """The ``col``/``grad_matrix`` row span one canonical band covers.
-
-    Samples are the band axis for real batches; batch-1 calls band over
-    output-row groups, matching the forward's spatial banding exactly.
-    """
-    if n == 1:
-        r0 = band * _banding.SPATIAL_BAND_ROWS
-        r1 = min(r0 + _banding.SPATIAL_BAND_ROWS, out_h)
-        return r0 * out_w, r1 * out_w
-    rows = out_h * out_w
-    return band * rows, (band + 1) * rows
-
-
 def _conv2d_backward(ctx, grad):
     from repro.autodiff.conv import col2im
 
@@ -1117,57 +974,24 @@ def _conv2d_backward(ctx, grad):
     bias_needs = ctx.needs[2] if len(ctx.needs) > 2 else False
     stride, padding = ctx.params["stride"], ctx.params["padding"]
     c_out, _, kh, kw = weight.shape
-    col = ctx.saved["col"]
     grad_matrix = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    n = x.shape[0]
-    out_h, out_w = grad.shape[2], grad.shape[3]
-    units = _conv2d_band_count(ctx.inputs, ctx.params)
-    # grad_weight and grad_bias reduce *across* the band axis: every band
-    # contributes to every output element, so banded calls compute per-band
-    # partials into pooled slabs and combine them through the fixed binary
-    # tree (reduce_bands).  The gate is the same canonical banding rule as
-    # the forward, applied in eager and replayed sweeps alike.  Skip both
-    # when the parameters are frozen, as during attack-side input-gradient
-    # queries.
-    reduce_units = 0 if grad.dtype != weight.dtype else units
+    # Skip the parameter gradients when they are frozen, as during
+    # attack-side input-gradient queries.
     grad_bias = None
     if bias_needs:
-        bias = ctx.inputs[2]
-        if reduce_units:
-            flat_bias = np.empty((c_out,), dtype=grad.dtype)
-
-            def bias_partial(band: int, slab: np.ndarray) -> None:
-                s0, s1 = _conv2d_col_span(band, n, out_h, out_w)
-                np.sum(grad_matrix[s0:s1], axis=0, out=slab)
-
-            _banding.reduce_bands(reduce_units, bias_partial, flat_bias)
-            grad_bias = flat_bias.reshape(bias.shape)
-        else:
-            grad_bias = grad_matrix.sum(axis=0).reshape(bias.shape)
+        grad_bias = grad_matrix.sum(axis=0).reshape(ctx.inputs[2].shape)
     grad_weight = None
     if ctx.needs[1]:
-        if reduce_units:
-            flat_weight = np.empty((c_out, col.shape[1]), dtype=grad.dtype)
-
-            def weight_partial(band: int, slab: np.ndarray) -> None:
-                s0, s1 = _conv2d_col_span(band, n, out_h, out_w)
-                np.matmul(grad_matrix[s0:s1].T, col[s0:s1], out=slab)
-
-            _banding.reduce_bands(reduce_units, weight_partial, flat_weight, name="conv2d")
-            grad_weight = flat_weight.reshape(weight.shape)
-        else:
-            grad_weight = (grad_matrix.T @ col).reshape(weight.shape)
+        grad_weight = (grad_matrix.T @ ctx.saved["col"]).reshape(weight.shape)
     grad_x = None
     if ctx.needs[0]:
         weight_matrix = weight.reshape(c_out, -1)
-        # Spatial (batch-1) bands overlap through their halos under col2im's
-        # accumulation, so batch-1 grad_x stays whole: spatial banding is a
-        # forward/reduction axis only.
-        if units == 0 or grad.dtype != weight.dtype or n < 2:
+        units = _conv2d_band_count(ctx.inputs, ctx.params)
+        if units == 0 or grad.dtype != weight.dtype:
             grad_col = grad_matrix @ weight_matrix
             grad_x = col2im(grad_col, x.shape, kh, kw, stride, padding)
         else:
-            rows = out_h * out_w
+            rows = grad.shape[2] * grad.shape[3]
             grad_x = np.empty(x.shape, dtype=grad.dtype)
             sample_shape = (1,) + x.shape[1:]
             for index in range(units):
@@ -1470,10 +1294,10 @@ register(
             GradSample(
                 shapes=((1, 2, 6, 6), (3, 2, 3, 3), (3,)), params={"stride": 2, "padding": 1}
             ),
-            # Batch-1 with out_h > SPATIAL_BAND_ROWS: exercises spatial
-            # banding (ragged final band) under a forced low FLOP floor.
+            # Batch of three with a bias: exercises per-sample bands under a
+            # forced low FLOP floor.
             GradSample(
-                shapes=((1, 2, 11, 11), (3, 2, 3, 3), (3,)), params={"stride": 1, "padding": 1}
+                shapes=((3, 2, 7, 7), (3, 2, 3, 3), (3,)), params={"stride": 1, "padding": 1}
             ),
         ),
     )

@@ -49,7 +49,7 @@ class BufferPool:
 
     Thread-safe: a pool may be hit from several threads at once (replays
     run on whatever thread calls them, ``test_serial_replay.py::
-    TestCallingThread``, and the banding scratch pool is process-wide).  A
+    TestCallingThread``, and the :func:`scratch_pool` is process-wide).  A
     single lock guards every mutation; without it two concurrent
     :meth:`acquire` calls could pop the same free-list entry and hand the
     same array out twice.
@@ -81,7 +81,7 @@ class BufferPool:
         Unlike :meth:`acquire`, the buffer is not added to the outstanding
         ledger, so :meth:`recycle` never reclaims it: the caller owns it
         until it hands it back with :meth:`release` (a take/release pair
-        scoped to one banded kernel call).
+        scoped to one kernel call or one aggregation).
         """
         key = (tuple(shape), np.dtype(dtype).str)
         with self._lock:
@@ -133,6 +133,18 @@ class BufferPool:
     def __len__(self) -> int:
         with self._lock:
             return sum(len(free) for free in self._free.values()) + len(self._outstanding)
+
+
+#: Process-wide scratch pool for kernel and aggregation temporaries (im2col
+#: padding, per-sample conv results, FedAvg group slabs).  Scratch lifetimes
+#: are a take/release pair inside one call, not an arena generation, so this
+#: is not the thread-local tensor pool.
+_SCRATCH = BufferPool()
+
+
+def scratch_pool() -> BufferPool:
+    """The process-wide scratch pool kernels and aggregators draw temporaries from."""
+    return _SCRATCH
 
 
 class _PoolState(threading.local):

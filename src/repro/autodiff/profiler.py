@@ -5,8 +5,7 @@ records the op's name, wall-clock kernel time, and the FLOP / byte cost the
 registry's metadata assigns to the call.  Captured replays bypass the
 dispatcher (that is the point of capturing), so the recordings report them
 wholesale under the pseudo-op ``captured_replay``, gradient and forward-only
-replays alike.  Banded cross-batch gradients add an
-``<op>_treereduce`` row (meta carries the pooled partial bytes).
+replays alike.
 
 Activation is *process-wide* (guarded by a lock), not thread-local: the
 experiment engine fans cells out over worker threads and ``repro.run

@@ -67,6 +67,8 @@ class ExperimentEngine:
         **overrides,
     ) -> RunRecord:
         """Execute one scenario and return its (optionally persisted) record."""
+        if persist and self.results_dir is None:
+            raise ValueError("persist=True requires a results_dir")
         if isinstance(scenario, str):
             scenario = build_scenario(scenario, scale=scale, **overrides)
         elif overrides:
@@ -99,8 +101,6 @@ class ExperimentEngine:
             created_at=timestamp(),
         )
         if persist or (persist is None and self.results_dir is not None):
-            if self.results_dir is None:
-                raise ValueError("persist=True requires a results_dir")
             path = save_run(record, self.results_dir)
             _LOGGER.info("persisted %s results to %s", scenario.name, path)
         return record

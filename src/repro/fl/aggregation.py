@@ -14,9 +14,9 @@ Determinism contract (what the transport-parity tests rely on):
 * ``fedavg`` accumulates weighted client vectors into **fixed client
   groups** of :data:`CLIENT_GROUP_SIZE` (grouping by participant index,
   never by arrival), and combines the group partials through
-  :func:`repro.autodiff.banding.tree_reduce` — a fixed-shape binary tree
-  that is a pure function of the group count.  The result is byte-identical
-  whether updates arrive serially or from worker processes.
+  :func:`tree_reduce` — a fixed-shape binary tree that is a pure function
+  of the group count.  The result is byte-identical whether updates arrive
+  serially or from worker processes.
 * ``median`` / ``trimmed_mean`` keep one packed row per client (exact
   coordinate-wise order statistics need every client's value) and reduce
   the ``clients x params`` matrix in one call; every coordinate is reduced
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.autodiff.banding import scratch_pool, tree_reduce
+from repro.autodiff.pool import scratch_pool
 from repro.fl.messages import ModelUpdate
 from repro.fl.packing import PackingPlan, build_plan, pack_into, unpack
 
@@ -45,6 +45,30 @@ AggregationRule = Callable[[Sequence[ModelUpdate]], dict[str, np.ndarray]]
 #: constant (never derived from workers or transports) so the tree shape —
 #: hence the aggregate's bytes — depends on the client count alone.
 CLIENT_GROUP_SIZE = 32
+
+
+def tree_reduce(slabs: list, out) -> None:
+    """Sum ``slabs`` into ``out`` through a fixed-shape binary tree.
+
+    The combine order is a pure function of ``len(slabs)``: pairs merge in
+    index order, odd tails carry to the next level, and the final pair lands
+    in ``out``.  Floating point addition is not associative, so a fixed tree
+    is what makes the reduced bytes reproducible.  Leaf slabs are consumed:
+    interior sums overwrite them in place.
+    """
+    if len(slabs) == 1:
+        np.copyto(out, slabs[0])
+        return
+    active = list(slabs)
+    while len(active) > 2:
+        merged = []
+        for index in range(0, len(active) - 1, 2):
+            np.add(active[index], active[index + 1], out=active[index])
+            merged.append(active[index])
+        if len(active) % 2:
+            merged.append(active[-1])
+        active = merged
+    np.add(active[0], active[1], out=out)
 
 
 # --------------------------------------------------------------------------- #

@@ -16,6 +16,9 @@ from repro.autodiff import (
     relative_error,
 )
 
+from repro.autodiff.conv import im2col_into
+from repro.autodiff.pool import scratch_pool
+
 from tests.autodiff.conftest import grad_check_settings, value_atol, value_rtol
 
 
@@ -39,6 +42,33 @@ class TestIm2Col:
         lhs = float((col * y).sum())
         rhs = float((x * col2im(y, x.shape, 3, 3, stride=2, padding=1)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n,h,w,kh,kw,stride,padding",
+    [
+        (1, 11, 11, 3, 3, 1, 1),
+        (2, 16, 16, 3, 3, 1, 0),
+        (1, 15, 15, 5, 5, 2, 2),  # stride > 1 with a wide padding
+        (3, 9, 13, 3, 5, 2, 1),  # asymmetric kernel and image
+        (1, 8, 8, 2, 2, 2, 0),
+        (2, 7, 7, 3, 3, 1, 3),  # padding wider than half the kernel
+    ],
+)
+class TestIm2ColInto:
+    """The in-place unfold the per-sample conv bands use is a byte copy of
+    :func:`im2col`, and it hands its padded scratch back to the pool."""
+
+    def test_matches_im2col(self, rng, n, h, w, kh, kw, stride, padding):
+        images = rng.normal(size=(n, 3, h, w))
+        full, _, _ = im2col(images, kh, kw, stride, padding)
+        out = np.full(full.shape, np.nan)
+        pool = scratch_pool()
+        im2col_into(images, kh, kw, stride, padding, out)
+        allocations = pool.stats.allocations
+        im2col_into(images, kh, kw, stride, padding, out)
+        assert out.tobytes() == full.tobytes()
+        assert pool.stats.allocations == allocations
 
 
 class TestConv2d:

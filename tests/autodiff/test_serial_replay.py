@@ -26,7 +26,6 @@ from repro.autodiff import (
     no_grad,
     profile_ops,
 )
-from repro.autodiff import banding
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
 from repro.autodiff.capture import ReplayPlan, _FusedChain, _ReplayNode
@@ -308,8 +307,8 @@ class TestReplayProfiler:
         assert "captured_replay_parallel" not in stats
 
     def test_banded_replays_record_no_scheduling_rows(self, rng, monkeypatch):
-        """Banded kernels report their tree-reduce rows and nothing else."""
-        monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 1)
+        """Banded kernels report under their own op row and nothing else."""
+        monkeypatch.setattr(op_registry, "MIN_BAND_FLOPS", 1)
         weight = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True, is_parameter=True)
 
         def trace(array):
@@ -322,8 +321,10 @@ class TestReplayProfiler:
                 captured.run(trace, rng.normal(size=(4, 3, 8, 8)), key="banded-prof")
         stats = profiler.as_dict()
         assert stats["captured_replay"]["calls"] == 1
-        assert stats["conv2d_treereduce"]["calls"] == 3
-        assert not [row for row in stats if row.endswith(("_parallel", "_sharded"))]
+        assert stats["conv2d"]["calls"] == 2
+        assert not [
+            row for row in stats if row.endswith(("_parallel", "_sharded", "_treereduce"))
+        ]
 
 
 class TestCallingThread:

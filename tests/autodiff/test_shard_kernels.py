@@ -1,12 +1,13 @@
-"""Bit-identity tests for canonical batch banding of heavyweight kernels.
+"""Bit-identity tests for per-sample conv2d bands.
 
-conv2d and matmul compute in *canonical bands* whenever their shapes pass
-:func:`repro.autodiff.banding.banded` (a pure function of shapes and FLOPs),
-in eager mode and in replays alike.  The invariant under test: **replayed
-forward values and gradients are byte-identical to eager**, and the banded
-kernels stay numerically correct.
+A conv2d call whose batch has two or more samples and passes
+:func:`repro.autodiff.ops.banded` (a pure function of shapes and FLOPs)
+computes one im2col-GEMM per sample, in eager mode and in replays alike.
+The invariants under test: **replayed forward values and gradients are
+byte-identical to eager**, each sample's result does not depend on the rest
+of the batch, and the banded kernel stays numerically correct.
 
-Most fixtures lower :data:`repro.autodiff.banding.MIN_BAND_FLOPS` so small
+Most fixtures lower :data:`repro.autodiff.ops.MIN_BAND_FLOPS` so small
 test tensors band; the floor is read per call, so each test's recordings and
 replays see one consistent value.
 """
@@ -27,12 +28,12 @@ from repro.autodiff import (
     get_default_dtype,
     set_default_dtype,
 )
-from repro.autodiff import banding
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
 from repro.autodiff.capture import _ReplayNode
 from repro.autodiff.conv import conv2d
 from repro.autodiff.numeric import numerical_gradient, relative_error
+from repro.autodiff.tensor import unbroadcast
 
 from tests.autodiff.conftest import window_pool
 
@@ -40,53 +41,24 @@ from tests.autodiff.conftest import window_pool
 @pytest.fixture
 def low_floor(monkeypatch):
     """Band every heavy kernel call the fixtures make, however small."""
-    monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 1)
+    monkeypatch.setattr(op_registry, "MIN_BAND_FLOPS", 1)
 
 
 class TestBandedGate:
     def test_banded_is_shape_and_flop_driven(self):
-        floor = banding.MIN_BAND_FLOPS
-        assert not banding.banded(1, 10 * floor)  # one band = nothing to split
-        assert banding.banded(2, floor)
-        assert not banding.banded(2, floor - 1)
+        floor = op_registry.MIN_BAND_FLOPS
+        assert not op_registry.banded(1, 10 * floor)  # one band = nothing to split
+        assert op_registry.banded(2, floor)
+        assert not op_registry.banded(2, floor - 1)
         # Many tiny bands fail the per-band floor even when the total passes.
-        assert not banding.banded(floor, floor)
-
-    def test_matmul_below_one_band_stays_whole(self, rng):
-        """2-D matmuls under the canonical band height never band."""
-        a, b = rng.normal(size=(32, 64)), rng.normal(size=(64, 16))
-        node = op_registry.apply("matmul", [Tensor(a), Tensor(b)])
-        assert op_registry._matmul_band_count(a.shape, b.shape) == 0
-        landed = tuple(t.data for t in node._op_call.tensors)
-        assert node.data.tobytes() == (landed[0] @ landed[1]).tobytes()
+        assert not op_registry.banded(floor, floor)
 
     def test_floor_is_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 100)
-        assert not banding.banded(2, 99)
-        assert banding.banded(2, 100)
-        monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 1_000)
-        assert not banding.banded(2, 100)
-
-    @pytest.mark.parametrize(
-        "rows,units",
-        [(64, 0), (65, 2), (128, 2), (129, 3), (200, 4)],
-    )
-    def test_matmul_bands_are_ragged_aware(self, rng, low_floor, rows, units):
-        """64-row bands with a short tail; one band or less stays whole."""
-        a, b = rng.normal(size=(rows, 8)), rng.normal(size=(8, 3))
-        assert op_registry._matmul_band_count(a.shape, b.shape) == units
-        node = op_registry.apply("matmul", [Tensor(a), Tensor(b)])
-        landed = tuple(t.data for t in node._op_call.tensors)
-        for r0 in range(0, rows, banding.MATMUL_BAND_ROWS):
-            r1 = min(r0 + banding.MATMUL_BAND_ROWS, rows)
-            expected = landed[0][r0:r1] @ landed[1] if units else (landed[0] @ landed[1])[r0:r1]
-            assert node.data[r0:r1].tobytes() == expected.tobytes()
-
-    def test_stacked_matmul_bands_per_sample(self, low_floor):
-        assert op_registry._matmul_band_count((3, 5, 4), (4, 2)) == 3
-        assert op_registry._matmul_band_count((3, 5, 4), (3, 4, 2)) == 3
-        # A stacked rhs whose leading axis differs from the lhs stays whole.
-        assert op_registry._matmul_band_count((3, 5, 4), (1, 4, 2)) == 0
+        monkeypatch.setattr(op_registry, "MIN_BAND_FLOPS", 100)
+        assert not op_registry.banded(2, 99)
+        assert op_registry.banded(2, 100)
+        monkeypatch.setattr(op_registry, "MIN_BAND_FLOPS", 1_000)
+        assert not op_registry.banded(2, 100)
 
 
 def _tower_weights(rng, dtype):
@@ -206,17 +178,15 @@ class TestCapturedTowerParity:
     "name,shapes,params",
     [
         ("conv2d", [(4, 3, 9, 9), (5, 3, 3, 3), (5,)], {"stride": 2, "padding": 1}),
-        ("conv2d", [(1, 3, 11, 11), (4, 3, 3, 3)], {"stride": 1, "padding": 1}),
-        ("matmul", [(150, 12), (12, 7)], {}),
     ],
-    ids=["conv2d-samples", "conv2d-spatial", "matmul-rows"],
+    ids=["conv2d-samples"],
 )
 class TestBandedMatchesWhole:
     """Banding moves last bits only: banded values stay close to whole-call
     values, forward and backward."""
 
     def _run(self, monkeypatch, floor, name, arrays, params, probe):
-        monkeypatch.setattr(banding, "MIN_BAND_FLOPS", floor)
+        monkeypatch.setattr(op_registry, "MIN_BAND_FLOPS", floor)
         tensors = [Tensor(array.copy(), requires_grad=True) for array in arrays]
         out = op_registry.apply(name, tensors, dict(params))
         out.backward(probe)
@@ -230,11 +200,8 @@ class TestBandedMatchesWhole:
             arrays = [rng.normal(size=shape) for shape in shapes]
             out_shape = op_registry.apply(name, [Tensor(a) for a in arrays], dict(params)).shape
             probe = rng.normal(size=out_shape)
-            monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 1)
-            if name == "conv2d":
-                assert op_registry._conv2d_band_count(arrays, params) >= 2
-            else:
-                assert op_registry._matmul_band_count(shapes[0], shapes[1]) >= 2
+            monkeypatch.setattr(op_registry, "MIN_BAND_FLOPS", 1)
+            assert op_registry._conv2d_band_count(arrays, params) >= 2
             banded_out, banded_grads = self._run(monkeypatch, 1, name, arrays, params, probe)
             whole_out, whole_grads = self._run(monkeypatch, 10**18, name, arrays, params, probe)
         finally:
@@ -245,23 +212,23 @@ class TestBandedMatchesWhole:
 
 
 class TestBandedGradcheck:
-    """Numeric gradchecks of the banded kernel paths.
+    """Numeric gradchecks of the banded conv2d path.
 
     The registry-wide gradcheck sweep runs under the default FLOP floor,
-    where most samples stay whole; these re-run the heavy ops' samples with
-    the floor at 1 so the banded forward/backward code paths are the ones
+    where every sample stays whole; this re-runs conv2d's samples with the
+    floor at 1 so the per-sample forward/backward code paths are the ones
     being differentiated.
     """
 
     @pytest.fixture(autouse=True)
     def _banded_float64(self, monkeypatch):
-        monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 1)
+        monkeypatch.setattr(op_registry, "MIN_BAND_FLOPS", 1)
         previous = get_default_dtype()
         set_default_dtype("float64")
         yield
         set_default_dtype(previous)
 
-    @pytest.mark.parametrize("name", ["conv2d", "matmul"])
+    @pytest.mark.parametrize("name", ["conv2d"])
     def test_banded_gradcheck(self, name):
         op = op_registry.get(name)
         for sample in op.samples:
@@ -284,3 +251,104 @@ class TestBandedGradcheck:
                 numeric = numerical_gradient(scalar, arrays[position].copy())
                 error = relative_error(tensor.grad, numeric)
                 assert error < 1e-5, f"{name} input {position}: {error:.2e}"
+
+
+_BANDED_GEOMETRIES = pytest.mark.parametrize(
+    "x_shape,w_shape,stride,padding",
+    [
+        ((12, 64, 16, 16), (128, 64, 3, 3), 1, 1),
+        ((6, 3, 32, 32), (64, 3, 7, 7), 2, 3),
+        ((4, 256, 8, 8), (256, 256, 1, 1), 1, 0),
+    ],
+    ids=["3x3", "7x7-s2p3", "1x1"],
+)
+
+
+@pytest.fixture
+def default_dtype(dtype):
+    previous = get_default_dtype()
+    set_default_dtype(dtype)
+    yield dtype
+    set_default_dtype(previous)
+
+
+@pytest.mark.parametrize("bias", [False, True], ids=["nobias", "bias"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@_BANDED_GEOMETRIES
+class TestConvBandBatchInvariance:
+    """Under the default floor, each sample's result is the one it would get
+    alone: ``conv2d(x)[i] == conv2d(x[i:i+1])`` byte for byte, forward and
+    ``grad_x`` — the per-sample band is one sample's whole-call GEMM."""
+
+    def test_sample_matches_its_single_sample_call(
+        self, rng, default_dtype, bias, x_shape, w_shape, stride, padding
+    ):
+        dtype = default_dtype
+        x = (rng.normal(size=x_shape) * 0.5).astype(dtype)
+        weight = Tensor((rng.normal(size=w_shape) * 0.1).astype(dtype))
+        offset = Tensor((rng.normal(size=w_shape[:1]) * 0.1).astype(dtype)) if bias else None
+        params = {"stride": stride, "padding": padding}
+        assert op_registry._conv2d_band_count([x, weight.data], params) == x_shape[0]
+
+        def run(images, probe=None):
+            tensor = Tensor(images, requires_grad=True)
+            out = conv2d(tensor, weight, offset, stride=stride, padding=padding)
+            probe = rng.normal(size=out.shape).astype(dtype) if probe is None else probe
+            out.backward(probe)
+            return out.data, np.array(tensor.grad), probe
+
+        batch_out, batch_grad, probe = run(x)
+        for index in range(x_shape[0]):
+            single_out, single_grad, _ = run(x[index : index + 1], probe[index : index + 1])
+            assert batch_out[index].tobytes() == single_out[0].tobytes(), f"sample {index}"
+            assert batch_grad[index].tobytes() == single_grad[0].tobytes(), f"sample {index}"
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@_BANDED_GEOMETRIES
+class TestConvParameterGradsIgnoreBands:
+    """``grad_weight`` and ``grad_bias`` are one whole GEMM and one sum over
+    the batch, so they are byte-identical whether the forward banded or not
+    (the per-sample unfold assembles the same ``col`` matrix)."""
+
+    def test_banded_and_whole_parameter_grads_are_equal(
+        self, rng, monkeypatch, default_dtype, x_shape, w_shape, stride, padding
+    ):
+        dtype = default_dtype
+        x = (rng.normal(size=x_shape) * 0.5).astype(dtype)
+        w = (rng.normal(size=w_shape) * 0.1).astype(dtype)
+        b = (rng.normal(size=w_shape[:1]) * 0.1).astype(dtype)
+        probe = None
+        grads = []
+        for floor in (op_registry.MIN_BAND_FLOPS, 10**30):
+            monkeypatch.setattr(op_registry, "MIN_BAND_FLOPS", floor)
+            weight = Tensor(w.copy(), requires_grad=True)
+            offset = Tensor(b.copy(), requires_grad=True)
+            out = conv2d(Tensor(x), weight, offset, stride=stride, padding=padding)
+            if probe is None:
+                probe = rng.normal(size=out.shape).astype(dtype)
+            out.backward(probe)
+            grads.append((np.array(weight.grad).tobytes(), np.array(offset.grad).tobytes()))
+        assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [((150, 12), (12, 7)), ((3, 5, 4), (4, 2)), ((3, 5, 4), (3, 4, 2)), ((2, 3, 5, 4), (4, 6))],
+    ids=["2d", "stacked-lhs", "stacked-both", "4d-lhs"],
+)
+class TestMatmulIsOneNumpyCall:
+    """matmul forward and both gradients are single ``np.matmul`` calls, so
+    they match NumPy byte for byte at any row count or stacking."""
+
+    def test_forward_and_grads_match_numpy(self, rng, low_floor, a_shape, b_shape):
+        a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+        out = a @ b
+        probe = rng.normal(size=out.shape).astype(out.dtype)
+        out.backward(probe)
+        assert out.data.tobytes() == np.matmul(a.data, b.data).tobytes()
+        grad_a = np.matmul(probe, np.swapaxes(b.data, -1, -2))
+        grad_b = unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), probe), b_shape)
+        assert np.array(a.grad).tobytes() == grad_a.tobytes()
+        assert np.array(b.grad).tobytes() == grad_b.tobytes()

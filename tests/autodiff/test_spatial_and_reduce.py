@@ -1,17 +1,14 @@
-"""Bit-identity tests for tree-reduced gradients and batch-1 spatial banding.
+"""Bit-identity tests for batch-1 conv2d and the scratch pool's warm replays.
 
 Two invariants under test, both stronger than "numerically close":
 
-* **Tree-reduced cross-batch gradients** — banded backward kernels compute
-  per-band partial gradients into pooled slabs and combine them through
-  :func:`repro.autodiff.banding.tree_reduce`, whose combine order is a pure
-  function of the band count, so the reduced bytes are reproducible.
+* **Batch 1 stays whole** — per-sample conv bands need two or more samples,
+  so a single-sample conv2d is one im2col-GEMM however low the FLOP floor
+  sits, and replays reproduce the eager values byte for byte.
 
-* **Spatial (H×W) banding for batch 1** — with a single sample there is no
-  batch axis to band, so conv2d bands over output rows instead
-  (:data:`SPATIAL_BAND_ROWS` rows per band, halo-aware input windows).  im2col
-  is pure copies, so the assembled unfold is byte-identical to the
-  whole-image unfold, and replays reproduce the eager values.
+* **Warm replays allocate no scratch** — per-sample conv bands draw their
+  temporaries from the process-wide scratch pool; once a replay has warmed
+  it, later replays reuse every buffer.
 """
 
 from __future__ import annotations
@@ -27,13 +24,11 @@ from repro.autodiff import (
     Tensor,
     TraceHandles,
     get_default_dtype,
-    profile_ops,
 )
-from repro.autodiff import banding
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
-from repro.autodiff.conv import conv2d, im2col, im2col_into
-from repro.autodiff.pool import BufferPool
+from repro.autodiff.conv import conv2d
+from repro.autodiff.pool import BufferPool, scratch_pool
 
 from tests.autodiff.conftest import window_pool
 
@@ -70,125 +65,20 @@ def _tower_trace(weights):
 @pytest.fixture
 def low_floor(monkeypatch):
     """Band every heavy kernel call the fixtures make, however small."""
-    monkeypatch.setattr(banding, "MIN_BAND_FLOPS", 1)
+    monkeypatch.setattr(op_registry, "MIN_BAND_FLOPS", 1)
 
 
 def _sha(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-class TestTreeReduce:
-    def test_single_slab_copies(self, rng):
-        slab = rng.normal(size=(3, 4))
-        out = np.empty_like(slab)
-        banding.tree_reduce([slab.copy()], out)
-        assert out.tobytes() == slab.tobytes()
-
-    @pytest.mark.parametrize("count", [2, 3, 5, 7, 8, 13])
-    def test_sums_are_close_and_deterministic(self, rng, count):
-        slabs = [rng.normal(size=(6, 5)) for _ in range(count)]
-        out = np.empty((6, 5))
-        banding.tree_reduce([s.copy() for s in slabs], out)
-        np.testing.assert_allclose(out, np.sum(slabs, axis=0), rtol=1e-9, atol=1e-12)
-        again = np.empty((6, 5))
-        banding.tree_reduce([s.copy() for s in slabs], again)
-        assert out.tobytes() == again.tobytes()
-
-    def test_combine_order_is_a_function_of_count_alone(self, rng):
-        """Filling leaves in any order (any worker schedule) changes nothing."""
-        slabs = [rng.normal(size=(4, 4)) for _ in range(5)]
-        expected = np.empty((4, 4))
-        banding.tree_reduce([s.copy() for s in slabs], expected)
-        # Simulate out-of-order leaf completion: the slab *list* is always
-        # indexed by band, so arrival order cannot matter — but prove the
-        # tree itself differs from a naive left fold only in bits, not value.
-        fold = slabs[0].copy()
-        for slab in slabs[1:]:
-            fold = fold + slab
-        np.testing.assert_allclose(expected, fold, rtol=1e-9, atol=1e-12)
-
-
-class TestReduceBands:
-    def test_profiler_row_records_partial_bytes(self, rng):
-        units = 6
-        partials = [rng.normal(size=(8, 6)) for _ in range(units)]
-        out = np.empty((8, 6))
-        with profile_ops() as profiler:
-            banding.reduce_bands(
-                units, lambda band, slab: np.copyto(slab, partials[band]), out, name="demo"
-            )
-        row = profiler.as_dict()["demo_treereduce"]
-        assert row["calls"] == 1
-        assert row["meta"]["partial_bytes"] == units * out.nbytes
-        expected = np.empty((8, 6))
-        banding.tree_reduce([p.copy() for p in partials], expected)
-        assert out.tobytes() == expected.tobytes()
-
-    def test_unnamed_reduce_records_no_row(self, rng):
-        partials = [rng.normal(size=(3, 3)) for _ in range(4)]
-        out = np.empty((3, 3))
-        with profile_ops() as profiler:
-            banding.reduce_bands(4, lambda band, slab: np.copyto(slab, partials[band]), out)
-        assert not profiler.as_dict()
-
-    def test_slabs_return_to_the_scratch_pool(self, rng):
-        """Every partial slab is released, so a repeat reduce allocates none."""
-        pool = banding.scratch_pool()
-        out = np.empty((5, 7))
-
-        def partial(band, slab):
-            slab.fill(band)
-
-        banding.reduce_bands(3, partial, out)
-        allocations = pool.stats.allocations
-        banding.reduce_bands(3, partial, out)
-        assert pool.stats.allocations == allocations
-        np.testing.assert_array_equal(out, np.full((5, 7), 3.0))
-
-
-@pytest.mark.parametrize(
-    "h,w,kh,kw,stride,padding",
-    [
-        (11, 11, 3, 3, 1, 1),   # ragged: out_h=11 -> bands of 4, 4, 3
-        (16, 16, 3, 3, 1, 0),
-        (15, 15, 5, 5, 2, 2),   # stride>1 with a wide halo
-        (9, 13, 3, 5, 2, 1),    # asymmetric kernel, ragged both ways
-        (8, 8, 2, 2, 2, 0),     # pooling geometry
-        (7, 7, 3, 3, 1, 3),     # padding wider than the band overlap
-    ],
-)
-class TestSpatialWindowHalo:
-    """Row-window unfolds carry their halo and tile back byte-identically."""
-
-    def test_banded_unfold_matches_whole(self, rng, h, w, kh, kw, stride, padding):
-        images = rng.normal(size=(1, 3, h, w))
-        full, out_h, out_w = im2col(images, kh, kw, stride, padding)
-        assembled = np.empty(full.shape, full.dtype)
-        rows_per_band = banding.SPATIAL_BAND_ROWS
-        bands = -(-out_h // rows_per_band)
-        for band in range(bands):
-            r0 = band * rows_per_band
-            r1 = min(r0 + rows_per_band, out_h)
-            window = assembled[r0 * out_w : r1 * out_w]
-            im2col_into(images, kh, kw, stride, padding, window, row_start=r0, row_stop=r1)
-        assert assembled.tobytes() == full.tobytes()
-
-
-class TestSpatialBands:
+class TestConvBandCount:
     def test_batch_of_two_still_bands_on_samples(self, rng, low_floor):
-        """n >= 2 keeps the batch axis: units == n, not spatial bands."""
+        """n >= 2 bands per sample; a single sample of the same geometry stays whole."""
         arrays = [rng.normal(size=(2, 3, 16, 16)), rng.normal(size=(4, 3, 3, 3))]
         params = {"stride": 1, "padding": 1}
         assert op_registry._conv2d_band_count(arrays, params) == 2
-        # A single sample of the same geometry bands over 16 / 4 output rows.
-        assert op_registry._conv2d_band_count([arrays[0][:1], arrays[1]], params) == 4
-
-    @pytest.mark.parametrize("height,units", [(3, 0), (4, 0), (5, 2), (16, 4), (17, 5)])
-    def test_single_sample_bands_over_output_rows(self, rng, low_floor, height, units):
-        """ceil(out_h / SPATIAL_BAND_ROWS) bands; a single band stays whole."""
-        arrays = [rng.normal(size=(1, 3, height, height)), rng.normal(size=(4, 3, 3, 3))]
-        params = {"stride": 1, "padding": 1}
-        assert op_registry._conv2d_band_count(arrays, params) == units
+        assert op_registry._conv2d_band_count([arrays[0][:1], arrays[1]], params) == 0
 
     def test_mixed_dtype_conv_stays_whole(self, rng, low_floor):
         arrays = [rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3)).astype(np.float32)]
@@ -216,7 +106,7 @@ class TestBatch1CapturedTower:
 
     @pytest.mark.parametrize("height", [16, 18, 22])
     def test_batch1_replay_matches_eager_at_ragged_heights(self, rng, low_floor, height):
-        """Heights whose output rows leave short last bands in both convs."""
+        """Heights that leave odd feature maps after each pooling window."""
         dtype = get_default_dtype()
         weights = _tower_weights(rng, dtype, head_features=8 * (height // 4) ** 2)
         trace = _tower_trace(weights)
@@ -239,7 +129,7 @@ class TestScratchPoolWarmReplay:
         trace = _tower_trace(weights)
         captured = CapturedExecution()
         batch = rng.normal(size=(6, 3, 16, 16)).astype(dtype)
-        pool = banding.scratch_pool()
+        pool = scratch_pool()
         pool.clear()
         # Eager warmup + recording pass + first replay warm the pool.
         for _ in range(3):

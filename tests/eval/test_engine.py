@@ -496,6 +496,15 @@ class TestStructuredResults:
             loaded = load_run(save_run(record, tmp_path))
             assert render_run(loaded) == render_run(record)
 
+    def test_persist_without_results_dir_raises_before_training(self):
+        engine = ExperimentEngine()
+        scenario = Scenario(
+            name="no_dir", kind="individual", config=_tiny_config(attacks=("fgsm",))
+        )
+        with pytest.raises(ValueError, match="requires a results_dir"):
+            engine.run(scenario, persist=True)
+        assert engine.cache.stats.trainings == 0
+
     def test_persisted_run_keeps_semantic_row_order(self, tmp_path):
         engine = ExperimentEngine()
         record = engine.run(Scenario(name="order", kind="ensemble", config=_tiny_config()))

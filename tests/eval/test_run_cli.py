@@ -127,6 +127,16 @@ class TestCli:
         # Only the attack cells replay captured graphs.
         assert calls["captured_replay"] > 0
 
+    def test_profile_prints_the_per_op_table(self, capsys):
+        args = ["table3_cifar10", *_TINY_ARGS, "--no-persist", "--profile"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        table = out.split("per-op profile", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+        rows = [row.split()[0] for row in table]
+        assert "conv2d" in rows
+        assert "matmul" in rows
+        assert not [row for row in rows if row.endswith("_treereduce")]
+
     @pytest.mark.slow
     def test_run_persists_json_and_prints_table(self, tmp_path, capsys):
         code = main(["table3_cifar10", *_TINY_ARGS, "--results-dir", str(tmp_path)])

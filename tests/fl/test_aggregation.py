@@ -21,6 +21,7 @@ from repro.fl import (
     streaming_aggregator_for,
     trimmed_mean,
 )
+from repro.fl.aggregation import tree_reduce
 
 
 def _update(client_id: str, value: float, num_samples: int = 10) -> ModelUpdate:
@@ -319,3 +320,34 @@ class TestValidationErrors:
         for rule in (fedavg, coordinate_median, trimmed_mean):
             with pytest.raises(ValueError, match=r"c2.*conv\.bias"):
                 rule(updates)
+
+
+class TestTreeReduce:
+    def test_single_slab_copies(self, rng):
+        slab = rng.normal(size=(3, 4))
+        out = np.empty_like(slab)
+        tree_reduce([slab.copy()], out)
+        assert out.tobytes() == slab.tobytes()
+
+    @pytest.mark.parametrize("count", [2, 3, 5, 7, 8, 13])
+    def test_sums_are_close_and_deterministic(self, rng, count):
+        slabs = [rng.normal(size=(6, 5)) for _ in range(count)]
+        out = np.empty((6, 5))
+        tree_reduce([s.copy() for s in slabs], out)
+        np.testing.assert_allclose(out, np.sum(slabs, axis=0), rtol=1e-9, atol=1e-12)
+        again = np.empty((6, 5))
+        tree_reduce([s.copy() for s in slabs], again)
+        assert out.tobytes() == again.tobytes()
+
+    def test_combine_order_is_a_function_of_count_alone(self, rng):
+        """Filling leaves in any order (any worker schedule) changes nothing."""
+        slabs = [rng.normal(size=(4, 4)) for _ in range(5)]
+        expected = np.empty((4, 4))
+        tree_reduce([s.copy() for s in slabs], expected)
+        # The slab *list* is always indexed by client group, so arrival
+        # order cannot matter — but prove the tree itself differs from a
+        # naive left fold only in bits, not value.
+        fold = slabs[0].copy()
+        for slab in slabs[1:]:
+            fold = fold + slab
+        np.testing.assert_allclose(expected, fold, rtol=1e-9, atol=1e-12)

@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.autodiff import CapturedExecution, Tensor, TraceHandles, banding, no_grad
+from repro.autodiff import CapturedExecution, Tensor, TraceHandles, no_grad
 from repro.models.simple import SimpleCNN, SimpleCNNConfig
 from repro.serve.batching import InferenceReply, InferenceRequest
 from repro.serve.gateway import (
@@ -445,14 +445,8 @@ class TestGatewayServiceParity:
         service.open_session("client")
         return service, service.serve(requests)
 
-    @pytest.mark.parametrize(
-        "max_batch, band_floor", [(4, None), (1, 1)], ids=["batched", "batch1-spatial"]
-    )
-    def test_continuous_equals_static_equals_eager(self, rng, monkeypatch, max_batch, band_floor):
-        """``batch1-spatial`` lowers the banding floor so every batch-1 conv2d
-        really computes in output-row bands, in the gateway and in eager."""
-        if band_floor is not None:
-            monkeypatch.setattr(banding, "MIN_BAND_FLOPS", band_floor)
+    @pytest.mark.parametrize("max_batch", [4, 1], ids=["batched", "batch1"])
+    def test_continuous_equals_static_equals_eager(self, rng, max_batch):
         model = _model()
         requests = self._requests(rng)
         _, continuous = self._serve(model, requests, "continuous", max_batch=max_batch)
