@@ -17,25 +17,73 @@ Three properties are asserted, matching the gateway acceptance bar:
   byte-identical when the same seed and workload are replayed.
 
 The tail-latency numbers land in ``BENCH_serving.json``, the serving
-trajectory that ``scripts/compare_bench.py`` gates CI on.
+trajectory that ``scripts/compare_bench.py`` gates CI on, next to
+``gateway_wallclock_rps``: the real ``GatewayService.serve()`` throughput of
+96 bench-scale ViT-B/32 requests under continuous batching (``max_batch=8``),
+the wall-clock counterpart of the simulated capacity.
 """
 
 from __future__ import annotations
+
+import statistics
+import time
 
 import pytest
 
 from benchmarks.conftest import (
     BENCH_SCALE,
     RESULTS_DIR,
+    bench_experiment_config,
     run_once,
     write_bench_trajectory,
 )
 from repro.eval.engine import ExperimentEngine
+from repro.serve import AdmissionPolicy, GatewayPolicy, GatewayService, InferenceRequest
+
+#: The wall-clock measurement: requests per drain, their virtual
+#: inter-arrival, warm-up requests (they calibrate the stage costs) and the
+#: timed drains whose median rate is recorded.
+WALLCLOCK_REQUESTS = 96
+WALLCLOCK_INTER_ARRIVAL_US = 150.0
+WALLCLOCK_WARMUP = 16
+WALLCLOCK_ROUNDS = 5
 
 
 @pytest.fixture(scope="module")
 def tail_latency_record(engine: ExperimentEngine):
     return engine.run("serving_tail_latency", scale=BENCH_SCALE)
+
+
+@pytest.fixture(scope="module")
+def wallclock_rps(engine: ExperimentEngine) -> float:
+    """Median real ``serve()`` throughput over the 96 bench requests."""
+    config = bench_experiment_config(dataset="cifar10")
+    model = engine.cache.get_defender("vit_b32", config)
+    images = engine.cache.get_dataset(config).test_images[:WALLCLOCK_REQUESTS]
+    assert len(images) == WALLCLOCK_REQUESTS
+    service = GatewayService(model, GatewayPolicy(
+        policy="continuous", max_batch=8,
+        admission=AdmissionPolicy(max_queue_depth=256, max_per_session=WALLCLOCK_REQUESTS),
+    ))
+    service.open_session("client")
+
+    def requests(count: int) -> list[InferenceRequest]:
+        return [
+            InferenceRequest(request_id=index, payload=images[index],
+                             arrival_us=index * WALLCLOCK_INTER_ARRIVAL_US, session_id="client")
+            for index in range(count)
+        ]
+
+    service.serve(requests(WALLCLOCK_WARMUP))
+    rates = []
+    for _ in range(WALLCLOCK_ROUNDS):
+        batch = requests(WALLCLOCK_REQUESTS)
+        start = time.perf_counter()
+        report = service.serve(batch)
+        seconds = time.perf_counter() - start
+        assert report.metrics["completed"] == WALLCLOCK_REQUESTS, report.metrics
+        rates.append(WALLCLOCK_REQUESTS / seconds)
+    return statistics.median(rates)
 
 
 def _top_row(results: dict) -> dict:
@@ -102,7 +150,13 @@ def test_gateway_determinism(tail_latency_record, engine):
     print(f"\n[determinism] digest={next(iter(digests))[:12]} identical across replays")
 
 
-def test_gateway_bench_trajectory(tail_latency_record):
+def test_gateway_wallclock_throughput(wallclock_rps):
+    """Real execution serves the 96 bench requests at a positive rate."""
+    print(f"\n[wall-clock] continuous max_batch=8: {wallclock_rps:8.1f} req/s")
+    assert wallclock_rps > 0
+
+
+def test_gateway_bench_trajectory(tail_latency_record, wallclock_rps):
     """BENCH_serving.json: gateway tail-latency numbers join the trajectory."""
     results = tail_latency_record.results
     top = _top_row(results)
@@ -118,6 +172,7 @@ def test_gateway_bench_trajectory(tail_latency_record):
             "gateway_goodput_rps": top["continuous"]["goodput_rps"],
             "gateway_shed_rate": top["continuous"]["shed_rate"],
             "gateway_slo_attainment": gate_row["continuous"]["slo_attainment"],
+            "gateway_wallclock_rps": wallclock_rps,
         },
     )
     print(f"\nwrote {path}")

@@ -10,8 +10,10 @@ walks the serving gateway end to end:
    scheduled in cohorts that share one enclave entry/exit pair;
 3. serve the same 96 queries three ways — continuous batching, static
    waves, and one request at a time — and compare wall-clock throughput and
-   TEE world switches per request; cohort members run row-wise, so the
-   logits are bit-identical across all three;
+   TEE world switches per request; each cohort runs as one batched stage
+   call, so the batched policies' logits keep the gateway's parity contract
+   against one-at-a-time serving (same predictions, logits within
+   ``PARITY_ULPS`` ulps of the largest logit);
 4. open an attestation-gated session and round-trip a sealed query: the
    client verifies the enclave quote before any ciphertext flows.
 
@@ -26,6 +28,7 @@ import numpy as np
 
 from repro.eval.engine import ArtifactCache, ExperimentConfig
 from repro.serve import AdmissionPolicy, GatewayPolicy, GatewayService, InferenceRequest
+from repro.serve.gateway.gateway import PARITY_ULPS
 from repro.utils import set_global_seed
 
 INTER_ARRIVAL_US = 150.0
@@ -88,9 +91,20 @@ def main() -> None:
     _, single = _serve(
         model, inputs, "one at a time (max_batch=1)", policy="continuous", max_batch=1, replicas=1
     )
-    assert np.array_equal(continuous.logits(), static.logits())
-    assert np.array_equal(continuous.logits(), single.logits())
-    print("Logits bit-identical across the three policies: True")
+    # One request per cohort is the eager forward; the batched policies keep
+    # the same predictions and stay within the contract's ulp bound of it.
+    eager = single.logits()
+    scale = np.finfo(eager.dtype).eps * np.abs(eager).max(axis=1)
+    worst = 0.0
+    for report in (continuous, static):
+        assert np.array_equal(report.predictions(), single.predictions())
+        ulps = np.abs(report.logits() - eager).max(axis=1) / scale
+        assert np.all(ulps <= PARITY_ULPS), ulps.max()
+        worst = max(worst, float(ulps.max()))
+    print(
+        f"Predictions identical across the three policies; batched logits within "
+        f"{worst:.1f} ulps of one-at-a-time (contract: {PARITY_ULPS})"
+    )
 
     # 4. Attestation-gated sealed queries ------------------------------------
     session = service.open_session("untrusting-client")
@@ -98,7 +112,7 @@ def main() -> None:
     service.submit_sealed(0, session.seal_query(inputs[0]))
     reply = service.serve().replies[0]
     logits = session.open_reply(service.seal_reply(reply))
-    assert np.array_equal(logits, continuous.logits()[0])
+    assert np.array_equal(logits, single.logits()[0])
     print(
         f"Sealed round trip ok: predicted class {reply.prediction} "
         f"(logits intact: {bool(np.array_equal(logits, reply.logits))})"

@@ -27,19 +27,14 @@ class OpStat:
     seconds: float = 0.0
     flops: int = 0
     bytes_moved: int = 0
-    #: Free-form per-row annotations (numeric values accumulate as maxima).
-    meta: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "calls": self.calls,
             "seconds": self.seconds,
             "flops": self.flops,
             "bytes_moved": self.bytes_moved,
         }
-        if self.meta:
-            out["meta"] = dict(self.meta)
-        return out
 
 
 @dataclass
@@ -49,14 +44,7 @@ class OpProfiler:
     stats: dict[str, OpStat] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def record(
-        self,
-        name: str,
-        seconds: float,
-        flops: int,
-        bytes_moved: int,
-        meta: dict | None = None,
-    ) -> None:
+    def record(self, name: str, seconds: float, flops: int, bytes_moved: int) -> None:
         """Add one kernel execution to the op's counters."""
         with self._lock:
             stat = self.stats.get(name)
@@ -66,15 +54,6 @@ class OpProfiler:
             stat.seconds += seconds
             stat.flops += flops
             stat.bytes_moved += bytes_moved
-            if meta:
-                for key, value in meta.items():
-                    previous = stat.meta.get(key)
-                    if isinstance(value, (int, float)) and isinstance(
-                        previous, (int, float)
-                    ):
-                        stat.meta[key] = max(previous, value)
-                    else:
-                        stat.meta[key] = value
 
     def as_dict(self) -> dict[str, dict]:
         """JSON-able snapshot, ops sorted by time spent (descending)."""
@@ -93,18 +72,10 @@ class OpProfiler:
             f"{'op':<22}{'calls':>10}{'seconds':>10}{'GFLOP':>10}{'GB moved':>10}"
         ]
         for name, stat in rows:
-            line = (
+            lines.append(
                 f"{name:<22}{stat['calls']:>10}{stat['seconds']:>10.3f}"
                 f"{stat['flops'] / 1e9:>10.3f}{stat['bytes_moved'] / 1e9:>10.3f}"
             )
-            meta = stat.get("meta")
-            if meta:
-                annotations = " ".join(
-                    f"{key}={value:.2f}" if isinstance(value, float) else f"{key}={value}"
-                    for key, value in sorted(meta.items())
-                )
-                line += f"  [{annotations}]"
-            lines.append(line)
         return "\n".join(lines)
 
 

@@ -282,7 +282,7 @@ class TestProfiler:
 
         def hammer():
             for _ in range(per_thread):
-                profiler.record("hammer", 0.001, 10, 20, meta={"width": 3})
+                profiler.record("hammer", 0.001, 10, 20)
 
         threads = [threading.Thread(target=hammer) for _ in range(workers)]
         for thread in threads:
@@ -293,4 +293,3 @@ class TestProfiler:
         stat = profiler.as_dict()["hammer"]
         assert stat["calls"] == per_thread * workers
         assert stat["flops"] == 10 * per_thread * workers
-        assert stat["meta"]["width"] == 3

@@ -6,10 +6,11 @@ Covers the gateway's acceptance bar from three sides:
   histograms across repeated runs;
 * **admission accounting** — ``offered == admitted + shed`` with the shed
   reasons decided in documented order;
-* **correctness under continuous batching** — real-execution logits are
-  bit-identical between continuous batching, the static wave drainer and
-  single-request eager forwards, and the simulated world-switch count
-  matches what the real enclave boundary charges.
+* **correctness under continuous batching** — real-execution logits keep
+  the gateway's parity contract against single-request eager forwards
+  under continuous batching and the static wave drainer (byte-identical
+  for a cohort of one), and the simulated world-switch count matches what
+  the real enclave boundary charges.
 """
 
 from __future__ import annotations
@@ -19,8 +20,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.autodiff import CapturedExecution, Tensor, TraceHandles, no_grad
+from repro.autodiff.tensor import get_default_dtype, set_default_dtype
 from repro.models.simple import SimpleCNN, SimpleCNNConfig
 from repro.serve.batching import InferenceReply, InferenceRequest
 from repro.serve.gateway import (
@@ -40,6 +45,7 @@ from repro.serve.gateway import (
 )
 from repro.tee.errors import AttestationError, SecureChannelError
 from repro.utils.rng import set_global_seed
+from tests.serving_parity import assert_serving_parity
 
 
 @pytest.fixture(autouse=True)
@@ -454,10 +460,16 @@ class TestGatewayServiceParity:
         # Single-request eager: max_batch=1 on one replica is exactly one
         # eager forward per query through the same partition.
         _, single = self._serve(model, requests, "continuous", max_batch=1, replicas=1)
-        np.testing.assert_array_equal(continuous.logits(), static.logits())
-        np.testing.assert_array_equal(continuous.logits(), single.logits())
         eager = _eager(model, [request.payload for request in requests])
-        np.testing.assert_array_equal(continuous.logits(), eager)
+        np.testing.assert_array_equal(single.logits(), eager)
+        if max_batch == 1:
+            # Every cohort has one member: the same forwards, byte for byte.
+            np.testing.assert_array_equal(continuous.logits(), eager)
+            np.testing.assert_array_equal(static.logits(), eager)
+        else:
+            assert max(reply.batch_size for reply in static.replies) > 1
+            assert_serving_parity(continuous.logits(), eager)
+            assert_serving_parity(static.logits(), eager)
         assert [reply.request_id for reply in continuous.replies] == list(range(len(requests)))
 
     def test_simulated_switches_match_real_boundary(self, rng):
@@ -524,7 +536,7 @@ class TestGatewayServiceParity:
         assert metrics["completed"] + metrics["rejected"] == metrics["admitted"] == 3
         assert service.sealed_requests == 2
         assert [reply.request_id for reply in report.replies] == [0, 2]
-        np.testing.assert_array_equal(report.logits(), _eager(model, payloads[[0, 2]]))
+        assert_serving_parity(report.logits(), _eager(model, payloads[[0, 2]]))
         # The rejected request gave its admission slot back.
         assert service.admission.depth == 0
         assert service.admission.session_in_flight("a") == 0
@@ -559,6 +571,20 @@ class TestGatewayServiceParity:
         assert metrics["world_switches"] == service.enclave.boundary.stats.switches - before == 2
         assert metrics["batches"] == 1
         assert service.admission.depth == 0
+
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_all_rejected_drain_has_empty_logits(self, rng, policy):
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(policy=policy, max_batch=4))
+        session = service.open_session("a")
+        for index in range(3):
+            sealed = _tampered(session.seal_query(rng.uniform(size=(3, 8, 8))))
+            service.submit_sealed(index, sealed, arrival_us=index * 10.0)
+        report = service.serve()
+        assert report.metrics["rejected"] == 3
+        assert report.replies == []
+        assert report.predictions().shape == (0,)
+        assert report.logits().shape == (0, model.num_classes)
 
     def test_tampered_query_shed_at_admission_is_never_opened(self, rng):
         """Lazy unseal: a shed ciphertext is not decrypted, so its tampering
@@ -604,6 +630,8 @@ class TestGatewayServiceParity:
         clean, clean_switches = serve([0, 2, 4])
         assert mixed.metrics["rejected"] == 2
         assert mixed_switches == clean_switches == mixed.metrics["world_switches"]
+        # The survivors ran in the same cohorts as the clean drain (the batch
+        # sizes and latencies below agree), so the logits are byte-equal.
         np.testing.assert_array_equal(mixed.logits(), clean.logits())
         assert [(r.request_id, r.latency_us, r.batch_size) for r in mixed.replies] == [
             (r.request_id, r.latency_us, r.batch_size) for r in clean.replies
@@ -636,7 +664,7 @@ class TestGatewayServiceParity:
         assert report.metrics["world_switches"] == 0
         assert report.metrics["boundary_time_us"] == 0.0
         assert [reply.world_switches for reply in report.replies] == [0.0] * 5
-        np.testing.assert_array_equal(report.logits(), _eager(model, inputs))
+        assert_serving_parity(report.logits(), _eager(model, inputs))
 
     def test_metrics_populated_after_a_drain(self, rng):
         requests = self._requests(rng)
@@ -692,7 +720,7 @@ class TestGatewayServiceParity:
         )
         assert service.sealed_requests == 2
         assert [reply.request_id for reply in report.replies] == [0, 1, 2, 3]
-        np.testing.assert_array_equal(report.logits(), _eager(model, inputs))
+        assert_serving_parity(report.logits(), _eager(model, inputs))
 
     def test_replies_follow_arrival_order_not_submission_order(self, rng):
         model = _model()
@@ -705,7 +733,7 @@ class TestGatewayServiceParity:
             service.submit(request)
         report = service.serve(requests[:2])
         assert [reply.request_id for reply in report.replies] == [0, 1, 2, 3]
-        np.testing.assert_array_equal(report.logits(), _eager(model, inputs))
+        assert_serving_parity(report.logits(), _eager(model, inputs))
 
     def test_session_quota_sheds_only_the_busy_session(self, rng):
         service = GatewayService(_model(), GatewayPolicy(
@@ -777,6 +805,9 @@ class TestGatewayServiceParity:
         assert report.replies == []
         assert report.metrics["offered"] == report.metrics["completed"] == 0
         assert report.stages == service.partition.describe()
+        assert report.predictions().shape == (0,)
+        assert report.logits().shape == (0, model.num_classes)
+        assert report.logits().dtype == get_default_dtype()
         # The next drain still calibrates and serves normally.
         payload = rng.uniform(size=(3, 8, 8))
         if shielded:
@@ -867,8 +898,73 @@ class TestGatewayServiceParity:
         for _ in range(19):
             report = service.serve(list(requests))
         assert service.enclave.memory_report().region_value_bytes <= after_one
-        np.testing.assert_array_equal(first.logits(), eager)
-        np.testing.assert_array_equal(report.logits(), eager)
+        assert_serving_parity(first.logits(), eager)
+        assert_serving_parity(report.logits(), eager)
+
+    def test_secure_stage_opens_one_shield_region_per_cohort(self, rng, monkeypatch):
+        service = GatewayService(_model(), GatewayPolicy(
+            policy="static", max_batch=4, replicas=2,
+            admission=AdmissionPolicy(max_queue_depth=256, max_per_session=64),
+        ))
+        service.open_session("client")
+        requests = self._requests(rng, count=8)
+        # Calibrate on a first drain, so only the counted drain's scopes open.
+        service.serve(requests[:1])
+        opened = []
+        shield_scope = service.enclave.shield_scope
+
+        def counting_scope(name="stem"):
+            opened.append(name)
+            return shield_scope(name)
+
+        monkeypatch.setattr(service.enclave, "shield_scope", counting_scope)
+        report = service.serve(requests)
+        assert report.metrics["completed"] == 8
+        assert report.metrics["batches"] < 8
+        assert opened == ["stem"] * report.metrics["batches"]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        max_batch=st.integers(1, 8),
+        policy=st.sampled_from(["continuous", "static"]),
+        shielded=st.booleans(),
+        data=st.data(),
+    )
+    def test_batched_cohorts_keep_the_parity_contract(
+        self, dtype, max_batch, policy, shielded, data
+    ):
+        """Any cohort size, policy and payloads: equal argmax and the ulp
+        bound against eager, and byte-identity for a lone request."""
+        size = data.draw(st.integers(1, max_batch), label="size")
+        pixels = data.draw(arrays(np.uint8, (size, 3, 8, 8)), label="pixels")
+        previous = get_default_dtype()
+        set_default_dtype(dtype)
+        try:
+            set_global_seed(20230913)
+            model = _model()
+            payloads = (pixels / 255.0).astype(dtype)
+            service = GatewayService(
+                model,
+                GatewayPolicy(policy=policy, max_batch=max_batch, replicas=1,
+                              admission=AdmissionPolicy(max_queue_depth=16, max_per_session=16)),
+                shielded=shielded,
+            )
+            if shielded:
+                service.open_session("client")
+            report = service.serve(
+                [InferenceRequest(request_id=index, payload=payloads[index],
+                                  session_id="client" if shielded else None)
+                 for index in range(size)]
+            )
+            eager = _eager(model, payloads)
+        finally:
+            set_default_dtype(previous)
+        assert [reply.request_id for reply in report.replies] == list(range(size))
+        assert max(reply.batch_size for reply in report.replies) <= max_batch
+        assert_serving_parity(report.logits(), eager)
+        if size == 1:
+            np.testing.assert_array_equal(report.logits(), eager)
 
     def test_replays_and_serving_start_no_worker_threads(self, rng):
         """Captured replays of a banded conv tower and gateway serving run
