@@ -4,9 +4,11 @@ The deployment story of the paper — a TEE-shielded defender answering
 untrusted inference queries — as one serving path: a partition-staged model
 (enclave-resident stem, normal-world trunk, per-crossing cost accounting)
 behind attestation-gated sealed query sessions, scheduled by the
-continuous-batching :class:`~repro.serve.gateway.GatewayService`.  Cohort
-members execute row-wise, so every reply's logits are bit-identical to a
-single-request eager forward whatever the scheduling policy.
+continuous-batching :class:`~repro.serve.gateway.GatewayService`.  Each
+cohort runs as one batched stage call; every reply keeps the argmax of a
+single-request eager forward with logits within a stated ulp bound of it,
+and a cohort of one is byte-identical to it, whatever the scheduling
+policy.
 
 Quick start::
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.autodiff.tensor import Tensor, get_default_dtype
 from repro.serve.batching import InferenceReply, InferenceRequest
 from repro.serve.gateway.admission import AdmissionController
 from repro.serve.gateway.continuous import GatewayCore, GatewayPolicy, GatewayRequest
@@ -93,8 +94,6 @@ class GatewayReport:
 
     def logits(self) -> np.ndarray:
         if not self.replies:
-            from repro.autodiff.tensor import get_default_dtype
-
             return np.empty((0, self.num_classes), dtype=get_default_dtype())
         return np.stack([reply.logits for reply in self.replies], axis=0)
 
@@ -195,7 +194,9 @@ class GatewayService:
     through the same admission → stage-queue → cohort machinery as the
     simulation; when a cohort reaches a stage, the stage runs once over the
     stacked cohort while the enclave boundary is charged one enter/exit
-    pair for the whole cohort.  Payloads of one drain share one shape.
+    pair for the whole cohort.  A payload without the model's
+    ``input_shape`` is rejected alone, like a sealed query that does not
+    open, so one malformed query cannot fail its cohort's stacked call.
 
     Replies keep the module's parity contract against single-request eager,
     under every policy: equal argmax, logits within
@@ -216,6 +217,7 @@ class GatewayService:
 
         model.eval()
         self._num_classes = model.num_classes
+        self._input_shape = tuple(model.input_shape)
         self.policy = policy if policy is not None else GatewayPolicy()
         self.shielded = shielded
         if shielded:
@@ -381,13 +383,12 @@ class GatewayService:
         """Run one stage over a cohort; returns the members it rejected.
 
         A member whose sealed query fails to open (tampered ciphertext, or a
-        session closed since submission) is removed from ``cohort`` before
-        the enclave entry is charged.  The survivors' values are stacked on
+        session closed since submission) or whose payload does not have the
+        model's input shape is removed from ``cohort`` before the enclave
+        entry is charged.  The survivors' values are stacked on
         axis 0 and the stage runs once, inside one shield scope when it is
         secure; each member then gets its own ``(1, ...)`` row back.
         """
-        from repro.autodiff.tensor import Tensor
-
         stage = self.partition.stages[stage_index]
         secure = self._secure[stage_index]
         previous_secure = self._secure[stage_index - 1] if stage_index > 0 else False
@@ -409,6 +410,9 @@ class GatewayService:
                         continue
                     self.sealed_requests += 1
                 array = np.asarray(payload)
+                if array.shape != self._input_shape:
+                    rejected.append(request)
+                    continue
                 request.value = Tensor(array[None], is_input=True, name="gateway.input")
         if rejected:
             cohort[:] = [request for request in cohort if request.value is not None]
@@ -434,10 +438,8 @@ class GatewayService:
         return rejected
 
 
-def _stack(values: list) -> "Tensor":
+def _stack(values: list[Tensor]) -> Tensor:
     """One batch from the cohort's ``(1, ...)`` values; a lone value as is."""
-    from repro.autodiff.tensor import Tensor
-
     if len(values) == 1:
         return values[0]
     first = values[0]
@@ -450,14 +452,12 @@ def _stack(values: list) -> "Tensor":
     return batch
 
 
-def _rows(output, count: int) -> list:
+def _rows(output: Tensor, count: int) -> list[Tensor]:
     """Split a stage output back into ``count`` per-member ``(1, ...)`` values.
 
     The rows are views built outside any shield scope, so the enclave's
     region accounting still counts the batched output once.
     """
-    from repro.autodiff.tensor import Tensor
-
     if count == 1:
         return [output]
     rows = []

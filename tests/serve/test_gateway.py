@@ -572,6 +572,28 @@ class TestGatewayServiceParity:
         assert metrics["batches"] == 1
         assert service.admission.depth == 0
 
+    @pytest.mark.parametrize("shielded", [True, False], ids=["shielded", "clear"])
+    def test_misshapen_payload_is_rejected_alone(self, rng, shielded):
+        """A query without the model's input shape would fail its cohort's
+        stacked call; it is rejected and the rest of the cohort is served."""
+        model = _model()
+        service = GatewayService(model, GatewayPolicy(policy="static", max_batch=4),
+                                 shielded=shielded)
+        session_id = None
+        if shielded:
+            session_id = service.open_session("a").session_id
+        payloads = rng.uniform(size=(4, 3, 8, 8))
+        report = service.serve(
+            [InferenceRequest(request_id=i, session_id=session_id,
+                              payload=rng.uniform(size=(3, 16, 16)) if i == 2 else payloads[i])
+             for i in range(4)]
+        )
+        assert report.metrics["rejected"] == 1
+        assert report.metrics["completed"] == 3
+        assert [reply.request_id for reply in report.replies] == [0, 1, 3]
+        assert_serving_parity(report.logits(), _eager(model, payloads[[0, 1, 3]]))
+        assert service.admission.depth == 0
+
     @pytest.mark.parametrize("policy", ["continuous", "static"])
     def test_all_rejected_drain_has_empty_logits(self, rng, policy):
         model = _model()
