@@ -385,9 +385,9 @@ class GatewayService:
         A member whose sealed query fails to open (tampered ciphertext, or a
         session closed since submission) or whose payload does not have the
         model's input shape is removed from ``cohort`` before the enclave
-        entry is charged.  The survivors' values are stacked on
-        axis 0 and the stage runs once, inside one shield scope when it is
-        secure; each member then gets its own ``(1, ...)`` row back.
+        entry is charged.  The survivors' values are stacked on axis 0 and
+        the stage runs once, inside one shield scope when it is secure; each
+        member then gets its own ``(1, ...)`` row back.
         """
         stage = self.partition.stages[stage_index]
         secure = self._secure[stage_index]
