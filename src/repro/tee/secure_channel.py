@@ -2,16 +2,16 @@
 
 Data crossing the TEE boundary "may need to be encrypted and decrypted"
 (§VI).  This module provides a small authenticated stream cipher built from
-the standard library's SHA-256 / HMAC primitives: a keystream of SHA-256
-counter blocks is derived from the session key and a per-message nonce, the
-payload is XOR-ed with it, and an HMAC over nonce+ciphertext provides
-integrity.  It is *not* meant to be a production cipher: it keeps the data
-path of one (nonce, keystream, MAC, verify-then-decrypt) but not its cost.
-The keystream costs one SHA-256 block per 32 payload bytes and the XOR is a
-single vectorised pass, so sealing and unsealing are linear in the payload:
-measured at 19-22 µs per KiB either way on one Intel Xeon core under CPython
-3.11 (0.45 ms for a 24 KiB ViT-B/32 query), against the GB/s of an AES-GCM
-engine.
+the standard library's SHAKE-128 / HMAC-SHA256 primitives: the keystream is
+the first bytes of the SHAKE-128 extendable output of the session key and a
+per-message nonce, the payload is XOR-ed with it, and an HMAC over
+nonce+ciphertext provides integrity.  It is *not* meant to be a production
+cipher: it keeps the data path of one (nonce, keystream, MAC,
+verify-then-decrypt) but not its cost.  The keystream is one native XOF call
+and the XOR a single vectorised pass, so sealing and unsealing are linear in
+the payload: measured at 4-5 µs per KiB either way on one Intel Xeon core
+under CPython 3.11 (0.09 ms to unseal and 0.12 ms to seal a 24 KiB
+ViT-B/32 query), against the GB/s of an AES-GCM engine.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.tee.errors import SecureChannelError
-
-_BLOCK = hashlib.sha256().digest_size
 
 
 @dataclass(frozen=True)
@@ -47,13 +45,7 @@ def random_bytes(rng: np.random.Generator, count: int) -> bytes:
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> np.ndarray:
     """The first ``length`` keystream bytes as a read-only ``uint8`` view."""
-    prefix = hashlib.sha256(key + nonce)
-    blocks = []
-    for counter in range(-(-length // _BLOCK)):
-        block = prefix.copy()
-        block.update(counter.to_bytes(8, "little"))
-        blocks.append(block.digest())
-    return np.frombuffer(b"".join(blocks), dtype=np.uint8, count=length)
+    return np.frombuffer(hashlib.shake_128(key + nonce).digest(length), dtype=np.uint8)
 
 
 def _mac(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:

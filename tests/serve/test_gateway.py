@@ -58,8 +58,9 @@ def _model() -> SimpleCNN:
 
 
 def _tampered(sealed):
-    """The same sealed query with its first ciphertext byte zeroed."""
-    ciphertext = b"\x00" + sealed.message.ciphertext[1:]
+    """The same sealed query with its first ciphertext byte flipped."""
+    ciphertext = sealed.message.ciphertext
+    ciphertext = bytes([ciphertext[0] ^ 0xFF]) + ciphertext[1:]
     return replace(sealed, message=replace(sealed.message, ciphertext=ciphertext))
 
 

@@ -21,6 +21,7 @@ from repro.tee import (
     produce_quote,
     verify_quote,
 )
+from repro.tee.secure_channel import _keystream
 
 
 class TestWorldBoundary:
@@ -117,8 +118,22 @@ class TestSecureChannel:
             assert channel.decrypt(message) == payload
             digest.update(message.nonce + message.ciphertext + message.mac)
         assert digest.hexdigest() == (
-            "e1a1acc29d4e28173753c97752b06c511aaccce4f1296f1e1d19059215714191"
+            "92fc837b30b477b2f45d83adceef993ed79d0b95a967437556da2f247fa2ad7d"
         )
+
+    @pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 24576, 100003])
+    def test_keystream_is_shake128_of_key_and_nonce(self, size):
+        key, nonce = b"k" * 32, bytes(range(16))
+        stream = _keystream(key, nonce, size)
+        assert stream.dtype == np.uint8 and stream.shape == (size,)
+        assert stream.tobytes() == hashlib.shake_128(key + nonce).digest(size)
+
+    def test_nonces_under_one_key_give_different_streams(self):
+        key = b"k" * 32
+        first = _keystream(key, bytes(16), 4096)
+        second = _keystream(key, bytes(15) + b"\x01", 4096)
+        # Independent streams agree on ~1 byte in 256 (16 of 4096) by chance.
+        assert np.count_nonzero(first == second) < 64
 
     @pytest.mark.parametrize("tamper", ["nonce", "truncate", "mac"])
     def test_rejects_tampered_envelope(self, tamper):
