@@ -4,7 +4,8 @@ The engine is the one experiment API of the reproduction, built from four
 composable pieces:
 
 * a **scenario registry** (:mod:`~repro.eval.engine.registry`) where every
-  table / figure / ablation is a declarative entry over a shared
+  table / figure / ablation is a declarative entry — a kind with typed
+  parameters plus per-scale presets — over a shared
   :class:`~repro.eval.engine.registry.ExperimentConfig`;
 * an **artifact cache** (:mod:`~repro.eval.engine.cache`) keying trained
   defenders and synthetic datasets by a stable config hash so no experiment
@@ -30,11 +31,11 @@ from repro.eval.engine.cells import (
 )
 from repro.eval.engine.executor import BACKENDS, CellExecutor, ExecutorConfig
 from repro.eval.engine.registry import (
-    GATEWAY_SCALES,
     SCALES,
     SCENARIO_KINDS,
     ExperimentConfig,
     Scenario,
+    ScenarioSpec,
     build_scenario,
     list_scenarios,
     register_scenario,
@@ -47,12 +48,9 @@ from repro.eval.engine.results import (
     IndividualModelResult,
     RunRecord,
     SagaSampleStudy,
-    ensemble_result_from_payload,
-    individual_results_from_payload,
     load_run,
     load_runs,
     record_to_dict,
-    saga_study_from_payload,
     save_run,
 )
 from repro.eval.engine.runner import ExperimentEngine
@@ -66,7 +64,6 @@ __all__ = [
     "ExecutorConfig",
     "ExperimentConfig",
     "ExperimentEngine",
-    "GATEWAY_SCALES",
     "IndividualModelResult",
     "RunRecord",
     "SCALES",
@@ -74,9 +71,8 @@ __all__ = [
     "SHIELD_SETTINGS",
     "SagaSampleStudy",
     "Scenario",
+    "ScenarioSpec",
     "build_scenario",
-    "ensemble_result_from_payload",
-    "individual_results_from_payload",
     "list_scenarios",
     "load_run",
     "load_runs",
@@ -85,7 +81,6 @@ __all__ = [
     "record_to_dict",
     "register_scenario",
     "run_attack_in_batches",
-    "saga_study_from_payload",
     "save_run",
     "scaled_experiment_config",
     "scenario_catalog",

@@ -295,7 +295,7 @@ def run_budget_curve_cell(payload: dict) -> dict:
 CURVE_ATTACKS = ("fgsm", "pgd", "mim", "apgd")
 
 
-def _build_curve_attack(name: str, epsilon: float, steps: int, rng):
+def build_curve_attack(name: str, epsilon: float, steps: int, rng):
     from repro.attacks.apgd import APGD
     from repro.attacks.fgsm import FGSM
     from repro.attacks.mim import MIM
@@ -316,7 +316,7 @@ def run_robustness_curve_cell(payload: dict) -> dict:
     rng = _rng_factory(payload["seed"])
     model = rebuild_model(payload["model"])
     epsilon = float(payload["epsilon"])
-    attack = _build_curve_attack(payload["attack"], epsilon, payload["steps"], rng)
+    attack = build_curve_attack(payload["attack"], epsilon, payload["steps"], rng)
     driver = _payload_driver(payload)
     images, labels = payload["images"], payload["labels"]
     clear_view = make_attacker_view(model)

@@ -12,8 +12,8 @@ JSON-able payload (per-round histories plus task-specific metrics):
 * ``fl_poisoning`` — backdoor success vs poisoned-data fraction under
   FedAvg;
 * ``fl_shielded_global`` — TEE-attested clients train the global model over
-  sealed channels, then its evasion robustness is measured with and without
-  the PELTA shield.
+  sealed channels, then its evasion robustness under ``params["attack"]``
+  (PGD by default) is measured with and without the PELTA shield.
 
 Population construction derives all randomness from the global seed plus
 stable stream names, so a scenario's results are independent of the
@@ -37,6 +37,7 @@ from repro.core.shielded_model import ShieldedModel
 from repro.data.splits import dirichlet_partition, iid_partition
 from repro.eval.astuteness import robust_accuracy, select_correctly_classified
 from repro.eval.engine.cache import ArtifactCache
+from repro.eval.engine.cells import build_curve_attack
 from repro.eval.engine.executor import CellExecutor
 from repro.eval.engine.registry import Scenario
 from repro.fl.aggregation import get_aggregation_rule, trimmed_mean
@@ -71,33 +72,32 @@ def _build_population(scenario: Scenario, cache: ArtifactCache, with_enclaves: b
     config = scenario.config
     params = scenario.params
     dataset = cache.get_dataset(config)
-    model_name = params.get("model", "simple_cnn")
     model_factory = functools.partial(
         build_model,
-        model_name,
+        params["model"],
         num_classes=dataset.num_classes,
         image_size=config.image_size,
         in_channels=dataset.image_shape[0],
     )
-    num_clients = int(params.get("num_clients", 4))
+    num_clients = params["num_clients"]
     partition_rng = np.random.default_rng(
         derive_seed(f"fl.scenario.{scenario.name}.partition")
     )
-    if params.get("partition", "iid") == "dirichlet":
+    if params["partition"] == "dirichlet":
         partitions = dirichlet_partition(
             dataset.train_labels,
             num_clients,
-            alpha=float(params.get("dirichlet_alpha", 0.5)),
+            alpha=params["dirichlet_alpha"],
             rng=partition_rng,
         )
     else:
         partitions = iid_partition(dataset.train_labels, num_clients, rng=partition_rng)
     client_config = ClientConfig(
-        local_epochs=int(params.get("local_epochs", 1)),
-        batch_size=int(params.get("client_batch_size", 16)),
-        learning_rate=float(params.get("client_lr", 0.05)),
+        local_epochs=params["local_epochs"],
+        batch_size=params["client_batch_size"],
+        learning_rate=params["client_lr"],
     )
-    num_compromised = int(params.get("num_compromised", 0))
+    num_compromised = params["num_compromised"]
     clients: list[HonestClient] = []
     for index, part in enumerate(partitions):
         client_id = f"client{index}"
@@ -115,15 +115,13 @@ def _build_population(scenario: Scenario, cache: ArtifactCache, with_enclaves: b
             adversarial = dict(
                 kwargs,
                 attack=_probe_attack(scenario),
-                poison_target=int(params.get("poison_target", 0)),
-                poison_fraction=float(params.get("poison_fraction", 0.5)),
-                poison_trigger_size=int(params.get("trigger_size", 3)),
+                poison_target=params["poison_target"],
+                poison_fraction=params["poison_fraction"],
+                poison_trigger_size=params["trigger_size"],
             )
-            if params.get("task") == "robust_aggregation":
+            if params["task"] == "robust_aggregation":
                 clients.append(
-                    ModelPoisoningClient(
-                        boost_factor=float(params.get("boost_factor", 25.0)), **adversarial
-                    )
+                    ModelPoisoningClient(boost_factor=params["boost_factor"], **adversarial)
                 )
             else:
                 clients.append(CompromisedClient(**adversarial))
@@ -154,9 +152,7 @@ def _clone_clients(base_clients: list[HonestClient]) -> list[HonestClient]:
 
 def _resolve_rule(name: str, params) -> "object":
     if name == "trimmed_mean":
-        return functools.partial(
-            trimmed_mean, trim_fraction=float(params.get("trim_fraction", 0.25))
-        )
+        return functools.partial(trimmed_mean, trim_fraction=params["trim_fraction"])
     return get_aggregation_rule(name)
 
 
@@ -182,11 +178,11 @@ def _run_once(scenario, transport, model, clients, dataset, rule) -> tuple:
         clients=clients,
         transport=transport,
         aggregation_rule=rule,
-        client_fraction=float(scenario.params.get("client_fraction", 1.0)),
-        compression=str(scenario.params.get("compression", "none")),
+        client_fraction=scenario.params["client_fraction"],
+        compression=scenario.params["compression"],
     )
     result = runtime.run(
-        int(scenario.params.get("num_rounds", 2)),
+        scenario.params["num_rounds"],
         dataset.test_images,
         dataset.test_labels,
     )
@@ -195,9 +191,9 @@ def _run_once(scenario, transport, model, clients, dataset, rule) -> tuple:
 
 def _base_payload(scenario: Scenario, transport, runtime=None) -> dict:
     payload = {
-        "task": scenario.params.get("task", "fedavg"),
-        "num_clients": int(scenario.params.get("num_clients", 4)),
-        "num_rounds": int(scenario.params.get("num_rounds", 2)),
+        "task": scenario.params["task"],
+        "num_clients": scenario.params["num_clients"],
+        "num_rounds": scenario.params["num_rounds"],
         **transport.describe(),
     }
     if runtime is not None:
@@ -210,11 +206,11 @@ def _base_payload(scenario: Scenario, transport, runtime=None) -> dict:
 # --------------------------------------------------------------------------- #
 def run_fedavg_task(scenario: Scenario, cache: ArtifactCache, transport) -> dict:
     model_factory, clients, dataset = _build_population(scenario, cache)
-    rule = _resolve_rule(scenario.params.get("aggregation", "fedavg"), scenario.params)
+    rule = _resolve_rule(scenario.params["aggregation"], scenario.params)
     runtime, result = _run_once(scenario, transport, model_factory(), clients, dataset, rule)
     payload = _base_payload(scenario, transport, runtime)
     payload.update(
-        aggregation=scenario.params.get("aggregation", "fedavg"),
+        aggregation=scenario.params["aggregation"],
         rounds=_round_payload(result.rounds),
         final_accuracy=result.final_accuracy,
         update_bytes_total=sum(entry.update_bytes for entry in result.rounds),
@@ -231,7 +227,7 @@ def run_thousand_clients_task(scenario: Scenario, cache: ArtifactCache, transpor
     """
     params = scenario.params
     model_factory, clients, dataset = _build_population(scenario, cache)
-    rule = _resolve_rule(params.get("aggregation", "fedavg"), params)
+    rule = _resolve_rule(params["aggregation"], params)
     start = time.perf_counter()
     runtime, result = _run_once(scenario, transport, model_factory(), clients, dataset, rule)
     elapsed = time.perf_counter() - start
@@ -239,8 +235,8 @@ def run_thousand_clients_task(scenario: Scenario, cache: ArtifactCache, transpor
     stats = runtime.secure_stats
     payload = _base_payload(scenario, transport, runtime)
     payload.update(
-        aggregation=params.get("aggregation", "fedavg"),
-        compression=str(params.get("compression", "none")),
+        aggregation=params["aggregation"],
+        compression=params["compression"],
         rounds=_round_payload(result.rounds),
         final_accuracy=result.final_accuracy,
         elapsed_seconds=float(elapsed),
@@ -266,7 +262,7 @@ def run_robust_aggregation_task(scenario: Scenario, cache: ArtifactCache, transp
     model_factory, base_clients, dataset = _build_population(scenario, cache)
     base_model = model_factory()
     rules: dict[str, dict] = {}
-    for rule_name in params.get("rules", ("fedavg", "trimmed_mean", "median")):
+    for rule_name in params["rules"]:
         # Fresh deep copies so every rule starts from the same population
         # and initial global model (model init draws from a shared stream).
         clients = _clone_clients(base_clients)
@@ -274,14 +270,14 @@ def run_robust_aggregation_task(scenario: Scenario, cache: ArtifactCache, transp
         _, result = _run_once(
             scenario, transport, model, clients, dataset, _resolve_rule(rule_name, params)
         )
-        rules[str(rule_name)] = {
+        rules[rule_name] = {
             "final_accuracy": result.final_accuracy,
             "backdoor_success": backdoor_success_rate(
                 model,
                 dataset.test_images,
                 dataset.test_labels,
-                int(params.get("poison_target", 0)),
-                int(params.get("trigger_size", 3)),
+                params["poison_target"],
+                params["trigger_size"],
             ),
             "rounds": _round_payload(result.rounds),
         }
@@ -292,7 +288,7 @@ def run_robust_aggregation_task(scenario: Scenario, cache: ArtifactCache, transp
         )
     # Built after the runs so the transport name reflects what actually ran.
     payload = _base_payload(scenario, transport)
-    payload["num_compromised"] = int(params.get("num_compromised", 0))
+    payload["num_compromised"] = params["num_compromised"]
     payload["rules"] = rules
     return payload
 
@@ -302,8 +298,7 @@ def run_poisoning_task(scenario: Scenario, cache: ArtifactCache, transport) -> d
     model_factory, base_clients, dataset = _build_population(scenario, cache)
     base_model = model_factory()
     sweep: list[dict] = []
-    for fraction in params.get("fractions", (0.0, 0.5)):
-        fraction = float(fraction)
+    for fraction in params["fractions"]:
         clients = _clone_clients(base_clients)
         for client in clients:
             if getattr(client, "is_compromised", False):
@@ -320,14 +315,14 @@ def run_poisoning_task(scenario: Scenario, cache: ArtifactCache, transport) -> d
                     model,
                     dataset.test_images,
                     dataset.test_labels,
-                    int(params.get("poison_target", 0)),
-                    int(params.get("trigger_size", 3)),
+                    params["poison_target"],
+                    params["trigger_size"],
                 ),
             }
         )
     # Built after the runs so the transport name reflects what actually ran.
     payload = _base_payload(scenario, transport)
-    payload["num_compromised"] = int(params.get("num_compromised", 0))
+    payload["num_compromised"] = params["num_compromised"]
     payload["sweep"] = sweep
     return payload
 
@@ -345,21 +340,19 @@ def run_shielded_global_task(scenario: Scenario, cache: ArtifactCache, transport
         global_model=model,
         clients=clients,
         transport=transport,
-        client_fraction=float(scenario.params.get("client_fraction", 1.0)),
+        client_fraction=scenario.params["client_fraction"],
     )
     runtime.attest_clients({client.client_id: _device_key(client.client_id) for client in clients})
-    result = runtime.run(
-        int(scenario.params.get("num_rounds", 2)), dataset.test_images, dataset.test_labels
-    )
+    result = runtime.run(scenario.params["num_rounds"], dataset.test_images, dataset.test_labels)
     # Evasion robustness of the trained global model, clear vs shielded.
     attack_params = table2_parameters(config.dataset)
     epsilon = attack_params.epsilon * config.epsilon_scale
     rng_seed = derive_seed(f"fl.scenario.{scenario.name}.attack")
-    attack = PGD(
-        epsilon=epsilon,
-        step_size=epsilon / 8,
-        steps=config.max_attack_steps,
-        rng=np.random.default_rng(rng_seed),
+    attack = build_curve_attack(
+        scenario.params["attack"],
+        epsilon,
+        config.max_attack_steps,
+        rng=lambda _label: np.random.default_rng(rng_seed),
     )
     images, labels = select_correctly_classified(
         model.predict, dataset.test_images, dataset.test_labels, config.eval_samples
@@ -382,7 +375,7 @@ def run_shielded_global_task(scenario: Scenario, cache: ArtifactCache, transport
     payload.update(
         rounds=_round_payload(result.rounds),
         final_accuracy=result.final_accuracy,
-        attack="pgd",
+        attack=scenario.params["attack"],
         epsilon=float(epsilon),
         eval_samples=int(len(labels)),
         robust_accuracy=robust,
@@ -404,7 +397,7 @@ def run_federated_scenario(
 ) -> dict:
     """Dispatch a federated scenario to its task runner."""
     transport = transport_from_executor(executor)
-    task = scenario.params.get("task", "fedavg")
+    task = scenario.params["task"]
     if task not in _TASKS:
         raise KeyError(f"unknown federated task {task!r}; expected one of {sorted(_TASKS)}")
     _LOGGER.info("federated task %s over %s transport", task, transport.name)

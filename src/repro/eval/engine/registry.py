@@ -1,31 +1,58 @@
 """Declarative scenario registry.
 
 Every table / figure of the paper — and any user-defined experiment — is a
-named :class:`Scenario`: a kind (which runner to use), a shared
-:class:`ExperimentConfig`, and kind-specific parameters.
-Scenarios are built from a *scale* preset (``tiny`` / ``bench`` / ``full``)
-plus per-field overrides, so the same entry runs as a seconds-long smoke
-test or as the EXPERIMENTS.md configuration.
+registered :class:`ScenarioSpec`: a name, a kind, a description and the keys
+each scale preset (``tiny`` / ``bench`` / ``full``) sets.  A kind, one row of
+:data:`SCENARIO_KINDS`, names the dataclass that declares its parameters
+(their types and their one default), the ``ExperimentEngine`` method that
+runs it and the :mod:`repro.eval.tables` function that renders its JSON
+results.
 
-New scenarios are added with :func:`register_scenario`::
+:func:`build_scenario` routes preset keys and overrides by one rule: a key
+naming a field of the kind's params class goes to ``Scenario.params``, any
+other key to the shared :class:`ExperimentConfig`, and a key that is in
+neither raises.  Each value is cast to its field's declared type (a tuple
+field accepts a bare scalar), so an ill-typed override fails when the
+scenario is built, before anything trains.
 
-    @register_scenario("table3_svhn", "Table III block on an SVHN stand-in")
-    def _table3_svhn(scale, overrides):
-        config = scaled_experiment_config(scale, dataset="svhn", **overrides)
-        return Scenario(name="table3_svhn", kind="individual", config=config)
+New scenarios are data::
+
+    register_scenario(ScenarioSpec(
+        "table3_cifar10_cnn",
+        "individual",
+        "Table III with the small CNN only; reason: ...",
+        presets={scale: {"models": "simple_cnn"} for scale in SCALES},
+    ))
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import dataclasses
+import functools
+import typing
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.attacks.configs import AttackSuiteConfig
 from repro.eval.engine.cells import CURVE_ATTACKS
+from repro.eval.tables import (
+    format_budget_curve,
+    format_federated,
+    format_fig3,
+    format_fig4,
+    format_robustness_curve,
+    format_serving_tail_latency,
+    format_table3,
+    format_table4,
+    format_upsampling_ablation,
+)
 from repro.models.registry import MODEL_REGISTRY
 
 #: Default number of classes for each benchmark dataset stand-in.
 _DATASET_CLASSES = {"cifar10": 10, "cifar100": 100, "imagenet": 20}
+
+#: The white-box suite of Table III.
+_TABLE3_ATTACKS = ("fgsm", "pgd", "mim", "cw", "apgd")
 
 
 @dataclass
@@ -34,7 +61,7 @@ class ExperimentConfig:
 
     dataset: str = "cifar10"
     models: tuple[str, ...] = ("vit_b16", "resnet56")
-    attacks: tuple[str, ...] = ("fgsm", "pgd", "mim", "cw", "apgd")
+    attacks: tuple[str, ...] = _TABLE3_ATTACKS
     num_classes: int | None = None
     image_size: int = 32
     train_per_class: int = 48
@@ -81,23 +108,241 @@ class ExperimentConfig:
         )
 
 
-#: Kinds the runner knows how to execute.
-SCENARIO_KINDS = (
-    "individual",  # Table III: defenders × attack suite, clear vs shielded
-    "ensemble",  # Table IV: SAGA against the two-member ensemble
-    "saga_samples",  # Fig. 4: per-sample SAGA study
-    "geometry",  # Fig. 3: attack trajectories on the 2-D toy problem
-    "upsampling",  # ablation: attacker upsampling substitutes
-    "federated",  # fl_*: federation-runtime workloads (FedAvg, robust agg, ...)
-    "budget_curve",  # attack engine: success rate vs gradient-query budget
-    "robustness_curve",  # attack engine: success rate vs ε sweep
-    "serving_tail_latency",  # gateway: p50/p99/p999 vs offered load, SLO-gated
-)
+def _check_choice(value: str, known, what: str) -> None:
+    """Reject an unknown name up front, so a typo fails before anything trains."""
+    if value not in known:
+        raise KeyError(f"unknown {what} {value!r}; expected one of {tuple(known)}")
+
+
+# --------------------------------------------------------------------------- #
+# Scenario parameters, one dataclass per kind
+# --------------------------------------------------------------------------- #
+@dataclass
+class ScenarioParams:
+    """Parameters of a kind beyond the ExperimentConfig (Table III / IV have none)."""
+
+    def config_defaults(self) -> dict[str, Any]:
+        """ExperimentConfig keys these parameters imply; presets and overrides win."""
+        return {}
+
+
+@dataclass
+class SagaSampleParams(ScenarioParams):
+    """Fig. 4: which correctly classified sample SAGA attacks."""
+
+    sample_index: int = 0
+
+
+@dataclass
+class GeometryParams(ScenarioParams):
+    """Fig. 3: the ε-ball and step schedule on the 2-D toy problem."""
+
+    epsilon: float = 0.5
+    step_size: float = 0.08
+    steps: int = 12
+
+
+@dataclass
+class SingleModelParams(ScenarioParams):
+    """A kind that attacks one defender; the config's ``models`` lists it."""
+
+    model: str = "vit_b16"
+
+    def config_defaults(self) -> dict[str, Any]:
+        return {"models": (self.model,)}
+
+
+@dataclass
+class UpsamplingParams(SingleModelParams):
+    """Ablation: attacker substitutes for the shielded stem's gradient."""
+
+    model: str = "bit_m_r101x3"
+    #: Compared against the white-box and random-noise baselines.
+    strategies: tuple[str, ...] = ("transposed_conv", "average")
+
+
+@dataclass
+class BudgetCurveParams(SingleModelParams):
+    """Attack engine: success rate vs gradient-query budget, per shield setting."""
+
+    attack: str = "pgd"
+    settings: tuple[str, ...] = ("clear", "shielded")
+
+    def __post_init__(self):
+        _check_choice(self.attack, _TABLE3_ATTACKS, "budget-curve attack")
+
+
+@dataclass
+class RobustnessCurveParams(SingleModelParams):
+    """Attack engine: success rate vs ε, clear and shielded."""
+
+    attack: str = "pgd"
+    epsilons: tuple[float, ...] = (0.015, 0.031, 0.062, 0.124)
+
+    def __post_init__(self):
+        _check_choice(self.attack, CURVE_ATTACKS, "robustness-curve attack")
+
+
+@dataclass
+class FederatedParams(ScenarioParams):
+    """The fl_* federation: population, local training, attackers and task knobs."""
+
+    #: Task runner in :mod:`repro.eval.engine.federated`.
+    task: str = "fedavg"
+    model: str = "simple_cnn"
+    num_clients: int = 4
+    num_rounds: int = 2
+    local_epochs: int = 1
+    client_batch_size: int = 16
+    client_lr: float = 0.05
+    client_fraction: float = 1.0
+    #: "iid" or "dirichlet" (with ``dirichlet_alpha``).
+    partition: str = "iid"
+    dirichlet_alpha: float = 0.5
+    aggregation: str = "fedavg"
+    compression: str = "none"
+    #: The last ``num_compromised`` clients attack the federation.
+    num_compromised: int = 0
+    boost_factor: float = 25.0
+    poison_target: int = 0
+    poison_fraction: float = 0.5
+    trim_fraction: float = 0.25
+    trigger_size: int = 3
+    #: Aggregation rules the robust_aggregation task compares.
+    rules: tuple[str, ...] = ("fedavg", "trimmed_mean", "median")
+    #: Poisoned-data fractions the poisoning task sweeps.
+    fractions: tuple[float, ...] = (0.0, 0.5)
+    #: Evasion attack the shielded_global task runs on its trained global
+    #: model, clear and shielded (an ε-bounded suite attack).
+    attack: str = "pgd"
+
+    def __post_init__(self):
+        _check_choice(self.attack, CURVE_ATTACKS, "federated evasion attack")
+
+
+@dataclass
+class GatewayParams(ScenarioParams):
+    """The serving gateway's virtual-clock load sweep; the defaults are bench scale.
+
+    ``requests`` is the open-loop arrival count per load point and
+    ``num_sessions`` the sealed-session population.  The gateway only
+    calibrates its stage costs against ``model`` (FLOP metadata), so the big
+    sweeps stay cheap.
+    """
+
+    model: str = "vit_b32"
+    requests: int = 20_000
+    num_sessions: int = 100_000
+    max_batch: int = 8
+    max_wait_us: float = 4000.0
+    replicas: int = 2
+    loads: tuple[float, ...] = (0.5, 0.8, 0.95)
+    policies: tuple[str, ...] = ("continuous", "static")
+    #: Absolute SLO target; None makes it ``slo_forward_multiple`` full forwards.
+    slo_us: float | None = None
+    slo_forward_multiple: float = 4.0
+    max_queue_depth: int = 512
+    max_per_session: int = 8
+    gflops: float = 2.0
+    #: The SLO gate: at ``gate_load`` the continuous policy must hold the SLO
+    #: for at least ``gate_attainment`` of completed requests.
+    gate_load: float = 0.8
+    gate_attainment: float = 0.95
+
+
+@dataclass(frozen=True)
+class ScenarioKind:
+    """What the engine knows about one kind of scenario."""
+
+    #: Dataclass declaring the kind's parameters: names, types, defaults.
+    params: type[ScenarioParams]
+    #: Name of the ``ExperimentEngine`` method that runs it.
+    runner: str
+    #: Formats the JSON form of its results.
+    renderer: Callable[[Any], str]
+
+
+#: Every kind the engine can run and render.
+SCENARIO_KINDS: dict[str, ScenarioKind] = {
+    "individual": ScenarioKind(ScenarioParams, "_run_individual", format_table3),
+    "ensemble": ScenarioKind(ScenarioParams, "_run_ensemble", format_table4),
+    "saga_samples": ScenarioKind(SagaSampleParams, "_run_saga_samples", format_fig4),
+    "geometry": ScenarioKind(GeometryParams, "_run_geometry", format_fig3),
+    "upsampling": ScenarioKind(UpsamplingParams, "_run_upsampling", format_upsampling_ablation),
+    "federated": ScenarioKind(FederatedParams, "_run_federated", format_federated),
+    "budget_curve": ScenarioKind(BudgetCurveParams, "_run_budget_curve", format_budget_curve),
+    "robustness_curve": ScenarioKind(
+        RobustnessCurveParams, "_run_robustness_curve", format_robustness_curve
+    ),
+    "serving_tail_latency": ScenarioKind(
+        GatewayParams, "_run_serving_tail_latency", format_serving_tail_latency
+    ),
+}
+
+
+# --------------------------------------------------------------------------- #
+# Typed construction: one cast per value, from the field's declared type
+# --------------------------------------------------------------------------- #
+@functools.cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """Declared type of every field of dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {item.name: hints[item.name] for item in dataclasses.fields(cls)}
+
+
+def _coerce(key: str, value: Any, hint: Any) -> Any:
+    """Cast one preset or override value to its field's declared type.
+
+    A tuple field takes a bare scalar as a one-element tuple, ``X | None``
+    takes None, and int and float are cast; a str field takes only a str and
+    a bool field a bool (or 0 / 1).  A value that does not cast, or a
+    fractional float for an int field, raises ValueError.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        items = (value,) if value is None or isinstance(value, (str, int, float)) else value
+        return tuple(_coerce(key, item, args[0]) for item in items)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+    invalid = ValueError(f"{key}={value!r} is not a valid {hint.__name__}")
+    if value is None:
+        raise invalid
+    if hint is str:
+        if isinstance(value, str):
+            return value
+        raise invalid
+    if hint is bool:
+        if isinstance(value, int) and value in (0, 1):
+            return bool(value)
+        raise invalid
+    try:
+        cast = hint(value)
+    except (TypeError, ValueError):
+        raise invalid from None
+    if hint is int and isinstance(value, float) and cast != value:
+        raise invalid
+    return cast
+
+
+def _typed(cls: type, values: Mapping[str, Any]):
+    """Instantiate dataclass ``cls`` from ``values``, each cast to its field's type."""
+    types = _field_types(cls)
+    for key in values:
+        if key not in types:
+            raise TypeError(f"unknown {cls.__name__} field {key!r}")
+    return cls(**{key: _coerce(key, value, types[key]) for key, value in values.items()})
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One declarative experiment entry."""
+    """One runnable experiment: a kind, its config and its parameters.
+
+    ``params`` is normalised through the kind's params class, so missing keys
+    take their declared defaults and every value has its field's type.  It
+    stays a plain dict, the form the JSON run record stores.
+    """
 
     name: str
     kind: str
@@ -107,7 +352,11 @@ class Scenario:
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}; expected {SCENARIO_KINDS}")
+            raise ValueError(
+                f"unknown scenario kind {self.kind!r}; expected {tuple(SCENARIO_KINDS)}"
+            )
+        params = _typed(SCENARIO_KINDS[self.kind].params, self.params)
+        object.__setattr__(self, "params", dataclasses.asdict(params))
 
 
 # --------------------------------------------------------------------------- #
@@ -160,84 +409,107 @@ def scaled_experiment_config(scale: str = "bench", **overrides) -> ExperimentCon
     """Build an :class:`ExperimentConfig` from a scale preset plus overrides."""
     if scale not in SCALES:
         raise KeyError(f"unknown scale {scale!r}; expected one of {sorted(SCALES)}")
-    values = dict(SCALES[scale])
-    values.update(overrides)
-    return ExperimentConfig(**values)
+    return _typed(ExperimentConfig, {**SCALES[scale], **overrides})
 
 
 # --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
-ScenarioBuilder = Callable[[str, dict[str, Any]], Scenario]
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """A registered scenario, as data.
 
-_BUILDERS: dict[str, ScenarioBuilder] = {}
-_DESCRIPTIONS: dict[str, str] = {}
+    ``presets[scale]`` holds the keys the scenario sets at that scale.  They
+    are routed exactly like overrides, which take precedence over them.
+    ``dataset`` is fixed: an override naming it raises TypeError, so a run
+    is always recorded under the dataset it used.  None (Fig. 3, whose toy
+    problem uses no dataset) leaves it an ordinary config key.
+    """
+
+    name: str
+    kind: str
+    description: str
+    presets: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
+    dataset: str | None = "cifar10"
 
 
-def register_scenario(name: str, description: str = ""):
-    """Register a scenario builder under ``name`` (decorator)."""
+_SPECS: dict[str, ScenarioSpec] = {}
 
-    def decorator(builder: ScenarioBuilder) -> ScenarioBuilder:
-        if name in _BUILDERS:
-            raise ValueError(f"scenario {name!r} is already registered")
-        _BUILDERS[name] = builder
-        _DESCRIPTIONS[name] = description
-        return builder
 
-    return decorator
+def register_scenario(spec: ScenarioSpec) -> None:
+    """Register a scenario declaration under ``spec.name``."""
+    if spec.name in _SPECS:
+        raise ValueError(f"scenario {spec.name!r} is already registered")
+    if spec.kind not in SCENARIO_KINDS:
+        raise ValueError(f"unknown scenario kind {spec.kind!r}; expected {tuple(SCENARIO_KINDS)}")
+    _SPECS[spec.name] = spec
 
 
 def unregister_scenario(name: str) -> None:
     """Remove a registered scenario (test helper)."""
-    _BUILDERS.pop(name, None)
-    _DESCRIPTIONS.pop(name, None)
+    _SPECS.pop(name, None)
 
 
 def list_scenarios() -> dict[str, str]:
     """Mapping of every registered scenario name to its description."""
-    return {name: _DESCRIPTIONS.get(name, "") for name in sorted(_BUILDERS)}
+    return {name: _SPECS[name].description for name in sorted(_SPECS)}
 
 
 def scenario_catalog() -> list[dict[str, Any]]:
-    """One row per registered scenario: name, kind, scales, description.
-
-    The kind is learned by building each scenario at the cheapest scale —
-    builders are pure configuration construction, so this costs nothing (no
-    data is generated and no model is trained).
-    """
-    rows: list[dict[str, Any]] = []
-    for name, description in list_scenarios().items():
-        rows.append(
-            {
-                "name": name,
-                "kind": build_scenario(name, scale="tiny").kind,
-                "scales": tuple(SCALES),
-                "description": description,
-            }
-        )
-    return rows
+    """One row per registered scenario: name, kind, scales, description."""
+    return [
+        {
+            "name": name,
+            "kind": _SPECS[name].kind,
+            "scales": tuple(SCALES),
+            "description": description,
+        }
+        for name, description in list_scenarios().items()
+    ]
 
 
 def build_scenario(name: str, scale: str = "bench", **overrides) -> Scenario:
-    """Instantiate a registered scenario at the given scale."""
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown scenario {name!r}; available: {sorted(_BUILDERS)}")
-    scenario = _BUILDERS[name](scale, dict(overrides))
-    _check_models(scenario)
-    if not scenario.description:
-        scenario = replace(scenario, description=_DESCRIPTIONS.get(name, ""))
+    """Instantiate a registered scenario at ``scale``: its presets, then ``overrides``.
+
+    A key naming a field of the kind's params class sets that parameter; any
+    other key sets an :class:`ExperimentConfig` field.  The spec's fixed
+    ``dataset`` is applied last and cannot be overridden.
+    """
+    if name not in _SPECS:
+        raise KeyError(f"unknown scenario {name!r}; available: {sorted(_SPECS)}")
+    spec = _SPECS[name]
+    params_class = SCENARIO_KINDS[spec.kind].params
+    param_keys: dict[str, Any] = {}
+    config_keys: dict[str, Any] = {}
+    for key, value in {**spec.presets.get(scale, {}), **overrides}.items():
+        (param_keys if key in _field_types(params_class) else config_keys)[key] = value
+    if spec.dataset is not None:
+        if "dataset" in overrides:
+            raise TypeError(f"scenario {name!r} fixes dataset={spec.dataset!r}")
+        config_keys["dataset"] = spec.dataset
+    params = _typed(params_class, param_keys)
+    config = scaled_experiment_config(scale, **{**params.config_defaults(), **config_keys})
+    scenario = Scenario(
+        name=name,
+        kind=spec.kind,
+        config=config,
+        description=spec.description,
+        params=dataclasses.asdict(params),
+    )
+    _check_names(scenario)
     return scenario
 
 
-def _check_models(scenario: Scenario) -> None:
-    """Reject an unknown model name up front, so a typo fails before training."""
+def _check_names(scenario: Scenario) -> None:
+    """Reject an unknown Table III attack or model before anything trains."""
     config = scenario.config
-    names = [*config.models, config.ensemble_vit, config.ensemble_cnn]
+    for attack in config.attacks:
+        _check_choice(attack, _TABLE3_ATTACKS, "Table III attack")
+    models = [*config.models, config.ensemble_vit, config.ensemble_cnn]
     if "model" in scenario.params:
-        names.append(scenario.params["model"])
-    for model in names:
-        if model not in MODEL_REGISTRY:
-            raise KeyError(f"unknown model {model!r}; available: {sorted(MODEL_REGISTRY)}")
+        models.append(scenario.params["model"])
+    for model in models:
+        _check_choice(model, tuple(sorted(MODEL_REGISTRY)), "model")
 
 
 # --------------------------------------------------------------------------- #
@@ -245,6 +517,14 @@ def _check_models(scenario: Scenario) -> None:
 # exists: a paper table or figure, a BENCHMARK.json workload, a CI step or
 # benchmarks/bench_*.py file, or a ROADMAP item.
 # --------------------------------------------------------------------------- #
+def _presets(
+    per_scale: Mapping[str, Mapping[str, Any]] | None = None, **every_scale
+) -> dict[str, dict[str, Any]]:
+    """Preset keys of each scale: ``per_scale[scale]``, then the shared ``every_scale``."""
+    per_scale = per_scale or {}
+    return {scale: {**per_scale.get(scale, {}), **every_scale} for scale in SCALES}
+
+
 #: Defender line-up of each Table III dataset block, per scale.
 TABLE3_MODELS: dict[str, dict[str, tuple[str, ...]]] = {
     "tiny": {
@@ -275,99 +555,74 @@ DATASET_CLASSES: dict[str, dict[str, int | None]] = {
 #: Table IV CNN member per dataset (the paper pairs ImageNet with R152x4).
 ENSEMBLE_CNN = {"cifar10": "bit_m_r101x3", "cifar100": "bit_m_r101x3", "imagenet": "bit_m_r152x4"}
 
-_TABLE3_ATTACKS = ("fgsm", "pgd", "mim", "cw", "apgd")
 
-
-def _checked_attack(attack: Any, known: tuple[str, ...], kind: str) -> str:
-    """Reject an unknown attack name up front.
-
-    Checked at build time so a typo fails before the defender trains.
-    """
-    attack = str(attack)
-    if attack not in known:
-        raise KeyError(f"unknown {kind} attack {attack!r}; expected one of {known}")
-    return attack
-
-
-def _register_table3(dataset: str) -> None:
-    reason = "paper Table III"
-    if dataset == "cifar10":
-        reason += ", BENCHMARK.json table3_vit_l16/table3_bit_r101x3, CI backend-parity smoke"
-
-    @register_scenario(
-        f"table3_{dataset}",
-        f"Table III — individual defenders vs the white-box suite ({dataset} stand-in); "
-        f"reason: {reason}",
-    )
-    def _build(scale: str, overrides: dict[str, Any]) -> Scenario:
-        overrides.setdefault("models", TABLE3_MODELS[scale][dataset])
-        overrides.setdefault("num_classes", DATASET_CLASSES[scale][dataset])
-        overrides.setdefault("attacks", _TABLE3_ATTACKS)
-        for attack in _as_tuple(overrides["attacks"]):
-            _checked_attack(attack, _TABLE3_ATTACKS, "Table III")
-        config = scaled_experiment_config(scale, dataset=dataset, **overrides)
-        return Scenario(name=f"table3_{dataset}", kind="individual", config=config)
-
-
-def _register_table4(dataset: str) -> None:
-    @register_scenario(
-        f"table4_{dataset}",
-        f"Table IV — ViT+BiT ensemble vs SAGA under four shield settings ({dataset} stand-in); "
-        "reason: paper Table IV",
-    )
-    def _build(scale: str, overrides: dict[str, Any]) -> Scenario:
-        overrides.setdefault("num_classes", DATASET_CLASSES[scale][dataset])
-        overrides.setdefault("ensemble_vit", "vit_l16" if scale != "tiny" else "vit_b32")
-        overrides.setdefault(
-            "ensemble_cnn", ENSEMBLE_CNN[dataset] if scale != "tiny" else "simple_cnn"
-        )
-        config = scaled_experiment_config(scale, dataset=dataset, **overrides)
-        return Scenario(name=f"table4_{dataset}", kind="ensemble", config=config)
+def _ensemble_members(scale: str, dataset: str) -> dict[str, str]:
+    """Table IV / Fig. 4 members: ViT-L/16 and the paper's BiT, small stand-ins at tiny."""
+    if scale == "tiny":
+        return {"ensemble_vit": "vit_b32", "ensemble_cnn": "simple_cnn"}
+    return {"ensemble_vit": "vit_l16", "ensemble_cnn": ENSEMBLE_CNN[dataset]}
 
 
 for _dataset in ("cifar10", "cifar100", "imagenet"):
-    _register_table3(_dataset)
-    _register_table4(_dataset)
+    _reason = "paper Table III"
+    if _dataset == "cifar10":
+        _reason += ", BENCHMARK.json table3_vit_l16/table3_bit_r101x3, CI backend-parity smoke"
+    register_scenario(
+        ScenarioSpec(
+            f"table3_{_dataset}",
+            "individual",
+            f"Table III — individual defenders vs the white-box suite ({_dataset} stand-in); "
+            f"reason: {_reason}",
+            {
+                scale: {
+                    "models": TABLE3_MODELS[scale][_dataset],
+                    "num_classes": DATASET_CLASSES[scale][_dataset],
+                }
+                for scale in SCALES
+            },
+            dataset=_dataset,
+        )
+    )
+    register_scenario(
+        ScenarioSpec(
+            f"table4_{_dataset}",
+            "ensemble",
+            "Table IV — ViT+BiT ensemble vs SAGA under four shield settings "
+            f"({_dataset} stand-in); reason: paper Table IV",
+            {
+                scale: {
+                    "num_classes": DATASET_CLASSES[scale][_dataset],
+                    **_ensemble_members(scale, _dataset),
+                }
+                for scale in SCALES
+            },
+            dataset=_dataset,
+        )
+    )
 
-
-def _as_tuple(value) -> tuple:
-    """Tuple coercion that treats a scalar (or bare string) as one element.
-
-    CLI overrides arrive as bare strings / numbers; without this,
-    ``tuple("average")`` would iterate the string character by character.
-    """
-    if isinstance(value, (str, int, float)):
-        return (value,)
-    return tuple(value)
-
-
-@register_scenario(
-    "fig3_geometry",
-    "Figure 3 — attack geometry on the 2-D toy problem; reason: paper Fig. 3",
+register_scenario(
+    ScenarioSpec(
+        "fig3_geometry",
+        "geometry",
+        "Figure 3 — attack geometry on the 2-D toy problem; reason: paper Fig. 3",
+        dataset=None,
+    )
 )
-def _fig3(scale: str, overrides: dict[str, Any]) -> Scenario:
-    params = {"epsilon": 0.5, "step_size": 0.08, "steps": 12}
-    params.update(overrides.pop("params", {}))
-    config = scaled_experiment_config(scale, **overrides)
-    return Scenario(name="fig3_geometry", kind="geometry", config=config, params=params)
-
-
-@register_scenario(
-    "fig4_saga_sample",
-    "Figure 4 — SAGA on one sample per shield setting; reason: paper Fig. 4",
+register_scenario(
+    ScenarioSpec(
+        "fig4_saga_sample",
+        "saga_samples",
+        "Figure 4 — SAGA on one sample per shield setting; reason: paper Fig. 4",
+        {scale: _ensemble_members(scale, "cifar10") for scale in SCALES},
+    )
 )
-def _fig4(scale: str, overrides: dict[str, Any]) -> Scenario:
-    params = {"sample_index": overrides.pop("sample_index", 0)}
-    overrides.setdefault("ensemble_vit", "vit_l16" if scale != "tiny" else "vit_b32")
-    overrides.setdefault("ensemble_cnn", "bit_m_r101x3" if scale != "tiny" else "simple_cnn")
-    config = scaled_experiment_config(scale, dataset="cifar10", **overrides)
-    return Scenario(name="fig4_saga_sample", kind="saga_samples", config=config, params=params)
-
 
 # --------------------------------------------------------------------------- #
 # Federated (fl_*) scenarios — executed by the federation runtime
 # --------------------------------------------------------------------------- #
 #: Federation shape per scale (clients, rounds, local training, attackers).
+#: The federation splits one dataset across all clients, so it needs more
+#: data per class than the single-defender experiments at the same scale.
 FL_SCALES: dict[str, dict[str, Any]] = {
     "tiny": dict(
         num_clients=4,
@@ -377,6 +632,7 @@ FL_SCALES: dict[str, dict[str, Any]] = {
         client_lr=0.05,
         num_compromised=1,
         fractions=(0.0, 0.5),
+        train_per_class=24,
     ),
     "bench": dict(
         num_clients=8,
@@ -386,6 +642,7 @@ FL_SCALES: dict[str, dict[str, Any]] = {
         client_lr=0.05,
         num_compromised=2,
         fractions=(0.0, 0.25, 0.5),
+        train_per_class=64,
     ),
     "full": dict(
         num_clients=16,
@@ -395,373 +652,127 @@ FL_SCALES: dict[str, dict[str, Any]] = {
         client_lr=0.05,
         num_compromised=4,
         fractions=(0.0, 0.1, 0.25, 0.5),
+        train_per_class=96,
     ),
 }
 
-#: Per-class training-set size of the federated scenarios (the federation
-#: splits one dataset across all clients, so it needs more data per class
-#: than the single-defender experiments at the same scale).
-_FL_TRAIN_PER_CLASS = {"tiny": 24, "bench": 64, "full": 96}
-
-#: Federation shape of the thousand-client scale sweep (ROADMAP item 3).
-#: Clients are all honest and data per client is tiny — the scenario measures
-#: the *server's* round machinery (streaming aggregation, sealing fan-out,
-#: delta compression), not local convergence.
+#: Federation shape of the thousand-client scale sweep.  Clients are all
+#: honest and data per client is tiny (but at least one sample each: 10
+#: classes x per-class >= clients) — the scenario measures the *server's*
+#: round machinery (streaming aggregation, sealing fan-out, delta
+#: compression), not local convergence.
 FL_THOUSAND_SCALES: dict[str, dict[str, Any]] = {
-    "tiny": dict(
-        num_clients=64,
-        num_rounds=1,
-        local_epochs=1,
-        client_batch_size=8,
-        client_lr=0.05,
-        num_compromised=0,
-    ),
-    "bench": dict(
-        num_clients=1000,
-        num_rounds=1,
-        local_epochs=1,
-        client_batch_size=8,
-        client_lr=0.05,
-        num_compromised=0,
-    ),
-    "full": dict(
-        num_clients=2000,
-        num_rounds=2,
-        local_epochs=1,
-        client_batch_size=8,
-        client_lr=0.05,
-        num_compromised=0,
-    ),
+    "tiny": dict(num_clients=64, num_rounds=1, client_batch_size=8, train_per_class=24),
+    "bench": dict(num_clients=1000, num_rounds=1, client_batch_size=8, train_per_class=128),
+    "full": dict(num_clients=2000, num_rounds=2, client_batch_size=8, train_per_class=224),
 }
 
-#: The thousand-client federation still hands every client at least one
-#: training sample (10 classes x per-class >= clients).
-_FL_THOUSAND_TRAIN_PER_CLASS = {"tiny": 24, "bench": 128, "full": 224}
-
-#: Every parameter the federated task runners consume.  Overrides naming one
-#: of these always route to the scenario params — including ones a task has
-#: no default for (e.g. ``dirichlet_alpha``) — never to the ExperimentConfig.
-_FL_PARAM_KEYS = frozenset(
-    {
-        "task",
-        "model",
-        "partition",
-        "dirichlet_alpha",
-        "aggregation",
-        "client_fraction",
-        "num_clients",
-        "num_rounds",
-        "local_epochs",
-        "client_batch_size",
-        "client_lr",
-        "num_compromised",
-        "boost_factor",
-        "poison_target",
-        "poison_fraction",
-        "trim_fraction",
-        "trigger_size",
-        "rules",
-        "fractions",
-        "attack",
-        "compression",
-    }
-)
-
-#: FL params holding a sequence (a single bare CLI value becomes a 1-tuple).
-_FL_TUPLE_KEYS = frozenset({"rules", "fractions"})
-
-
-def _fl_scenario(
-    name: str,
-    scale: str,
-    overrides: dict[str, Any],
-    scales: dict[str, dict[str, Any]] | None = None,
-    train_per_class: dict[str, int] | None = None,
-    **task_defaults,
-) -> Scenario:
-    """Shared builder: split CLI overrides between FL params and the config."""
-    params = dict((scales if scales is not None else FL_SCALES)[scale])
-    params.update(task_defaults)
-    # ``--set`` overrides naming an FL parameter go to params, the rest to
-    # the ExperimentConfig (dataset sizes, eval budget, ...).  Tuple-typed
-    # params (rules, fractions) accept a single bare CLI value.
-    for key in list(overrides):
-        if key in params or key in _FL_PARAM_KEYS:
-            value = overrides.pop(key)
-            if key in _FL_TUPLE_KEYS:
-                value = _as_tuple(value)
-            params[key] = value
-    per_class = train_per_class if train_per_class is not None else _FL_TRAIN_PER_CLASS
-    overrides.setdefault("train_per_class", per_class[scale])
-    config = scaled_experiment_config(scale, dataset="cifar10", **overrides)
-    return Scenario(name=name, kind="federated", config=config, params=params)
-
-
-@register_scenario(
-    "fl_fedavg",
-    "Federated — FedAvg over the federation runtime; "
-    "reason: CI FL smoke, bench_fl_round_throughput.py",
-)
-def _fl_fedavg(scale: str, overrides: dict[str, Any]) -> Scenario:
-    return _fl_scenario(
+register_scenario(
+    ScenarioSpec(
         "fl_fedavg",
-        scale,
-        overrides,
-        task="fedavg",
-        model="simple_cnn",
-        partition="iid",
-        client_fraction=1.0,
-        aggregation="fedavg",
-        num_compromised=0,
+        "federated",
+        "Federated — FedAvg over the federation runtime; "
+        "reason: CI FL smoke, bench_fl_round_throughput.py",
+        _presets(FL_SCALES, task="fedavg", num_compromised=0),
     )
-
-
-@register_scenario(
-    "fl_robust_aggregation",
-    "Federated — trimmed-mean / median vs boosted model-poisoning clients; reason: the "
-    "paper's abstract names poisoning the FL scheme's local data as a dissemination strategy",
 )
-def _fl_robust_aggregation(scale: str, overrides: dict[str, Any]) -> Scenario:
-    return _fl_scenario(
+register_scenario(
+    ScenarioSpec(
         "fl_robust_aggregation",
-        scale,
-        overrides,
-        task="robust_aggregation",
-        model="simple_cnn",
-        partition="iid",
-        rules=("fedavg", "trimmed_mean", "median"),
-        boost_factor=25.0,
-        poison_target=0,
-        poison_fraction=0.5,
-        trim_fraction=0.25,
-        trigger_size=3,
+        "federated",
+        "Federated — trimmed-mean / median vs boosted model-poisoning clients; reason: the "
+        "paper's abstract names poisoning the FL scheme's local data as a dissemination strategy",
+        _presets(FL_SCALES, task="robust_aggregation"),
     )
-
-
-@register_scenario(
-    "fl_poisoning",
-    "Federated — backdoor success vs poisoned-data fraction; reason: the paper's abstract "
-    "names poisoning the FL scheme's local data as a dissemination strategy",
 )
-def _fl_poisoning(scale: str, overrides: dict[str, Any]) -> Scenario:
-    return _fl_scenario(
+register_scenario(
+    ScenarioSpec(
         "fl_poisoning",
-        scale,
-        overrides,
-        task="poisoning",
-        model="simple_cnn",
-        partition="iid",
-        poison_target=0,
-        trigger_size=3,
+        "federated",
+        "Federated — backdoor success vs poisoned-data fraction; reason: the paper's abstract "
+        "names poisoning the FL scheme's local data as a dissemination strategy",
+        _presets(FL_SCALES, task="poisoning"),
     )
-
-
-@register_scenario(
-    "fl_thousand_clients",
-    "Federated — thousand-client rounds: streaming aggregation + delta-compressed envelopes; "
-    "reason: BENCHMARK.json fl_thousand_clients, CI FL scale smoke",
 )
-def _fl_thousand_clients(scale: str, overrides: dict[str, Any]) -> Scenario:
-    # A small image size keeps the per-client model cheap: the scenario
-    # stresses the server's round machinery, not local training.
-    overrides.setdefault("image_size", 16)
-    overrides.setdefault("test_per_class", 6)
-    return _fl_scenario(
+register_scenario(
+    ScenarioSpec(
         "fl_thousand_clients",
-        scale,
-        overrides,
-        scales=FL_THOUSAND_SCALES,
-        train_per_class=_FL_THOUSAND_TRAIN_PER_CLASS,
-        task="thousand_clients",
-        model="simple_cnn",
-        partition="iid",
-        client_fraction=1.0,
-        aggregation="fedavg",
-        compression="none",
+        "federated",
+        "Federated — thousand-client rounds: streaming aggregation + delta-compressed "
+        "envelopes; reason: BENCHMARK.json fl_thousand_clients, CI FL scale smoke",
+        # A small image size keeps the per-client model cheap: the scenario
+        # stresses the server's round machinery, not local training.
+        _presets(FL_THOUSAND_SCALES, task="thousand_clients", image_size=16, test_per_class=6),
     )
-
-
-@register_scenario(
-    "fl_shielded_global",
-    "Federated — attested TEE clients train the global model; PGD vs its shield; "
-    "reason: the paper's FL deployment, BENCHMARK.json fl_sealed_training",
 )
-def _fl_shielded_global(scale: str, overrides: dict[str, Any]) -> Scenario:
-    return _fl_scenario(
+register_scenario(
+    ScenarioSpec(
         "fl_shielded_global",
-        scale,
-        overrides,
-        task="shielded_global",
-        model="simple_cnn",
-        partition="iid",
-        client_fraction=1.0,
-        num_compromised=0,
-        attack="pgd",
+        "federated",
+        "Federated — attested TEE clients train the global model; PGD vs its shield; "
+        "reason: the paper's FL deployment, BENCHMARK.json fl_sealed_training",
+        _presets(FL_SCALES, task="shielded_global", num_compromised=0),
     )
-
+)
 
 # --------------------------------------------------------------------------- #
 # Attack-engine scenarios (driver: active-set shrinking, backend selection)
 # --------------------------------------------------------------------------- #
-@register_scenario(
-    "attack_budget_curve",
-    "Attack engine — success rate vs gradient-query budget (active-set vs fixed); "
-    "reason: CI attack smoke, ROADMAP item 7 (captured attack backend)",
-)
-def _attack_budget_curve(scale: str, overrides: dict[str, Any]) -> Scenario:
-    params = {
-        "model": overrides.pop("model", "vit_b16" if scale != "tiny" else "simple_cnn"),
-        "attack": _checked_attack(
-            overrides.pop("attack", "pgd"), _TABLE3_ATTACKS, "budget-curve"
-        ),
-        "settings": tuple(
-            str(setting)
-            for setting in _as_tuple(overrides.pop("settings", ("clear", "shielded")))
-        ),
-    }
-    overrides.setdefault("models", (params["model"],))
-    config = scaled_experiment_config(scale, dataset="cifar10", **overrides)
-    return Scenario(
-        name="attack_budget_curve", kind="budget_curve", config=config, params=params
+register_scenario(
+    ScenarioSpec(
+        "attack_budget_curve",
+        "budget_curve",
+        "Attack engine — success rate vs gradient-query budget (active-set vs fixed); "
+        "reason: CI attack smoke, ROADMAP item 7 (captured attack backend)",
+        {"tiny": {"model": "simple_cnn"}},
     )
-
-
-@register_scenario(
-    "robustness_curve",
-    "Attack engine — attack success vs ε sweep, clear and shielded (any suite attack); "
-    "reason: CI robustness-curve smoke",
 )
-def _robustness_curve(scale: str, overrides: dict[str, Any]) -> Scenario:
-    params = {
-        "model": overrides.pop("model", "vit_b16" if scale != "tiny" else "simple_cnn"),
-        "attack": _checked_attack(
-            overrides.pop("attack", "pgd"), CURVE_ATTACKS, "robustness-curve"
-        ),
-        "epsilons": tuple(
-            float(epsilon)
-            for epsilon in _as_tuple(overrides.pop("epsilons", (0.015, 0.031, 0.062, 0.124)))
-        ),
-    }
-    overrides.setdefault("models", (params["model"],))
-    config = scaled_experiment_config(scale, dataset="cifar10", **overrides)
-    return Scenario(
-        name="robustness_curve", kind="robustness_curve", config=config, params=params
+register_scenario(
+    ScenarioSpec(
+        "robustness_curve",
+        "robustness_curve",
+        "Attack engine — attack success vs ε sweep, clear and shielded (any suite attack); "
+        "reason: CI robustness-curve smoke",
+        {"tiny": {"model": "simple_cnn"}},
     )
-
+)
 
 # --------------------------------------------------------------------------- #
 # Serving-gateway scenario (virtual-clock simulation: tail latency)
 # --------------------------------------------------------------------------- #
-#: Gateway workload shape per scale.  ``requests`` is the open-loop arrival
-#: count per load point; ``num_sessions`` is the sealed-session population
-#: (10^4 at tiny through 10^6 at full).
-GATEWAY_SCALES: dict[str, dict[str, Any]] = {
-    "tiny": dict(
-        requests=1_500,
-        num_sessions=10_000,
-        max_batch=8,
-        replicas=2,
-        loads=(0.5, 0.8, 1.05),
-        max_queue_depth=256,
-        max_per_session=8,
-    ),
-    "bench": dict(
-        requests=20_000,
-        num_sessions=100_000,
-        max_batch=8,
-        replicas=2,
-        loads=(0.5, 0.8, 0.95),
-        max_queue_depth=512,
-        max_per_session=8,
-    ),
-    "full": dict(
-        requests=200_000,
-        num_sessions=1_000_000,
-        max_batch=16,
-        replicas=4,
-        loads=(0.5, 0.8, 0.95, 1.1),
-        max_queue_depth=1024,
-        max_per_session=8,
-    ),
-}
-
-#: Every parameter the gateway runners consume.
-_GATEWAY_PARAM_KEYS = frozenset(
-    {
-        "model",
-        "requests",
-        "num_sessions",
-        "max_batch",
-        "max_wait_us",
-        "replicas",
-        "loads",
-        "policies",
-        "slo_us",
-        "slo_forward_multiple",
-        "max_queue_depth",
-        "max_per_session",
-        "gflops",
-        "gate_load",
-        "gate_attainment",
-    }
-)
-
-
-def _gateway_scenario(
-    name: str, kind: str, scale: str, overrides: dict[str, Any], **defaults
-) -> Scenario:
-    params = dict(GATEWAY_SCALES[scale])
-    # The gateway only *calibrates* against the model (FLOP metadata), so the
-    # big simulations stay cheap; the default defender matches the serving
-    # runtime presets.
-    params["model"] = "vit_b32" if scale != "tiny" else "simple_cnn"
-    params["max_wait_us"] = 4000.0
-    params["policies"] = ("continuous", "static")
-    params["slo_us"] = None
-    params["slo_forward_multiple"] = 4.0
-    params["gflops"] = 2.0
-    params.update(defaults)
-    for key in list(overrides):
-        if key in params or key in _GATEWAY_PARAM_KEYS:
-            value = overrides.pop(key)
-            if key == "loads":
-                value = tuple(float(item) for item in _as_tuple(value))
-            elif key == "policies":
-                value = tuple(str(item) for item in _as_tuple(value))
-            params[key] = value
-    config = scaled_experiment_config(scale, dataset="cifar10", **overrides)
-    return Scenario(name=name, kind=kind, config=config, params=params)
-
-
-@register_scenario(
-    "serving_tail_latency",
-    "Gateway — p50/p99/p999 vs offered load, continuous vs static batching, SLO-gated; "
-    "reason: CI gateway smoke, bench_serving_gateway.py",
-)
-def _serving_tail_latency(scale: str, overrides: dict[str, Any]) -> Scenario:
-    return _gateway_scenario(
+register_scenario(
+    ScenarioSpec(
         "serving_tail_latency",
         "serving_tail_latency",
-        scale,
-        overrides,
-        gate_load=0.8,
-        gate_attainment=0.95,
+        "Gateway — p50/p99/p999 vs offered load, continuous vs static batching, SLO-gated; "
+        "reason: CI gateway smoke, bench_serving_gateway.py",
+        {
+            # 10^4 sealed sessions at tiny through 10^6 at full.
+            "tiny": dict(
+                model="simple_cnn",
+                requests=1_500,
+                num_sessions=10_000,
+                loads=(0.5, 0.8, 1.05),
+                max_queue_depth=256,
+            ),
+            "full": dict(
+                requests=200_000,
+                num_sessions=1_000_000,
+                max_batch=16,
+                replicas=4,
+                loads=(0.5, 0.8, 0.95, 1.1),
+                max_queue_depth=1024,
+            ),
+        },
     )
-
-
-@register_scenario(
-    "ablation_upsampling",
-    "Ablation — attacker upsampling substitutes vs a shielded BiT; "
-    "reason: bench_ablation_upsampling.py, ROADMAP item 1 (fitted-stem upsampler)",
 )
-def _ablation_upsampling(scale: str, overrides: dict[str, Any]) -> Scenario:
-    params = {
-        "model": overrides.pop("model", "bit_m_r101x3" if scale != "tiny" else "simple_cnn"),
-        "strategies": tuple(
-            str(strategy)
-            for strategy in _as_tuple(overrides.pop("strategies", ("transposed_conv", "average")))
-        ),
-    }
-    overrides.setdefault("models", (params["model"],))
-    config = scaled_experiment_config(scale, dataset="cifar10", **overrides)
-    return Scenario(name="ablation_upsampling", kind="upsampling", config=config, params=params)
+
+register_scenario(
+    ScenarioSpec(
+        "ablation_upsampling",
+        "upsampling",
+        "Ablation — attacker upsampling substitutes vs a shielded BiT; "
+        "reason: bench_ablation_upsampling.py, ROADMAP item 1 (fitted-stem upsampler)",
+        {"tiny": {"model": "simple_cnn"}},
+    )
+)

@@ -1,11 +1,13 @@
 """Structured result persistence.
 
 A scenario run produces a :class:`RunRecord` — the scenario identity, the
-resolved configuration, the kind-specific result payload and some run
-metadata — serialised to ``<results_dir>/runs/<scenario>.json``.  Tables are
-rendered *from these records* (``repro.eval.tables.render_run``), and
-``scripts/update_experiments.py`` consumes the same JSON, so the numbers in
-EXPERIMENTS.md no longer depend on scraping pytest stdout.
+resolved configuration and typed parameters, the kind-specific result
+payload and some run metadata — serialised to
+``<results_dir>/runs/<scenario>.json``.  A live record's Table III / IV and
+Fig. 4 results are the dataclasses below; :func:`record_to_dict` turns a
+record into its JSON form, the only form ``repro.eval.tables.render_run``
+formats, and ``scripts/update_experiments.py`` consumes the same JSON, so
+the numbers in EXPERIMENTS.md do not depend on scraping pytest stdout.
 """
 
 from __future__ import annotations
@@ -124,24 +126,6 @@ class SagaSampleStudy:
     label: int
     #: ``settings[setting]`` with perturbation norms and member predictions.
     settings: dict[str, dict[str, float | int | bool]] = dataclasses.field(default_factory=dict)
-
-
-# --------------------------------------------------------------------------- #
-# Payload → result-dataclass rebuilders (used by the table renderers)
-# --------------------------------------------------------------------------- #
-def individual_results_from_payload(payload: list[dict]) -> list[IndividualModelResult]:
-    """Rebuild the Table III result rows from their JSON payload."""
-    return [IndividualModelResult(**entry) for entry in payload]
-
-
-def ensemble_result_from_payload(payload: dict) -> EnsembleBenchmarkResult:
-    """Rebuild the Table IV result block from its JSON payload."""
-    return EnsembleBenchmarkResult(**payload)
-
-
-def saga_study_from_payload(payload: dict) -> SagaSampleStudy:
-    """Rebuild the Fig. 4 sample study from its JSON payload."""
-    return SagaSampleStudy(**payload)
 
 
 def timestamp() -> str:

@@ -22,7 +22,7 @@ from repro.eval.astuteness import select_correctly_classified
 from repro.eval.engine import cells
 from repro.eval.engine.cache import ArtifactCache
 from repro.eval.engine.executor import CellExecutor, ExecutorConfig
-from repro.eval.engine.registry import Scenario, build_scenario
+from repro.eval.engine.registry import SCENARIO_KINDS, Scenario, build_scenario
 from repro.eval.engine.results import (
     EnsembleBenchmarkResult,
     IndividualModelResult,
@@ -73,17 +73,7 @@ class ExperimentEngine:
             scenario = build_scenario(scenario, scale=scale, **overrides)
         elif overrides:
             raise ValueError("overrides are only supported when resolving by name")
-        runner = {
-            "individual": self._run_individual,
-            "ensemble": self._run_ensemble,
-            "saga_samples": self._run_saga_samples,
-            "geometry": self._run_geometry,
-            "upsampling": self._run_upsampling,
-            "federated": self._run_federated,
-            "budget_curve": self._run_budget_curve,
-            "robustness_curve": self._run_robustness_curve,
-            "serving_tail_latency": self._run_serving_tail_latency,
-        }[scenario.kind]
+        runner = getattr(self, SCENARIO_KINDS[scenario.kind].runner)
         _LOGGER.info("running scenario %s (%s)", scenario.name, scenario.kind)
         start = time.perf_counter()
         results = runner(scenario)
@@ -258,7 +248,7 @@ class ExperimentEngine:
     # ------------------------------------------------------------------ #
     def _run_saga_samples(self, scenario: Scenario):
         config = scenario.config
-        sample_index = int(scenario.params.get("sample_index", 0))
+        sample_index = scenario.params["sample_index"]
         vit_model, cnn_model = self._ensemble_members(scenario)
         images, labels = self._both_correct_eval_set(
             scenario, vit_model, cnn_model, sample_index + 1
@@ -285,12 +275,7 @@ class ExperimentEngine:
     # Fig. 3
     # ------------------------------------------------------------------ #
     def _run_geometry(self, scenario: Scenario):
-        params = scenario.params
-        return run_geometry_study(
-            epsilon=float(params.get("epsilon", 0.5)),
-            step_size=float(params.get("step_size", 0.08)),
-            steps=int(params.get("steps", 12)),
-        )
+        return run_geometry_study(**scenario.params)
 
     # ------------------------------------------------------------------ #
     # Ablations
@@ -308,7 +293,7 @@ class ExperimentEngine:
     def _run_budget_curve(self, scenario: Scenario):
         config = scenario.config
         model_name, spec, images, labels = self._single_model_eval(scenario)
-        attack = scenario.params.get("attack", "pgd")
+        attack = scenario.params["attack"]
         payloads = [
             {
                 "seed": self._cell_seed(scenario, model_name, setting, mode),
@@ -322,7 +307,7 @@ class ExperimentEngine:
                 "images": images,
                 "labels": labels,
             }
-            for setting in scenario.params.get("settings", ("clear",))
+            for setting in scenario.params["settings"]
             for mode in ("fixed", "active")
         ]
         results: dict[str, dict] = {}
@@ -347,13 +332,13 @@ class ExperimentEngine:
     def _run_robustness_curve(self, scenario: Scenario):
         config = scenario.config
         model_name, spec, images, labels = self._single_model_eval(scenario)
-        attack = scenario.params.get("attack", "pgd")
+        attack = scenario.params["attack"]
         payloads = [
             {
                 "seed": self._cell_seed(scenario, model_name, attack, epsilon),
                 "model": spec,
                 "attack": attack,
-                "epsilon": float(epsilon),
+                "epsilon": epsilon,
                 "steps": config.max_attack_steps,
                 "strategy": config.upsampling_strategy,
                 "images": images,
@@ -387,7 +372,7 @@ class ExperimentEngine:
         return calibrate_stage_costs(
             shielded.partition,
             dataset.test_images[:1],
-            gflops=float(params["gflops"]),
+            gflops=params["gflops"],
         )
 
     def _gateway_policy(self, scenario: Scenario, policy: str, slo_us: float):
@@ -396,24 +381,22 @@ class ExperimentEngine:
         params = scenario.params
         return GatewayPolicy(
             policy=policy,
-            max_batch=int(params["max_batch"]),
-            max_wait_us=float(params["max_wait_us"]),
-            replicas=int(params["replicas"]),
+            max_batch=params["max_batch"],
+            max_wait_us=params["max_wait_us"],
+            replicas=params["replicas"],
             slo_us=slo_us,
             admission=AdmissionPolicy(
-                max_queue_depth=int(params["max_queue_depth"]),
-                max_per_session=int(params["max_per_session"]),
+                max_queue_depth=params["max_queue_depth"],
+                max_per_session=params["max_per_session"],
             ),
         )
 
     def _gateway_slo_us(self, scenario: Scenario, costs) -> float:
         """Absolute SLO target, defaulting to a multiple of one full forward."""
         params = scenario.params
-        if params.get("slo_us"):
-            return float(params["slo_us"])
-        return float(params["slo_forward_multiple"]) * costs.forward_us(
-            int(params["max_batch"])
-        )
+        if params["slo_us"]:
+            return params["slo_us"]
+        return params["slo_forward_multiple"] * costs.forward_us(params["max_batch"])
 
     def _run_serving_tail_latency(self, scenario: Scenario):
         from repro.serve.gateway import ServingGateway, poisson_workload
@@ -421,17 +404,17 @@ class ExperimentEngine:
         params = scenario.params
         costs = self._gateway_costs(scenario)
         slo_us = self._gateway_slo_us(scenario, costs)
-        capacity = costs.capacity_rps(int(params["replicas"]), int(params["max_batch"]))
-        policies = tuple(params["policies"])
+        capacity = costs.capacity_rps(params["replicas"], params["max_batch"])
+        policies = params["policies"]
         rows = []
         for load in params["loads"]:
             workload = poisson_workload(
-                rate_rps=float(load) * capacity,
-                requests=int(params["requests"]),
-                num_sessions=int(params["num_sessions"]),
+                rate_rps=load * capacity,
+                requests=params["requests"],
+                num_sessions=params["num_sessions"],
                 seed_name=f"gateway.{scenario.name}.load{load:g}",
             )
-            row = {"load": float(load), "offered_rps": workload.offered_rps}
+            row = {"load": load, "offered_rps": workload.offered_rps}
             for policy in policies:
                 gateway = ServingGateway(costs, self._gateway_policy(scenario, policy, slo_us))
                 metrics = gateway.simulate(workload).metrics
@@ -470,8 +453,8 @@ class ExperimentEngine:
             "model": params["model"],
             "capacity_rps": capacity,
             "slo_us": slo_us,
-            "num_sessions": int(params["num_sessions"]),
-            "requests_per_load": int(params["requests"]),
+            "num_sessions": params["num_sessions"],
+            "requests_per_load": params["requests"],
             "policies": list(policies),
             "stages": costs.describe(),
             "sweep": rows,
@@ -487,17 +470,17 @@ class ExperimentEngine:
         * at the highest swept load, continuous p99 must not exceed the
           static wave drainer's p99 (the whole point of the gateway).
         """
-        gate_load = float(params["gate_load"])
+        gate_load = params["gate_load"]
         gate_row = min(rows, key=lambda row: abs(row["load"] - gate_load))
         attainment = gate_row.get("continuous", {}).get("slo_attainment", 0.0)
-        attainment_ok = attainment >= float(params["gate_attainment"])
+        attainment_ok = attainment >= params["gate_attainment"]
         p99_ok = True
         if "continuous" in policies and "static" in policies:
             top = max(rows, key=lambda row: row["load"])
             p99_ok = top["continuous"]["p99_us"] <= top["static"]["p99_us"]
         return {
             "load": gate_row["load"],
-            "min_attainment": float(params["gate_attainment"]),
+            "min_attainment": params["gate_attainment"],
             "attainment": attainment,
             "attainment_ok": bool(attainment_ok),
             "continuous_p99_beats_static": bool(p99_ok),

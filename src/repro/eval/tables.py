@@ -1,9 +1,11 @@
 """Plain-text formatting of the reproduced tables and figure summaries.
 
-Tables I / II are formatted from static model / parameter data; Tables III /
-IV, the Fig. 3 / Fig. 4 summaries and the ablations are rendered either from
-live result dataclasses or — via :func:`render_run` — from the JSON run
-records the experiment engine persists under ``results/runs/``.
+Tables I / II are formatted from static model / parameter data.  Every
+scenario's results (Tables III / IV, the Fig. 3 / Fig. 4 summaries, the
+ablations, the federated, attack-engine and gateway sweeps) are formatted
+from their JSON form, the ``results`` of a run record; :func:`render_run`
+converts a live record to that form first, so a run renders identically
+before and after it is persisted under ``results/runs/``.
 """
 
 from __future__ import annotations
@@ -12,13 +14,6 @@ from typing import Any, Mapping
 
 from repro.attacks.configs import TABLE2_PARAMETERS
 from repro.core.memory_cost import format_bytes, paper_table1
-from repro.eval.engine.results import (
-    EnsembleBenchmarkResult,
-    IndividualModelResult,
-    ensemble_result_from_payload,
-    individual_results_from_payload,
-    saga_study_from_payload,
-)
 
 
 def format_table1() -> str:
@@ -65,49 +60,50 @@ def format_table2() -> str:
     return "\n".join(lines)
 
 
-def format_table3(results: list[IndividualModelResult]) -> str:
+def format_table3(results: list[Mapping[str, Any]]) -> str:
     """Table III: robust accuracy of non-shielded vs shielded individual models."""
     if not results:
         return "Table III — no results"
-    attacks = list(results[0].robust.keys())
+    attacks = list(results[0]["robust"].keys())
     header = f"{'Model':<16}" + "".join(f"{attack.upper():>20}" for attack in attacks) + f"{'Clean':>9}"
     sub = f"{'':<16}" + "".join(f"{'clear':>10}{'shield':>10}" for _ in attacks) + f"{'':>9}"
     lines = [
-        f"Table III — Robust accuracy, dataset={results[0].dataset} "
-        f"({results[0].eval_samples} correctly classified samples)",
+        f"Table III — Robust accuracy, dataset={results[0]['dataset']} "
+        f"({results[0]['eval_samples']} correctly classified samples)",
         header,
         sub,
     ]
     for result in results:
-        row = f"{result.model_name:<16}"
+        row = f"{result['model_name']:<16}"
         for attack in attacks:
-            values = result.robust.get(attack, {})
+            values = result["robust"].get(attack, {})
             row += f"{values.get('unshielded', float('nan')) * 100:>9.1f}%"
             row += f"{values.get('shielded', float('nan')) * 100:>9.1f}%"
-        row += f"{result.clean_accuracy * 100:>8.1f}%"
+        row += f"{result['clean_accuracy'] * 100:>8.1f}%"
         lines.append(row)
     return "\n".join(lines)
 
 
-def format_table4(result: EnsembleBenchmarkResult) -> str:
+def format_table4(result: Mapping[str, Any]) -> str:
     """Table IV: robust accuracy of the shielded ensemble against SAGA."""
     rows = ("vit", "cnn", "ensemble")
-    labels = {"vit": result.vit_name, "cnn": result.cnn_name, "ensemble": "Ensemble"}
+    labels = {"vit": result["vit_name"], "cnn": result["cnn_name"], "ensemble": "Ensemble"}
+    robust = result["robust"]
     lines = [
-        f"Table IV — Ensemble vs SAGA, dataset={result.dataset} "
-        f"({result.eval_samples} correctly classified samples)",
+        f"Table IV — Ensemble vs SAGA, dataset={result['dataset']} "
+        f"({result['eval_samples']} correctly classified samples)",
         f"{'Model':<16}{'Clean':>9}{'Random':>9}"
         f"{'None':>9}{'ViT only':>10}{'CNN only':>10}{'Both':>9}",
     ]
     for row in rows:
         lines.append(
             f"{labels[row]:<16}"
-            f"{result.clean_accuracy.get(row, float('nan')) * 100:>8.1f}%"
-            f"{result.random_astuteness.get(row, float('nan')) * 100:>8.1f}%"
-            f"{result.robust.get('none', {}).get(row, float('nan')) * 100:>8.1f}%"
-            f"{result.robust.get('vit_only', {}).get(row, float('nan')) * 100:>9.1f}%"
-            f"{result.robust.get('cnn_only', {}).get(row, float('nan')) * 100:>9.1f}%"
-            f"{result.robust.get('both', {}).get(row, float('nan')) * 100:>8.1f}%"
+            f"{result['clean_accuracy'].get(row, float('nan')) * 100:>8.1f}%"
+            f"{result['random_astuteness'].get(row, float('nan')) * 100:>8.1f}%"
+            f"{robust.get('none', {}).get(row, float('nan')) * 100:>8.1f}%"
+            f"{robust.get('vit_only', {}).get(row, float('nan')) * 100:>9.1f}%"
+            f"{robust.get('cnn_only', {}).get(row, float('nan')) * 100:>9.1f}%"
+            f"{robust.get('both', {}).get(row, float('nan')) * 100:>8.1f}%"
         )
     return "\n".join(lines)
 
@@ -115,39 +111,31 @@ def format_table4(result: EnsembleBenchmarkResult) -> str:
 # --------------------------------------------------------------------------- #
 # Figure and ablation summaries
 # --------------------------------------------------------------------------- #
-def format_fig3(study) -> str:
+def format_fig3(study: Mapping[str, Any]) -> str:
     """Fig. 3 summary: attack trajectories on the toy problem."""
-    origin = [round(float(value), 3) for value in list(study.origin)]
+    origin = [round(float(value), 3) for value in study["origin"]]
     lines = [
-        f"Figure 3 — attack geometry (epsilon={study.epsilon}, label={study.label})",
+        f"Figure 3 — attack geometry (epsilon={study['epsilon']}, label={study['label']})",
         f"origin: {origin}",
     ]
-    trajectories = study.trajectories
-    items = trajectories.items() if isinstance(trajectories, Mapping) else trajectories
-    for name, trajectory in items:
-        if isinstance(trajectory, Mapping):
-            points, max_linf = trajectory["points"], trajectory["max_linf"]
-            crossed = trajectory["crossed_boundary"]
-            end = points[-1]
-        else:
-            points, max_linf = trajectory.points, trajectory.max_linf
-            crossed = trajectory.crossed_boundary
-            end = trajectory.end
-        end = [round(float(value), 3) for value in list(end)]
+    for name, trajectory in study["trajectories"].items():
+        points = trajectory["points"]
+        end = [round(float(value), 3) for value in points[-1]]
         lines.append(
             f"  {name:5s} steps={len(points) - 1:2d} end={end} "
-            f"max_linf={max_linf:.3f} crossed_boundary={crossed}"
+            f"max_linf={trajectory['max_linf']:.3f} "
+            f"crossed_boundary={trajectory['crossed_boundary']}"
         )
     return "\n".join(lines)
 
 
-def format_fig4(study) -> str:
+def format_fig4(study: Mapping[str, Any]) -> str:
     """Fig. 4 summary: per-setting SAGA outcome on one sample."""
     lines = [
-        f"Figure 4 — SAGA on one correctly classified sample (true label {study.label})",
+        f"Figure 4 — SAGA on one correctly classified sample (true label {study['label']})",
         f"{'Setting':<10}{'linf':>8}{'l2':>8}{'ViT pred':>10}{'CNN pred':>10}{'Attack':>10}",
     ]
-    for setting, outcome in study.settings.items():
+    for setting, outcome in study["settings"].items():
         verdict = "success" if outcome["attack_success"] else "failure"
         lines.append(
             f"{setting:<10}{outcome['linf']:>8.4f}{outcome['l2']:>8.3f}"
@@ -225,39 +213,15 @@ def format_federated(payload: Mapping[str, Any]) -> str:
 def render_run(record) -> str:
     """Render a run record (live :class:`~repro.eval.engine.RunRecord` or a
     JSON dict loaded from ``results/runs/``) into its printable block."""
-    if isinstance(record, Mapping):
-        kind, results = record["kind"], record["results"]
-        hydrate = True
-    else:
-        kind, results = record.kind, record.results
-        hydrate = isinstance(results, (list, dict)) and not _is_dataclass_payload(results)
-    if kind == "individual":
-        if hydrate:
-            results = individual_results_from_payload(results)
-        return format_table3(results)
-    if kind == "ensemble":
-        if hydrate:
-            results = ensemble_result_from_payload(results)
-        return format_table4(results)
-    if kind == "saga_samples":
-        if hydrate:
-            results = saga_study_from_payload(results)
-        return format_fig4(results)
-    if kind == "geometry":
-        if isinstance(record, Mapping):
-            return _format_fig3_from_dict(results)
-        return format_fig3(results)
-    if kind == "upsampling":
-        return format_upsampling_ablation(results)
-    if kind == "federated":
-        return format_federated(results)
-    if kind == "budget_curve":
-        return format_budget_curve(results)
-    if kind == "robustness_curve":
-        return format_robustness_curve(results)
-    if kind == "serving_tail_latency":
-        return format_serving_tail_latency(results)
-    raise ValueError(f"cannot render unknown scenario kind {kind!r}")
+    # Deferred: the engine's kind table names the formatters of this module.
+    from repro.eval.engine import SCENARIO_KINDS, record_to_dict
+
+    if not isinstance(record, Mapping):
+        record = record_to_dict(record)
+    kind = record["kind"]
+    if kind not in SCENARIO_KINDS:
+        raise ValueError(f"cannot render unknown scenario kind {kind!r}")
+    return SCENARIO_KINDS[kind].renderer(record["results"])
 
 
 def format_budget_curve(results) -> str:
@@ -330,24 +294,3 @@ def format_robustness_curve(results) -> str:
             f"shielded={row['robust_shielded'] * 100:5.1f}%"
         )
     return "\n".join(lines)
-
-
-def _is_dataclass_payload(results) -> bool:
-    import dataclasses
-
-    probe = results[0] if isinstance(results, list) and results else results
-    return dataclasses.is_dataclass(probe)
-
-
-class _DictStudy:
-    """Attribute view over a JSON-decoded geometry study."""
-
-    def __init__(self, payload: Mapping[str, Any]):
-        self.origin = payload["origin"]
-        self.label = payload["label"]
-        self.epsilon = payload["epsilon"]
-        self.trajectories = payload["trajectories"]
-
-
-def _format_fig3_from_dict(payload: Mapping[str, Any]) -> str:
-    return format_fig3(_DictStudy(payload))

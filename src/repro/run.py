@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from repro.autodiff.tensor import set_default_dtype
 from repro.eval.engine import (
     BACKENDS,
     CellExecutor,
     ExecutorConfig,
-    ExperimentConfig,
     ExperimentEngine,
     SCALES,
     scenario_catalog,
@@ -105,7 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="override an ExperimentConfig field (repeatable)",
+        help="override a scenario key (repeatable): a field of the scenario kind's params "
+        "sets that parameter, any other key an ExperimentConfig field; the value is cast "
+        "to the field's type, and a comma-separated list sets a tuple field",
     )
     parser.add_argument(
         "--profile",
@@ -184,11 +184,6 @@ def main(argv: list[str] | None = None) -> int:
     set_global_seed(args.seed)
     try:
         overrides = dict(_parse_override(item) for item in args.overrides)
-        # Tuple-typed config fields (models, attacks, ...) accept a single
-        # bare value on the command line.
-        for field in fields(ExperimentConfig):
-            if isinstance(field.default, tuple) and isinstance(overrides.get(field.name), str):
-                overrides[field.name] = (overrides[field.name],)
         # The op profiler only sees this process, so a profiled ``auto`` run
         # keeps every cell here.
         backend = "serial" if args.profile and args.backend == "auto" else args.backend
@@ -210,8 +205,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (argparse.ArgumentTypeError, TypeError, ValueError) as error:
         # Bad override / executor configuration: a clean message, not a
-        # traceback (typo'd config fields surface as TypeError from the
-        # ExperimentConfig constructor).
+        # traceback (an unknown key raises TypeError, an ill-typed value
+        # ValueError, both while the scenario is built).
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(render_run(record))

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from repro.eval import (
+    format_fig3,
     format_table1,
     format_table2,
     format_table3,
     format_table4,
+    render_run,
     robust_accuracy,
     select_correctly_classified,
 )
-from repro.eval.engine import EnsembleBenchmarkResult, IndividualModelResult
+from repro.eval.engine import ExperimentEngine, load_run, save_run
 from repro.eval.geometry import make_toy_problem, run_geometry_study, train_toy_classifier
 
 
@@ -68,13 +70,13 @@ class TestTableFormatting:
         assert "0.031" in text and "0.062" in text
 
     def test_table3_formatting(self):
-        result = IndividualModelResult(
-            model_name="vit_b16",
-            dataset="cifar10",
-            clean_accuracy=0.97,
-            robust={"fgsm": {"unshielded": 0.1, "shielded": 0.9}},
-            eval_samples=32,
-        )
+        result = {
+            "model_name": "vit_b16",
+            "dataset": "cifar10",
+            "clean_accuracy": 0.97,
+            "robust": {"fgsm": {"unshielded": 0.1, "shielded": 0.9}},
+            "eval_samples": 32,
+        }
         text = format_table3([result])
         assert "vit_b16" in text
         assert "FGSM" in text
@@ -84,23 +86,42 @@ class TestTableFormatting:
         assert "no results" in format_table3([])
 
     def test_table4_formatting(self):
-        result = EnsembleBenchmarkResult(
-            dataset="cifar10",
-            vit_name="vit_l16",
-            cnn_name="bit_m_r101x3",
-            clean_accuracy={"vit": 0.99, "cnn": 0.98, "ensemble": 0.99},
-            random_astuteness={"vit": 0.99, "cnn": 0.97, "ensemble": 0.98},
-            robust={
+        result = {
+            "dataset": "cifar10",
+            "vit_name": "vit_l16",
+            "cnn_name": "bit_m_r101x3",
+            "clean_accuracy": {"vit": 0.99, "cnn": 0.98, "ensemble": 0.99},
+            "random_astuteness": {"vit": 0.99, "cnn": 0.97, "ensemble": 0.98},
+            "robust": {
                 "none": {"vit": 0.2, "cnn": 0.3, "ensemble": 0.25},
                 "vit_only": {"vit": 0.9, "cnn": 0.1, "ensemble": 0.5},
                 "cnn_only": {"vit": 0.2, "cnn": 0.8, "ensemble": 0.5},
                 "both": {"vit": 0.95, "cnn": 0.9, "ensemble": 0.92},
             },
-            eval_samples=24,
-        )
+            "eval_samples": 24,
+        }
         text = format_table4(result)
         assert "vit_l16" in text and "Ensemble" in text
         assert "92.0%" in text
+
+    def test_fig3_formatting(self):
+        study = {
+            "origin": [0.12345, -0.5],
+            "label": 1,
+            "epsilon": 0.5,
+            "trajectories": {
+                "pgd": {
+                    "attack_name": "pgd",
+                    "points": [[0.12345, -0.5], [0.3, -0.25], [0.6, 0.0]],
+                    "crossed_boundary": True,
+                    "max_linf": 0.5,
+                },
+            },
+        }
+        text = format_fig3(study)
+        assert "epsilon=0.5, label=1" in text
+        assert "origin: [0.123, -0.5]" in text
+        assert "pgd   steps= 2 end=[0.6, 0.0] max_linf=0.500 crossed_boundary=True" in text
 
 
 class TestGeometryStudy:
@@ -121,3 +142,10 @@ class TestGeometryStudy:
             assert trajectory.max_linf <= study.epsilon + 1e-9
         # The iterative attacks should cross the decision boundary on this toy task.
         assert pgd.crossed_boundary or study.trajectories["mim"].crossed_boundary
+
+    def test_geometry_record_renders_the_same_live_and_from_json(self, tmp_path):
+        record = ExperimentEngine().run("fig3_geometry", scale="tiny", steps=4)
+        assert record.params["steps"] == 4
+        text = render_run(record)
+        assert text == render_run(load_run(save_run(record, tmp_path)))
+        assert "fgsm  steps= 1" in text and "pgd   steps= 4" in text

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import json
 import multiprocessing
 import os
+import typing
 import struct
 import zipfile
 
@@ -14,12 +17,15 @@ import pytest
 from repro.attacks import FGSM, PGD, make_attacker_view
 from repro.autodiff import Tensor, conv2d
 from repro.eval.engine import (
+    SCALES,
+    SCENARIO_KINDS,
     ArtifactCache,
     CellExecutor,
     ExecutorConfig,
     ExperimentConfig,
     ExperimentEngine,
     Scenario,
+    ScenarioSpec,
     build_scenario,
     list_scenarios,
     load_run,
@@ -285,9 +291,7 @@ class TestTrainEachDefenderOnce:
         config = _tiny_config()
         engine.run(Scenario(name="t4", kind="ensemble", config=config))
         trainings = engine.cache.stats.trainings
-        engine.run(
-            Scenario(name="f4", kind="saga_samples", config=config, params={"sample_index": 0})
-        )
+        engine.run(Scenario(name="f4", kind="saga_samples", config=config))
         assert engine.cache.stats.trainings == trainings
 
 
@@ -309,20 +313,27 @@ class TestScenarioRegistry:
             scaled_experiment_config("huge")
 
     def test_register_and_unregister_custom_scenario(self):
-        @register_scenario("custom_test_scenario", "registry test entry")
-        def _build(scale, overrides):
-            return Scenario(
-                name="custom_test_scenario",
-                kind="individual",
-                config=scaled_experiment_config(scale, **overrides),
-            )
-
+        spec = ScenarioSpec(
+            "custom_test_scenario",
+            "individual",
+            "registry test entry",
+            presets={"tiny": {"models": "mlp", "eval_samples": 3}},
+        )
+        register_scenario(spec)
         try:
             assert "custom_test_scenario" in list_scenarios()
             scenario = build_scenario("custom_test_scenario", scale="tiny")
             assert scenario.description == "registry test entry"
+            assert scenario.config.models == ("mlp",)
+            assert scenario.config.eval_samples == 3
+            # Overrides beat presets; a scale without presets takes the defaults.
+            override = build_scenario("custom_test_scenario", scale="tiny", eval_samples=5)
+            assert override.config.eval_samples == 5
+            assert build_scenario("custom_test_scenario", scale="bench").config.models == (
+                ExperimentConfig().models
+            )
             with pytest.raises(ValueError):
-                register_scenario("custom_test_scenario")(lambda s, o: None)
+                register_scenario(spec)
         finally:
             unregister_scenario("custom_test_scenario")
         assert "custom_test_scenario" not in list_scenarios()
@@ -336,6 +347,91 @@ class TestScenarioRegistry:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Scenario(name="x", kind="nope", config=ExperimentConfig())
+        with pytest.raises(ValueError):
+            register_scenario(ScenarioSpec("x", "nope", "never registered"))
+        assert "x" not in list_scenarios()
+
+    def test_direct_scenario_params_take_the_declared_defaults_and_types(self):
+        config = ExperimentConfig()
+        assert Scenario(name="f4", kind="saga_samples", config=config).params == {
+            "sample_index": 0
+        }
+        fig3 = Scenario(name="f3", kind="geometry", config=config, params={"steps": "3"})
+        assert fig3.params == {"epsilon": 0.5, "step_size": 0.08, "steps": 3}
+        with pytest.raises(TypeError, match="nope"):
+            Scenario(name="f4", kind="saga_samples", config=config, params={"nope": 1})
+        with pytest.raises(ValueError, match="sample_index"):
+            Scenario(name="f4", kind="saga_samples", config=config, params={"sample_index": 0.5})
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(TypeError, match="no_such_key"):
+            build_scenario("fl_fedavg", scale="tiny", no_such_key=1)
+
+    @pytest.mark.parametrize("name", sorted(list_scenarios()))
+    def test_dataset_is_fixed_by_the_scenario(self, name):
+        expected = {"table3_cifar100": "cifar100", "table4_cifar100": "cifar100"}
+        expected.update({"table3_imagenet": "imagenet", "table4_imagenet": "imagenet"})
+        if name == "fig3_geometry":  # the 2-D toy problem uses no dataset
+            assert build_scenario(name, scale="tiny", dataset="imagenet").config.dataset == (
+                "imagenet"
+            )
+            return
+        assert build_scenario(name, scale="tiny").config.dataset == expected.get(name, "cifar10")
+        with pytest.raises(TypeError, match="fixes dataset"):
+            build_scenario(name, scale="tiny", dataset="imagenet")
+
+    def test_str_field_takes_only_a_str(self):
+        for overrides in (
+            {"partition": ("dirichlet", "iid")},
+            {"compression": True},
+            {"task": 3},
+            {"upsampling_strategy": 1.5},
+        ):
+            with pytest.raises(ValueError, match=next(iter(overrides))):
+                build_scenario("fl_fedavg", scale="tiny", **overrides)
+        with pytest.raises(ValueError, match="policies"):
+            build_scenario("serving_tail_latency", scale="tiny", policies=("static", 2))
+
+    def test_bare_attack_is_one_attack_not_a_substring_test(self):
+        assert build_scenario("table3_cifar10", scale="tiny", attacks="apgd").config.attacks == (
+            "apgd",
+        )
+        set_global_seed(20230913)
+        record = ExperimentEngine().run(
+            "table3_cifar10",
+            scale="tiny",
+            attacks="apgd",
+            train_per_class=12,
+            test_per_class=4,
+            train_epochs=2,
+            eval_samples=4,
+        )
+        assert [list(result.robust) for result in record.results] == [["apgd"]]
+
+    def test_bare_model_names_one_model(self):
+        scenario = build_scenario("table3_cifar10", scale="bench", models="simple_cnn")
+        assert scenario.config.models == ("simple_cnn",)
+
+    @pytest.mark.parametrize("scale", sorted(SCALES))
+    @pytest.mark.parametrize("name", sorted(list_scenarios()))
+    def test_every_scenario_builds_with_json_params_and_bare_tuple_values(self, name, scale):
+        scenario = build_scenario(name, scale=scale)
+        json.dumps(scenario.params)
+        params_class = SCENARIO_KINDS[scenario.kind].params
+        for owner, values in (
+            (params_class, scenario.params),
+            (ExperimentConfig, dataclasses.asdict(scenario.config)),
+        ):
+            hints = typing.get_type_hints(owner)
+            for item in dataclasses.fields(owner):
+                if typing.get_origin(hints[item.name]) is not tuple:
+                    continue
+                bare = values[item.name][0]
+                built = build_scenario(name, scale=scale, **{item.name: bare})
+                rebuilt = (
+                    built.params if owner is params_class else dataclasses.asdict(built.config)
+                )
+                assert rebuilt[item.name] == (bare,), (owner.__name__, item.name)
 
     @pytest.mark.parametrize("name", sorted(list_scenarios()))
     def test_unknown_model_rejected_at_build(self, name):
@@ -490,7 +586,7 @@ class TestStructuredResults:
         config = _tiny_config()
         for name, kind, params in (
             ("rt_t4", "ensemble", {}),
-            ("rt_f4", "saga_samples", {"sample_index": 0}),
+            ("rt_f4", "saga_samples", {}),
         ):
             record = engine.run(Scenario(name=name, kind=kind, config=config, params=params))
             loaded = load_run(save_run(record, tmp_path))

@@ -43,6 +43,8 @@ class TestRegistry:
         assert scenario.kind == "federated"
         assert scenario.params["num_clients"] == 7
         assert scenario.config.train_per_class == 9
+        # Values are cast to the declared field type (a CLI string too).
+        assert build_scenario("fl_fedavg", scale="tiny", num_clients="7").params == scenario.params
 
     def test_bare_cli_values_coerce_to_tuple_params(self):
         """--set rules=median / --set fractions=0.5 must not iterate scalars."""
@@ -108,6 +110,14 @@ class TestEngineRuns:
         assert results["secure"]["sealed_messages"] == 4
         assert results["secure"]["sealed_bytes"] > 0
         assert set(results["robust_accuracy"]) == {"unshielded", "shielded"}
+
+    def test_shielded_global_runs_the_attack_its_params_name(self, tmp_path):
+        with pytest.raises(KeyError, match="unknown federated evasion attack 'cw'"):
+            build_scenario("fl_shielded_global", scale="tiny", attack="cw")
+        engine = ExperimentEngine(results_dir=tmp_path)
+        record = engine.run("fl_shielded_global", scale="tiny", attack="fgsm", **_SMOKE)
+        assert record.params["attack"] == record.results["attack"] == "fgsm"
+        assert set(record.results["robust_accuracy"]) == {"unshielded", "shielded"}
 
     def test_poisoning_sweeps_fractions(self, tmp_path):
         engine = ExperimentEngine(results_dir=tmp_path)

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.engine import (
-    ExperimentEngine,
-    GATEWAY_SCALES,
-    build_scenario,
-    scenario_catalog,
-)
+from repro.eval.engine import SCALES, ExperimentEngine, build_scenario, scenario_catalog
 from repro.eval.tables import render_run
 from repro.utils.rng import set_global_seed
 
@@ -33,9 +28,14 @@ def _seed():
 
 class TestGatewayScenarioRegistry:
     def test_presets_cover_every_scale(self):
-        assert set(GATEWAY_SCALES) == {"tiny", "bench", "full"}
+        sessions = {
+            scale: build_scenario("serving_tail_latency", scale=scale).params["num_sessions"]
+            for scale in SCALES
+        }
+        assert set(sessions) == {"tiny", "bench", "full"}
+        assert sessions["tiny"] < sessions["bench"] < sessions["full"]
         # The full preset simulates a million sealed sessions.
-        assert GATEWAY_SCALES["full"]["num_sessions"] >= 1_000_000
+        assert sessions["full"] >= 1_000_000
 
     def test_build_routes_overrides(self):
         scenario = build_scenario(
@@ -46,6 +46,10 @@ class TestGatewayScenarioRegistry:
         assert scenario.config.train_per_class == 9
         assert len(scenario.params["loads"]) >= 3
         assert scenario.params["policies"] == ("continuous", "static")
+
+    def test_ill_typed_param_fails_at_build(self):
+        with pytest.raises(ValueError, match="max_batch='x'"):
+            build_scenario("serving_tail_latency", scale="tiny", max_batch="x")
 
     def test_catalog_reports_gateway_kinds(self):
         rows = {row["name"]: row for row in scenario_catalog()}

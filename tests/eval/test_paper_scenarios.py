@@ -111,12 +111,7 @@ class TestEnsembleBenchmark:
             ensemble_cnn="simple_cnn",
             **_TINY,
         )
-        scenario = Scenario(
-            name="saga_sample_cifar10",
-            kind="saga_samples",
-            config=config,
-            params={"sample_index": 0},
-        )
+        scenario = Scenario(name="saga_sample_cifar10", kind="saga_samples", config=config)
         study = ExperimentEngine().run(scenario, persist=False).results
         assert set(study.settings) == set(SHIELD_SETTINGS)
         for outcome in study.settings.values():

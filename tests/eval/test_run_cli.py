@@ -112,6 +112,45 @@ class TestCli:
         assert main(args) == 2
         assert "unknown model 'nope'" in capsys.readouterr().err
 
+    def test_ill_typed_param_is_an_error_before_training(self, capsys, monkeypatch):
+        import repro.eval.engine.cache as cache_module
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a defender was trained for a rejected scenario")
+
+        monkeypatch.setattr(cache_module, "fit_classifier", no_training)
+        args = ["serving_tail_latency", "--scale", "tiny", "--set", "max_batch=x", "--no-persist"]
+        assert main(args) == 2
+        assert "max_batch='x'" in capsys.readouterr().err
+
+    def test_fixed_dataset_is_an_error(self, capsys):
+        args = ["table3_cifar10", "--scale", "tiny", "--set", "dataset=imagenet", "--no-persist"]
+        assert main(args) == 2
+        assert "fixes dataset='cifar10'" in capsys.readouterr().err
+
+    def test_unknown_key_is_an_error(self, capsys):
+        args = ["fig3_geometry", "--scale", "tiny", "--set", "no_such_key=1", "--no-persist"]
+        assert main(args) == 2
+        assert "no_such_key" in capsys.readouterr().err
+
+    def test_set_routes_a_param_key_to_the_params(self, tmp_path, capsys):
+        args = ["fig3_geometry", "--scale", "tiny", "--set", "epsilon=0.3"]
+        assert main([*args, "--results-dir", str(tmp_path)]) == 0
+        assert "epsilon=0.3" in capsys.readouterr().out
+        record = json.loads((tmp_path / "runs" / "fig3_geometry.json").read_text())
+        assert record["params"]["epsilon"] == 0.3
+        assert record["results"]["epsilon"] == 0.3
+
+    def test_set_stores_an_int_param_as_an_int(self, tmp_path, capsys):
+        args = ["fl_fedavg", "--scale", "tiny", "--set", "num_clients=8", "--set", "num_rounds=1"]
+        small = ["--set", "train_per_class=8", "--set", "test_per_class=4"]
+        assert main([*args, *small, "--results-dir", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "runs" / "fl_fedavg.json").read_text())
+        assert type(record["params"]["num_clients"]) is int
+        assert record["params"]["num_clients"] == 8
+        assert record["results"]["num_clients"] == 8
+        assert record["config"]["train_per_class"] == 8
+
     def test_profile_keeps_the_cells_rows_at_the_default_backend(self, capsys, monkeypatch):
         # The op profiler only sees the calling process, so a profiled
         # ``auto`` run must keep its cells out of the worker pool.

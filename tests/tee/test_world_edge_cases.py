@@ -67,24 +67,29 @@ class TestResetSemantics:
 
 
 class TestSealCapacityFailures:
+    """Budgets are sized from the sealed parameters' own ``nbytes``: a
+    Parameter takes the default dtype, so its element size follows
+    ``REPRO_DTYPE``."""
+
     def _parameter(self, size: int, name: str) -> Parameter:
         return Parameter(np.zeros(size, dtype=np.float64), name=name)
 
     def test_seal_parameters_over_budget_raises(self):
-        enclave = Enclave("tiny", memory_limit_bytes=1000)
         parameters = [self._parameter(100, "w0"), self._parameter(100, "w1")]
+        # Room for one and a quarter of the two parameters.
+        enclave = Enclave("tiny", memory_limit_bytes=parameters[0].nbytes * 5 // 4)
         with pytest.raises(EnclaveMemoryError, match="over budget"):
             enclave.seal_parameters(parameters)
 
     def test_partial_seal_keeps_earlier_parameters(self):
         # The capacity check runs per seal: parameters sealed before the
         # failing one stay resident (the caller decides whether to discard).
-        enclave = Enclave("tiny", memory_limit_bytes=1000)
         parameters = [self._parameter(50, "fits"), self._parameter(200, "too_big")]
+        enclave = Enclave("tiny", memory_limit_bytes=parameters[0].nbytes * 5 // 2)
         with pytest.raises(EnclaveMemoryError):
             enclave.seal_parameters(parameters, prefix="stem.")
         assert enclave.sealed_keys() == ["stem.fits.0"]
-        assert enclave.used_bytes == 50 * 8
+        assert enclave.used_bytes == parameters[0].nbytes == 50 * parameters[0].data.itemsize
 
     def test_reseal_same_key_accounts_the_delta_only(self):
         enclave = Enclave("tiny", memory_limit_bytes=1000)
@@ -102,10 +107,11 @@ class TestSealCapacityFailures:
         np.testing.assert_array_equal(enclave.unseal("w", authorized=True), np.zeros(100))
 
     def test_seal_parameters_may_fill_the_budget_exactly(self):
-        enclave = Enclave("snug", memory_limit_bytes=800)
-        sealed = enclave.seal_parameters([self._parameter(100, "w")])
-        assert sealed == 800
-        assert enclave.used_bytes == 800
+        parameter = self._parameter(100, "w")
+        enclave = Enclave("snug", memory_limit_bytes=parameter.nbytes)
+        sealed = enclave.seal_parameters([parameter])
+        assert sealed == parameter.nbytes == 100 * parameter.data.itemsize
+        assert enclave.used_bytes == parameter.nbytes
         enclave.check_capacity()  # at the limit, not over it
 
     def test_check_capacity_failure_during_shielded_model_construction(self):
