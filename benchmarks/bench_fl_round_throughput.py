@@ -33,7 +33,7 @@ _HISTORIES: dict[str, list] = {}
 #: Updates/second per backend, for the BENCH_fl.json trajectory record.
 _RATES: dict[str, float] = {}
 
-#: Thousand-client scale + compression metrics for the trajectory record.
+#: Thousand-client scale and packed-aggregation metrics for the trajectory record.
 _SCALE_METRICS: dict[str, float] = {}
 
 
@@ -161,35 +161,6 @@ def test_fl_thousand_clients_round(benchmark):
     _SCALE_METRICS["thousand_updates_per_second"] = float(results["updates_per_second"])
     _SCALE_METRICS["thousand_rounds_per_second"] = float(results["rounds_per_second"])
     _SCALE_METRICS["thousand_bytes_on_wire"] = float(results["bytes_on_wire"])
-
-
-def test_fl_quantized_delta_bytes(benchmark):
-    """Quantized-delta envelopes: >= 3x fewer bytes at matched accuracy."""
-    engine = ExperimentEngine(results_dir=RESULTS_DIR)
-    dense = engine.run("fl_thousand_clients", scale=BENCH_SCALE).results
-    record = run_once(
-        benchmark,
-        engine.run,
-        "fl_thousand_clients",
-        scale=BENCH_SCALE,
-        compression="delta-int8",
-    )
-    quant = record.results
-    ratio = dense["bytes_on_wire"] / max(quant["bytes_on_wire"], 1)
-    print()
-    print(
-        f"[delta-int8] {dense['bytes_on_wire'] / 1e6:.2f} MB dense -> "
-        f"{quant['bytes_on_wire'] / 1e6:.2f} MB quantized = {ratio:.2f}x fewer bytes; "
-        f"accuracy {dense['final_accuracy']:.3f} vs {quant['final_accuracy']:.3f}"
-    )
-    assert ratio >= 3.0, f"quantized deltas cut bytes only {ratio:.2f}x (target 3x)"
-    # Matched accuracy: one bench-scale round on a tiny eval split — the
-    # quantization noise floor, not a training-quality bar.
-    assert abs(dense["final_accuracy"] - quant["final_accuracy"]) <= 0.05, (
-        "quantized-delta round diverged from dense accuracy"
-    )
-    _SCALE_METRICS["quantized_bytes_on_wire"] = float(quant["bytes_on_wire"])
-    _SCALE_METRICS["quantized_compression_ratio"] = ratio
 
 
 def test_fl_bench_trajectory():

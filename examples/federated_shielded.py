@@ -31,7 +31,7 @@ from repro.fl import (
     ClientConfig,
     FederationRuntime,
     HonestClient,
-    get_transport,
+    Transport,
 )
 from repro.models import SimpleCNN, SimpleCNNConfig
 from repro.tee.attestation import AttestationQuote
@@ -65,7 +65,7 @@ def main() -> None:
     runtime = FederationRuntime(
         global_model=model_factory(),
         clients=clients,
-        transport=get_transport("auto"),
+        transport=Transport("auto"),
     )
     sessions = runtime.attest_clients(device_keys)
     print(f"attested {len(sessions)} client enclave(s): {sorted(sessions)}")

@@ -33,7 +33,7 @@ def im2col(
         for x in range(kw):
             x_max = x + stride * out_w
             col[:, :, y, x, :, :] = padded[:, :, y:y_max:stride, x:x_max:stride]
-    col = col.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
+    col = col.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, c * kh * kw)
     return col, out_h, out_w
 
 

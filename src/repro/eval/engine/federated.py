@@ -43,7 +43,7 @@ from repro.eval.engine.registry import Scenario
 from repro.fl.aggregation import get_aggregation_rule, trimmed_mean
 from repro.fl.client import ClientConfig, CompromisedClient, HonestClient, ModelPoisoningClient
 from repro.fl.poisoning import add_backdoor_trigger
-from repro.fl.runtime import FederationRuntime, transport_from_executor
+from repro.fl.runtime import FederationRuntime, Transport
 from repro.models.registry import build_model
 from repro.tee.enclave import TrustZoneEnclave
 from repro.utils.logging import get_logger
@@ -179,7 +179,6 @@ def _run_once(scenario, transport, model, clients, dataset, rule) -> tuple:
         transport=transport,
         aggregation_rule=rule,
         client_fraction=scenario.params["client_fraction"],
-        compression=scenario.params["compression"],
     )
     result = runtime.run(
         scenario.params["num_rounds"],
@@ -222,8 +221,7 @@ def run_thousand_clients_task(scenario: Scenario, cache: ArtifactCache, transpor
     """Thousand-client rounds: streaming-aggregation throughput + bytes-on-wire.
 
     Runs the configured federation (all-honest, tiny per-client shards) and
-    reports wall-clock round throughput plus the round's logical payload
-    traffic — dense vs compressed — from the runtime's byte accounting.
+    reports wall-clock round throughput plus the rounds' update payload bytes.
     """
     params = scenario.params
     model_factory, clients, dataset = _build_population(scenario, cache)
@@ -232,11 +230,9 @@ def run_thousand_clients_task(scenario: Scenario, cache: ArtifactCache, transpor
     runtime, result = _run_once(scenario, transport, model_factory(), clients, dataset, rule)
     elapsed = time.perf_counter() - start
     num_rounds = max(len(result.rounds), 1)
-    stats = runtime.secure_stats
     payload = _base_payload(scenario, transport, runtime)
     payload.update(
         aggregation=params["aggregation"],
-        compression=params["compression"],
         rounds=_round_payload(result.rounds),
         final_accuracy=result.final_accuracy,
         elapsed_seconds=float(elapsed),
@@ -247,12 +243,6 @@ def run_thousand_clients_task(scenario: Scenario, cache: ArtifactCache, transpor
             else float("nan")
         ),
         bytes_on_wire=int(sum(entry.update_bytes for entry in result.rounds)),
-        dense_bytes=int(stats.update_dense_bytes),
-        compression_ratio=(
-            float(stats.update_dense_bytes / stats.update_payload_bytes)
-            if stats.update_payload_bytes
-            else float("nan")
-        ),
     )
     return payload
 
@@ -383,7 +373,8 @@ def run_shielded_global_task(scenario: Scenario, cache: ArtifactCache, transport
     return payload
 
 
-_TASKS = {
+#: Task runner of each ``FederatedParams.task`` name.
+TASKS = {
     "fedavg": run_fedavg_task,
     "thousand_clients": run_thousand_clients_task,
     "robust_aggregation": run_robust_aggregation_task,
@@ -395,10 +386,11 @@ _TASKS = {
 def run_federated_scenario(
     scenario: Scenario, cache: ArtifactCache, executor: CellExecutor
 ) -> dict:
-    """Dispatch a federated scenario to its task runner."""
-    transport = transport_from_executor(executor)
+    """Dispatch a federated scenario to its task runner.
+
+    The transport runs on the executor's resolved backend and worker count.
+    """
+    transport = Transport(executor.config.backend, executor.config.max_workers)
     task = scenario.params["task"]
-    if task not in _TASKS:
-        raise KeyError(f"unknown federated task {task!r}; expected one of {sorted(_TASKS)}")
     _LOGGER.info("federated task %s over %s transport", task, transport.name)
-    return _TASKS[task](scenario, cache, transport)
+    return TASKS[task](scenario, cache, transport)

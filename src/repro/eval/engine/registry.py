@@ -111,7 +111,7 @@ class ExperimentConfig:
 def _check_choice(value: str, known, what: str) -> None:
     """Reject an unknown name up front, so a typo fails before anything trains."""
     if value not in known:
-        raise KeyError(f"unknown {what} {value!r}; expected one of {tuple(known)}")
+        raise ValueError(f"unknown {what} {value!r}; expected one of {tuple(known)}")
 
 
 # --------------------------------------------------------------------------- #
@@ -200,7 +200,6 @@ class FederatedParams(ScenarioParams):
     partition: str = "iid"
     dirichlet_alpha: float = 0.5
     aggregation: str = "fedavg"
-    compression: str = "none"
     #: The last ``num_compromised`` clients attack the federation.
     num_compromised: int = 0
     boost_factor: float = 25.0
@@ -217,6 +216,16 @@ class FederatedParams(ScenarioParams):
     attack: str = "pgd"
 
     def __post_init__(self):
+        # Imported at call time: the federated runner imports this module,
+        # and so does repro.fl, through its transport's executor.
+        from repro.eval.engine.federated import TASKS
+        from repro.fl.aggregation import AGGREGATION_RULES
+
+        _check_choice(self.task, TASKS, "task")
+        _check_choice(self.partition, ("iid", "dirichlet"), "partition")
+        _check_choice(self.aggregation, AGGREGATION_RULES, "aggregation")
+        for rule in self.rules:
+            _check_choice(rule, AGGREGATION_RULES, "rules entry")
         _check_choice(self.attack, CURVE_ATTACKS, "federated evasion attack")
 
 
@@ -248,6 +257,13 @@ class GatewayParams(ScenarioParams):
     #: for at least ``gate_attainment`` of completed requests.
     gate_load: float = 0.8
     gate_attainment: float = 0.95
+
+    def __post_init__(self):
+        # Imported at call time, as the gateway runner imports the gateway.
+        from repro.serve.gateway import GATEWAY_POLICIES
+
+        for policy in self.policies:
+            _check_choice(policy, GATEWAY_POLICIES, "policies entry")
 
 
 @dataclass(frozen=True)
@@ -341,7 +357,8 @@ class Scenario:
 
     ``params`` is normalised through the kind's params class, so missing keys
     take their declared defaults and every value has its field's type.  It
-    stays a plain dict, the form the JSON run record stores.
+    stays a plain dict, the form the JSON run record stores.  ``scale`` is
+    the preset the scenario was built at, and the one its run record states.
     """
 
     name: str
@@ -349,12 +366,14 @@ class Scenario:
     config: ExperimentConfig
     description: str = ""
     params: Mapping[str, Any] = field(default_factory=dict)
+    scale: str = "bench"
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(
                 f"unknown scenario kind {self.kind!r}; expected {tuple(SCENARIO_KINDS)}"
             )
+        _check_choice(self.scale, SCALES, "scale")
         params = _typed(SCENARIO_KINDS[self.kind].params, self.params)
         object.__setattr__(self, "params", dataclasses.asdict(params))
 
@@ -495,6 +514,7 @@ def build_scenario(name: str, scale: str = "bench", **overrides) -> Scenario:
         config=config,
         description=spec.description,
         params=dataclasses.asdict(params),
+        scale=scale,
     )
     _check_names(scenario)
     return scenario
@@ -659,8 +679,8 @@ FL_SCALES: dict[str, dict[str, Any]] = {
 #: Federation shape of the thousand-client scale sweep.  Clients are all
 #: honest and data per client is tiny (but at least one sample each: 10
 #: classes x per-class >= clients) — the scenario measures the *server's*
-#: round machinery (streaming aggregation, sealing fan-out, delta
-#: compression), not local convergence.
+#: round machinery (transport fan-out, streaming aggregation), not local
+#: convergence.
 FL_THOUSAND_SCALES: dict[str, dict[str, Any]] = {
     "tiny": dict(num_clients=64, num_rounds=1, client_batch_size=8, train_per_class=24),
     "bench": dict(num_clients=1000, num_rounds=1, client_batch_size=8, train_per_class=128),
@@ -698,8 +718,8 @@ register_scenario(
     ScenarioSpec(
         "fl_thousand_clients",
         "federated",
-        "Federated — thousand-client rounds: streaming aggregation + delta-compressed "
-        "envelopes; reason: BENCHMARK.json fl_thousand_clients, CI FL scale smoke",
+        "Federated — thousand-client rounds: transport fan-out + streaming aggregation; "
+        "reason: BENCHMARK.json fl_thousand_clients, CI FL scale smoke",
         # A small image size keeps the per-client model cheap: the scenario
         # stresses the server's round machinery, not local training.
         _presets(FL_THOUSAND_SCALES, task="thousand_clients", image_size=16, test_per_class=6),

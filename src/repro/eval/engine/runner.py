@@ -62,17 +62,21 @@ class ExperimentEngine:
     def run(
         self,
         scenario: str | Scenario,
-        scale: str = "bench",
+        scale: str | None = None,
         persist: bool | None = None,
         **overrides,
     ) -> RunRecord:
-        """Execute one scenario and return its (optionally persisted) record."""
+        """Execute one scenario and return its (optionally persisted) record.
+
+        A name is built at ``scale`` (``bench`` by default) with ``overrides``;
+        an instance runs as built.  The record states the scenario's scale.
+        """
         if persist and self.results_dir is None:
             raise ValueError("persist=True requires a results_dir")
         if isinstance(scenario, str):
-            scenario = build_scenario(scenario, scale=scale, **overrides)
-        elif overrides:
-            raise ValueError("overrides are only supported when resolving by name")
+            scenario = build_scenario(scenario, scale=scale or "bench", **overrides)
+        elif overrides or scale not in (None, scenario.scale):
+            raise ValueError("scale and overrides are only supported when resolving by name")
         runner = getattr(self, SCENARIO_KINDS[scenario.kind].runner)
         _LOGGER.info("running scenario %s (%s)", scenario.name, scenario.kind)
         start = time.perf_counter()
@@ -80,7 +84,7 @@ class ExperimentEngine:
         record = RunRecord(
             scenario=scenario.name,
             kind=scenario.kind,
-            scale=scale,
+            scale=scenario.scale,
             seed=get_global_seed(),
             config=asdict(scenario.config),
             params=dict(scenario.params),

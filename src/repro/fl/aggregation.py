@@ -25,7 +25,8 @@ Determinism contract (what the transport-parity tests rely on):
 Every rule accepts the classic ``Sequence[ModelUpdate]`` signature and runs
 as its streaming aggregator fed one update at a time; the federation
 runtime drives the same aggregators through :func:`streaming_aggregator_for`
-as replies arrive, so FedAvg never holds all opened updates at once.
+as replies arrive, so FedAvg never holds all opened updates at once.  A
+rule without a streaming form is rejected when the runtime is built.
 """
 
 from __future__ import annotations
@@ -270,16 +271,14 @@ def get_aggregation_rule(name: str) -> AggregationRule:
     return AGGREGATION_RULES[name]
 
 
-def streaming_aggregator_for(
-    rule: AggregationRule, plan: PackingPlan, num_clients: int
-) -> StreamingAggregator | None:
-    """A streaming aggregator equivalent to ``rule``, or ``None``.
+def streaming_form(rule: AggregationRule) -> Callable[[PackingPlan, int], StreamingAggregator]:
+    """The streaming aggregator constructor ``rule`` runs as.
 
-    Recognizes the built-in rules (including ``functools.partial`` wrappers
-    such as the trim-fraction presets); unknown rules — custom hooks — fall
-    back to the buffered open-then-aggregate path in the runtime.  The
-    streamed aggregate is byte-identical to the batch rule by construction:
-    both run the same canonical packed computation.
+    Recognizes the built-in rules, including ``functools.partial`` wrappers
+    such as the trim-fraction presets, and raises ``ValueError`` for any
+    other rule: the federation runtime only streams.  The streamed aggregate
+    is byte-identical to the batch rule by construction, since both run the
+    same canonical packed computation.
     """
     target: Callable = rule
     kwargs: dict = {}
@@ -287,11 +286,21 @@ def streaming_aggregator_for(
         target = rule.func
         kwargs = dict(rule.keywords)
     if target is fedavg:
-        return FedavgStream(plan, num_clients)
+        return FedavgStream
     if target is coordinate_median:
-        return MedianStream(plan, num_clients)
+        return MedianStream
     if target is trimmed_mean:
-        return TrimmedMeanStream(
-            plan, num_clients, trim_fraction=float(kwargs.get("trim_fraction", 0.2))
+        return functools.partial(
+            TrimmedMeanStream, trim_fraction=float(kwargs.get("trim_fraction", 0.2))
         )
-    return None
+    raise ValueError(
+        f"aggregation rule {rule!r} has no streaming form; "
+        "expected fedavg, coordinate_median or trimmed_mean"
+    )
+
+
+def streaming_aggregator_for(
+    rule: AggregationRule, plan: PackingPlan, num_clients: int
+) -> StreamingAggregator:
+    """A fresh streaming aggregator equivalent to ``rule`` (see :func:`streaming_form`)."""
+    return streaming_form(rule)(plan, num_clients)

@@ -31,20 +31,11 @@ class ModelUpdate:
     state: dict[str, np.ndarray]
     train_loss: float = float("nan")
     train_accuracy: float = float("nan")
-    #: Bytes this update actually cost on the wire when it travelled in a
-    #: compressed (delta) envelope; ``None`` for dense updates, where the
-    #: wire cost is simply :attr:`nbytes`.
-    wire_bytes: int | None = None
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the dense update payload (the uncompressed network cost)."""
-        return int(sum(np.asarray(value).nbytes for value in self.state.values()))
 
     @property
     def payload_nbytes(self) -> int:
-        """What this update put on the wire: ``wire_bytes`` if compressed."""
-        return self.wire_bytes if self.wire_bytes is not None else self.nbytes
+        """Bytes of the update's parameters: what it puts on the wire, sealing aside."""
+        return int(sum(np.asarray(value).nbytes for value in self.state.values()))
 
 
 @dataclass

@@ -10,15 +10,11 @@ for running rounds.
 
 from repro.fl.runtime.attested import AttestationGate, ClientSession, enroll_and_attest
 from repro.fl.runtime.envelopes import (
-    COMPRESSIONS,
     BroadcastEnvelope,
-    DeltaState,
     SealedState,
     UpdateEnvelope,
-    apply_delta,
     decode_state,
     encode_state,
-    make_delta,
     unseal_state,
 )
 from repro.fl.runtime.participant import (
@@ -30,46 +26,28 @@ from repro.fl.runtime.participant import (
 from repro.fl.runtime.runtime import (
     FederatedRunResult,
     FederationRuntime,
-    RoundHooks,
     SecureTrafficStats,
     sample_by_fraction,
 )
-from repro.fl.runtime.transport import (
-    TRANSPORTS,
-    ExecutorTransport,
-    InProcessTransport,
-    Transport,
-    get_transport,
-    transport_from_executor,
-)
+from repro.fl.runtime.transport import Transport
 
 __all__ = [
     "AttestationGate",
     "BroadcastEnvelope",
-    "COMPRESSIONS",
     "ClientSession",
     "ClientTask",
-    "DeltaState",
-    "ExecutorTransport",
     "FederatedRunResult",
     "FederationRuntime",
-    "InProcessTransport",
     "Participant",
-    "RoundHooks",
     "SealedState",
     "SecureTrafficStats",
-    "TRANSPORTS",
     "Transport",
     "UpdateEnvelope",
-    "apply_delta",
     "client_task_seed",
     "decode_state",
     "encode_state",
     "enroll_and_attest",
-    "get_transport",
-    "make_delta",
     "run_client_task",
     "sample_by_fraction",
-    "transport_from_executor",
     "unseal_state",
 ]

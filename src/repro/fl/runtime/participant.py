@@ -26,12 +26,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.fl.messages import GlobalModelBroadcast, ModelUpdate
-from repro.fl.runtime.envelopes import (
-    COMPRESSIONS,
-    BroadcastEnvelope,
-    UpdateEnvelope,
-    make_delta,
-)
+from repro.fl.runtime.envelopes import BroadcastEnvelope, UpdateEnvelope
 from repro.tee.secure_channel import SecureChannel
 from repro.utils.rng import derive_seed
 
@@ -73,10 +68,6 @@ class ClientTask:
     seed: int
     #: Session key of the attested secure session, when one is established.
     session_key: bytes | None = None
-    #: Update compression mode (see :data:`~repro.fl.runtime.envelopes.COMPRESSIONS`):
-    #: ``"delta"`` ships ``state − broadcast``, ``"delta-int8"`` additionally
-    #: quantizes it with seeded stochastic rounding.
-    compression: str = "none"
 
     def channel(self, purpose: str) -> SecureChannel | None:
         """Client-side channel endpoint rebuilt from the session key."""
@@ -87,25 +78,8 @@ class ClientTask:
 
 
 def run_client_task(task: ClientTask) -> UpdateEnvelope:
-    """Execute one client's round: open the broadcast, train, wrap the update.
-
-    With a compression mode set, the reply carries ``state − broadcast``
-    instead of the dense state; the int8 mode quantizes it with stochastic
-    rounding drawn from a generator derived off the task's per-(round,
-    client) seed, so the codes are identical on every transport backend.
-    """
+    """Execute one client's round: open the broadcast, train, wrap the update."""
     broadcast = task.envelope.open(task.channel("broadcast"))
     task.client.receive(broadcast)
     update = task.client.local_update(task.round_index, rng=np.random.default_rng(task.seed))
-    channel = task.channel("update")
-    if task.compression == "none":
-        return UpdateEnvelope.from_update(update, channel)
-    if task.compression not in COMPRESSIONS:
-        raise ValueError(
-            f"unknown compression {task.compression!r}; expected one of {COMPRESSIONS}"
-        )
-    quantize_rng = None
-    if task.compression == "delta-int8":
-        quantize_rng = np.random.default_rng(derive_seed("fl.quantize", task.seed))
-    delta = make_delta(update.state, broadcast.state, quantize_rng)
-    return UpdateEnvelope.from_update(update, channel, delta=delta)
+    return UpdateEnvelope.from_update(update, task.channel("update"))

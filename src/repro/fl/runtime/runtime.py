@@ -3,17 +3,17 @@
 :class:`FederationRuntime` replaces the seed's direct-call client/server
 coupling.  Each round it
 
-1. samples the participating clients (overridable via :class:`RoundHooks`);
+1. samples the participating clients by ``client_fraction``;
 2. wraps the global parameters into one
    :class:`~repro.fl.runtime.envelopes.BroadcastEnvelope` per participant —
    sealed through the client's attested
    :class:`~repro.fl.runtime.attested.ClientSession` channel when one exists;
-3. exchanges the resulting :class:`~repro.fl.runtime.participant.ClientTask`
-   batch over the configured :class:`~repro.fl.runtime.transport.Transport`,
-   so local updates run serially or in worker processes with bit-identical
-   results;
-4. opens the reply envelopes in participant order, aggregates them with the
-   configured rule and installs the new global model;
+3. streams the resulting :class:`~repro.fl.runtime.participant.ClientTask`
+   batch over the :class:`~repro.fl.runtime.transport.Transport`, so local
+   updates run serially or in worker processes with bit-identical results;
+4. opens each reply envelope as it arrives, in participant order, folds it
+   into the rule's streaming aggregator and installs the aggregate as the
+   new global model;
 5. evaluates and emits a :class:`~repro.fl.messages.RoundResult`.
 
 All server-side randomness (client sampling) and all per-client randomness
@@ -24,35 +24,33 @@ the determinism contract the transport-parity tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.fl.aggregation import AggregationRule, fedavg, streaming_aggregator_for
+from repro.fl.aggregation import (
+    AggregationRule,
+    fedavg,
+    streaming_aggregator_for,
+    streaming_form,
+)
 from repro.fl.messages import ModelUpdate, RoundResult
 from repro.fl.packing import build_plan
 from repro.fl.runtime.attested import AttestationGate, ClientSession, enroll_and_attest
 from repro.tee.errors import AttestationError
 from repro.fl.runtime.envelopes import (
-    COMPRESSIONS,
     BroadcastEnvelope,
     SealedState,
     UpdateEnvelope,
     encode_state,
 )
 from repro.fl.runtime.participant import ClientTask, Participant, client_task_seed
-from repro.fl.runtime.transport import InProcessTransport, Transport
+from repro.fl.runtime.transport import Transport
 from repro.models.base import ImageClassifier
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed, get_global_seed
 
 _LOGGER = get_logger("fl.runtime")
-
-#: Hook signatures (round-level composition points).
-ClientSampler = Callable[[Sequence[Participant], int, np.random.Generator], Sequence[Participant]]
-BroadcastStateFn = Callable[[int], dict[str, np.ndarray]]
-RoundEvaluator = Callable[[ImageClassifier, int], float]
-RoundCallback = Callable[[RoundResult], None]
 
 
 def sample_by_fraction(
@@ -64,28 +62,6 @@ def sample_by_fraction(
     count = max(int(round(fraction * len(clients))), 1)
     indices = rng.choice(len(clients), size=count, replace=False)
     return [clients[index] for index in sorted(indices)]
-
-
-@dataclass
-class RoundHooks:
-    """Composable round-level hooks of the runtime.
-
-    ``sample_clients`` picks the round's participants (defaults to
-    fraction-based sampling), ``broadcast_state`` supplies the state each
-    round broadcasts (defaults to the global model's ``state_dict``),
-    ``aggregate`` overrides the runtime's aggregation rule — it may return
-    ``None`` to signal that it installed the aggregate into the global
-    model itself — ``evaluate`` replaces the built-in accuracy evaluation,
-    and ``on_round_end`` callbacks observe every finished round — enough
-    for poisoning / robust-aggregation experiments to compose
-    declaratively without subclassing the runtime.
-    """
-
-    sample_clients: ClientSampler | None = None
-    broadcast_state: BroadcastStateFn | None = None
-    aggregate: AggregationRule | None = None
-    evaluate: RoundEvaluator | None = None
-    on_round_end: tuple[RoundCallback, ...] = ()
 
 
 @dataclass
@@ -110,25 +86,23 @@ class SecureTrafficStats:
     attested_clients: int = 0
     sealed_messages: int = 0
     sealed_bytes: int = 0
-    #: Logical client → server payload bytes after compression (what the
-    #: round's envelopes actually put on the wire, ciphertext overhead aside).
-    update_payload_bytes: int = 0
-    #: What the same updates would have cost shipped dense — the compression
-    #: baseline, so ``update_dense_bytes / update_payload_bytes`` is the ratio.
-    update_dense_bytes: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
             "attested_clients": self.attested_clients,
             "sealed_messages": self.sealed_messages,
             "sealed_bytes": self.sealed_bytes,
-            "update_payload_bytes": self.update_payload_bytes,
-            "update_dense_bytes": self.update_dense_bytes,
         }
 
 
 class FederationRuntime:
-    """Drives federated rounds over a pluggable transport."""
+    """Drives federated rounds over a transport.
+
+    ``aggregation_rule`` must have a streaming form (fedavg,
+    coordinate_median or trimmed_mean, see
+    :func:`~repro.fl.aggregation.streaming_form`); any other rule raises
+    ``ValueError`` here, before any client trains.
+    """
 
     def __init__(
         self,
@@ -136,25 +110,18 @@ class FederationRuntime:
         clients: Sequence[Participant],
         transport: Transport | None = None,
         aggregation_rule: AggregationRule = fedavg,
-        hooks: RoundHooks | None = None,
         gate: AttestationGate | None = None,
         client_fraction: float = 1.0,
         seed: int | None = None,
         round_index: int = 0,
-        compression: str = "none",
     ):
-        if compression not in COMPRESSIONS:
-            raise ValueError(
-                f"unknown compression {compression!r}; expected one of {COMPRESSIONS}"
-            )
+        streaming_form(aggregation_rule)
         self.global_model = global_model
         self.clients = list(clients)
-        self.transport = transport if transport is not None else InProcessTransport()
+        self.transport = transport if transport is not None else Transport()
         self.aggregation_rule = aggregation_rule
-        self.hooks = hooks if hooks is not None else RoundHooks()
         self.gate = gate
         self.client_fraction = client_fraction
-        self.compression = compression
         self.seed = seed if seed is not None else get_global_seed()
         self.round_index = round_index
         self.secure_stats = SecureTrafficStats()
@@ -205,15 +172,12 @@ class FederationRuntime:
     # ------------------------------------------------------------------ #
     # Round steps
     # ------------------------------------------------------------------ #
-    def sample_clients(self, fraction: float | None = None) -> list[Participant]:
-        """Pick this round's participants (hook first, fraction otherwise)."""
+    def sample_clients(self) -> list[Participant]:
+        """Pick this round's participants by ``client_fraction``."""
         rng = np.random.default_rng(
             derive_seed(f"fl.runtime.sample.round{self.round_index}", self.seed)
         )
-        if self.hooks.sample_clients is not None:
-            return list(self.hooks.sample_clients(self.clients, self.round_index, rng))
-        fraction = fraction if fraction is not None else self.client_fraction
-        return sample_by_fraction(self.clients, fraction, rng)
+        return sample_by_fraction(self.clients, self.client_fraction, rng)
 
     def _build_tasks(
         self,
@@ -251,18 +215,12 @@ class FederationRuntime:
                     round_index=self.round_index,
                     seed=seed,
                     session_key=session_key,
-                    compression=self.compression,
                 )
             )
         return tasks
 
-    def _open_one(
-        self,
-        client: Participant,
-        reply: UpdateEnvelope,
-        base: dict[str, np.ndarray] | None,
-    ) -> ModelUpdate:
-        """Open one reply in participant order, accounting its traffic."""
+    def _open_one(self, client: Participant, reply: UpdateEnvelope) -> ModelUpdate:
+        """Open one reply in participant order, accounting its sealed traffic."""
         channel = None
         if reply.is_sealed:
             session = self._session_for(client)
@@ -271,10 +229,7 @@ class FederationRuntime:
             channel = session.channel("server.decrypt", self.seed)
             self.secure_stats.sealed_messages += 1
             self.secure_stats.sealed_bytes += reply.sealed.nbytes
-        update = reply.open(channel, base=base)
-        self.secure_stats.update_payload_bytes += update.payload_nbytes
-        self.secure_stats.update_dense_bytes += update.nbytes
-        return update
+        return reply.open(channel)
 
     def run_round(
         self,
@@ -283,60 +238,31 @@ class FederationRuntime:
     ) -> RoundResult:
         """Broadcast, stream local updates over the transport, aggregate.
 
-        When the configured rule has a streaming form (the built-ins do),
-        replies are consumed as the transport yields them — head-of-line, in
-        participant order — and folded into the aggregator incrementally, so
-        the server never holds every opened update at once.  Custom
-        ``hooks.aggregate`` rules fall back to the buffered
-        open-then-aggregate path.  Both paths run the same canonical packed
-        computation, so their aggregates are byte-identical.
+        Replies are consumed as the transport yields them — head-of-line, in
+        participant order — and folded into the rule's streaming aggregator
+        one at a time, so the server never holds every opened update at
+        once.
         """
         participants = self.sample_clients()
-        if self.hooks.broadcast_state is not None:
-            state = self.hooks.broadcast_state(self.round_index)
-        else:
-            state = self.global_model.state_dict()
+        state = self.global_model.state_dict()
         encoded = None
         if any(self._session_for(client) is not None for client in participants):
             encoded = encode_state(state)
         tasks = self._build_tasks(participants, state, encoded)
-        base = state if self.compression != "none" else None
-        streamer = None
-        if self.hooks.aggregate is None:
-            streamer = streaming_aggregator_for(
-                self.aggregation_rule, build_plan(state), len(participants)
-            )
+        aggregator = streaming_aggregator_for(
+            self.aggregation_rule, build_plan(state), len(participants)
+        )
         train_losses: list[float] = []
         update_bytes = 0
-        if streamer is not None:
-            replies = self.transport.exchange_stream(tasks)
-            for client, reply in zip(participants, replies):
-                update = self._open_one(client, reply, base)
-                streamer.add(update)
-                train_losses.append(update.train_loss)
-                update_bytes += update.payload_nbytes
-                del update  # dropped immediately; the aggregator holds its packed row
-            aggregated = streamer.finalize()
-        else:
-            replies = self.transport.exchange(tasks)
-            updates = [
-                self._open_one(client, reply, base)
-                for client, reply in zip(participants, replies)
-            ]
-            aggregate = (
-                self.hooks.aggregate
-                if self.hooks.aggregate is not None
-                else self.aggregation_rule
-            )
-            aggregated = aggregate(updates)
-            train_losses = [update.train_loss for update in updates]
-            update_bytes = sum(update.payload_nbytes for update in updates)
-        if aggregated is not None:  # None: the hook installed the state itself
-            self.global_model.load_state_dict(aggregated)
+        for client, reply in zip(participants, self.transport.exchange_stream(tasks)):
+            update = self._open_one(client, reply)
+            aggregator.add(update)
+            train_losses.append(update.train_loss)
+            update_bytes += update.payload_nbytes
+            del update  # dropped immediately; the aggregator holds its packed row
+        self.global_model.load_state_dict(aggregator.finalize())
         accuracy = float("nan")
-        if self.hooks.evaluate is not None:
-            accuracy = float(self.hooks.evaluate(self.global_model, self.round_index))
-        elif eval_images is not None and eval_labels is not None:
+        if eval_images is not None and eval_labels is not None:
             accuracy = self.global_model.accuracy(eval_images, eval_labels)
         losses = np.asarray(train_losses, dtype=float)
         if losses.size and not np.all(np.isnan(losses)):
@@ -355,8 +281,6 @@ class FederationRuntime:
                 if bool(getattr(client, "is_compromised", False))
             ],
         )
-        for callback in self.hooks.on_round_end:
-            callback(result)
         self.round_index += 1
         return result
 

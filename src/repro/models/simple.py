@@ -84,7 +84,7 @@ class MLPClassifier(ImageClassifier):
         self.fc2 = Linear(hidden_dim, num_classes)
 
     def forward_stem(self, x: Tensor) -> Tensor:
-        flat = x.reshape(x.shape[0], -1)
+        flat = x.reshape(x.shape[0], self.input_dim)
         return F.relu(self.fc1(flat))
 
     def forward_trunk(self, hidden: Tensor) -> Tensor:

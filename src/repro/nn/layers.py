@@ -116,7 +116,8 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.training:
+        # An empty batch has no statistics; it must not touch the running ones.
+        if self.training and x.shape[0]:
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             centred = x - mean
             var = (centred * centred).mean(axis=(0, 2, 3), keepdims=True)

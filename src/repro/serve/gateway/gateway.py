@@ -125,6 +125,10 @@ def _drain(loop: EventLoop, offer_next, count: int) -> None:
     if count > 0:
         offer_next(-1, pump)
     loop.run()
+    # ``pump`` refers to itself; emptying its cell breaks that cycle, so the
+    # drain's requests and replies are freed on return, not at the next
+    # cyclic garbage collection.
+    del pump
 
 
 class ServingGateway:

@@ -61,7 +61,7 @@ class TestBudgetCurveScenario:
 
     def test_unknown_attack_rejected(self):
         """Rejected when the scenario is built, before any defender trains."""
-        with pytest.raises(KeyError, match="budget-curve attack"):
+        with pytest.raises(ValueError, match="budget-curve attack"):
             build_scenario("attack_budget_curve", scale="tiny", attack="saga")
         assert build_scenario("attack_budget_curve", scale="tiny", attack="cw").params[
             "attack"
@@ -103,5 +103,5 @@ class TestRobustnessCurveScenario:
     def test_unknown_attack_rejected(self):
         """Rejected when the scenario is built, before any defender trains."""
         for attack in ("warp", "cw"):  # C&W is not ε-bounded
-            with pytest.raises(KeyError, match="robustness-curve attack"):
+            with pytest.raises(ValueError, match="robustness-curve attack"):
                 build_scenario("robustness_curve", scale="tiny", attack=attack)

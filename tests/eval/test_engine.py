@@ -339,7 +339,7 @@ class TestScenarioRegistry:
         assert "custom_test_scenario" not in list_scenarios()
 
     def test_unknown_table3_attack_rejected(self):
-        with pytest.raises(KeyError, match="pgdd"):
+        with pytest.raises(ValueError, match="pgdd"):
             build_scenario("table3_cifar10", scale="tiny", attacks=("pgd", "pgdd"))
         scenario = build_scenario("table3_cifar10", scale="tiny", attacks=("cw", "pgd"))
         assert scenario.config.attacks == ("cw", "pgd")
@@ -383,7 +383,7 @@ class TestScenarioRegistry:
     def test_str_field_takes_only_a_str(self):
         for overrides in (
             {"partition": ("dirichlet", "iid")},
-            {"compression": True},
+            {"aggregation": True},
             {"task": 3},
             {"upsampling_strategy": 1.5},
         ):
@@ -443,7 +443,7 @@ class TestScenarioRegistry:
         else:
             variants = [{"models": ("simple_cnn", "nope")}]
         for overrides in variants:
-            with pytest.raises(KeyError, match="unknown model 'nope'"):
+            with pytest.raises(ValueError, match="unknown model 'nope'"):
                 build_scenario(name, scale="tiny", **overrides)
 
     def test_every_builtin_description_names_its_reason(self):
@@ -600,6 +600,14 @@ class TestStructuredResults:
         with pytest.raises(ValueError, match="requires a results_dir"):
             engine.run(scenario, persist=True)
         assert engine.cache.stats.trainings == 0
+
+    def test_record_states_the_scale_its_scenario_was_built_at(self):
+        scenario = build_scenario("fig3_geometry", scale="tiny")
+        assert scenario.scale == "tiny"
+        engine = ExperimentEngine()
+        assert engine.run(scenario).scale == "tiny"
+        with pytest.raises(ValueError, match="scale"):
+            engine.run(scenario, scale="bench")
 
     def test_persisted_run_keeps_semantic_row_order(self, tmp_path):
         engine = ExperimentEngine()

@@ -130,7 +130,7 @@ class TestRobustRules:
 
     def test_update_nbytes(self):
         update = _update("a", 1.0)
-        assert update.nbytes == update.state["w"].nbytes + update.state["b"].nbytes
+        assert update.payload_nbytes == update.state["w"].nbytes + update.state["b"].nbytes
 
 
 # --------------------------------------------------------------------------- #
@@ -281,10 +281,11 @@ class TestStreamingByteIdentity:
         with pytest.raises(ValueError):
             short.finalize()
 
-    def test_unknown_rule_has_no_streamer(self):
+    def test_unknown_rule_is_rejected(self):
         updates = _random_updates(2)
         plan = build_plan(updates[0].state)
-        assert streaming_aggregator_for(lambda ups: {}, plan, 2) is None
+        with pytest.raises(ValueError, match="no streaming form"):
+            streaming_aggregator_for(lambda ups: {}, plan, 2)
 
 
 class TestDtypePreservation:

@@ -13,7 +13,6 @@ from repro.fl import (
     FederationRuntime,
     GlobalModelBroadcast,
     HonestClient,
-    RoundHooks,
     add_backdoor_trigger,
     fedavg,
     poison_with_backdoor,
@@ -103,20 +102,26 @@ class TestRuntimeRounds:
         for name, value in runtime.global_model.state_dict().items():
             np.testing.assert_array_equal(value, expected[name])
 
-
-    def test_aggregate_hook_sees_every_update_once_per_round(self, rng):
-        """A custom rule receives the round's opened updates and its result is installed."""
+    def test_two_streamed_rounds_install_fedavg_of_each_rounds_updates(self, rng):
+        """Every round streams its participants' updates, in order, into FedAvg."""
         images, labels = _toy_federated_data(rng)
-        seen: list[list[str]] = []
-
-        def spy(updates):
-            seen.append([update.client_id for update in updates])
-            return fedavg(updates)
-
-        clients = _iid_clients(images, labels, iid_partition(labels, 2, rng=rng))
-        runtime = FederationRuntime(_mlp_factory(), clients, hooks=RoundHooks(aggregate=spy))
-        runtime.run(2)
-        assert seen == [["client0", "client1"]] * 2
+        parts = iid_partition(labels, 2, rng=rng)
+        runtime = FederationRuntime(_mlp_factory(), _iid_clients(images, labels, parts), seed=5)
+        mirrors = _iid_clients(images, labels, parts)
+        for round_index in range(2):
+            broadcast = GlobalModelBroadcast(
+                round_index=round_index, state=runtime.global_model.state_dict()
+            )
+            updates = []
+            for client in mirrors:
+                client.receive(broadcast.copy())
+                seed = client_task_seed(5, round_index, client.client_id)
+                updates.append(client.local_update(round_index, rng=np.random.default_rng(seed)))
+            result = runtime.run_round()
+            assert result.participating_clients == ["client0", "client1"]
+            expected = fedavg(updates)
+            for name, value in runtime.global_model.state_dict().items():
+                np.testing.assert_array_equal(value, expected[name])
         assert runtime.round_index == 2
 
     def test_round_result_records_compromised_clients(self, rng):

@@ -1,4 +1,4 @@
-"""Tests of the federation runtime: envelopes, transports, attestation, hooks."""
+"""Tests of the federation runtime: envelopes, transports, attestation, rounds."""
 
 from __future__ import annotations
 
@@ -14,18 +14,13 @@ from repro.fl import (
     FederationRuntime,
     HonestClient,
     ModelPoisoningClient,
-    RoundHooks,
+    Transport,
     UpdateEnvelope,
     enroll_and_attest,
-    get_transport,
-    transport_from_executor,
     trimmed_mean,
     coordinate_median,
     fedavg,
-    make_delta,
-    apply_delta,
 )
-from repro.eval.engine.executor import CellExecutor, ExecutorConfig
 from repro.fl.messages import ModelUpdate
 from repro.fl.runtime import (
     SealedState,
@@ -40,7 +35,7 @@ from repro.tee.attestation import AttestationQuote
 from repro.tee.enclave import TrustZoneEnclave
 from repro.tee.errors import AttestationError, SecureChannelError
 from repro.tee.secure_channel import SecureChannel
-from repro.utils.rng import set_global_seed
+from repro.utils.rng import derive_seed, set_global_seed
 
 
 def _mlp_factory():
@@ -138,14 +133,14 @@ class TestEnvelopes:
 # --------------------------------------------------------------------------- #
 class TestTransportParity:
     def _history(self, backend: str, transport=None):
-        """Round history on ``transport``, else on ``get_transport(backend)``."""
+        """Round history on ``transport``, else on a two-worker ``backend`` transport."""
         set_global_seed(4242)
         rng = np.random.default_rng(11)
         images, labels = _toy_data(rng)
         runtime = FederationRuntime(
             _mlp_factory(),
             _honest_clients(images, labels),
-            transport=transport or get_transport(backend, max_workers=2),
+            transport=transport or Transport(backend, max_workers=2),
         )
         result = runtime.run(2, images, labels)
         return [
@@ -166,16 +161,15 @@ class TestTransportParity:
         assert self._history("auto") == serial
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_transport_from_executor_reuses_its_backend(self, backend):
-        executor = CellExecutor(ExecutorConfig(backend=backend, max_workers=2))
-        transport = transport_from_executor(executor)
+    def test_transport_describes_the_backend_that_ran(self, backend):
+        transport = Transport(backend, max_workers=2)
         assert transport.describe()["max_workers"] == 2
         assert self._history(backend, transport) == self._history("serial")
         assert transport.name == backend
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(KeyError):
-            get_transport("carrier-pigeon")
+        with pytest.raises(ValueError, match="carrier-pigeon"):
+            Transport("carrier-pigeon")
 
     def _streamed_aggregate(self, workers: int, aggregation_rule):
         """Global model bytes after a streamed round on ``workers`` processes."""
@@ -185,7 +179,7 @@ class TestTransportParity:
         runtime = FederationRuntime(
             _mlp_factory(),
             _honest_clients(images, labels, count=5),
-            transport=get_transport("process", max_workers=workers),
+            transport=Transport("process", max_workers=workers),
             aggregation_rule=aggregation_rule,
         )
         result = runtime.run_round(images, labels)
@@ -355,7 +349,7 @@ class TestAttestedSessions:
 
 
 # --------------------------------------------------------------------------- #
-# Compromised detection and hooks
+# Compromised detection and round shape
 # --------------------------------------------------------------------------- #
 class TestCompromisedDetection:
     def test_detection_survives_subclassing(self, rng):
@@ -418,22 +412,36 @@ class TestCompromisedDetection:
         assert runtime.run_round().compromised_clients == []
 
 
-class TestRoundHooks:
-    def test_hooks_compose_sampling_aggregation_and_eval(self, rng):
+class TestRoundSamplingAndEval:
+    def test_fraction_sampling_and_eval_set_shape_every_round(self, rng):
         images, labels = _toy_data(rng)
         clients = _honest_clients(images, labels)
-        seen: list[int] = []
-        hooks = RoundHooks(
-            sample_clients=lambda population, _round, _rng: list(population)[:2],
-            aggregate=coordinate_median,
-            evaluate=lambda model, round_index: 0.123,
-            on_round_end=(lambda result: seen.append(result.round_index),),
-        )
-        runtime = FederationRuntime(_mlp_factory(), clients, hooks=hooks)
-        result = runtime.run(2)
-        assert [entry.participating_clients for entry in result.rounds] == [["c0", "c1"]] * 2
-        assert result.accuracies == [0.123, 0.123]
-        assert seen == [0, 1]
+        runtime = FederationRuntime(_mlp_factory(), clients, client_fraction=0.67, seed=8)
+        for round_index in range(2):
+            expected = sample_by_fraction(
+                clients,
+                0.67,
+                np.random.default_rng(derive_seed(f"fl.runtime.sample.round{round_index}", 8)),
+            )
+            result = runtime.run_round(images, labels)
+            assert result.participating_clients == [client.client_id for client in expected]
+            assert len(result.participating_clients) == 2
+            assert result.global_accuracy == runtime.global_model.accuracy(images, labels)
+        assert np.isnan(runtime.run_round().global_accuracy)
+
+    def test_rule_without_streaming_form_fails_before_training(self, rng):
+        trained: list[str] = []
+
+        class RecordingClient(HonestClient):
+            def local_update(self, round_index, rng=None):
+                trained.append(self.client_id)
+                return super().local_update(round_index, rng=rng)
+
+        images, labels = _toy_data(rng)
+        clients = [RecordingClient("r0", _mlp_factory, images[:30], labels[:30])]
+        with pytest.raises(ValueError, match="no streaming form"):
+            FederationRuntime(_mlp_factory(), clients, aggregation_rule=lambda updates: {})
+        assert trained == []
 
     def test_default_fraction_sampling(self, rng):
         images, labels = _toy_data(rng)
@@ -482,109 +490,3 @@ class TestRoundHooks:
             warnings.simplefilter("error", RuntimeWarning)
             result = runtime.run_round()
         assert np.isnan(result.mean_client_loss)
-
-
-# --------------------------------------------------------------------------- #
-# Delta-compressed envelopes
-# --------------------------------------------------------------------------- #
-class TestDeltaCompression:
-    def _states(self, rng):
-        base = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(4,))}
-        new = {key: value + rng.normal(scale=0.01, size=value.shape) for key, value in base.items()}
-        return base, new
-
-    def test_float_delta_roundtrip_is_exact(self, rng):
-        base, new = self._states(rng)
-        delta = make_delta(new, base)
-        assert not delta.is_quantized
-        restored = apply_delta(base, delta)
-        for key in base:
-            np.testing.assert_array_equal(restored[key], (new[key] - base[key]) + base[key])
-
-    def test_quantized_delta_error_bounded_by_scale(self, rng):
-        base, new = self._states(rng)
-        delta = make_delta(new, base, quantize_rng=np.random.default_rng(42))
-        assert delta.is_quantized
-        assert all(codes.dtype == np.int8 for codes in delta.codes.values())
-        restored = apply_delta(base, delta)
-        for key in base:
-            scale = delta.scales[key]
-            assert np.max(np.abs(restored[key] - new[key])) <= scale + 1e-12
-
-    def test_quantized_delta_is_deterministic_in_the_seed(self, rng):
-        base, new = self._states(rng)
-        one = make_delta(new, base, quantize_rng=np.random.default_rng(9))
-        two = make_delta(new, base, quantize_rng=np.random.default_rng(9))
-        for key in one.codes:
-            np.testing.assert_array_equal(one.codes[key], two.codes[key])
-
-    def test_quantized_bytes_beat_dense(self, rng):
-        base, new = self._states(rng)
-        dense_bytes = sum(np.asarray(value).nbytes for value in new.values())
-        delta = make_delta(new, base, quantize_rng=np.random.default_rng(1))
-        assert delta.nbytes * 3 <= dense_bytes
-
-    def test_delta_envelope_roundtrip_and_wire_bytes(self, rng):
-        base, new = self._states(rng)
-        update = ModelUpdate(
-            client_id="c0", round_index=2, num_samples=5, state=new,
-            train_loss=0.1, train_accuracy=0.8,
-        )
-        delta = make_delta(new, base)
-        envelope = UpdateEnvelope.from_update(update, delta=delta)
-        assert envelope.wire_nbytes == delta.nbytes
-        reopened = envelope.open(base=base)
-        assert reopened.payload_nbytes == delta.nbytes
-        for key in base:
-            np.testing.assert_array_equal(reopened.state[key], apply_delta(base, delta)[key])
-
-    def test_delta_envelope_requires_base(self, rng):
-        base, new = self._states(rng)
-        update = ModelUpdate(client_id="c0", round_index=0, num_samples=5, state=new)
-        envelope = UpdateEnvelope.from_update(update, delta=make_delta(new, base))
-        with pytest.raises(ValueError):
-            envelope.open()
-
-    def test_apply_delta_rejects_mismatched_keys(self, rng):
-        base, new = self._states(rng)
-        delta = make_delta(new, base)
-        with pytest.raises(ValueError):
-            apply_delta({"w": base["w"]}, delta)
-
-    def test_unknown_compression_rejected(self, rng):
-        images, labels = _toy_data(rng)
-        with pytest.raises(ValueError):
-            FederationRuntime(
-                _mlp_factory(),
-                _honest_clients(images, labels),
-                compression="gzip",
-            )
-
-    def _round_with(self, compression, rng_seed=21):
-        set_global_seed(808)
-        rng = np.random.default_rng(rng_seed)
-        images, labels = _toy_data(rng)
-        runtime = FederationRuntime(
-            _mlp_factory(),
-            _honest_clients(images, labels),
-            compression=compression,
-        )
-        result = runtime.run_round(images, labels)
-        return runtime, result
-
-    def test_quantized_round_cuts_bytes_on_wire(self):
-        _, dense = self._round_with("none")
-        runtime, quant = self._round_with("delta-int8")
-        assert quant.update_bytes * 3 <= dense.update_bytes
-        stats = runtime.secure_stats
-        assert stats.update_payload_bytes == quant.update_bytes
-        assert stats.update_dense_bytes >= 3 * stats.update_payload_bytes
-        # Accuracy stays in the same regime despite int8 update coding.
-        assert abs(quant.global_accuracy - dense.global_accuracy) <= 0.2
-
-    def test_float_delta_round_matches_dense_sizes(self):
-        """Un-quantized deltas reshape the payload, not its size."""
-        _, dense = self._round_with("none")
-        _, delta = self._round_with("delta")
-        assert delta.update_bytes == dense.update_bytes
-        assert np.isfinite(delta.global_accuracy)

@@ -176,6 +176,15 @@ class TestRegistryAndPaperConfigs:
         out = model(Tensor(rng.uniform(size=(2, 3, 16, 16))))
         assert out.shape == (2, 3)
 
+    @pytest.mark.parametrize("name", list_models())
+    def test_empty_batch_gives_empty_logits(self, name):
+        """Zero samples give ``(0, num_classes)`` and leave the model's state alone."""
+        model = build_model(name, num_classes=10, image_size=16)
+        before = model.state_dict()
+        assert model.logits(np.zeros((0, 3, 16, 16))).shape == (0, 10)
+        for key, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+
     def test_paper_specs_cover_table1(self):
         assert set(PAPER_MODEL_SPECS) == {"vit_l16", "vit_b16", "bit_m_r101x3", "bit_m_r152x4"}
 

@@ -15,6 +15,7 @@ Covers the gateway's acceptance bar from three sides:
 
 from __future__ import annotations
 
+import gc
 import threading
 from dataclasses import replace
 
@@ -472,6 +473,18 @@ class TestGatewayServiceParity:
             assert_serving_parity(continuous.logits(), eager)
             assert_serving_parity(static.logits(), eager)
         assert [reply.request_id for reply in continuous.replies] == list(range(len(requests)))
+
+    @pytest.mark.parametrize("policy", ["continuous", "static"])
+    def test_drain_leaves_no_reference_cycle(self, rng, policy):
+        """A drain's requests and replies are freed on return, not by the cycle collector."""
+        service, _ = self._serve(_model(), self._requests(rng), policy)
+        gc.collect()
+        gc.disable()
+        try:
+            service.serve(self._requests(rng))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_simulated_switches_match_real_boundary(self, rng):
         model = _model()
