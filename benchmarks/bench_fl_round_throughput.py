@@ -14,18 +14,11 @@ backend of the last run).
 
 from __future__ import annotations
 
-import os
-import time
-
-import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_SCALE, RESULTS_DIR, run_once, write_bench_trajectory
 from repro.eval.engine import ExecutorConfig, ExperimentEngine
 from repro.eval.tables import render_run
-from repro.fl.aggregation import fedavg
-from repro.fl.messages import ModelUpdate
-from repro.models.registry import build_model
 
 #: Round histories per backend, for the cross-backend parity assertion.
 _HISTORIES: dict[str, list] = {}
@@ -33,7 +26,7 @@ _HISTORIES: dict[str, list] = {}
 #: Updates/second per backend, for the BENCH_fl.json trajectory record.
 _RATES: dict[str, float] = {}
 
-#: Thousand-client scale and packed-aggregation metrics for the trajectory record.
+#: Thousand-client scale metrics for the trajectory record.
 _SCALE_METRICS: dict[str, float] = {}
 
 
@@ -67,78 +60,6 @@ def test_fl_round_throughput(benchmark, backend):
         assert rounds == other_rounds, f"{backend} history diverges from {other_backend}"
     _HISTORIES[backend] = rounds
     _RATES[backend] = rate
-
-
-def _seed_per_key_fedavg(updates):
-    """The seed revision's fedavg: a per-key Python ``sum()`` generator.
-
-    Kept verbatim as the baseline the packed streaming accumulation is
-    gated against — one scalar-multiply temporary per client per parameter.
-    """
-    total_samples = sum(update.num_samples for update in updates)
-    keys = updates[0].state.keys()
-    return {
-        key: sum(
-            (update.num_samples / total_samples) * np.asarray(update.state[key])
-            for update in updates
-        )
-        for key in keys
-    }
-
-
-def test_fl_packed_fedavg_speedup(benchmark):
-    """Packed streaming fedavg vs the seed per-key loop at 256 clients.
-
-    The state schema is the bench-scale resnet56 defender (62 fields) — the
-    many-field regime where the per-key loop pays ``2 x fields`` ufunc
-    dispatches plus one temporary per client per parameter.  Parity is
-    asserted unconditionally; the speedup floor is gated only on >= 4-core
-    hosts, like the conv-tower replay legs, since few-core machines run
-    both sides equally starved.
-    """
-    model = build_model("resnet56", num_classes=10, image_size=16, in_channels=1)
-    base = {key: np.asarray(value) for key, value in model.state_dict().items()}
-    rng = np.random.default_rng(20230913)
-    clients = 256
-    updates = [
-        ModelUpdate(
-            client_id=f"bench-{index}",
-            round_index=0,
-            state={key: value + rng.standard_normal(value.shape) for key, value in base.items()},
-            num_samples=8 + (index % 5),
-            train_loss=0.1,
-        )
-        for index in range(clients)
-    ]
-    packed = fedavg(updates)
-    per_key = _seed_per_key_fedavg(updates)
-    for key, value in per_key.items():
-        assert np.allclose(packed[key], value), f"packed fedavg diverges at {key!r}"
-
-    reps = 3
-    seed_seconds = min(
-        _timed(_seed_per_key_fedavg, updates) for _ in range(reps)
-    )
-    packed_seconds = min(_timed(fedavg, updates) for _ in range(reps))
-    run_once(benchmark, fedavg, updates)
-    speedup = seed_seconds / max(packed_seconds, 1e-9)
-    print()
-    print(
-        f"[packed fedavg] {clients} clients x {len(base)} fields: "
-        f"per-key {seed_seconds * 1e3:.1f} ms -> packed {packed_seconds * 1e3:.1f} ms "
-        f"= {speedup:.2f}x"
-    )
-    _SCALE_METRICS["packed_fedavg_speedup"] = speedup
-    if (os.cpu_count() or 1) >= 4:
-        assert speedup >= 1.5, (
-            f"packed fedavg only {speedup:.2f}x the seed per-key loop (target 1.5x)"
-        )
-
-
-def _timed(fn, *args):
-    start = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - start
 
 
 def test_fl_thousand_clients_round(benchmark):

@@ -39,33 +39,50 @@ RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=10,
+    ).stdout.strip()
+
+
 def _git_sha() -> str:
     try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=10,
-        ).stdout.strip()
+        return _git("rev-parse", "HEAD")
     except (OSError, subprocess.SubprocessError):
         return "unknown"
+
+
+def _git_dirty() -> bool | None:
+    """Whether the tree differs from HEAD, besides the ``BENCH_*.json`` files.
+
+    The benches rewrite those files themselves, so they never count as a
+    change.  ``None`` when git cannot tell (no git, or not a checkout).
+    """
+    try:
+        return bool(_git("status", "--porcelain", "--", ".", ":(exclude)BENCH_*.json"))
+    except (OSError, subprocess.SubprocessError):
+        return None
 
 
 def write_bench_trajectory(area: str, metrics: dict) -> Path:
     """Write ``BENCH_<area>.json`` at the repo root: one revision's numbers.
 
-    The file pins the context a benchmark ran under (git SHA, cpu count,
-    dtype) next to its normalized metrics, so consecutive revisions' files
-    form a performance trajectory that ``scripts/compare_bench.py`` gates CI
-    on.  Each area has exactly one writing bench, so the file is replaced
+    The file pins the context a benchmark ran under (git SHA, whether the
+    tree had uncommitted changes, cpu count, dtype) next to its normalized
+    metrics, so consecutive revisions' files form a performance trajectory
+    that ``scripts/compare_bench.py`` gates CI on.  Each area has exactly one writing bench, so the file is replaced
     wholesale.
     """
     path = REPO_ROOT / f"BENCH_{area}.json"
     record = {
         "area": area,
         "git_sha": _git_sha(),
+        "git_dirty": _git_dirty(),
         "cpu_count": os.cpu_count() or 1,
         "dtype": str(get_default_dtype()),
         "metrics": {key: float(value) for key, value in sorted(metrics.items())},

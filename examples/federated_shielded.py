@@ -16,8 +16,6 @@ Run with:  python examples/federated_shielded.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.attacks import (
     AttackDriver,
     DriverConfig,
@@ -27,7 +25,6 @@ from repro.attacks import (
 from repro.core.shielded_model import ShieldedModel
 from repro.data import iid_partition, make_cifar10_like
 from repro.fl import (
-    AttestationGate,
     ClientConfig,
     FederationRuntime,
     HonestClient,

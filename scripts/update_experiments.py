@@ -82,6 +82,8 @@ def render_bench_trajectory(repo_root: Path) -> str | None:
         if not isinstance(metrics, dict):
             continue
         sha = str(payload.get("git_sha", "?"))[:12]
+        if payload.get("git_dirty"):
+            sha += " (dirty)"
         cpus = payload.get("cpu_count", "?")
         for name, value in sorted(metrics.items()):
             rows.append(

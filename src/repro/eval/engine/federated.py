@@ -40,7 +40,7 @@ from repro.eval.engine.cache import ArtifactCache
 from repro.eval.engine.cells import build_curve_attack
 from repro.eval.engine.executor import CellExecutor
 from repro.eval.engine.registry import Scenario
-from repro.fl.aggregation import get_aggregation_rule, trimmed_mean
+from repro.fl.aggregation import AGGREGATION_RULES, TrimmedMeanStream
 from repro.fl.client import ClientConfig, CompromisedClient, HonestClient, ModelPoisoningClient
 from repro.fl.poisoning import add_backdoor_trigger
 from repro.fl.runtime import FederationRuntime, Transport
@@ -150,12 +150,6 @@ def _clone_clients(base_clients: list[HonestClient]) -> list[HonestClient]:
     return copy.deepcopy(base_clients, memo)
 
 
-def _resolve_rule(name: str, params) -> "object":
-    if name == "trimmed_mean":
-        return functools.partial(trimmed_mean, trim_fraction=params["trim_fraction"])
-    return get_aggregation_rule(name)
-
-
 def backdoor_success_rate(
     model, images: np.ndarray, labels: np.ndarray, target_class: int, trigger_size: int = 3
 ) -> float:
@@ -171,8 +165,11 @@ def _round_payload(rounds) -> list[dict]:
     return [dataclasses.asdict(entry) for entry in rounds]
 
 
-def _run_once(scenario, transport, model, clients, dataset, rule) -> tuple:
-    """One full federated run; returns (runtime, FederatedRunResult)."""
+def _run_once(scenario, transport, model, clients, dataset, rule_name) -> tuple:
+    """One full federated run under the named rule; returns (runtime, FederatedRunResult)."""
+    rule = AGGREGATION_RULES[rule_name]
+    if rule is TrimmedMeanStream:
+        rule = functools.partial(rule, trim_fraction=scenario.params["trim_fraction"])
     runtime = FederationRuntime(
         global_model=model,
         clients=clients,
@@ -205,8 +202,9 @@ def _base_payload(scenario: Scenario, transport, runtime=None) -> dict:
 # --------------------------------------------------------------------------- #
 def run_fedavg_task(scenario: Scenario, cache: ArtifactCache, transport) -> dict:
     model_factory, clients, dataset = _build_population(scenario, cache)
-    rule = _resolve_rule(scenario.params["aggregation"], scenario.params)
-    runtime, result = _run_once(scenario, transport, model_factory(), clients, dataset, rule)
+    runtime, result = _run_once(
+        scenario, transport, model_factory(), clients, dataset, scenario.params["aggregation"]
+    )
     payload = _base_payload(scenario, transport, runtime)
     payload.update(
         aggregation=scenario.params["aggregation"],
@@ -225,9 +223,10 @@ def run_thousand_clients_task(scenario: Scenario, cache: ArtifactCache, transpor
     """
     params = scenario.params
     model_factory, clients, dataset = _build_population(scenario, cache)
-    rule = _resolve_rule(params["aggregation"], params)
     start = time.perf_counter()
-    runtime, result = _run_once(scenario, transport, model_factory(), clients, dataset, rule)
+    runtime, result = _run_once(
+        scenario, transport, model_factory(), clients, dataset, params["aggregation"]
+    )
     elapsed = time.perf_counter() - start
     num_rounds = max(len(result.rounds), 1)
     payload = _base_payload(scenario, transport, runtime)
@@ -257,9 +256,7 @@ def run_robust_aggregation_task(scenario: Scenario, cache: ArtifactCache, transp
         # and initial global model (model init draws from a shared stream).
         clients = _clone_clients(base_clients)
         model = copy.deepcopy(base_model)
-        _, result = _run_once(
-            scenario, transport, model, clients, dataset, _resolve_rule(rule_name, params)
-        )
+        _, result = _run_once(scenario, transport, model, clients, dataset, rule_name)
         rules[rule_name] = {
             "final_accuracy": result.final_accuracy,
             "backdoor_success": backdoor_success_rate(
@@ -294,9 +291,7 @@ def run_poisoning_task(scenario: Scenario, cache: ArtifactCache, transport) -> d
             if getattr(client, "is_compromised", False):
                 client.poison_fraction = fraction
         model = copy.deepcopy(base_model)
-        _, result = _run_once(
-            scenario, transport, model, clients, dataset, get_aggregation_rule("fedavg")
-        )
+        _, result = _run_once(scenario, transport, model, clients, dataset, "fedavg")
         sweep.append(
             {
                 "poison_fraction": fraction,

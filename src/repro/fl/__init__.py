@@ -2,24 +2,10 @@
 
 from repro.fl.aggregation import (
     AGGREGATION_RULES,
-    CLIENT_GROUP_SIZE,
     FedavgStream,
     MedianStream,
     StreamingAggregator,
     TrimmedMeanStream,
-    coordinate_median,
-    fedavg,
-    get_aggregation_rule,
-    streaming_aggregator_for,
-    trimmed_mean,
-)
-from repro.fl.packing import (
-    PackedField,
-    PackingPlan,
-    build_plan,
-    pack,
-    pack_into,
-    unpack,
 )
 from repro.fl.client import (
     ClientConfig,
@@ -46,7 +32,6 @@ __all__ = [
     "AGGREGATION_RULES",
     "AttestationGate",
     "BroadcastEnvelope",
-    "CLIENT_GROUP_SIZE",
     "ClientConfig",
     "ClientSession",
     "ClientTask",
@@ -59,8 +44,6 @@ __all__ = [
     "MedianStream",
     "ModelPoisoningClient",
     "ModelUpdate",
-    "PackedField",
-    "PackingPlan",
     "Participant",
     "RoundResult",
     "StreamingAggregator",
@@ -68,15 +51,6 @@ __all__ = [
     "TrimmedMeanStream",
     "UpdateEnvelope",
     "add_backdoor_trigger",
-    "build_plan",
-    "coordinate_median",
     "enroll_and_attest",
-    "fedavg",
-    "get_aggregation_rule",
-    "pack",
-    "pack_into",
     "poison_with_backdoor",
-    "streaming_aggregator_for",
-    "trimmed_mean",
-    "unpack",
 ]

@@ -1,105 +1,86 @@
 """Aggregation rules for combining client updates into a global model.
 
-All three rules are defined over **flat packed vectors** (see
-:mod:`repro.fl.packing`): the round's state schema becomes a stable
-key/offset table, every client update packs into one contiguous vector,
-and aggregation runs as a handful of whole-vector ufunc calls instead of a
-``keys x clients`` Python loop.  The packed iteration order — the broadcast
-``state_dict`` order — is the **canonical aggregation order**; per-key and
-packed results agree to floating-point round-off, and the packed bytes are
-the pinned ones.
+Each rule is one :class:`StreamingAggregator` subclass that works on the
+``state_dict`` directly, key by key.  The federation runtime builds one per
+round from the broadcast state (the schema every update must match) and the
+participant count, then feeds it the opened updates one at a time:
 
-Determinism contract (what the transport-parity tests rely on):
+* :class:`FedavgStream` keeps one running weighted sum per key (McMahan et
+  al., AISTATS 2017), so the server never holds every update at once;
+* :class:`MedianStream` and :class:`TrimmedMeanStream` keep one
+  ``(num_clients, *shape)`` buffer per key and reduce it over axis 0 —
+  exact coordinate-wise order statistics need every client's value (Yin et
+  al., ICML 2018).
 
-* ``fedavg`` accumulates weighted client vectors into **fixed client
-  groups** of :data:`CLIENT_GROUP_SIZE` (grouping by participant index,
-  never by arrival), and combines the group partials through
-  :func:`tree_reduce` — a fixed-shape binary tree that is a pure function
-  of the group count.  The result is byte-identical whether updates arrive
-  serially or from worker processes.
-* ``median`` / ``trimmed_mean`` keep one packed row per client (exact
-  coordinate-wise order statistics need every client's value) and reduce
-  the ``clients x params`` matrix in one call; every coordinate is reduced
-  independently of the others.
-
-Every rule accepts the classic ``Sequence[ModelUpdate]`` signature and runs
-as its streaming aggregator fed one update at a time; the federation
-runtime drives the same aggregators through :func:`streaming_aggregator_for`
-as replies arrive, so FedAvg never holds all opened updates at once.  A
-rule without a streaming form is rejected when the runtime is built.
+Determinism contract (what the transport-parity tests rely on): updates
+are added in participant order — the runtime consumes the transport's
+replies head-of-line, whatever order workers finish in — so every sum and
+every buffer row is filled in the same order on every transport, and the
+aggregate's bytes depend on the updates alone.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.autodiff.pool import scratch_pool
 from repro.fl.messages import ModelUpdate
-from repro.fl.packing import PackingPlan, build_plan, pack_into, unpack
 
-AggregationRule = Callable[[Sequence[ModelUpdate]], dict[str, np.ndarray]]
-
-#: Participant-index group size of the streaming FedAvg accumulator.  A pure
-#: constant (never derived from workers or transports) so the tree shape —
-#: hence the aggregate's bytes — depends on the client count alone.
-CLIENT_GROUP_SIZE = 32
+#: What :class:`~repro.fl.runtime.runtime.FederationRuntime` accepts as a
+#: rule: an aggregator class, or a ``functools.partial`` of one that fixes
+#: its options (``trim_fraction``), called with ``(template, num_clients)``.
+AggregationRule = Callable[[Mapping[str, np.ndarray], int], "StreamingAggregator"]
 
 
-def tree_reduce(slabs: list, out) -> None:
-    """Sum ``slabs`` into ``out`` through a fixed-shape binary tree.
-
-    The combine order is a pure function of ``len(slabs)``: pairs merge in
-    index order, odd tails carry to the next level, and the final pair lands
-    in ``out``.  Floating point addition is not associative, so a fixed tree
-    is what makes the reduced bytes reproducible.  Leaf slabs are consumed:
-    interior sums overwrite them in place.
-    """
-    if len(slabs) == 1:
-        np.copyto(out, slabs[0])
-        return
-    active = list(slabs)
-    while len(active) > 2:
-        merged = []
-        for index in range(0, len(active) - 1, 2):
-            np.add(active[index], active[index + 1], out=active[index])
-            merged.append(active[index])
-        if len(active) % 2:
-            merged.append(active[-1])
-        active = merged
-    np.add(active[0], active[1], out=out)
-
-
-# --------------------------------------------------------------------------- #
-# Streaming aggregators (one update at a time, canonical participant order)
-# --------------------------------------------------------------------------- #
 class StreamingAggregator:
-    """Consumes updates in participant order; yields the packed aggregate.
+    """Consumes updates in participant order; yields the aggregated state.
 
-    ``add`` must be called in canonical (participant-index) order — the
-    federation runtime's streaming reduce guarantees this by consuming the
-    transport's replies head-of-line, whatever order workers finish in.
+    ``template`` is the round's broadcast state: every update must carry
+    exactly its keys, each with the template's shape and dtype, or ``add``
+    raises a ``ValueError`` naming the client and the key.
     """
 
-    def __init__(self, plan: PackingPlan, num_clients: int):
+    def __init__(self, template: Mapping[str, np.ndarray], num_clients: int):
         if num_clients < 1:
             raise ValueError("cannot aggregate an empty list of updates")
-        self.plan = plan
+        self.schema = {key: (value.shape, value.dtype) for key, value in template.items()}
         self.num_clients = num_clients
         self._added = 0
 
     def add(self, update: ModelUpdate) -> None:
         if self._added >= self.num_clients:
             raise ValueError("received more updates than announced participants")
-        # Schema validation is fused into the pack (see ``pack_into``): every
-        # field's shape/dtype is checked on its way into the packed row, and
-        # a mismatch raises a ``ValueError`` naming the client and key.
-        self._consume(update)
+        self._consume(self._validated(update), update.num_samples)
         self._added += 1
 
-    def _consume(self, update: ModelUpdate) -> None:  # pragma: no cover - abstract
+    def _validated(self, update: ModelUpdate) -> dict[str, np.ndarray]:
+        """``update.state`` as arrays in schema order, checked key by key."""
+        owner = f"client {update.client_id!r}"
+        state = update.state
+        if state.keys() != self.schema.keys():
+            missing = [key for key in self.schema if key not in state]
+            if missing:
+                raise ValueError(f"{owner}: update is missing parameter(s) {missing}")
+            extra = sorted(set(state) - set(self.schema))
+            raise ValueError(f"{owner}: update carries unexpected parameter(s) {extra}")
+        arrays = {}
+        for key, (shape, dtype) in self.schema.items():
+            value = np.asarray(state[key])
+            if value.shape != shape:
+                raise ValueError(
+                    f"{owner}: parameter {key!r} has shape {value.shape}, expected {shape}"
+                )
+            if value.dtype != dtype:
+                raise ValueError(
+                    f"{owner}: parameter {key!r} has dtype {value.dtype}, expected {dtype}"
+                )
+            arrays[key] = value
+        return arrays
+
+    def _consume(
+        self, state: dict[str, np.ndarray], num_samples: int
+    ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def finalize(self) -> dict[str, np.ndarray]:
@@ -107,200 +88,83 @@ class StreamingAggregator:
             raise ValueError(
                 f"aggregator saw {self._added} update(s), expected {self.num_clients}"
             )
-        return unpack(self.plan, self._reduce())
+        return self._reduce()
 
-    def _reduce(self) -> np.ndarray:  # pragma: no cover - abstract
+    def _reduce(self) -> dict[str, np.ndarray]:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
 class FedavgStream(StreamingAggregator):
-    """Sample-weighted mean as grouped matrix-vector accumulation.
+    """Sample-weighted mean: one running weighted sum per key."""
 
-    Updates pack into the rows of a fixed ``CLIENT_GROUP_SIZE x params``
-    group matrix; a full group collapses to one partial with a single BLAS
-    ``weights @ matrix`` call — no per-client ufunc dispatch, no per-client
-    temporaries.  Group membership is the participant index alone, so the
-    partials (and the :func:`tree_reduce` over them) are byte-identical
-    whatever the transport, worker count or arrival overlap.  Server memory
-    is O(group + groups) x params — never ``clients x params``.
-    """
+    def __init__(self, template: Mapping[str, np.ndarray], num_clients: int):
+        super().__init__(template, num_clients)
+        self._sums = {key: np.zeros(shape, dtype) for key, (shape, dtype) in self.schema.items()}
+        self._total_weight = 0
 
-    def __init__(self, plan: PackingPlan, num_clients: int):
-        super().__init__(plan, num_clients)
-        pool = scratch_pool()
-        self._pool = pool
-        self._matrix = pool.take(
-            (min(CLIENT_GROUP_SIZE, num_clients), plan.size), plan.dtype
-        )
-        self._weights = np.zeros(min(CLIENT_GROUP_SIZE, num_clients), dtype=plan.dtype)
-        self._slabs: list[np.ndarray] = []
-        self._total_weight = 0.0
+    def _consume(self, state: dict[str, np.ndarray], num_samples: int) -> None:
+        weight = max(num_samples, 0)
+        self._total_weight += weight
+        for key, total in self._sums.items():
+            total += weight * state[key]
 
-    def _consume(self, update: ModelUpdate) -> None:
-        row = self._added % CLIENT_GROUP_SIZE
-        weight = max(update.num_samples, 0)
-        self._total_weight += float(weight)
-        self._weights[row] = weight
-        pack_into(
-            self.plan, update.state, self._matrix[row],
-            owner=f"client {update.client_id!r}",
-        )
-        if row == CLIENT_GROUP_SIZE - 1:
-            self._flush_group(CLIENT_GROUP_SIZE)
-
-    def _flush_group(self, rows: int) -> None:
-        slab = self._pool.take((self.plan.size,), self.plan.dtype)
-        np.matmul(self._weights[:rows], self._matrix[:rows], out=slab)
-        self._slabs.append(slab)
-
-    def _reduce(self) -> np.ndarray:
+    def _reduce(self) -> dict[str, np.ndarray]:
         if self._total_weight <= 0:
             raise ValueError("fedavg requires at least one update with samples")
-        tail = self._added % CLIENT_GROUP_SIZE
-        if tail:
-            self._flush_group(tail)
-        out = np.empty(self.plan.size, dtype=self.plan.dtype)
-        tree_reduce(self._slabs, out)
-        np.divide(out, self.plan.dtype.type(self._total_weight), out=out)
-        for slab in self._slabs:
-            self._pool.release(slab)
-        self._pool.release(self._matrix)
-        self._slabs = []
-        return out
+        for total in self._sums.values():
+            total /= self._total_weight
+        return self._sums
 
 
-class _PackedMatrixStream(StreamingAggregator):
-    """Shared base of the robust rules: packs updates into matrix rows.
+class _StackedStream(StreamingAggregator):
+    """Shared base of the robust rules: one ``(num_clients, *shape)`` buffer per key."""
 
-    Exact coordinate-wise order statistics need every client's value, so the
-    streaming form necessarily retains one packed row per client (the data
-    itself, once — no stacked copies on top); ``_reduce`` then reduces the
-    whole matrix in place.
-    """
+    def __init__(self, template: Mapping[str, np.ndarray], num_clients: int):
+        super().__init__(template, num_clients)
+        self._rows = {
+            key: np.empty((num_clients, *shape), dtype)
+            for key, (shape, dtype) in self.schema.items()
+        }
 
-    def __init__(self, plan: PackingPlan, num_clients: int):
-        super().__init__(plan, num_clients)
-        self._matrix = np.empty((num_clients, plan.size), dtype=plan.dtype)
-
-    def _consume(self, update: ModelUpdate) -> None:
-        pack_into(
-            self.plan, update.state, self._matrix[self._added],
-            owner=f"client {update.client_id!r}",
-        )
+    def _consume(self, state: dict[str, np.ndarray], num_samples: int) -> None:
+        for key, rows in self._rows.items():
+            rows[self._added] = state[key]
 
 
-class MedianStream(_PackedMatrixStream):
-    """Coordinate-wise median of the packed client matrix."""
+class MedianStream(_StackedStream):
+    """Coordinate-wise median of each key's client buffer."""
 
-    def _reduce(self) -> np.ndarray:
-        out = np.empty(self.plan.size, dtype=self.plan.dtype)
-        np.median(self._matrix, axis=0, out=out, overwrite_input=True)
-        return out
+    def _reduce(self) -> dict[str, np.ndarray]:
+        return {
+            key: np.median(rows, axis=0, overwrite_input=True) for key, rows in self._rows.items()
+        }
 
 
-class TrimmedMeanStream(_PackedMatrixStream):
-    """Coordinate-wise trimmed mean of the packed client matrix."""
+class TrimmedMeanStream(_StackedStream):
+    """Coordinate-wise mean after discarding the extreme ``trim_fraction`` per side."""
 
-    def __init__(self, plan: PackingPlan, num_clients: int, trim_fraction: float = 0.2):
+    def __init__(
+        self, template: Mapping[str, np.ndarray], num_clients: int, trim_fraction: float = 0.2
+    ):
         if not 0.0 <= trim_fraction < 0.5:
             raise ValueError("trim_fraction must be in [0, 0.5)")
-        super().__init__(plan, num_clients)
+        super().__init__(template, num_clients)
         self.trim_fraction = trim_fraction
 
-    def _reduce(self) -> np.ndarray:
+    def _reduce(self) -> dict[str, np.ndarray]:
+        # ``trim_fraction < 0.5`` keeps at least one row per coordinate.
         trim = int(np.floor(self.trim_fraction * self.num_clients))
-        matrix = self._matrix
-        matrix.sort(axis=0)
-        kept = matrix[trim : self.num_clients - trim] if self.num_clients - 2 * trim > 0 else matrix
-        out = np.empty(self.plan.size, dtype=self.plan.dtype)
-        np.mean(kept, axis=0, out=out)
+        kept = slice(trim, self.num_clients - trim)
+        out = {}
+        for key, rows in self._rows.items():
+            rows.sort(axis=0)
+            out[key] = rows[kept].mean(axis=0)
         return out
 
 
-# --------------------------------------------------------------------------- #
-# Batch rules (classic Sequence[ModelUpdate] signatures)
-# --------------------------------------------------------------------------- #
-def _aggregate_batch(
-    updates: Sequence[ModelUpdate], stream_type: type[StreamingAggregator], **kwargs
-) -> dict[str, np.ndarray]:
-    """Feed ``updates`` in order through a fresh ``stream_type`` aggregator.
-
-    Batch and streamed rounds therefore produce byte-identical aggregates,
-    and validation rides along with the pack (see
-    :func:`~repro.fl.packing.pack_into`) instead of a separate pass.
-    """
-    if not updates:
-        raise ValueError("cannot aggregate an empty list of updates")
-    stream = stream_type(build_plan(updates[0].state), len(updates), **kwargs)
-    for update in updates:
-        stream.add(update)
-    return stream.finalize()
-
-
-def fedavg(updates: Sequence[ModelUpdate]) -> dict[str, np.ndarray]:
-    """Federated averaging: sample-count weighted mean of client parameters."""
-    return _aggregate_batch(updates, FedavgStream)
-
-
-def coordinate_median(updates: Sequence[ModelUpdate]) -> dict[str, np.ndarray]:
-    """Coordinate-wise median — a simple robust aggregation baseline."""
-    return _aggregate_batch(updates, MedianStream)
-
-
-def trimmed_mean(
-    updates: Sequence[ModelUpdate], trim_fraction: float = 0.2
-) -> dict[str, np.ndarray]:
-    """Coordinate-wise trimmed mean, discarding the extreme ``trim_fraction``."""
-    return _aggregate_batch(updates, TrimmedMeanStream, trim_fraction=trim_fraction)
-
-
-# --------------------------------------------------------------------------- #
-# Rule registry and streaming factory
-# --------------------------------------------------------------------------- #
-AGGREGATION_RULES: dict[str, AggregationRule] = {
-    "fedavg": fedavg,
-    "median": coordinate_median,
-    "trimmed_mean": trimmed_mean,
+#: Aggregator class of each ``aggregation`` / ``rules`` scenario name.
+AGGREGATION_RULES: dict[str, type[StreamingAggregator]] = {
+    "fedavg": FedavgStream,
+    "median": MedianStream,
+    "trimmed_mean": TrimmedMeanStream,
 }
-
-
-def get_aggregation_rule(name: str) -> AggregationRule:
-    """Look up an aggregation rule by name."""
-    if name not in AGGREGATION_RULES:
-        raise KeyError(f"unknown aggregation rule {name!r}; available: {sorted(AGGREGATION_RULES)}")
-    return AGGREGATION_RULES[name]
-
-
-def streaming_form(rule: AggregationRule) -> Callable[[PackingPlan, int], StreamingAggregator]:
-    """The streaming aggregator constructor ``rule`` runs as.
-
-    Recognizes the built-in rules, including ``functools.partial`` wrappers
-    such as the trim-fraction presets, and raises ``ValueError`` for any
-    other rule: the federation runtime only streams.  The streamed aggregate
-    is byte-identical to the batch rule by construction, since both run the
-    same canonical packed computation.
-    """
-    target: Callable = rule
-    kwargs: dict = {}
-    if isinstance(rule, functools.partial):
-        target = rule.func
-        kwargs = dict(rule.keywords)
-    if target is fedavg:
-        return FedavgStream
-    if target is coordinate_median:
-        return MedianStream
-    if target is trimmed_mean:
-        return functools.partial(
-            TrimmedMeanStream, trim_fraction=float(kwargs.get("trim_fraction", 0.2))
-        )
-    raise ValueError(
-        f"aggregation rule {rule!r} has no streaming form; "
-        "expected fedavg, coordinate_median or trimmed_mean"
-    )
-
-
-def streaming_aggregator_for(
-    rule: AggregationRule, plan: PackingPlan, num_clients: int
-) -> StreamingAggregator:
-    """A fresh streaming aggregator equivalent to ``rule`` (see :func:`streaming_form`)."""
-    return streaming_form(rule)(plan, num_clients)

@@ -120,24 +120,18 @@ def _decode_update(payload: bytes) -> ModelUpdate:
 
 @dataclass(frozen=True)
 class UpdateEnvelope:
-    """Client → server: the locally trained parameters, plaintext or sealed.
+    """Client → server: the locally trained update, plaintext or sealed.
 
     The sealed form encrypts the *entire* update — parameters and scalar
-    metadata alike — leaving nothing but ciphertext on the transport; the
-    plaintext fields are ``None`` in that case.  Exactly one of ``state`` /
-    ``sealed`` is set.
+    metadata alike — leaving nothing but ciphertext on the transport.
+    Exactly one of ``update`` / ``sealed`` is set.
     """
 
-    client_id: str | None = None
-    round_index: int | None = None
-    num_samples: int | None = None
-    train_loss: float | None = None
-    train_accuracy: float | None = None
-    state: dict[str, np.ndarray] | None = None
+    update: ModelUpdate | None = None
     sealed: SealedState | None = None
 
     def __post_init__(self):
-        _check_exactly_one(self.state, self.sealed)
+        _check_exactly_one(self.update, self.sealed)
 
     @property
     def is_sealed(self) -> bool:
@@ -150,28 +144,14 @@ class UpdateEnvelope:
         """Wrap a :class:`ModelUpdate`, sealing it whole when a channel is given."""
         if channel is not None:
             return cls(sealed=SealedState(message=channel.encrypt(_encode_update(update))))
-        return cls(
-            client_id=update.client_id,
-            round_index=update.round_index,
-            num_samples=update.num_samples,
-            train_loss=update.train_loss,
-            train_accuracy=update.train_accuracy,
-            state=update.state,
-        )
+        return cls(update=update)
 
     def open(self, channel: SecureChannel | None = None) -> ModelUpdate:
-        """Unwrap into the legacy :class:`ModelUpdate` message."""
+        """Unwrap the carried :class:`ModelUpdate`, decrypting a sealed one."""
         if self.sealed is not None:
             if channel is None:
                 raise SecureChannelError(
                     "sealed update requires an attested session channel"
                 )
             return _decode_update(channel.decrypt(self.sealed.message))
-        return ModelUpdate(
-            client_id=self.client_id,
-            round_index=self.round_index,
-            num_samples=self.num_samples,
-            state=self.state,
-            train_loss=self.train_loss,
-            train_accuracy=self.train_accuracy,
-        )
+        return self.update

@@ -28,14 +28,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.fl.aggregation import (
-    AggregationRule,
-    fedavg,
-    streaming_aggregator_for,
-    streaming_form,
-)
+from repro.fl.aggregation import AggregationRule, FedavgStream
 from repro.fl.messages import ModelUpdate, RoundResult
-from repro.fl.packing import build_plan
 from repro.fl.runtime.attested import AttestationGate, ClientSession, enroll_and_attest
 from repro.tee.errors import AttestationError
 from repro.fl.runtime.envelopes import (
@@ -98,10 +92,9 @@ class SecureTrafficStats:
 class FederationRuntime:
     """Drives federated rounds over a transport.
 
-    ``aggregation_rule`` must have a streaming form (fedavg,
-    coordinate_median or trimmed_mean, see
-    :func:`~repro.fl.aggregation.streaming_form`); any other rule raises
-    ``ValueError`` here, before any client trains.
+    ``aggregation_rule`` is a :class:`~repro.fl.aggregation.StreamingAggregator`
+    class (or a ``functools.partial`` of one); each round calls it with the
+    broadcast state and the participant count before any client trains.
     """
 
     def __init__(
@@ -109,13 +102,12 @@ class FederationRuntime:
         global_model: ImageClassifier,
         clients: Sequence[Participant],
         transport: Transport | None = None,
-        aggregation_rule: AggregationRule = fedavg,
+        aggregation_rule: AggregationRule = FedavgStream,
         gate: AttestationGate | None = None,
         client_fraction: float = 1.0,
         seed: int | None = None,
         round_index: int = 0,
     ):
-        streaming_form(aggregation_rule)
         self.global_model = global_model
         self.clients = list(clients)
         self.transport = transport if transport is not None else Transport()
@@ -248,10 +240,8 @@ class FederationRuntime:
         encoded = None
         if any(self._session_for(client) is not None for client in participants):
             encoded = encode_state(state)
+        aggregator = self.aggregation_rule(state, len(participants))
         tasks = self._build_tasks(participants, state, encoded)
-        aggregator = streaming_aggregator_for(
-            self.aggregation_rule, build_plan(state), len(participants)
-        )
         train_losses: list[float] = []
         update_bytes = 0
         for client, reply in zip(participants, self.transport.exchange_stream(tasks)):
@@ -259,7 +249,7 @@ class FederationRuntime:
             aggregator.add(update)
             train_losses.append(update.train_loss)
             update_bytes += update.payload_nbytes
-            del update  # dropped immediately; the aggregator holds its packed row
+            del update  # dropped immediately; the aggregator keeps what it needs
         self.global_model.load_state_dict(aggregator.finalize())
         accuracy = float("nan")
         if eval_images is not None and eval_labels is not None:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -159,6 +161,43 @@ class TestGate:
         assert payload["metrics"] == {"gateway_p99_us": 5000.0}
         assert payload["cpu_count"] == (os.cpu_count() or 1)
         assert payload["area"] == "serving"
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")
+    def test_trajectory_records_a_dirty_tree(self, tmp_path, monkeypatch):
+        """A change to the tree is recorded; the BENCH files themselves are not one."""
+        conftest_path = _REPO_ROOT / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("bench_conftest_dirty", conftest_path)
+        bench_conftest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_conftest)
+        monkeypatch.setattr(bench_conftest, "REPO_ROOT", tmp_path)
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "model.py").write_text("x = 1\n")
+        (tmp_path / "BENCH_ops.json").write_text("{}\n")
+        git("add", ".")
+        git("commit", "-q", "-m", "seed")
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True, capture_output=True, text=True
+        ).stdout.strip()
+
+        def record():
+            path = bench_conftest.write_bench_trajectory("ops", {"x_s": 1.0})
+            return json.loads(path.read_text())
+
+        clean = record()  # rewrites the tracked BENCH_ops.json, which stays clean
+        assert (clean["git_sha"], clean["git_dirty"]) == (head, False)
+        assert record()["git_dirty"] is False
+        (tmp_path / "model.py").write_text("x = 2\n")
+        assert (record()["git_sha"], record()["git_dirty"]) == (head, True)
+        git("checkout", "-q", "--", "model.py")
+        (tmp_path / "new_module.py").write_text("y = 1\n")
+        assert record()["git_dirty"] is True
 
     def test_gates_the_real_trajectory_files(self, tmp_path):
         """A BENCH file written by the bench conftest gates cleanly vs itself."""

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import functools
+import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,17 +12,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.fl import (
-    CLIENT_GROUP_SIZE,
+    AGGREGATION_RULES,
+    FedavgStream,
+    MedianStream,
     ModelUpdate,
-    build_plan,
-    coordinate_median,
-    pack,
-    fedavg,
-    get_aggregation_rule,
-    streaming_aggregator_for,
-    trimmed_mean,
+    TrimmedMeanStream,
 )
-from repro.fl.aggregation import tree_reduce
+from tests.fl.aggregate import aggregate
+
+#: Every rule, parametrized under its scenario name.
+RULES = pytest.mark.parametrize(
+    "rule", list(AGGREGATION_RULES.values()), ids=list(AGGREGATION_RULES)
+)
+ROBUST_RULES = pytest.mark.parametrize(
+    "rule", [MedianStream, TrimmedMeanStream], ids=["median", "trimmed_mean"]
+)
 
 
 def _update(client_id: str, value: float, num_samples: int = 10) -> ModelUpdate:
@@ -35,32 +40,38 @@ def _update(client_id: str, value: float, num_samples: int = 10) -> ModelUpdate:
 
 class TestFedAvg:
     def test_equal_weights_give_plain_mean(self):
-        aggregated = fedavg([_update("a", 1.0), _update("b", 3.0)])
+        aggregated = aggregate(FedavgStream, [_update("a", 1.0), _update("b", 3.0)])
         np.testing.assert_allclose(aggregated["w"], 2.0)
         np.testing.assert_allclose(aggregated["b"], 2.0)
 
     def test_sample_count_weighting(self):
-        aggregated = fedavg([_update("a", 0.0, num_samples=30), _update("b", 4.0, num_samples=10)])
+        updates = [_update("a", 0.0, num_samples=30), _update("b", 4.0, num_samples=10)]
+        aggregated = aggregate(FedavgStream, updates)
         np.testing.assert_allclose(aggregated["w"], 1.0)
 
     def test_single_update_is_identity(self):
         update = _update("a", 5.0)
-        aggregated = fedavg([update])
+        aggregated = aggregate(FedavgStream, [update])
         np.testing.assert_allclose(aggregated["w"], update.state["w"])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            fedavg([])
+            aggregate(FedavgStream, [])
 
     def test_zero_total_samples_rejected(self):
         with pytest.raises(ValueError):
-            fedavg([_update("a", 1.0, num_samples=0)])
+            aggregate(FedavgStream, [_update("a", 1.0, num_samples=0)])
+
+    def test_negative_sample_count_contributes_nothing(self):
+        updates = [_update("a", 2.0), _update("evil", 100.0, num_samples=-5)]
+        aggregated = aggregate(FedavgStream, updates)
+        np.testing.assert_array_equal(aggregated["w"], np.full((2, 2), 2.0))
 
     def test_mismatching_keys_rejected(self):
         good = _update("a", 1.0)
         bad = ModelUpdate(client_id="b", round_index=0, num_samples=5, state={"other": np.ones(2)})
         with pytest.raises(ValueError):
-            fedavg([good, bad])
+            aggregate(FedavgStream, [good, bad])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -75,7 +86,7 @@ class TestFedAvg:
             ModelUpdate(client_id="a", round_index=0, num_samples=na, state={"w": a}),
             ModelUpdate(client_id="b", round_index=0, num_samples=nb, state={"w": b}),
         ]
-        aggregated = fedavg(updates)["w"]
+        aggregated = aggregate(FedavgStream, updates)["w"]
         lower = np.minimum(a, b) - 1e-9
         upper = np.maximum(a, b) + 1e-9
         assert np.all(aggregated >= lower) and np.all(aggregated <= upper)
@@ -84,7 +95,7 @@ class TestFedAvg:
 class TestRobustRules:
     def test_median_ignores_a_single_outlier(self):
         updates = [_update("a", 1.0), _update("b", 1.2), _update("evil", 100.0)]
-        aggregated = coordinate_median(updates)
+        aggregated = aggregate(MedianStream, updates)
         assert aggregated["w"].max() <= 1.2
 
     def test_trimmed_mean_discards_extremes(self):
@@ -95,38 +106,39 @@ class TestRobustRules:
             _update("d", 1.0),
             _update("evil", 1000.0),
         ]
-        aggregated = trimmed_mean(updates, trim_fraction=0.2)
+        aggregated = aggregate(partial(TrimmedMeanStream, trim_fraction=0.2), updates)
         assert aggregated["w"].max() < 10.0
 
     def test_trimmed_mean_validates_fraction(self):
         with pytest.raises(ValueError):
-            trimmed_mean([_update("a", 1.0)], trim_fraction=0.6)
+            TrimmedMeanStream(_update("a", 1.0).state, 1, trim_fraction=0.6)
 
     def test_trimmed_mean_rejects_negative_fraction(self):
         with pytest.raises(ValueError, match="trim_fraction"):
-            trimmed_mean([_update("a", 1.0)], trim_fraction=-0.1)
+            TrimmedMeanStream(_update("a", 1.0).state, 1, trim_fraction=-0.1)
 
-    @pytest.mark.parametrize("rule", [coordinate_median, trimmed_mean])
+    @ROBUST_RULES
     def test_robust_rules_reject_empty_list(self, rule):
         with pytest.raises(ValueError, match="empty"):
-            rule([])
+            aggregate(rule, [])
 
     def test_median_of_even_count_averages_middle_pair(self):
         updates = [_update("a", 1.0), _update("b", 2.0), _update("c", 4.0), _update("d", 9.0)]
-        aggregated = coordinate_median(updates)
+        aggregated = aggregate(MedianStream, updates)
         np.testing.assert_array_equal(aggregated["w"], np.full((2, 2), 3.0))
         np.testing.assert_array_equal(aggregated["b"], np.full(2, 3.0))
 
     def test_trimmed_mean_with_zero_fraction_is_plain_mean(self):
         updates = [_update("a", 1.0), _update("b", 2.0), _update("evil", 9.0)]
-        aggregated = trimmed_mean(updates, trim_fraction=0.0)
+        aggregated = aggregate(partial(TrimmedMeanStream, trim_fraction=0.0), updates)
         np.testing.assert_allclose(aggregated["w"], np.full((2, 2), 4.0))
 
     def test_rule_lookup(self):
-        assert get_aggregation_rule("fedavg") is fedavg
-        assert get_aggregation_rule("median") is coordinate_median
-        with pytest.raises(KeyError):
-            get_aggregation_rule("krum")
+        assert AGGREGATION_RULES == {
+            "fedavg": FedavgStream,
+            "median": MedianStream,
+            "trimmed_mean": TrimmedMeanStream,
+        }
 
     def test_update_nbytes(self):
         update = _update("a", 1.0)
@@ -134,7 +146,7 @@ class TestRobustRules:
 
 
 # --------------------------------------------------------------------------- #
-# Packed-vs-per-key parity, streaming byte-identity, dtype preservation
+# Per-key references, stacked reduces, dtype preservation, validation
 # --------------------------------------------------------------------------- #
 def _random_updates(count: int, dtype=np.float64, seed: int = 13) -> list[ModelUpdate]:
     rng = np.random.default_rng(seed)
@@ -181,174 +193,201 @@ def _per_key_trimmed_mean(updates, trim_fraction=0.2):
     return out
 
 
-class TestPackedParity:
-    """The packed rules agree with naive per-key references.
-
-    The packed iteration order (broadcast ``state_dict`` order) is the
-    canonical aggregation order; per-key results agree to float round-off
-    while the packed bytes are the pinned ones.
-    """
+class TestReferenceParity:
+    """The streaming rules agree with naive per-key references."""
 
     def test_fedavg_matches_per_key_loop(self):
         updates = _random_updates(37)
-        packed = fedavg(updates)
+        aggregated = aggregate(FedavgStream, updates)
         reference = _per_key_fedavg(updates)
         for key, value in reference.items():
-            np.testing.assert_allclose(packed[key], value, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(aggregated[key], value, rtol=1e-12, atol=1e-12)
 
     def test_median_matches_per_key_loop(self):
         updates = _random_updates(9)
-        packed = coordinate_median(updates)
+        aggregated = aggregate(MedianStream, updates)
         reference = _per_key_median(updates)
         for key, value in reference.items():
-            np.testing.assert_array_equal(packed[key], value)
+            np.testing.assert_array_equal(aggregated[key], value)
 
     def test_trimmed_mean_matches_per_key_loop(self):
         updates = _random_updates(11)
-        packed = trimmed_mean(updates, trim_fraction=0.2)
+        aggregated = aggregate(partial(TrimmedMeanStream, trim_fraction=0.2), updates)
         reference = _per_key_trimmed_mean(updates, trim_fraction=0.2)
         for key, value in reference.items():
-            np.testing.assert_allclose(packed[key], value, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(aggregated[key], value, rtol=1e-12, atol=1e-12)
 
 
 class TestStreamingByteIdentity:
-    def _streamed(self, rule, updates, **kwargs):
-        plan = build_plan(updates[0].state)
-        streamer = streaming_aggregator_for(rule, plan, len(updates))
-        assert streamer is not None
-        for update in updates:
-            streamer.add(update)
-        return streamer.finalize()
+    @pytest.mark.parametrize("count", [2, 3, 5, 7, 8, 13])
+    def test_fedavg_sums_in_participant_order(self, count):
+        """Bytes of an in-order weighted sum per key; within 1e-12 of the exact mean."""
+        updates = _random_updates(count)
+        aggregated = aggregate(FedavgStream, updates)
+        total_weight = sum(update.num_samples for update in updates)
+        for key in updates[0].state:
+            running = np.zeros_like(updates[0].state[key])
+            for update in updates:
+                running += update.num_samples * update.state[key]
+            running /= total_weight
+            assert aggregated[key].tobytes() == running.tobytes()
+            exact = np.array(
+                [
+                    math.fsum(update.num_samples * update.state[key].flat[i] for update in updates)
+                    / total_weight
+                    for i in range(running.size)
+                ]
+            ).reshape(running.shape)
+            scale = np.abs(exact).max()
+            np.testing.assert_allclose(aggregated[key], exact, rtol=0, atol=1e-12 * scale)
 
-    @pytest.mark.parametrize("rule", [fedavg, coordinate_median, trimmed_mean])
-    def test_streamed_bytes_equal_batch_bytes(self, rule):
-        # Spans multiple fedavg client groups, including a partial tail.
-        updates = _random_updates(CLIENT_GROUP_SIZE * 2 + 5)
-        batch = rule(updates)
-        streamed = self._streamed(rule, updates)
-        assert set(batch) == set(streamed)
-        for key in batch:
-            assert batch[key].tobytes() == streamed[key].tobytes()
+    @ROBUST_RULES
+    def test_robust_rules_do_not_depend_on_client_order(self, rule):
+        """Order statistics see a set: any permutation of the clients gives the same bytes."""
+        updates = _random_updates(8)
+        permuted = [updates[index] for index in np.random.default_rng(3).permutation(8)]
+        aggregated = aggregate(rule, updates)
+        shuffled = aggregate(rule, permuted)
+        for key, value in aggregated.items():
+            assert shuffled[key].tobytes() == value.tobytes()
 
     @pytest.mark.parametrize(
         "rule, reference",
         [
-            (coordinate_median, lambda matrix: np.median(matrix, axis=0)),
-            (trimmed_mean, lambda matrix: np.sort(matrix, axis=0)[1:-1].mean(axis=0)),
+            (MedianStream, lambda stacked: np.median(stacked, axis=0)),
+            (TrimmedMeanStream, lambda stacked: np.sort(stacked, axis=0)[1:-1].mean(axis=0)),
         ],
+        ids=["median", "trimmed_mean"],
     )
-    def test_robust_rules_reduce_the_whole_packed_matrix(self, rule, reference):
-        """One reduce over the stacked ``clients x params`` rows, nothing chunked."""
+    def test_robust_rules_reduce_each_stacked_key(self, rule, reference):
+        """One reduce over each key's ``(clients, *shape)`` buffer, nothing chunked."""
         updates = _random_updates(7)  # trim_fraction 0.2 of 7 clients drops one per side
-        plan = build_plan(updates[0].state)
-        matrix = np.stack([pack(plan, update.state) for update in updates])
-        expected = reference(matrix)
-        aggregated = rule(updates)
-        assert pack(plan, aggregated).tobytes() == expected.tobytes()
+        aggregated = aggregate(rule, updates)
+        for key in updates[0].state:
+            stacked = np.stack([update.state[key] for update in updates])
+            assert aggregated[key].tobytes() == reference(stacked).tobytes()
 
-    @pytest.mark.parametrize("rule", [coordinate_median, trimmed_mean])
+    @ROBUST_RULES
     def test_robust_rules_leave_client_updates_untouched(self, rule):
-        """The in-place reduce works on the aggregator's own packed rows."""
+        """The in-place reduce works on the aggregator's own buffers."""
         updates = _random_updates(5)
         before = [
             {key: value.copy() for key, value in update.state.items()} for update in updates
         ]
-        rule(updates)
+        aggregate(rule, updates)
         for update, saved in zip(updates, before):
             for key, value in saved.items():
                 np.testing.assert_array_equal(update.state[key], value)
 
-    def test_trim_fraction_preset_streams_with_its_fraction(self):
+    def test_trim_fraction_preset_aggregates_with_its_fraction(self):
         updates = _random_updates(10)
-        preset = functools.partial(trimmed_mean, trim_fraction=0.3)
-        streamed = self._streamed(preset, updates)
-        batch = preset(updates)
-        default = trimmed_mean(updates)
-        for key in batch:
-            assert batch[key].tobytes() == streamed[key].tobytes()
-        assert any(batch[key].tobytes() != default[key].tobytes() for key in batch)
+        preset = aggregate(partial(TrimmedMeanStream, trim_fraction=0.3), updates)
+        default = aggregate(TrimmedMeanStream, updates)
+        assert any(preset[key].tobytes() != default[key].tobytes() for key in preset)
 
     def test_streamed_counts_are_enforced(self):
         updates = _random_updates(4)
-        plan = build_plan(updates[0].state)
-        streamer = streaming_aggregator_for(fedavg, plan, 3)
+        streamer = FedavgStream(updates[0].state, 3)
         for update in updates[:3]:
             streamer.add(update)
         with pytest.raises(ValueError):
             streamer.add(updates[3])
-        short = streaming_aggregator_for(fedavg, plan, 3)
+        short = FedavgStream(updates[0].state, 3)
         short.add(updates[0])
         with pytest.raises(ValueError):
             short.finalize()
 
-    def test_unknown_rule_is_rejected(self):
-        updates = _random_updates(2)
-        plan = build_plan(updates[0].state)
-        with pytest.raises(ValueError, match="no streaming form"):
-            streaming_aggregator_for(lambda ups: {}, plan, 2)
-
 
 class TestDtypePreservation:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("rule", [fedavg, coordinate_median, trimmed_mean])
+    @RULES
     def test_aggregate_keeps_update_dtype(self, rule, dtype):
         updates = _random_updates(6, dtype=dtype)
-        aggregated = rule(updates)
+        aggregated = aggregate(rule, updates)
         for key, value in aggregated.items():
             assert value.dtype == np.dtype(dtype), (key, value.dtype)
             assert value.shape == updates[0].state[key].shape
 
+    @RULES
+    def test_list_valued_state_is_accepted(self, rule):
+        """Values only need to convert to the schema's shape and dtype."""
+        template = {"w": np.zeros(3)}
+        aggregator = rule(template, 2)
+        for value in ([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]):
+            aggregator.add(
+                ModelUpdate(client_id="c", round_index=0, num_samples=1, state={"w": value})
+            )
+        np.testing.assert_allclose(aggregator.finalize()["w"], [2.0, 2.0, 2.0])
+
+    @RULES
+    def test_mixed_dtype_schema_keeps_each_key_dtype(self, rule):
+        """Each key aggregates in its own dtype; nothing is promoted."""
+        updates = [
+            ModelUpdate(
+                client_id=f"c{index}",
+                round_index=0,
+                num_samples=3,
+                state={"a": np.full(2, index, dtype=np.float32), "b": np.full(2, 2.0 * index)},
+            )
+            for index in range(3)
+        ]
+        aggregated = aggregate(rule, updates)
+        assert aggregated["a"].dtype == np.float32
+        assert aggregated["b"].dtype == np.float64
+        np.testing.assert_allclose(aggregated["a"], 1.0)
+        np.testing.assert_allclose(aggregated["b"], 2.0)
+
 
 class TestValidationErrors:
-    def test_shape_mismatch_names_client_and_key(self):
-        updates = _random_updates(3)
-        bad_state = dict(updates[1].state)
-        bad_state["fc.weight"] = bad_state["fc.weight"].T.copy()
-        updates[1] = ModelUpdate(
-            client_id="c1", round_index=0, num_samples=5, state=bad_state
+    """An update off the broadcast schema fails naming the client and the key."""
+
+    def _with_state(self, updates, index, state):
+        updates[index] = ModelUpdate(
+            client_id=f"c{index}", round_index=0, num_samples=5, state=state
         )
-        for rule in (fedavg, coordinate_median, trimmed_mean):
-            with pytest.raises(ValueError, match=r"c1.*fc\.weight"):
-                rule(updates)
+        return updates
 
-    def test_dtype_mismatch_names_client_and_key(self):
+    @RULES
+    def test_missing_key_names_client_and_key(self, rule):
         updates = _random_updates(3)
-        bad_state = dict(updates[2].state)
-        bad_state["conv.bias"] = bad_state["conv.bias"].astype(np.float32)
-        updates[2] = ModelUpdate(
-            client_id="c2", round_index=0, num_samples=5, state=bad_state
+        broken = dict(updates[1].state)
+        del broken["conv.bias"]
+        with pytest.raises(ValueError, match=r"client 'c1'.*missing.*conv\.bias"):
+            aggregate(rule, self._with_state(updates, 1, broken))
+
+    @RULES
+    def test_extra_key_names_client_and_key(self, rule):
+        updates = _random_updates(3)
+        extra = dict(updates[2].state, rogue=np.zeros(1))
+        with pytest.raises(ValueError, match=r"client 'c2'.*unexpected.*rogue"):
+            aggregate(rule, self._with_state(updates, 2, extra))
+
+    @RULES
+    def test_shape_mismatch_names_client_and_key(self, rule):
+        updates = _random_updates(3)
+        bad = dict(updates[1].state)
+        bad["fc.weight"] = bad["fc.weight"].T.copy()
+        with pytest.raises(ValueError, match=r"c1.*fc\.weight.*shape"):
+            aggregate(rule, self._with_state(updates, 1, bad))
+
+    @RULES
+    def test_dtype_mismatch_names_client_and_key(self, rule):
+        updates = _random_updates(3)
+        bad = dict(updates[2].state)
+        bad["conv.bias"] = bad["conv.bias"].astype(np.float32)
+        with pytest.raises(ValueError, match=r"c2.*conv\.bias.*dtype"):
+            aggregate(rule, self._with_state(updates, 2, bad))
+
+    def test_schema_is_the_template_not_the_first_update(self):
+        """Validation is against the broadcast, so a bad first update fails too."""
+        updates = _random_updates(2)
+        template = dict(updates[0].state)
+        updates[0] = ModelUpdate(
+            client_id="c0",
+            round_index=0,
+            num_samples=5,
+            state=dict(template, **{"conv.bias": np.zeros(4)}),
         )
-        for rule in (fedavg, coordinate_median, trimmed_mean):
-            with pytest.raises(ValueError, match=r"c2.*conv\.bias"):
-                rule(updates)
-
-
-class TestTreeReduce:
-    def test_single_slab_copies(self, rng):
-        slab = rng.normal(size=(3, 4))
-        out = np.empty_like(slab)
-        tree_reduce([slab.copy()], out)
-        assert out.tobytes() == slab.tobytes()
-
-    @pytest.mark.parametrize("count", [2, 3, 5, 7, 8, 13])
-    def test_sums_are_close_and_deterministic(self, rng, count):
-        slabs = [rng.normal(size=(6, 5)) for _ in range(count)]
-        out = np.empty((6, 5))
-        tree_reduce([s.copy() for s in slabs], out)
-        np.testing.assert_allclose(out, np.sum(slabs, axis=0), rtol=1e-9, atol=1e-12)
-        again = np.empty((6, 5))
-        tree_reduce([s.copy() for s in slabs], again)
-        assert out.tobytes() == again.tobytes()
-
-    def test_combine_order_is_a_function_of_count_alone(self, rng):
-        """Filling leaves in any order (any worker schedule) changes nothing."""
-        slabs = [rng.normal(size=(4, 4)) for _ in range(5)]
-        expected = np.empty((4, 4))
-        tree_reduce([s.copy() for s in slabs], expected)
-        # The slab *list* is always indexed by client group, so arrival
-        # order cannot matter — but prove the tree itself differs from a
-        # naive left fold only in bits, not value.
-        fold = slabs[0].copy()
-        for slab in slabs[1:]:
-            fold = fold + slab
-        np.testing.assert_allclose(expected, fold, rtol=1e-9, atol=1e-12)
+        aggregator = FedavgStream(template, 2)
+        with pytest.raises(ValueError, match=r"c0.*conv\.bias.*shape"):
+            aggregator.add(updates[0])

@@ -10,15 +10,16 @@ from repro.data.splits import iid_partition
 from repro.fl import (
     ClientConfig,
     CompromisedClient,
+    FedavgStream,
     FederationRuntime,
     GlobalModelBroadcast,
     HonestClient,
     add_backdoor_trigger,
-    fedavg,
     poison_with_backdoor,
 )
 from repro.fl.runtime import client_task_seed
 from repro.models.simple import MLPClassifier
+from tests.fl.aggregate import aggregate
 
 
 def _mlp_factory():
@@ -87,7 +88,7 @@ class TestRuntimeRounds:
         assert result.final_accuracy > 0.8
 
     def test_round_installs_fedavg_of_client_updates(self, rng):
-        """The streamed round installs exactly the batch FedAvg of its updates."""
+        """The streamed round installs exactly the FedAvg of its updates."""
         images, labels = _toy_federated_data(rng)
         parts = iid_partition(labels, 2, rng=rng)
         runtime = FederationRuntime(_mlp_factory(), _iid_clients(images, labels, parts), seed=11)
@@ -98,7 +99,7 @@ class TestRuntimeRounds:
             seed = client_task_seed(11, 0, client.client_id)
             updates.append(client.local_update(0, rng=np.random.default_rng(seed)))
         runtime.run_round()
-        expected = fedavg(updates)
+        expected = aggregate(FedavgStream, updates)
         for name, value in runtime.global_model.state_dict().items():
             np.testing.assert_array_equal(value, expected[name])
 
@@ -119,7 +120,7 @@ class TestRuntimeRounds:
                 updates.append(client.local_update(round_index, rng=np.random.default_rng(seed)))
             result = runtime.run_round()
             assert result.participating_clients == ["client0", "client1"]
-            expected = fedavg(updates)
+            expected = aggregate(FedavgStream, updates)
             for name, value in runtime.global_model.state_dict().items():
                 np.testing.assert_array_equal(value, expected[name])
         assert runtime.round_index == 2

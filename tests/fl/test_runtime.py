@@ -2,24 +2,28 @@
 
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.attacks import PGD
 from repro.fl import (
+    AGGREGATION_RULES,
     AttestationGate,
     BroadcastEnvelope,
     ClientConfig,
     CompromisedClient,
     FederationRuntime,
+    FedavgStream,
     HonestClient,
+    MedianStream,
     ModelPoisoningClient,
     Transport,
+    TrimmedMeanStream,
     UpdateEnvelope,
     enroll_and_attest,
-    trimmed_mean,
-    coordinate_median,
-    fedavg,
 )
 from repro.fl.messages import ModelUpdate
 from repro.fl.runtime import (
@@ -72,6 +76,26 @@ def _honest_clients(images, labels, count=3, enclaves=False, config=None):
     ]
 
 
+class _NoiseClient:
+    """Replies with the broadcast plus task-seeded noise, without training."""
+
+    is_compromised = False
+
+    def __init__(self, client_id: str, num_samples: int):
+        self.client_id = client_id
+        self.num_samples = num_samples
+
+    def receive(self, broadcast):
+        self._state = broadcast.state
+
+    def local_update(self, round_index, rng=None):
+        state = {
+            key: (value + rng.normal(size=value.shape)).astype(value.dtype)
+            for key, value in self._state.items()
+        }
+        return ModelUpdate(self.client_id, round_index, self.num_samples, state)
+
+
 def _seal(channel, state):
     return SealedState(message=channel.encrypt(encode_state(state)))
 
@@ -103,13 +127,7 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             BroadcastEnvelope(round_index=0)
         with pytest.raises(ValueError):
-            UpdateEnvelope(
-                client_id="c",
-                round_index=0,
-                num_samples=1,
-                train_loss=0.0,
-                train_accuracy=0.0,
-            )
+            UpdateEnvelope()
 
     def test_sealed_broadcast_requires_channel(self, rng):
         channel = SecureChannel(b"k" * 32, rng=rng)
@@ -122,7 +140,9 @@ class TestEnvelopes:
             client_id="c0", round_index=1, num_samples=7, state={"w": np.ones(3)},
             train_loss=0.5, train_accuracy=0.9,
         )
-        reopened = UpdateEnvelope.from_update(update).open()
+        envelope = UpdateEnvelope.from_update(update)
+        assert envelope.update is update and not envelope.is_sealed
+        reopened = envelope.open()
         assert reopened.client_id == "c0"
         assert reopened.num_samples == 7
         np.testing.assert_array_equal(reopened.state["w"], update.state["w"])
@@ -190,7 +210,9 @@ class TestTransportParity:
             result.global_accuracy,
         )
 
-    @pytest.mark.parametrize("rule", [fedavg, coordinate_median, trimmed_mean])
+    @pytest.mark.parametrize(
+        "rule", list(AGGREGATION_RULES.values()), ids=list(AGGREGATION_RULES)
+    )
     def test_streamed_aggregates_byte_identical_across_worker_counts(self, rule):
         """Streaming reduce is pinned: {1, 2, 8} workers give the same bytes."""
         reference = self._streamed_aggregate(1, rule)
@@ -198,6 +220,47 @@ class TestTransportParity:
             assert self._streamed_aggregate(workers, rule) == reference, (
                 f"{rule.__name__} aggregate bytes changed at {workers} workers"
             )
+
+    @pytest.mark.parametrize(
+        "rule", list(AGGREGATION_RULES.values()), ids=list(AGGREGATION_RULES)
+    )
+    def test_seventy_client_aggregates_identical_across_transports(self, rule):
+        """A 70-client round aggregates to the same bytes on serial and process transports."""
+        clients = [_NoiseClient(f"n{index}", 1 + index % 9) for index in range(70)]
+        states = {}
+        for backend in ("serial", "process"):
+            set_global_seed(70)
+            runtime = FederationRuntime(
+                _mlp_factory(),
+                clients,
+                Transport(backend, max_workers=2),
+                aggregation_rule=rule,
+                seed=70,
+            )
+            broadcast = runtime.global_model.state_dict()
+            runtime.run_round()
+            states[backend] = runtime.global_model.state_dict()
+        for key, value in states["serial"].items():
+            assert value.tobytes() == states["process"][key].tobytes(), key
+        if rule is FedavgStream:
+            # Exact weighted mean: the same task-seeded noise, summed with fsum.
+            weights = [client.num_samples for client in clients]
+            noise = [
+                np.random.default_rng(client_task_seed(70, 0, client.client_id))
+                for client in clients
+            ]
+            expected = {}
+            for key, value in broadcast.items():
+                terms = np.stack([
+                    w * (value + rng.normal(size=value.shape)).astype(value.dtype)
+                    for w, rng in zip(weights, noise)
+                ]).astype(np.float64)
+                expected[key] = np.apply_along_axis(math.fsum, 0, terms) / sum(weights)
+            error = max(np.abs(states["serial"][k] - expected[k]).max() for k in expected)
+            scale = max(np.abs(expected[k]).max() for k in expected)
+            # 1e-12 at float64; a float32 state rounds each running sum far sooner.
+            dtype = next(iter(broadcast.values())).dtype
+            assert error <= max(1e-12, 100 * np.finfo(dtype).eps) * scale
 
 
 # --------------------------------------------------------------------------- #
@@ -229,11 +292,9 @@ class TestRobustAggregationUnderAttack:
         return result.final_accuracy
 
     def test_robust_rules_outvote_poisoned_updates_where_fedavg_fails(self):
-        from functools import partial
-
-        poisoned_fedavg = self._final_accuracy(fedavg)
-        robust_trimmed = self._final_accuracy(partial(trimmed_mean, trim_fraction=0.25))
-        robust_median = self._final_accuracy(coordinate_median)
+        poisoned_fedavg = self._final_accuracy(FedavgStream)
+        robust_trimmed = self._final_accuracy(partial(TrimmedMeanStream, trim_fraction=0.25))
+        robust_median = self._final_accuracy(MedianStream)
         assert robust_trimmed > 0.8
         assert robust_median > 0.8
         assert poisoned_fedavg < 0.6
@@ -429,7 +490,8 @@ class TestRoundSamplingAndEval:
             assert result.global_accuracy == runtime.global_model.accuracy(images, labels)
         assert np.isnan(runtime.run_round().global_accuracy)
 
-    def test_rule_without_streaming_form_fails_before_training(self, rng):
+    def test_aggregator_is_built_before_any_client_trains(self, rng):
+        """A rule that cannot build an aggregator fails the round before training."""
         trained: list[str] = []
 
         class RecordingClient(HonestClient):
@@ -439,9 +501,13 @@ class TestRoundSamplingAndEval:
 
         images, labels = _toy_data(rng)
         clients = [RecordingClient("r0", _mlp_factory, images[:30], labels[:30])]
-        with pytest.raises(ValueError, match="no streaming form"):
-            FederationRuntime(_mlp_factory(), clients, aggregation_rule=lambda updates: {})
+        runtime = FederationRuntime(
+            _mlp_factory(), clients, aggregation_rule=partial(TrimmedMeanStream, trim_fraction=0.6)
+        )
+        with pytest.raises(ValueError, match="trim_fraction"):
+            runtime.run_round()
         assert trained == []
+        assert runtime.round_index == 0
 
     def test_default_fraction_sampling(self, rng):
         images, labels = _toy_data(rng)
