@@ -14,6 +14,8 @@ backend of the last run).
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from benchmarks.conftest import BENCH_SCALE, RESULTS_DIR, run_once, write_bench_trajectory
@@ -62,25 +64,45 @@ def test_fl_round_throughput(benchmark, backend):
     _RATES[backend] = rate
 
 
+#: Thousand-client runs per bench session; the trajectory records their
+#: median, because a single run spreads by more than compare_bench.py's
+#: tolerance on the same tree.
+_THOUSAND_RUNS = 3
+
+
 def test_fl_thousand_clients_round(benchmark):
-    """A full thousand-client round: rounds/sec, updates/sec, bytes on wire."""
+    """A full thousand-client round: rounds/sec, updates/sec, bytes on wire.
+
+    The scenario runs :data:`_THOUSAND_RUNS` times; every run must move the
+    same bytes, and the recorded rates are the median over the runs.
+    """
     engine = ExperimentEngine(results_dir=RESULTS_DIR)
-    record = run_once(benchmark, engine.run, "fl_thousand_clients", scale=BENCH_SCALE)
-    results = record.results
+    records = [run_once(benchmark, engine.run, "fl_thousand_clients", scale=BENCH_SCALE)]
+    records += [
+        engine.run("fl_thousand_clients", scale=BENCH_SCALE) for _ in range(_THOUSAND_RUNS - 1)
+    ]
+    runs = [record.results for record in records]
+    results = runs[0]
     updates = sum(len(entry["participating_clients"]) for entry in results["rounds"])
     print()
-    print(render_run(record))
-    print(
-        f"[thousand] {updates} updates over {len(results['rounds'])} round(s) in "
-        f"{results['elapsed_seconds']:.2f}s = {results['updates_per_second']:.0f} updates/s, "
-        f"{results['bytes_on_wire'] / 1e6:.2f} MB on wire"
-    )
+    print(render_run(records[0]))
+    for run in runs:
+        print(
+            f"[thousand] {updates} updates over {len(run['rounds'])} round(s) in "
+            f"{run['elapsed_seconds']:.2f}s = {run['updates_per_second']:.0f} updates/s, "
+            f"{run['bytes_on_wire'] / 1e6:.2f} MB on wire"
+        )
     # Bench scale federates 10^3 clients (full doubles it) — the round must
     # actually complete at that population, not a clamped-down one.
     assert updates >= 1000, f"thousand-client round only saw {updates} updates"
     assert results["bytes_on_wire"] > 0
-    _SCALE_METRICS["thousand_updates_per_second"] = float(results["updates_per_second"])
-    _SCALE_METRICS["thousand_rounds_per_second"] = float(results["rounds_per_second"])
+    assert all(run["bytes_on_wire"] == results["bytes_on_wire"] for run in runs)
+    _SCALE_METRICS["thousand_updates_per_second"] = statistics.median(
+        float(run["updates_per_second"]) for run in runs
+    )
+    _SCALE_METRICS["thousand_rounds_per_second"] = statistics.median(
+        float(run["rounds_per_second"]) for run in runs
+    )
     _SCALE_METRICS["thousand_bytes_on_wire"] = float(results["bytes_on_wire"])
 
 

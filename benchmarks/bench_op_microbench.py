@@ -1,22 +1,17 @@
-"""Per-kernel microbenchmarks: eager dispatch vs pooled buffers vs fused replay.
+"""Per-kernel microbenchmarks: eager dispatch vs fused replay.
 
-Three execution modes of the same op-registry kernels are timed:
+Two execution modes of the same op-registry kernels are timed:
 
 * **eager** — the dispatcher traces a fresh graph per step and every kernel
-  allocates its output (the classic engine behaviour);
-* **pooled** — identical, but a :class:`~repro.autodiff.pool.BufferPool` is
-  active and recycled per step, so elementwise kernels write into reused
-  ``out=`` arrays instead of allocating;
+  allocates its output;
 * **fused replay** — the chain is recorded once and replayed through the
   capture layer's fused elementwise chains (kernels write the recorded
   buffers in place; no graph rebuild, no temporaries).
 
-Two hard gates are asserted: the pool stops allocating after the first step
-(pooled-vs-unpooled allocation count), and the fused replay beats the eager
-engine on the elementwise-chain workload that dominates attack inner loops
-and serving forwards.  A signed-input gelu leg gates the gelu kernel
-against tanh.  All numbers land as JSON under ``results/runs`` for
-EXPERIMENTS.md.
+The hard gate is that the fused replay beats the eager engine on the
+elementwise-chain workload that dominates attack inner loops.  A
+signed-input gelu leg gates the gelu kernel against tanh.  All numbers land
+as JSON under ``results/runs`` for EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -27,13 +22,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import RESULTS_DIR, run_once, write_bench_trajectory
-from repro.autodiff import (
-    CapturedExecution,
-    EagerExecution,
-    Tensor,
-    TraceHandles,
-    use_buffer_pool,
-)
+from repro.autodiff import CapturedExecution, EagerExecution, Tensor, TraceHandles
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
 
@@ -71,7 +60,7 @@ def _chain_trace():
 
 
 def _time_kernels() -> dict:
-    """Per-kernel eager vs pooled dispatch timings (µs per call)."""
+    """Per-kernel eager dispatch timings (µs per call)."""
     rng = np.random.default_rng(11)
     rows: dict[str, dict] = {}
     for name, (shapes, params) in _KERNEL_CASES.items():
@@ -81,20 +70,7 @@ def _time_kernels() -> dict:
         for _ in range(_KERNEL_REPEATS):
             op_registry.apply(name, tensors, dict(params))
         eager_seconds = time.perf_counter() - start
-        with use_buffer_pool() as pool:
-            op_registry.apply(name, tensors, dict(params))
-            pool.recycle()
-            start = time.perf_counter()
-            for _ in range(_KERNEL_REPEATS):
-                op_registry.apply(name, tensors, dict(params))
-                pool.recycle()
-            pooled_seconds = time.perf_counter() - start
-        rows[name] = {
-            "eager_us_per_call": eager_seconds / _KERNEL_REPEATS * 1e6,
-            "pooled_us_per_call": pooled_seconds / _KERNEL_REPEATS * 1e6,
-            "pool_allocations": pool.stats.allocations,
-            "pool_reuses": pool.stats.reuses,
-        }
+        rows[name] = {"eager_us_per_call": eager_seconds / _KERNEL_REPEATS * 1e6}
     return rows
 
 
@@ -142,7 +118,7 @@ def _time_signed_gelu() -> dict:
 
 
 def _time_chain() -> dict:
-    """Elementwise-chain gradient queries: eager vs pooled vs fused replay."""
+    """Elementwise-chain gradient queries: eager vs fused replay."""
     rng = np.random.default_rng(13)
     trace = _chain_trace()
     batches = [rng.normal(size=_CHAIN_SHAPE) for _ in range(_CHAIN_STEPS)]
@@ -160,22 +136,6 @@ def _time_chain() -> dict:
     eager.run(trace, batches[0])  # warm-up
     eager_seconds = best_of(3, lambda batch: eager.run(trace, batch))
 
-    def pooled_step(batch):
-        eager.run(trace, batch)
-        pool.recycle()
-
-    with use_buffer_pool() as pool:
-        pooled_step(batches[0])  # warm the free lists
-        allocations_after_warm_step = pool.stats.allocations
-        pooled_seconds = best_of(3, pooled_step)
-    # The hard pooling gate: a warm pool never allocates again — every step
-    # after the first draws all of its elementwise outputs from the free
-    # lists (unpooled execution allocates the same arrays every step).
-    assert pool.stats.allocations == allocations_after_warm_step, (
-        f"pool kept allocating: {pool.stats.allocations} != {allocations_after_warm_step}"
-    )
-    assert pool.stats.reuses >= (_CHAIN_STEPS - 1) * allocations_after_warm_step
-
     captured = CapturedExecution()
     captured.run(trace, batches[0], key="chain")
     captured.run(trace, batches[1], key="chain")  # records
@@ -188,33 +148,26 @@ def _time_chain() -> dict:
         "shape": list(_CHAIN_SHAPE),
         "steps": _CHAIN_STEPS,
         "eager_seconds": eager_seconds,
-        "pooled_seconds": pooled_seconds,
         "fused_replay_seconds": fused_seconds,
         "fused_speedup_vs_eager": eager_seconds / max(fused_seconds, 1e-9),
-        "pooled_allocations_per_step": 0,
-        "unpooled_allocations_per_step": allocations_after_warm_step,
-        "pool_stats": pool.stats.as_dict(),
         "fused_chains": recording.fused_chains,
         "fused_ops": recording.fused_ops,
         "queries_per_second": {
             "eager": _CHAIN_STEPS / eager_seconds,
-            "pooled": _CHAIN_STEPS / pooled_seconds,
             "fused_replay": _CHAIN_STEPS / fused_seconds,
         },
     }
 
 
 def test_op_microbench_and_report(benchmark):
-    """Kernel table + chain workload; fused+pooled must beat eager."""
+    """Kernel table + chain workload; the fused replay must beat eager."""
     kernels = run_once(benchmark, _time_kernels)
     signed_gelu = _time_signed_gelu()
     chain = _time_chain()
     print()
-    print(f"{'kernel':<10}{'eager µs':>12}{'pooled µs':>12}")
+    print(f"{'kernel':<10}{'eager µs':>12}")
     for name, row in kernels.items():
-        print(
-            f"{name:<10}{row['eager_us_per_call']:>12.1f}{row['pooled_us_per_call']:>12.1f}"
-        )
+        print(f"{name:<10}{row['eager_us_per_call']:>12.1f}")
     print(
         f"[signed gelu {signed_gelu['shape']} {signed_gelu['dtype']}] "
         f"forward {signed_gelu['gelu_forward_us']:.1f} µs "
@@ -237,7 +190,6 @@ def test_op_microbench_and_report(benchmark):
     )
     print(
         f"[chain {chain['shape']}] eager {chain['eager_seconds']:.3f}s, "
-        f"pooled {chain['pooled_seconds']:.3f}s, "
         f"fused replay {chain['fused_replay_seconds']:.3f}s "
         f"({chain['fused_speedup_vs_eager']:.2f}x, "
         f"{chain['fused_chains']} chains / {chain['fused_ops']} fused ops)"
@@ -261,7 +213,6 @@ def test_op_microbench_and_report(benchmark):
             "signed_gelu_forward_us": signed_gelu["gelu_forward_us"],
             "signed_gelu_forward_backward_us": signed_gelu["gelu_forward_backward_us"],
             "chain_eager_seconds": chain["eager_seconds"],
-            "chain_pooled_seconds": chain["pooled_seconds"],
             "chain_fused_replay_seconds": chain["fused_replay_seconds"],
             "chain_fused_speedup_vs_eager": chain["fused_speedup_vs_eager"],
         },

@@ -17,6 +17,11 @@ import numpy as np
 from repro.attacks.base import IterativeAttack, project_linf
 
 
+def _batch_mean(values: np.ndarray) -> float:
+    """Mean over the batch; 0 for an empty batch, which has no progress to track."""
+    return values.mean() if len(values) else 0.0
+
+
 class APGD(IterativeAttack):
     """Adaptive-step PGD with momentum and best-point restarts."""
 
@@ -84,7 +89,7 @@ class APGD(IterativeAttack):
             state["step_size"] = 2.0 * self.epsilon
             state["improvements"] = 0
             state["since_checkpoint"] = 0
-            state["loss_at_checkpoint"] = state["best_loss"].mean()
+            state["loss_at_checkpoint"] = _batch_mean(state["best_loss"])
         gradient = view.gradient(adversarials, labels, loss="ce")
         step = state["step_size"] * np.sign(gradient)
         momentum_term = self.momentum * (adversarials - state["previous"])
@@ -100,20 +105,20 @@ class APGD(IterativeAttack):
         improved = losses > state["best_loss"]
         state["best"][improved] = current[improved]
         state["best_loss"][improved] = losses[improved]
-        state["improvements"] += int(improved.mean() > 0.5)
+        state["improvements"] += int(_batch_mean(improved) > 0.5)
         state["since_checkpoint"] += 1
         if local in state["checkpoints"] and local > 0:
             # Halve the step size when progress stalled since last checkpoint
             # (condition 1 of APGD: too few improving iterations).
             if (
                 state["improvements"] < self.rho * state["since_checkpoint"]
-                or state["best_loss"].mean() <= state["loss_at_checkpoint"]
+                or _batch_mean(state["best_loss"]) <= state["loss_at_checkpoint"]
             ):
                 state["step_size"] /= 2.0
                 current = np.array(state["best"], copy=True)
             state["improvements"] = 0
             state["since_checkpoint"] = 0
-            state["loss_at_checkpoint"] = state["best_loss"].mean()
+            state["loss_at_checkpoint"] = _batch_mean(state["best_loss"])
         return current
 
     def finalize(self, views, adversarials, originals, labels, state) -> np.ndarray:

@@ -11,6 +11,7 @@ counting, per-step callbacks and active-set shrinking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -52,13 +53,17 @@ class AttackResult:
 
     def linf_norms(self) -> np.ndarray:
         """Per-sample l-infinity perturbation magnitude."""
-        flat = np.abs(self.perturbations).reshape(len(self.labels), -1)
-        return flat.max(axis=1)
+        return np.abs(flatten_samples(self.perturbations)).max(axis=1)
 
     def l2_norms(self) -> np.ndarray:
         """Per-sample l2 perturbation magnitude."""
-        flat = self.perturbations.reshape(len(self.labels), -1)
-        return np.sqrt((flat**2).sum(axis=1))
+        return np.sqrt((flatten_samples(self.perturbations) ** 2).sum(axis=1))
+
+
+def flatten_samples(batch: np.ndarray) -> np.ndarray:
+    """``batch`` as ``(samples, features)``, sized explicitly so that an empty
+    batch reshapes too (``reshape(0, -1)`` cannot infer the feature count)."""
+    return batch.reshape(len(batch), math.prod(batch.shape[1:]))
 
 
 def project_linf(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.base import IterativeAttack
+from repro.attacks.base import IterativeAttack, flatten_samples
 
 
 class CarliniWagner(IterativeAttack):
@@ -58,7 +58,7 @@ class CarliniWagner(IterativeAttack):
         penalty_gradient = 2.0 * (adversarials - originals)
         update = margin_gradient - self.l2_penalty * penalty_gradient
         # Normalised (per-sample) gradient ascent step on the objective.
-        flat = np.abs(update).reshape(len(update), -1).max(axis=1)
+        flat = np.abs(flatten_samples(update)).max(axis=1)
         flat = np.maximum(flat, 1e-12).reshape(-1, *([1] * (update.ndim - 1)))
         adversarials = adversarials + self.step_size * update / flat
         adversarials = np.clip(adversarials, self.clip_min, self.clip_max)

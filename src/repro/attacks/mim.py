@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.base import IterativeAttack, project_linf
+from repro.attacks.base import IterativeAttack, flatten_samples, project_linf
 
 
 class MIM(IterativeAttack):
@@ -40,7 +40,7 @@ class MIM(IterativeAttack):
 
     def step(self, views, adversarials, originals, labels, state, iteration) -> np.ndarray:
         gradient = views[0].gradient(adversarials, labels, loss="ce")
-        flat_norm = np.abs(gradient).reshape(len(gradient), -1).sum(axis=1)
+        flat_norm = np.abs(flatten_samples(gradient)).sum(axis=1)
         flat_norm = np.maximum(flat_norm, 1e-12).reshape(-1, *([1] * (gradient.ndim - 1)))
         state["velocity"] = self.decay * state["velocity"] + gradient / flat_norm
         adversarials = adversarials + self.step_size * np.sign(state["velocity"])

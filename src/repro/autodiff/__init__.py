@@ -55,7 +55,6 @@ from repro.autodiff.ops import (
     elementwise_ops,
     registered_ops,
 )
-from repro.autodiff.pool import BufferPool, active_buffer_pool, use_buffer_pool
 from repro.autodiff.profiler import OpProfiler, active_profiler, profile_ops
 from repro.autodiff.tensor import (
     Tensor,
@@ -68,7 +67,6 @@ from repro.autodiff.tensor import (
 )
 
 __all__ = [
-    "BufferPool",
     "CapturedExecution",
     "EXECUTION_BACKENDS",
     "EagerExecution",
@@ -88,7 +86,6 @@ __all__ = [
     "elementwise_ops",
     "registered_ops",
     "resolve_execution_backend",
-    "active_buffer_pool",
     "active_profiler",
     "active_shield_region",
     "col2im",
@@ -119,5 +116,4 @@ __all__ = [
     "stack",
     "topological_order",
     "unbroadcast",
-    "use_buffer_pool",
 ]

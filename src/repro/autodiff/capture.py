@@ -261,6 +261,8 @@ class GraphRecording:
                 if node.backward_fn is None or node.grad is None:
                     continue
                 node.backward_fn(node.grad)
+                if not node.retains_grad:
+                    node.grad = None
         for obj, attribute, value in self.rebinds:
             setattr(obj, attribute, value)
         self.replays += 1

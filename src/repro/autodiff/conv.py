@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.pool import scratch_pool
 from repro.autodiff.tensor import Tensor
 
 
@@ -44,19 +43,15 @@ def im2col_into(
 
     Bit-identical to :func:`im2col` (both copy the same padded-input
     elements), but writes the caller's buffer in place (one sample's rows of
-    a recorded ``saved["col"]`` matrix) and draws its padded scratch from the
-    process-wide :func:`~repro.autodiff.pool.scratch_pool`.
+    a recorded ``saved["col"]`` matrix).
     """
     if not out.flags.c_contiguous:
         raise ValueError("im2col_into requires a C-contiguous out buffer")
     n, c, h, w = images.shape
     out_h = _output_size(h, kh, stride, padding)
     out_w = _output_size(w, kw, stride, padding)
-    pool = None
     if padding:
-        pool = scratch_pool()
-        padded = pool.take((n, c, h + 2 * padding, w + 2 * padding), images.dtype)
-        padded.fill(0)
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=images.dtype)
         padded[:, :, padding : padding + h, padding : padding + w] = images
     else:
         padded = images
@@ -70,8 +65,6 @@ def im2col_into(
             col[:, :, :, :, y, x] = padded[:, :, y:y_max:stride, x:x_max:stride].transpose(
                 0, 2, 3, 1
             )
-    if pool is not None:
-        pool.release(padded)
 
 
 def col2im(

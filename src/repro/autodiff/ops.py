@@ -6,7 +6,7 @@ closure pair at its call site — ~60 of them scattered across ``tensor.py``,
 declarative objects instead:
 
 * an :class:`Op` bundles the op's name, its forward kernel (with ``out=``
-  support so pooled buffers and fused replays can write in place), its
+  support so captured and fused replays can write in place), its
   backward kernel, FLOP + byte cost metadata, and gradient-check sample
   configurations;
 * :func:`apply` is the one dispatcher that runs the kernel, builds the graph
@@ -37,8 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.autodiff import profiler as _profiler
-from repro.autodiff.pool import active_buffer_pool, scratch_pool
-from repro.autodiff.tensor import Tensor, get_default_dtype, unbroadcast
+from repro.autodiff.tensor import Tensor, unbroadcast
 
 __all__ = [
     "GradSample",
@@ -137,8 +136,8 @@ class Op:
     name: str
     forward: Callable[[tuple, dict, dict, np.ndarray | None], np.ndarray]
     backward: Callable[["OpCall", np.ndarray], tuple] | None
-    #: Pure elementwise kernel (broadcasting allowed): eligible for buffer
-    #: pooling in eager mode and chain fusion in captured replays.
+    #: Pure elementwise kernel (broadcasting allowed): eligible for chain
+    #: fusion in captured replays.
     elementwise: bool = False
     #: Whether a recorded node of this op can be replayed (dropout cannot:
     #: it redraws its mask per call).
@@ -249,26 +248,6 @@ def elementwise_ops() -> tuple[str, ...]:
     return tuple(sorted(name for name, op in REGISTRY.items() if op.elementwise))
 
 
-def _acquire_pooled_out(op: Op, arrays: tuple[np.ndarray, ...]) -> np.ndarray | None:
-    """A pooled ``out=`` buffer for an elementwise kernel, when safe.
-
-    Pooling only engages when the kernel's natural result dtype survives the
-    :class:`Tensor` constructor unchanged — mixing dtypes must keep today's
-    compute-then-cast semantics bit-for-bit.
-    """
-    pool = active_buffer_pool()
-    if pool is None or not op.elementwise:
-        return None
-    dtype = arrays[0].dtype if len(arrays) == 1 else np.result_type(*arrays)
-    if dtype != get_default_dtype():
-        return None
-    try:
-        shape = np.broadcast_shapes(*(array.shape for array in arrays))
-    except ValueError:
-        return None
-    return pool.acquire(shape, dtype)
-
-
 def apply(op: Op | str, inputs: Sequence, params: dict | None = None) -> Tensor:
     """Dispatch one op: run the kernel, build the graph node, wire gradients.
 
@@ -284,17 +263,16 @@ def apply(op: Op | str, inputs: Sequence, params: dict | None = None) -> Tensor:
     call = OpCall(op, tensors, params)
     arrays = call.inputs
     profiler = _profiler.active_profiler()
-    out = _acquire_pooled_out(op, arrays)
     if profiler is not None:
         started = time.perf_counter()
-        data = op.forward(arrays, params, call.saved, out)
+        data = op.forward(arrays, params, call.saved, None)
         elapsed = time.perf_counter() - started
         flops, moved = op.cost_of(
             tuple(array.shape for array in arrays), data.shape, params, data.dtype.itemsize
         )
         profiler.record(op.name, elapsed, flops, moved)
     else:
-        data = op.forward(arrays, params, call.saved, out)
+        data = op.forward(arrays, params, call.saved, None)
     requires_grad = any(tensor.requires_grad for tensor in tensors)
     node = Tensor(data, requires_grad=requires_grad, parents=tensors, op=op.name)
     call.output = node
@@ -919,8 +897,7 @@ def _conv2d_run_bands(inputs, params, col, out, units) -> None:
     _, _, out_h, out_w = out.shape
     rows = out_h * out_w
     weight_t = weight.reshape(c_out, -1).T
-    pool = scratch_pool()
-    band = pool.take((rows, c_out), out.dtype)
+    band = np.empty((rows, c_out), dtype=out.dtype)
     for index in range(units):
         col_rows = col[index * rows : (index + 1) * rows]
         im2col_into(x[index : index + 1], kh, kw, stride, padding, col_rows)
@@ -928,7 +905,6 @@ def _conv2d_run_bands(inputs, params, col, out, units) -> None:
         if bias is not None:
             band += bias.reshape(1, c_out)
         out[index] = band.reshape(out_h, out_w, c_out).transpose(2, 0, 1)
-    pool.release(band)
 
 
 def _conv2d_forward(inputs, params, saved, out):

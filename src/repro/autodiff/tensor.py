@@ -152,6 +152,10 @@ class Tensor:
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: np.ndarray | None = None
+        #: Keep ``grad`` after :meth:`backward` although this is not a leaf
+        #: (the shielded model sets it on the frontier, whose adjoint the
+        #: attacker reads).
+        self.retains_grad = False
         self.parents: tuple[Tensor, ...] = tuple(parents)
         self.op = op
         self.name = name
@@ -250,6 +254,12 @@ class Tensor:
         ``grad`` defaults to ones, which is the usual convention for scalar
         losses; a custom upstream gradient can be supplied for
         vector-Jacobian products.
+
+        Leaves (parameters, inputs) keep their gradients.  An intermediate
+        tensor's gradient is dropped as soon as it has been propagated to
+        the tensor's parents, unless its ``retains_grad`` is set, so a
+        backward pass reuses the memory of the gradients it is done with
+        instead of holding one per graph node.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
@@ -263,6 +273,8 @@ class Tensor:
             if node.backward_fn is None or node.grad is None:
                 continue
             node.backward_fn(node.grad)
+            if not node.retains_grad:
+                node.grad = None
 
     # ------------------------------------------------------------------ #
     # Arithmetic operations (dispatched through the op registry)

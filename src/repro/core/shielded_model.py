@@ -72,6 +72,8 @@ class ShieldedModel:
         self.enclave.flush_regions()
         self.last_input = x
         result = self.partition.run(x)
+        if result.frontier is not None:
+            result.frontier.retains_grad = True
         self.last_frontier = result.frontier
         self.last_crossings = result.crossings
         return result.output

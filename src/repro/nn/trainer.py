@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.autodiff import functional as F
-from repro.autodiff.pool import use_buffer_pool
 from repro.autodiff.tensor import Tensor
 from repro.data.batching import DataLoader
 from repro.nn.module import Module
@@ -43,32 +42,21 @@ def make_optimizer(model: Module, name: str = "adam", lr: float = 1e-3, **kwargs
 
 
 def train_epoch(model: Module, loader: DataLoader, optimizer: Optimizer) -> tuple[float, float]:
-    """Train for one epoch; returns (mean loss, training accuracy).
-
-    Each optimizer step runs under a :class:`~repro.autodiff.pool.BufferPool`
-    recycled per batch, so the elementwise activations of step *n+1* reuse
-    the arrays step *n* allocated instead of hitting the allocator — the same
-    per-step reuse the attack and serving loops already get.  Pooled kernels
-    write identical values through ``out=``, so training results are
-    unchanged bit for bit; the recycle happens only after the step's loss
-    and logits have been read, when the previous graph is dead.
-    """
+    """Train for one epoch; returns (mean loss, training accuracy)."""
     model.train()
     total_loss = 0.0
     total_correct = 0
     total_samples = 0
-    with use_buffer_pool() as pool:
-        for images, labels in loader:
-            optimizer.zero_grad()
-            logits = model(Tensor(images))
-            loss = F.cross_entropy(logits, labels, reduction="mean")
-            loss.backward()
-            optimizer.step()
-            batch = len(labels)
-            total_loss += float(loss.data) * batch
-            total_correct += int((logits.data.argmax(axis=1) == labels).sum())
-            total_samples += batch
-            pool.recycle()
+    for images, labels in loader:
+        optimizer.zero_grad()
+        logits = model(Tensor(images))
+        loss = F.cross_entropy(logits, labels, reduction="mean")
+        loss.backward()
+        optimizer.step()
+        batch = len(labels)
+        total_loss += float(loss.data) * batch
+        total_correct += int((logits.data.argmax(axis=1) == labels).sum())
+        total_samples += batch
     return total_loss / max(total_samples, 1), total_correct / max(total_samples, 1)
 
 

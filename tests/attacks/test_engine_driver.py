@@ -287,3 +287,31 @@ class TestDtypeHygiene:
         view = make_attacker_view(ShieldedModel(model), rng=np.random.default_rng(1))
         gradient = view.gradient(batch[0].astype(np.float32), batch[1])
         assert gradient.dtype == np.float32
+
+
+class TestEmptyBatch:
+    """A zero-sample batch gives a zero-sample result, with no warnings."""
+
+    @pytest.mark.parametrize("shielded", [False, True], ids=["clear", "shielded"])
+    def test_every_suite_attack_returns_an_empty_batch(self, shielded):
+        import warnings
+
+        from repro.attacks import AttackSuiteConfig, build_attack_suite
+
+        model = build_model("simple_cnn", num_classes=4, image_size=32)
+        model.eval()
+        target = ShieldedModel(model) if shielded else model
+        view = make_attacker_view(target, rng=np.random.default_rng(3))
+        images = np.zeros((0, 3, 32, 32), dtype=get_default_dtype())
+        labels = np.zeros(0, dtype=np.int64)
+        suite = build_attack_suite(
+            AttackSuiteConfig(dataset="cifar10", max_steps=3, apgd_steps=3,
+                              include_random_baseline=True),
+            rng_factory=lambda name: np.random.default_rng(7),
+        )
+        assert "random" in suite
+        for name, attack in suite.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = attack.run(view, images, labels)
+            assert result.adversarials.shape == (0, 3, 32, 32), name

@@ -17,7 +17,6 @@ from repro.autodiff import (
 )
 
 from repro.autodiff.conv import im2col_into
-from repro.autodiff.pool import scratch_pool
 
 from tests.autodiff.conftest import grad_check_settings, value_atol, value_rtol
 
@@ -57,18 +56,24 @@ class TestIm2Col:
 )
 class TestIm2ColInto:
     """The in-place unfold the per-sample conv bands use is a byte copy of
-    :func:`im2col`, and it hands its padded scratch back to the pool."""
+    :func:`im2col`."""
 
     def test_matches_im2col(self, rng, n, h, w, kh, kw, stride, padding):
         images = rng.normal(size=(n, 3, h, w))
         full, _, _ = im2col(images, kh, kw, stride, padding)
         out = np.full(full.shape, np.nan)
-        pool = scratch_pool()
-        im2col_into(images, kh, kw, stride, padding, out)
-        allocations = pool.stats.allocations
         im2col_into(images, kh, kw, stride, padding, out)
         assert out.tobytes() == full.tobytes()
-        assert pool.stats.allocations == allocations
+
+    def test_each_call_unfolds_only_its_own_images(self, rng, n, h, w, kh, kw, stride, padding):
+        """A second call sees none of the first call's values, padding included."""
+        first = rng.normal(size=(n, 3, h, w)) + 100.0
+        second = rng.normal(size=(n, 3, h, w))
+        expected, _, _ = im2col(second, kh, kw, stride, padding)
+        out = np.full(expected.shape, np.nan)
+        im2col_into(first, kh, kw, stride, padding, out)
+        im2col_into(second, kh, kw, stride, padding, out)
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestConv2d:

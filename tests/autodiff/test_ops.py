@@ -1,4 +1,4 @@
-"""Tests of the declarative op registry, buffer pool and per-op profiler."""
+"""Tests of the declarative op registry and per-op profiler."""
 
 from __future__ import annotations
 
@@ -8,14 +8,11 @@ import numpy as np
 import pytest
 
 from repro.autodiff import (
-    BufferPool,
     Tensor,
-    active_buffer_pool,
     active_profiler,
     elementwise_ops,
     profile_ops,
     registered_ops,
-    use_buffer_pool,
 )
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
@@ -118,80 +115,58 @@ class TestDispatch:
         assert op.output_nbytes((5,), np.float64) == 40
 
 
-class TestBufferPool:
-    def test_acquire_recycle_reuses_buffers(self):
-        pool = BufferPool()
-        first = pool.acquire((4, 4), np.float64)
-        pool.recycle()
-        second = pool.acquire((4, 4), np.float64)
-        assert second is first
-        assert pool.stats.allocations == 1
-        assert pool.stats.reuses == 1
+class TestEagerAllocation:
+    """Eager kernels allocate their own outputs, so every result stays valid."""
 
-    def test_keys_split_by_shape_and_dtype(self):
-        pool = BufferPool()
-        pool.acquire((4,), np.float64)
-        pool.recycle()
-        assert pool.acquire((4,), np.float32).dtype == np.float32
-        assert pool.stats.allocations == 2
-
-    def test_dispatcher_reuses_pooled_buffers_across_steps(self, rng):
+    def test_results_survive_later_steps(self, rng):
         x = Tensor(rng.normal(size=(16, 16)))
-        with use_buffer_pool() as pool:
-            for _ in range(5):
-                result = (x.exp().tanh() * 2.0).data
-                pool.recycle()
-        # Warm after step one: every later step reuses, nothing new allocated.
-        assert pool.stats.reuses >= 2 * pool.stats.allocations
-        assert np.isfinite(result).all()
+        kept = []
+        for step in range(5):
+            result = (x.exp().tanh() * float(step + 1)).data
+            kept.append((result, result.copy()))
+        for step, (result, snapshot) in enumerate(kept):
+            np.testing.assert_array_equal(result, snapshot, err_msg=f"step {step}")
 
-    def test_pooled_results_match_unpooled(self, rng):
+    def test_outputs_never_share_memory(self, rng):
         x = Tensor(rng.normal(size=(8, 8)))
-        unpooled = ((x.exp() + 1.0).tanh() * 0.5).data.copy()
-        with use_buffer_pool() as pool:
-            pooled = ((x.exp() + 1.0).tanh() * 0.5).data.copy()
-        assert pool.stats.allocations > 0
-        np.testing.assert_array_equal(unpooled, pooled)
+        chain = [x]
+        for link in (Tensor.exp, Tensor.tanh, lambda t: t * 0.5, F.gelu):
+            chain.append(link(chain[-1]))
+        arrays = [tensor.data for tensor in chain]
+        for index, first in enumerate(arrays):
+            for second in arrays[index + 1 :]:
+                assert not np.shares_memory(first, second)
 
-    def test_mixed_dtype_results_skip_the_pool(self, rng):
-        """Non-default result dtypes keep compute-then-cast semantics."""
+    def test_mixed_dtype_results_are_cast_to_default(self):
+        """Non-default input dtypes compute, then cast on tensor creation."""
         from repro.autodiff import get_default_dtype
 
         default = get_default_dtype()
         other = np.dtype(np.float32 if default == np.float64 else np.float64)
         t = Tensor(np.ones(4))
         t.data = np.ones(4, dtype=other)  # simulate externally-loaded data
-        with use_buffer_pool() as pool:
-            out = t.exp()
-        assert pool.stats.allocations == 0
-        assert out.dtype == default  # cast on tensor creation, as unpooled
+        out = t.exp()
+        assert out.dtype == default
+        np.testing.assert_array_equal(out.data, np.exp(np.ones(4, dtype=other)).astype(default))
 
-    def test_concurrent_hammer_never_aliases_buffers(self):
-        """N threads acquiring at once must never receive the same array.
+    def test_concurrent_eager_chains_match_serial(self, rng):
+        """Threads running the same ops at once each get their own bytes back."""
+        workers, rounds = 6, 20
 
-        Each worker stamps its buffers with a unique value, yields, and then
-        checks the stamp survived — if two threads were ever handed the same
-        array, one stamp overwrites the other and the check fails.
-        """
-        pool = BufferPool()
-        workers, rounds, per_round = 8, 40, 4
+        def chain(array: np.ndarray) -> np.ndarray:
+            x = Tensor(array)
+            return F.gelu((x.exp() + 1.0).tanh() * 0.5).data
+
+        inputs = [rng.normal(size=(32, 32)) for _ in range(workers)]
+        expected = [chain(array).tobytes() for array in inputs]
         barrier = threading.Barrier(workers)
         failures: list[str] = []
 
         def hammer(tag: int) -> None:
             barrier.wait()
             for round_index in range(rounds):
-                stamps = []
-                for slot in range(per_round):
-                    buffer = pool.acquire((64,), np.float64)
-                    value = float(tag * 10_000 + round_index * 10 + slot)
-                    buffer.fill(value)
-                    stamps.append((buffer, value))
-                for buffer, value in stamps:
-                    if not (buffer == value).all():
-                        failures.append(f"thread {tag} lost its stamp")
-                for buffer, _ in stamps:
-                    pool.release(buffer)
+                if chain(inputs[tag]).tobytes() != expected[tag]:
+                    failures.append(f"thread {tag} round {round_index}")
 
         threads = [threading.Thread(target=hammer, args=(tag,)) for tag in range(workers)]
         for thread in threads:
@@ -199,38 +174,6 @@ class TestBufferPool:
         for thread in threads:
             thread.join()
         assert not failures
-        # Ledger bookkeeping stayed consistent under contention.
-        assert pool.stats.allocations + pool.stats.reuses == workers * rounds * per_round
-
-    def test_concurrent_recycle_keeps_ledger_consistent(self):
-        """Acquire/recycle from many threads leaves no buffer lost or doubled."""
-        pool = BufferPool()
-        workers, rounds = 8, 50
-        barrier = threading.Barrier(workers)
-
-        def hammer() -> None:
-            barrier.wait()
-            for _ in range(rounds):
-                pool.acquire((16,), np.float64)
-                pool.recycle()
-
-        threads = [threading.Thread(target=hammer) for _ in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Every buffer ever allocated is accounted for: free or outstanding.
-        assert len(pool) == pool.stats.allocations
-        assert pool.stats.recycles == workers * rounds
-
-    def test_scope_is_thread_local_and_restored(self):
-        assert active_buffer_pool() is None
-        with use_buffer_pool() as pool:
-            assert active_buffer_pool() is pool
-            with use_buffer_pool() as inner:
-                assert active_buffer_pool() is inner
-            assert active_buffer_pool() is pool
-        assert active_buffer_pool() is None
 
 
 class TestProfiler:

@@ -1,19 +1,14 @@
-"""Bit-identity tests for batch-1 conv2d and the scratch pool's warm replays.
+"""Bit-identity tests for batch-1 conv2d.
 
-Two invariants under test, both stronger than "numerically close":
-
-* **Batch 1 stays whole** — per-sample conv bands need two or more samples,
-  so a single-sample conv2d is one im2col-GEMM however low the FLOP floor
-  sits, and replays reproduce the eager values byte for byte.
-
-* **Warm replays allocate no scratch** — per-sample conv bands draw their
-  temporaries from the process-wide scratch pool; once a replay has warmed
-  it, later replays reuse every buffer.
+Per-sample conv bands need two or more samples, so a single-sample conv2d is
+one im2col-GEMM however low the FLOP floor sits, and replays reproduce the
+eager values byte for byte, which is stronger than "numerically close".
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -28,7 +23,6 @@ from repro.autodiff import (
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
 from repro.autodiff.conv import conv2d
-from repro.autodiff.pool import BufferPool, scratch_pool
 
 from tests.autodiff.conftest import window_pool
 
@@ -121,37 +115,52 @@ class TestBatch1CapturedTower:
         assert captured.stats.replays == 1
 
 
-class TestScratchPoolWarmReplay:
-    def test_warm_reduce_replays_allocate_zero_new_slabs(self, rng, low_floor):
-        """After one cold replay the scratch pool serves every later one."""
+class TestBandedConv:
+    def test_warm_banded_replays_match_eager_sha256(self, rng, low_floor):
+        """Per-sample bands replay byte for byte once the recording is warm."""
         dtype = get_default_dtype()
         weights = _tower_weights(rng, dtype)
         trace = _tower_trace(weights)
-        captured = CapturedExecution()
-        batch = rng.normal(size=(6, 3, 16, 16)).astype(dtype)
-        pool = scratch_pool()
-        pool.clear()
-        # Eager warmup + recording pass + first replay warm the pool.
-        for _ in range(3):
-            captured.run(trace, batch, key="tower-warm")
-        assert captured.stats.replays >= 1
-        warm = pool.stats.allocations
-        for _ in range(3):
-            captured.run(trace, batch, key="tower-warm")
-        assert pool.stats.allocations == warm, "warm replays must not allocate slabs"
-        assert pool.stats.reuses > 0
+        eager, captured = EagerExecution(), CapturedExecution()
+        for trial in range(4):
+            batch = rng.normal(size=(6, 3, 16, 16)).astype(dtype)
+            expected = eager.run(trace, batch)
+            actual = captured.run(trace, batch, key="tower-banded")
+            assert _sha(expected.objective.data) == _sha(actual.objective.data), (
+                f"trial={trial}"
+            )
+            assert _sha(np.array(expected.input.grad)) == _sha(np.array(actual.input.grad)), (
+                f"trial={trial}"
+            )
+        assert captured.stats.replays >= 2
 
-    def test_buffer_pool_clear_drops_everything(self):
-        pool = BufferPool()
-        kept = pool.acquire((4, 4), np.float64)
-        scratch = pool.take((2, 8), np.float32)
-        pool.release(scratch)
-        assert len(pool) == 2
-        allocations = pool.stats.allocations
-        assert pool.clear() == 2
-        assert len(pool) == 0
-        assert pool.stats.allocations == allocations  # cumulative, untouched
-        # A cleared pool allocates fresh on the next request.
-        fresh = pool.take((2, 8), np.float32)
-        assert fresh is not scratch
-        assert kept.shape == (4, 4)  # caller's reference stays valid
+    def test_concurrent_banded_convs_match_serial(self, rng, low_floor):
+        """Banded convs running in several threads at once keep their own bytes."""
+        dtype = get_default_dtype()
+        weight = Tensor(rng.normal(size=(8, 3, 3, 3)).astype(dtype))
+        bias = Tensor(rng.normal(size=(8,)).astype(dtype))
+        workers, rounds = 4, 10
+        inputs = [rng.normal(size=(3, 3, 12, 12)).astype(dtype) for _ in range(workers)]
+
+        def run(array: np.ndarray) -> str:
+            return _sha(conv2d(Tensor(array), weight, bias, stride=1, padding=1).data)
+
+        expected = [run(array) for array in inputs]
+        barrier = threading.Barrier(workers)
+        failures: list[str] = []
+
+        def hammer(tag: int) -> None:
+            barrier.wait()
+            for round_index in range(rounds):
+                if run(inputs[tag]) != expected[tag]:
+                    failures.append(f"thread {tag} round {round_index}")
+
+        threads = [threading.Thread(target=hammer, args=(tag,)) for tag in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert op_registry._conv2d_band_count(
+            [inputs[0], weight.data, bias.data], {"stride": 1, "padding": 1}
+        ) == 3
+        assert not failures

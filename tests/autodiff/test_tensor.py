@@ -184,6 +184,17 @@ class TestGraphMechanics:
         x.zero_grad()
         assert x.grad is None
 
+    def test_backward_keeps_leaf_and_retained_grads_only(self, rng):
+        x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        hidden = x * 2.0
+        kept = hidden.tanh()
+        kept.retains_grad = True
+        out = (kept * 3.0).sum()
+        out.backward()
+        assert hidden.grad is None and out.grad is None
+        np.testing.assert_allclose(kept.grad, np.full(3, 3.0))
+        np.testing.assert_allclose(x.grad, 6.0 * (1.0 - np.tanh(2.0 * x.data) ** 2))
+
     def test_topological_order_parents_before_children(self, rng):
         x = Tensor(rng.normal(size=(3,)), requires_grad=True)
         y = x * 2.0

@@ -115,6 +115,23 @@ class TestTrainer:
         assert history.final_accuracy > 0.9
         assert not model.training  # fit leaves the model in eval mode
 
+    def test_fit_is_reproducible_from_the_same_weights_and_stream(self, rng):
+        """Training keeps no state between runs: equal inputs give equal bytes."""
+        points = rng.normal(size=(50, 1, 1, 2))
+        labels = (points[:, 0, 0, 1] > 0).astype(np.int64)
+        initial = MLPClassifier(input_dim=2, num_classes=2, input_shape=(1, 1, 2)).state_dict()
+        states = []
+        for _ in range(2):
+            model = MLPClassifier(input_dim=2, num_classes=2, input_shape=(1, 1, 2))
+            model.load_state_dict(initial)
+            fit_classifier(
+                model, points, labels, epochs=2, batch_size=16, rng=np.random.default_rng(5)
+            )
+            states.append(model.state_dict())
+        assert states[0].keys() == states[1].keys()
+        for name in states[0]:
+            assert states[0][name].tobytes() == states[1][name].tobytes(), name
+
     def test_make_optimizer_variants(self):
         model = MLPClassifier(input_dim=2, num_classes=2)
         assert make_optimizer(model, "adam").parameters

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, get_default_dtype
 from repro.nn import Linear, Module, Parameter, ReLU
 from repro.nn.layers import BatchNorm2d
 
@@ -52,7 +52,7 @@ class TestParameterRegistration:
         model = _TwoLayer()
         expected = 4 * 8 + 8 + 8 * 2 + 2 + 1
         assert model.num_parameters() == expected
-        assert model.parameter_nbytes() == expected * 8  # float64
+        assert model.parameter_nbytes() == expected * get_default_dtype().itemsize
 
     def test_modules_enumeration(self):
         model = _TwoLayer()
