@@ -79,6 +79,7 @@ def _time_kernels() -> dict:
 #: inputs of the kernel table above would hide it.
 _SIGNED_SHAPE = (64, 256)
 _SIGNED_REPEATS = 100
+_SIGNED_SWEEPS = 10
 _GELU_FORWARD_MAX_RATIO = 4.0
 _GELU_FORWARD_BACKWARD_MAX_RATIO = 3.0
 
@@ -86,8 +87,9 @@ _GELU_FORWARD_BACKWARD_MAX_RATIO = 3.0
 def _time_signed_gelu() -> dict:
     """gelu vs tanh on signed float64 inputs, forward and forward+backward.
 
-    Each figure is the best of 3 sweeps of µs per call; the gate is on the
-    ratios to tanh measured the same way, so host speed cancels out.
+    Each figure is the best of ``_SIGNED_SWEEPS`` sweeps of µs per call.
+    gelu and tanh sweeps alternate, so a host slowdown lands on both rather
+    than on one side of the ratio the gate reads.
     """
     array = np.random.default_rng(43).normal(size=_SIGNED_SHAPE)
     grad = np.random.default_rng(47).normal(size=_SIGNED_SHAPE)
@@ -99,20 +101,22 @@ def _time_signed_gelu() -> dict:
         x = Tensor(array, requires_grad=True)
         op_registry.apply(name, [x]).backward(grad)
 
-    def best_us(step, name) -> float:
-        step(name)  # warm-up
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for _ in range(_SIGNED_REPEATS):
-                step(name)
-            best = min(best, time.perf_counter() - start)
-        return best / _SIGNED_REPEATS * 1e6
+    def best_us(step) -> dict[str, float]:
+        best = {"gelu": float("inf"), "tanh": float("inf")}
+        for name in best:
+            step(name)  # warm-up
+        for _ in range(_SIGNED_SWEEPS):
+            for name in best:
+                start = time.perf_counter()
+                for _ in range(_SIGNED_REPEATS):
+                    step(name)
+                best[name] = min(best[name], time.perf_counter() - start)
+        return {name: seconds / _SIGNED_REPEATS * 1e6 for name, seconds in best.items()}
 
     row = {"shape": list(_SIGNED_SHAPE), "dtype": str(Tensor(array).data.dtype)}
     for label, step in (("forward", forward), ("forward_backward", forward_backward)):
-        for name in ("gelu", "tanh"):
-            row[f"{name}_{label}_us"] = best_us(step, name)
+        for name, micros in best_us(step).items():
+            row[f"{name}_{label}_us"] = micros
         row[f"gelu_over_tanh_{label}"] = row[f"gelu_{label}_us"] / row[f"tanh_{label}_us"]
     return row
 

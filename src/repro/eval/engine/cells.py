@@ -1,9 +1,10 @@
 """Self-contained experiment cells, the unit of parallel execution.
 
 A *cell* is one independent (model × attack × shield-setting) evaluation of a
-scenario.  Cells are plain module-level functions over picklable payload
-dictionaries (primitives plus NumPy arrays) so the executor can fan them out
-to worker processes; every model is rebuilt inside the
+scenario.  Cells are plain module-level functions over payload dictionaries
+(primitives plus NumPy arrays); the executor hands the payloads to its
+worker processes through the fork and pickles only the result dictionaries
+back.  Every model is rebuilt inside the
 cell from its ``state_dict`` and all randomness is drawn from a private
 :class:`~repro.utils.rng.RngRegistry` seeded with the payload's per-task
 seed.  That makes a cell's result a pure function of its payload — identical
@@ -30,7 +31,7 @@ from repro.utils.rng import RngRegistry
 
 
 def model_spec(name: str, model: ImageClassifier) -> dict:
-    """Picklable description of a trained model (architecture + weights)."""
+    """Self-contained description of a trained model (architecture + weights)."""
     in_channels, image_size, _ = model.input_shape
     return {
         "name": name,

@@ -7,13 +7,17 @@ so the backend is purely a throughput choice:
 
 * ``serial`` — run inline in the caller.
 * ``process`` — fork-based ``ProcessPoolExecutor``; full parallelism at the
-  cost of pickling the payloads (model ``state_dict`` arrays included).
+  cost of one fork per call and of pickling the results back.
 * ``auto`` (the default) — ``process`` with one worker per core, capped at
   the number of tasks; ``serial`` when that leaves one worker or the
   platform cannot fork.
 
-The task callable reaches each worker through the fork, never through
-pickle, so wrapped or patched functions run the same as module-level ones.
+The task callable and the payloads reach each worker through the fork,
+never through pickle: wrapped or patched functions run the same as
+module-level ones, payloads may hold unpicklable objects, and the parent
+spends no time serialising them.  Workers are handed ``(start, stop)``
+ranges of the payload list, in input order, and pickle back only the
+results of their range.
 Each worker also pins NumPy's bundled OpenBLAS to its share of the cores
 (``cpu_count // workers`` threads): OpenBLAS otherwise starts one thread per
 core in every worker, and the oversubscribed pool runs slower than serial.
@@ -34,6 +38,7 @@ import functools
 import glob
 import multiprocessing
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -96,32 +101,54 @@ def _openblas():
     return None
 
 
-#: The callable a pool worker runs.  Set only in workers, by
-#: :func:`_init_worker`; the parent never writes it.
+#: The callable a pool worker runs and the payloads it runs over.  Set only
+#: in workers, by :func:`_init_worker`; the parent never writes them.
 _TASK: Callable | None = None
+_PAYLOADS: Sequence = ()
 
 
-def _init_worker(fn: Callable, blas_threads: int) -> None:
-    global _TASK
-    _TASK = fn
+def _init_worker(fn: Callable, payloads: Sequence, blas_threads: int) -> None:
+    global _TASK, _PAYLOADS
+    _TASK, _PAYLOADS = fn, payloads
     library = _openblas()
     if library is not None:
         library.scipy_openblas_set_num_threads64_(blas_threads)
 
 
-def _run_task(payload):
-    return _TASK(payload)
+def _run_chunk(start: int, stop: int) -> tuple[list, Exception | None]:
+    """Results of ``payloads[start:stop]``, up to and with the first error.
+
+    The error is returned rather than raised so the results before it still
+    reach the parent, which yields them and then raises the error.
+    """
+    results = []
+    for payload in _PAYLOADS[start:stop]:
+        try:
+            results.append(_TASK(payload))
+        except Exception as error:
+            error.add_note("".join(traceback.format_exception(error)).rstrip())
+            return results, error
+    return results, None
 
 
-def _fork_pool(fn: Callable, workers: int) -> ProcessPoolExecutor:
-    """A fork pool of ``workers`` that run ``fn`` on their share of the cores."""
+def _fork_pool(fn: Callable, payloads: Sequence, workers: int) -> ProcessPoolExecutor:
+    """A fork pool of ``workers`` that run ``fn`` over ``payloads`` on their share of the cores.
+
+    ``fn`` and ``payloads`` travel in ``initargs``, which a fork hands to the
+    workers without pickling.
+    """
     _openblas()  # look the library up once, before the workers fork
     return ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(fn, max(1, (os.cpu_count() or 1) // workers)),
+        initargs=(fn, payloads, max(1, (os.cpu_count() or 1) // workers)),
     )
+
+
+def _chunk_size(num_tasks: int, workers: int) -> int:
+    """Payloads per submit: about eight chunks per worker, one payload when tasks are few."""
+    return max(1, num_tasks // (workers * 8))
 
 
 class CellExecutor:
@@ -147,8 +174,8 @@ class CellExecutor:
     def map(self, fn: Callable[[dict], dict], payloads: Sequence[dict]) -> list[dict]:
         """Run ``fn`` over every payload, preserving input order.
 
-        The payloads and results must be picklable when the process backend
-        is selected; ``fn`` itself reaches the workers through the fork.
+        The results must be picklable when the process backend is selected;
+        ``fn`` and the payloads reach the workers through the fork.
         """
         return list(self.imap(fn, payloads))
 
@@ -157,10 +184,12 @@ class CellExecutor:
 
         The streaming counterpart of :meth:`map`: on the serial backend each
         payload is only executed when the consumer asks for its result, and
-        on the process backend every payload is submitted up front but
-        results are yielded head-of-line — the consumer sees them in input
-        order regardless of which worker finishes first, which is what keeps
-        order-sensitive reductions deterministic.
+        on the process backend every chunk of payloads is submitted up front
+        but results are yielded head-of-line — the consumer sees them in
+        input order regardless of which worker finishes first, which is what
+        keeps order-sensitive reductions deterministic.  When a payload
+        raises, every result before it is yielded first, then its error is
+        raised, as on the serial backend.
         """
         payloads = list(payloads)
         backend, workers = self.resolve(len(payloads))
@@ -169,10 +198,17 @@ class CellExecutor:
                 yield fn(payload)
             return
         _LOGGER.info("running %d cells over %d process workers", len(payloads), workers)
-        pool = _fork_pool(fn, workers)
+        pool = _fork_pool(fn, payloads, workers)
         try:
-            futures = [pool.submit(_run_task, payload) for payload in payloads]
+            size = _chunk_size(len(payloads), workers)
+            futures = [
+                pool.submit(_run_chunk, start, start + size)
+                for start in range(0, len(payloads), size)
+            ]
             for future in futures:
-                yield future.result()
+                results, error = future.result()
+                yield from results
+                if error is not None:
+                    raise error
         finally:
             pool.shutdown(wait=True, cancel_futures=True)

@@ -5,8 +5,8 @@ envelope: a small frozen dataclass carrying either a plaintext ``state``
 mapping or a :class:`SealedState` — the same payload encrypted and
 authenticated through a :class:`~repro.tee.secure_channel.SecureChannel`
 (the path a TEE-backed deployment uses, §VI of the paper).  Envelopes are
-plain picklable values, so every transport backend (in-process or
-process pool) ships them unchanged.
+plain values: a process-pool transport hands broadcasts to its workers
+through the fork and pickles the update envelopes on their way back.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ subclasses implement it.  The protocol carries ``is_compromised`` so the
 server records adversarial participation structurally instead of matching
 class names (which breaks under subclassing).
 
-One client's local round is a :class:`ClientTask` executed by the
-module-level :func:`run_client_task` — module-level so the process-pool
-transport can pickle it, and a pure function of its task so every backend
-produces bit-identical updates:
+One client's local round is a :class:`ClientTask` executed by
+:func:`run_client_task`.  The process-pool transport hands tasks to its
+workers through the fork, so neither the task nor the function is pickled;
+only the returned :class:`~repro.fl.runtime.envelopes.UpdateEnvelope` is.
+The function is pure in its task, so every backend produces bit-identical
+updates:
 
 * all local randomness (mini-batch shuffling, poisoning index choice) is
   drawn from a generator derived from the task's per-(round, client) seed,
@@ -60,7 +62,7 @@ def client_task_seed(base_seed: int, round_index: int, client_id: str) -> int:
 
 @dataclass(frozen=True)
 class ClientTask:
-    """Picklable unit of transport work: one participant's local round."""
+    """Unit of transport work: one participant's local round."""
 
     client: Participant
     envelope: BroadcastEnvelope

@@ -8,8 +8,9 @@ backend names, same environment defaults, same order guarantees, same
 BLAS-pinned fork pool):
 
 * ``serial`` — clients run inline in the caller;
-* ``process`` — fork-based process pool; tasks and replies are pickled, so a
-  round models real serialisation costs;
+* ``process`` — fork-based process pool; the tasks reach the workers
+  through the fork, and only the replies are pickled on their way back,
+  as a real server receives them over the wire;
 * ``auto`` — the engine's default: a process pool with one worker per core,
   serial when that leaves one worker.
 

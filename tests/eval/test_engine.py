@@ -7,8 +7,11 @@ import functools
 import json
 import multiprocessing
 import os
+import pickle
 import typing
 import struct
+import threading
+import time
 import zipfile
 
 import numpy as np
@@ -37,7 +40,7 @@ from repro.eval.engine import (
     stable_hash,
     unregister_scenario,
 )
-from repro.eval.engine.executor import _openblas
+from repro.eval.engine.executor import _chunk_size, _openblas
 from repro.eval.tables import render_run
 from repro.models.simple import SimpleCNN, SimpleCNNConfig
 from repro.utils.rng import set_global_seed
@@ -467,6 +470,32 @@ def _blas_threads_cell(payload: dict) -> dict:
     return {"threads": _openblas().scipy_openblas_get_num_threads64_()}
 
 
+def _locked_double_cell(payload: dict) -> dict:
+    with payload["lock"]:
+        return {"value": payload["value"] * 2}
+
+
+def _sleepy_double_cell(payload: dict) -> dict:
+    time.sleep(payload["sleep"])
+    return _double_cell(payload)
+
+
+def _failing_double_cell(payload: dict) -> dict:
+    if payload["value"] == payload["fail_at"]:
+        raise ValueError(f"payload {payload['value']} is malformed")
+    return _double_cell(payload)
+
+
+def _collect_until_error(iterator) -> tuple[list, BaseException | None]:
+    results = []
+    try:
+        for result in iterator:
+            results.append(result)
+    except Exception as error:
+        return results, error
+    return results, None
+
+
 class TestCellExecutor:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backends_preserve_order(self, backend):
@@ -487,6 +516,48 @@ class TestCellExecutor:
         executor = CellExecutor(ExecutorConfig(backend="process", max_workers=2))
         assert executor.map(wrapped, payloads) == serial
         assert list(executor.imap(wrapped, payloads)) == serial
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_unpicklable_payloads_reach_the_workers_through_the_fork(self, backend):
+        lock = threading.Lock()
+        with pytest.raises(TypeError):
+            pickle.dumps(lock)
+        payloads = [{"value": index, "lock": lock} for index in range(6)]
+        executor = CellExecutor(ExecutorConfig(backend=backend, max_workers=2))
+        assert executor.resolve(len(payloads)) == (backend, 1 if backend == "serial" else 2)
+        assert executor.map(_locked_double_cell, payloads) == [
+            {"value": 2 * index} for index in range(6)
+        ]
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_many_payloads_come_back_in_input_order_across_chunks(self, backend):
+        # 128 payloads on 2 workers run as 16 chunks of 8; the first chunk
+        # sleeps, so the other worker finishes later chunks before it.
+        count, workers = 128, 2
+        assert 1 < _chunk_size(count, workers) < count // workers
+        payloads = [
+            {"value": index, "sleep": 0.02 if index < _chunk_size(count, workers) else 0.0}
+            for index in range(count)
+        ]
+        executor = CellExecutor(ExecutorConfig(backend=backend, max_workers=workers))
+        results = list(executor.imap(_sleepy_double_cell, payloads))
+        assert results == [{"value": 2 * index} for index in range(count)]
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_error_mid_chunk_yields_every_earlier_result_first(self, backend):
+        # 64 payloads on 2 workers run in chunks of 4; payload 6 sits in
+        # the middle of the second chunk.
+        count, workers, fail_at = 64, 2, 6
+        size = _chunk_size(count, workers)
+        assert size > 1 and fail_at % size not in (0, size - 1)
+        payloads = [{"value": index, "fail_at": fail_at} for index in range(count)]
+        serial = CellExecutor(ExecutorConfig(backend="serial"))
+        expected, expected_error = _collect_until_error(serial.imap(_failing_double_cell, payloads))
+        executor = CellExecutor(ExecutorConfig(backend=backend, max_workers=workers))
+        results, error = _collect_until_error(executor.imap(_failing_double_cell, payloads))
+        assert results == expected == [{"value": 2 * index} for index in range(fail_at)]
+        assert type(error) is type(expected_error) is ValueError
+        assert str(error) == str(expected_error) == "payload 6 is malformed"
 
     def test_process_workers_pin_blas_to_their_core_share(self):
         if _openblas() is None:
