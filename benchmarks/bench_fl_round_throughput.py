@@ -106,7 +106,7 @@ def test_fl_thousand_clients_round(benchmark):
     _SCALE_METRICS["thousand_bytes_on_wire"] = float(results["bytes_on_wire"])
 
 
-def test_fl_bench_trajectory():
+def test_fl_bench_trajectory(benchmark):
     """BENCH_fl.json: per-transport round throughput joins the trajectory."""
     if not _RATES and not _SCALE_METRICS:
         pytest.skip("no fl throughput runs were selected in this session")
@@ -120,5 +120,5 @@ def test_fl_bench_trajectory():
     if "serial" in _RATES and parallel and _RATES["serial"] > 0:
         metrics["transport_speedup"] = max(parallel) / _RATES["serial"]
     metrics.update(_SCALE_METRICS)
-    path = write_bench_trajectory("fl", metrics)
+    path = run_once(benchmark, write_bench_trajectory, "fl", metrics)
     print(f"\nwrote {path}")

@@ -1,14 +1,14 @@
-"""Per-kernel microbenchmarks: eager dispatch vs fused replay.
+"""Per-kernel microbenchmarks: eager dispatch vs captured replay.
 
 Two execution modes of the same op-registry kernels are timed:
 
 * **eager** — the dispatcher traces a fresh graph per step and every kernel
   allocates its output;
-* **fused replay** — the chain is recorded once and replayed through the
-  capture layer's fused elementwise chains (kernels write the recorded
-  buffers in place; no graph rebuild, no temporaries).
+* **captured replay** — the chain is recorded once and replayed by the
+  capture layer, whose kernels write the recorded buffers in place (no
+  graph rebuild, no temporaries).
 
-The hard gate is that the fused replay beats the eager engine on the
+The hard gate is that the captured replay beats the eager engine on the
 elementwise-chain workload that dominates attack inner loops.  A
 signed-input gelu leg gates the gelu kernel against tanh.  All numbers land
 as JSON under ``results/runs`` for EXPERIMENTS.md.
@@ -122,7 +122,7 @@ def _time_signed_gelu() -> dict:
 
 
 def _time_chain() -> dict:
-    """Elementwise-chain gradient queries: eager vs fused replay."""
+    """Elementwise-chain gradient queries: eager vs captured replay."""
     rng = np.random.default_rng(13)
     trace = _chain_trace()
     batches = [rng.normal(size=_CHAIN_SHAPE) for _ in range(_CHAIN_STEPS)]
@@ -143,28 +143,25 @@ def _time_chain() -> dict:
     captured = CapturedExecution()
     captured.run(trace, batches[0], key="chain")
     captured.run(trace, batches[1], key="chain")  # records
-    fused_seconds = best_of(3, lambda batch: captured.run(trace, batch, key="chain"))
-    recording = next(iter(captured._recordings.values()))
+    replay_seconds = best_of(3, lambda batch: captured.run(trace, batch, key="chain"))
     parity = np.array(captured.run(trace, batches[0], key="chain").input.grad)
     expected = np.array(eager.run(trace, batches[0]).input.grad)
-    assert np.array_equal(parity, expected), "fused replay diverged from eager"
+    assert np.array_equal(parity, expected), "captured replay diverged from eager"
     return {
         "shape": list(_CHAIN_SHAPE),
         "steps": _CHAIN_STEPS,
         "eager_seconds": eager_seconds,
-        "fused_replay_seconds": fused_seconds,
-        "fused_speedup_vs_eager": eager_seconds / max(fused_seconds, 1e-9),
-        "fused_chains": recording.fused_chains,
-        "fused_ops": recording.fused_ops,
+        "replay_seconds": replay_seconds,
+        "replay_speedup_vs_eager": eager_seconds / max(replay_seconds, 1e-9),
         "queries_per_second": {
             "eager": _CHAIN_STEPS / eager_seconds,
-            "fused_replay": _CHAIN_STEPS / fused_seconds,
+            "replay": _CHAIN_STEPS / replay_seconds,
         },
     }
 
 
 def test_op_microbench_and_report(benchmark):
-    """Kernel table + chain workload; the fused replay must beat eager."""
+    """Kernel table + chain workload; the captured replay must beat eager."""
     kernels = run_once(benchmark, _time_kernels)
     signed_gelu = _time_signed_gelu()
     chain = _time_chain()
@@ -194,31 +191,31 @@ def test_op_microbench_and_report(benchmark):
     )
     print(
         f"[chain {chain['shape']}] eager {chain['eager_seconds']:.3f}s, "
-        f"fused replay {chain['fused_replay_seconds']:.3f}s "
-        f"({chain['fused_speedup_vs_eager']:.2f}x, "
-        f"{chain['fused_chains']} chains / {chain['fused_ops']} fused ops)"
+        f"captured replay {chain['replay_seconds']:.3f}s "
+        f"({chain['replay_speedup_vs_eager']:.2f}x)"
     )
-    # Acceptance gate: the fused replay of the recorded chain beats the
+    # Acceptance gate: the captured replay of the recorded chain beats the
     # eager engine rebuilding the graph per query.
-    assert chain["fused_replay_seconds"] < chain["eager_seconds"], (
-        "fused replay did not beat eager kernels on the elementwise chain"
+    assert chain["replay_seconds"] < chain["eager_seconds"], (
+        "captured replay did not beat eager kernels on the elementwise chain"
     )
-    assert chain["fused_chains"] >= 1
     payload = {
         "scenario": "bench_op_microbench",
         "kernels": kernels,
         "signed_gelu": signed_gelu,
         "elementwise_chain": chain,
-        "parity": "fused replay gradients bit-identical to eager",
+        "parity": "captured replay gradients bit-identical to eager",
     }
+    # The chain_fused_* names predate the single replay step; they stay so
+    # the trajectory keeps comparing against earlier BENCH_ops.json files.
     write_bench_trajectory(
         "ops",
         {
             "signed_gelu_forward_us": signed_gelu["gelu_forward_us"],
             "signed_gelu_forward_backward_us": signed_gelu["gelu_forward_backward_us"],
             "chain_eager_seconds": chain["eager_seconds"],
-            "chain_fused_replay_seconds": chain["fused_replay_seconds"],
-            "chain_fused_speedup_vs_eager": chain["fused_speedup_vs_eager"],
+            "chain_fused_replay_seconds": chain["replay_seconds"],
+            "chain_fused_speedup_vs_eager": chain["replay_speedup_vs_eager"],
         },
     )
     runs_dir = RESULTS_DIR / "runs"

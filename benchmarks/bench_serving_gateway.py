@@ -156,13 +156,15 @@ def test_gateway_wallclock_throughput(wallclock_rps):
     assert wallclock_rps > 0
 
 
-def test_gateway_bench_trajectory(tail_latency_record, wallclock_rps):
+def test_gateway_bench_trajectory(benchmark, tail_latency_record, wallclock_rps):
     """BENCH_serving.json: gateway tail-latency numbers join the trajectory."""
     results = tail_latency_record.results
     top = _top_row(results)
     gate_load = results["gate"]["load"]
     gate_row = min(results["sweep"], key=lambda row: abs(row["load"] - gate_load))
-    path = write_bench_trajectory(
+    path = run_once(
+        benchmark,
+        write_bench_trajectory,
         "serving",
         {
             "gateway_capacity_rps": results["capacity_rps"],

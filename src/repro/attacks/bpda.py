@@ -193,15 +193,14 @@ def make_attacker_view(
     model: ImageClassifier | ShieldedModel,
     strategy: str = "auto",
     rng: np.random.Generator | None = None,
-    backend="eager",
 ):
     """Build the gradient view an attacker gets for ``model``.
 
     Plain models yield the exact white-box view; shielded models yield the
     PELTA-restricted view whose gradients are upsampled frontier adjoints.
-    ``backend`` selects the gradient execution mode (``"eager"``/``"captured"``).
+    The view starts eager; ``DriverConfig.backend`` selects captured replay.
     """
     if isinstance(model, ShieldedModel):
         upsampler = make_upsampler(model.family, strategy=strategy, rng=rng)
-        return RestrictedWhiteBoxView(model, upsampler, backend=backend)
-    return FullWhiteBoxView(model, backend=backend)
+        return RestrictedWhiteBoxView(model, upsampler)
+    return FullWhiteBoxView(model)

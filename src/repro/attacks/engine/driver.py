@@ -12,9 +12,10 @@ Responsibilities the individual attacks no longer carry:
   (byte-identical — their rows are never touched again) and steps only the
   remainder, cutting gradient queries.  Attacks with fixed-budget semantics
   opt out via ``supports_active_set = False``.
-* **Backend selection** — ``DriverConfig.backend`` switches the underlying
-  views between ``eager`` and ``captured`` graph execution; the two produce
-  bit-identical adversarials (see :mod:`repro.autodiff.capture`).
+* **Backend selection** — ``DriverConfig.backend`` is the one switch between
+  ``eager`` and ``captured`` graph execution: the driver installs it on the
+  underlying views, which start eager.  The two produce bit-identical
+  adversarials (see :mod:`repro.autodiff.capture`).
 * **Callbacks** — observers receive a :class:`StepInfo` before every
   iteration (the hook behind the ``attack_budget_curve`` scenario).
 """
@@ -91,10 +92,10 @@ class StepInfo:
 class DriverConfig:
     """How the driver executes an attack."""
 
-    #: Execution backend applied to the underlying views ("eager" /
-    #: "captured" / a backend instance).  The default ``None`` leaves each
-    #: view's own configured backend untouched.
-    backend: str | object | None = None
+    #: Execution backend installed on the underlying views ("eager" or
+    #: "captured").  The default ``None`` leaves each view's current backend
+    #: in place (eager unless an earlier driver switched it).
+    backend: str | None = None
     #: Shrink the batch to not-yet-successful samples (attacks opt out via
     #: ``supports_active_set = False``).
     active_set: bool = True

@@ -14,7 +14,6 @@ from repro.autodiff.capture import (
     EagerExecution,
     GraphCaptureError,
     GraphRecording,
-    ReplayPlan,
     TraceHandles,
     resolve_execution_backend,
 )
@@ -52,7 +51,6 @@ from repro.autodiff.ops import (
     Op,
     OpCall,
     apply,
-    elementwise_ops,
     registered_ops,
 )
 from repro.autodiff.profiler import OpProfiler, active_profiler, profile_ops
@@ -78,12 +76,10 @@ __all__ = [
     "Op",
     "OpCall",
     "OpProfiler",
-    "ReplayPlan",
     "ShieldRegion",
     "Tensor",
     "TraceHandles",
     "apply",
-    "elementwise_ops",
     "registered_ops",
     "resolve_execution_backend",
     "active_profiler",

@@ -57,13 +57,15 @@ class GraphCaptureError(RuntimeError):
 
 
 class _ReplayNode:
-    """One non-fused replay step: rerun the node's kernel into its buffer.
+    """One replay step: rerun the node's kernel into its recorded buffer.
 
-    Non-elementwise kernels whose operands share the buffer's dtype get the
-    buffer as ``out=``: banded conv2d and every matmul write it in place,
-    the others land their result there.  A kernel that returns another array is
-    copied in, unless that array already is the buffer's memory (views from
-    reshape, transpose or basic slicing of a refreshed parent); the copy
+    When the buffer is writeable and every operand has its dtype, the kernel
+    gets the buffer as ``out=``: elementwise kernels, matmuls and banded
+    conv2d write it in place.  Otherwise the kernel reruns without ``out=``:
+    a mixed-dtype call computed in another dtype than its buffer holds, and
+    writing through ``out=`` would change the rounding.  A returned array is
+    copied into the buffer unless it already is the buffer's memory (views
+    from reshape, transpose or basic slicing of a refreshed parent); the copy
     flag is decided on the first replay.
     """
 
@@ -73,13 +75,8 @@ class _ReplayNode:
         self.node = node
         self.call = node._op_call
         data = node.data
-        # An elementwise node lands here only when it computed in another
-        # dtype than its buffer holds, and so may any mixed-dtype call:
-        # writing through ``out=`` would change the rounding.
-        in_place = (
-            not self.call.op.elementwise
-            and data.flags.writeable
-            and all(tensor.data.dtype == data.dtype for tensor in self.call.tensors)
+        in_place = data.flags.writeable and all(
+            tensor.data.dtype == data.dtype for tensor in self.call.tensors
         )
         self.out = data if in_place else None
         self.needs_copy: bool | None = None
@@ -98,84 +95,6 @@ class _ReplayNode:
             )
         if self.needs_copy:
             np.copyto(data, new_value)
-
-
-class _FusedChain:
-    """A run of consecutive elementwise registry ops, replayed in place.
-
-    Each kernel writes directly into its node's persistent buffer through the
-    registry's ``out=`` support: no temporary is allocated and no copy-back
-    happens, and because the kernels execute in the recorded order on the
-    same operand values, the buffers end up bit-identical to the unfused
-    replay.  Backward closures keep reading the same (refreshed) buffers.
-    """
-
-    __slots__ = ("steps",)
-
-    def __init__(self, nodes: list[Tensor]):
-        self.steps = [(node._op_call, node.data) for node in nodes]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def run(self) -> None:
-        for call, out in self.steps:
-            call.kernel(out=out)
-
-
-def _fusable(node: Tensor) -> bool:
-    """Elementwise registry nodes whose kernel can write its buffer in place."""
-    call = node._op_call
-    if not call.op.elementwise:
-        return False
-    dtypes = [tensor.data.dtype for tensor in call.tensors]
-    result = dtypes[0] if len(dtypes) == 1 else np.result_type(*dtypes)
-    # A dtype mismatch means the eager pass computed in one dtype and cast on
-    # tensor creation; writing through ``out=`` would compute in the output
-    # dtype instead — not bit-identical, so leave the node unfused.
-    return result == node.data.dtype
-
-
-class ReplayPlan:
-    """The executable form of a recording: its steps in recorded order.
-
-    Consecutive fusable nodes collapse into one :class:`_FusedChain`; every
-    other node is a :class:`_ReplayNode`.
-    """
-
-    __slots__ = ("steps", "fused_chains", "fused_ops")
-
-    def __init__(self, nodes: list[Tensor]) -> None:
-        self.steps: list = []
-        self.fused_chains = 0
-        self.fused_ops = 0
-        chain: list[Tensor] = []
-        for node in nodes:
-            if _fusable(node):
-                chain.append(node)
-                continue
-            self._flush(chain)
-            self.steps.append(_ReplayNode(node))
-        self._flush(chain)
-
-    def _flush(self, chain: list[Tensor]) -> None:
-        if not chain:
-            return
-        self.steps.append(_FusedChain(chain))
-        if len(chain) > 1:
-            self.fused_chains += 1
-            self.fused_ops += len(chain)
-        chain.clear()
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def run(self) -> None:
-        for step in self.steps:
-            step.run()
 
 
 @dataclass
@@ -226,11 +145,8 @@ class GraphRecording:
             raise GraphCaptureError("model output does not depend on the input")
         #: Topological order of the whole graph (grads are reset over it).
         self._order = order
-        #: Replay plan: consecutive elementwise registry ops are fused into
-        #: in-place chains; every other node reruns its kernel on its own.
-        self._plan = ReplayPlan(replay)
-        self.fused_chains = self._plan.fused_chains
-        self.fused_ops = self._plan.fused_ops
+        #: One step per input-dependent node, in recorded order.
+        self._steps = [_ReplayNode(node) for node in replay]
         self._reversed = list(reversed(order))
         self._seed = np.ones_like(self.objective.data)
         #: Number of times this recording has been replayed.
@@ -249,7 +165,8 @@ class GraphRecording:
         profiler = _profiler.active_profiler()
         started = time.perf_counter() if profiler is not None else 0.0
         np.copyto(self.input.data, inputs)
-        self._plan.run()
+        for step in self._steps:
+            step.run()
         if self.requires_grad:
             for node in self._order:
                 node.grad = None
@@ -359,15 +276,10 @@ class CapturedExecution:
         return handles
 
 
-def resolve_execution_backend(spec) -> EagerExecution | CapturedExecution:
-    """Coerce a backend name or instance into an execution backend."""
+def resolve_execution_backend(spec: str | None) -> EagerExecution | CapturedExecution:
+    """Build the execution backend a name selects (``None`` means eager)."""
     if spec is None or spec == "eager":
         return EagerExecution()
     if spec == "captured":
         return CapturedExecution()
-    if hasattr(spec, "run") and hasattr(spec, "name"):
-        return spec
-    raise ValueError(
-        f"unknown execution backend {spec!r}; expected one of {EXECUTION_BACKENDS} "
-        "or an object with a .run(trace, inputs, key) method"
-    )
+    raise ValueError(f"unknown execution backend {spec!r}; expected one of {EXECUTION_BACKENDS}")

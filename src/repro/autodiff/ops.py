@@ -6,7 +6,7 @@ closure pair at its call site — ~60 of them scattered across ``tensor.py``,
 declarative objects instead:
 
 * an :class:`Op` bundles the op's name, its forward kernel (with ``out=``
-  support so captured and fused replays can write in place), its
+  support so captured replays can write in place), its
   backward kernel, FLOP + byte cost metadata, and gradient-check sample
   configurations;
 * :func:`apply` is the one dispatcher that runs the kernel, builds the graph
@@ -44,7 +44,6 @@ __all__ = [
     "Op",
     "OpCall",
     "apply",
-    "elementwise_ops",
     "get",
     "register",
     "registered_ops",
@@ -136,9 +135,6 @@ class Op:
     name: str
     forward: Callable[[tuple, dict, dict, np.ndarray | None], np.ndarray]
     backward: Callable[["OpCall", np.ndarray], tuple] | None
-    #: Pure elementwise kernel (broadcasting allowed): eligible for chain
-    #: fusion in captured replays.
-    elementwise: bool = False
     #: Whether a recorded node of this op can be replayed (dropout cannot:
     #: it redraws its mask per call).
     replayable: bool = True
@@ -168,8 +164,8 @@ class OpCall:
     """One dispatched op application: the per-node context kernels run in.
 
     Instances live as ``tensor._op_call`` on op outputs, giving the capture
-    layer (fusion) and the profiler access to the kernel, its parameters and
-    its saved record-time buffers.
+    layer and the profiler access to the kernel, its parameters and its
+    saved record-time buffers.
     """
 
     __slots__ = ("op", "tensors", "params", "saved", "_output_ref", "__weakref__")
@@ -241,11 +237,6 @@ def get(name: str) -> Op:
 def registered_ops() -> tuple[str, ...]:
     """Names of every registered op, sorted."""
     return tuple(sorted(REGISTRY))
-
-
-def elementwise_ops() -> tuple[str, ...]:
-    """Names of the fusable elementwise kernels."""
-    return tuple(sorted(name for name, op in REGISTRY.items() if op.elementwise))
 
 
 def apply(op: Op | str, inputs: Sequence, params: dict | None = None) -> Tensor:
@@ -986,15 +977,14 @@ _BINARY_SAMPLES = (
     GradSample(shapes=((4,), (3, 4))),  # leading broadcast
 )
 
-register(Op("add", _add_forward, _add_backward, elementwise=True, samples=_BINARY_SAMPLES))
-register(Op("sub", _sub_forward, _sub_backward, elementwise=True, samples=_BINARY_SAMPLES))
-register(Op("mul", _mul_forward, _mul_backward, elementwise=True, samples=_BINARY_SAMPLES))
+register(Op("add", _add_forward, _add_backward, samples=_BINARY_SAMPLES))
+register(Op("sub", _sub_forward, _sub_backward, samples=_BINARY_SAMPLES))
+register(Op("mul", _mul_forward, _mul_backward, samples=_BINARY_SAMPLES))
 register(
     Op(
         "div",
         _div_forward,
         _div_backward,
-        elementwise=True,
         samples=(
             GradSample(shapes=((3, 4), (3, 4)), low=0.5, high=2.0, positive=True),
             GradSample(shapes=((3, 1), (3, 4)), low=0.5, high=2.0, positive=True),
@@ -1002,14 +992,13 @@ register(
     )
 )
 register(
-    Op("neg", _neg_forward, _neg_backward, elementwise=True, samples=(GradSample(shapes=((3, 4),)),))
+    Op("neg", _neg_forward, _neg_backward, samples=(GradSample(shapes=((3, 4),)),))
 )
 register(
     Op(
         "pow",
         _pow_forward,
         _pow_backward,
-        elementwise=True,
         samples=(
             GradSample(shapes=((3, 4),), params={"power": 2.0}),
             GradSample(shapes=((3, 4),), params={"power": 3.0}, low=0.5, high=2.0, positive=True),
@@ -1029,14 +1018,13 @@ register(
     )
 )
 register(
-    Op("exp", _exp_forward, _exp_backward, elementwise=True, samples=(GradSample(shapes=((3, 4),)),))
+    Op("exp", _exp_forward, _exp_backward, samples=(GradSample(shapes=((3, 4),)),))
 )
 register(
     Op(
         "log",
         _log_forward,
         _log_backward,
-        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), low=0.5, high=3.0, positive=True),),
     )
 )
@@ -1045,21 +1033,17 @@ register(
         "sqrt",
         _sqrt_forward,
         _sqrt_backward,
-        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), low=0.5, high=3.0, positive=True),),
     )
 )
 register(
-    Op(
-        "tanh", _tanh_forward, _tanh_backward, elementwise=True, samples=(GradSample(shapes=((3, 4),)),)
-    )
+    Op("tanh", _tanh_forward, _tanh_backward, samples=(GradSample(shapes=((3, 4),)),))
 )
 register(
     Op(
         "abs",
         _abs_forward,
         _abs_backward,
-        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), low=0.25, high=2.0, positive=True),),
     )
 )
@@ -1068,7 +1052,6 @@ register(
         "maximum",
         _maximum_forward,
         _maximum_backward,
-        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), params={"value": 0.1}),),
     )
 )
@@ -1077,7 +1060,6 @@ register(
         "minimum",
         _minimum_forward,
         _minimum_backward,
-        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), params={"value": 0.1}),),
     )
 )
@@ -1179,7 +1161,6 @@ register(
         "relu",
         _relu_forward,
         _relu_backward,
-        elementwise=True,
         samples=(GradSample(shapes=((3, 4),), low=0.25, high=2.0, positive=True),),
     )
 )
@@ -1188,7 +1169,6 @@ register(
         "sigmoid",
         _sigmoid_forward,
         _sigmoid_backward,
-        elementwise=True,
         samples=(GradSample(shapes=((3, 4),)),),
     )
 )
@@ -1197,7 +1177,6 @@ register(
         "gelu",
         _gelu_forward,
         _gelu_backward,
-        elementwise=True,
         samples=(GradSample(shapes=((3, 4),)),),
     )
 )

@@ -16,11 +16,12 @@ Both views expose the same interface, so every attack in
 :mod:`repro.attacks` runs unchanged in the shielded and non-shielded
 settings — exactly how the paper evaluates PELTA.
 
-Both views also share a pluggable *execution backend*
-(:mod:`repro.autodiff.capture`): ``"eager"`` rebuilds the autodiff graph per
-gradient query, ``"captured"`` records it once per (objective, input shape)
-and replays it with reused buffers — bit-identical gradients, far less
-per-query Python overhead on iterative attacks.
+Both views run their gradient queries through an *execution backend*
+(:mod:`repro.autodiff.capture`), held as ``view.backend``.  A view starts
+eager, rebuilding the autodiff graph per query; the attack driver's
+``DriverConfig(backend="captured")`` switches it to recording the graph once
+per (objective, input shape) and replaying it with reused buffers, which
+gives bit-identical gradients.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from repro.autodiff import functional as F
-from repro.autodiff.capture import TraceHandles, resolve_execution_backend
+from repro.autodiff.capture import EagerExecution, TraceHandles
 from repro.autodiff.context import frozen_parameters, no_grad
 from repro.autodiff.tensor import Tensor
 from repro.core.shielded_model import ShieldedModel
@@ -95,11 +96,11 @@ def _per_sample_loss(
 class FullWhiteBoxView:
     """White-box oracle over a non-shielded model: exact ∇_x L."""
 
-    def __init__(self, model: ImageClassifier | ShieldedModel, backend="eager"):
+    def __init__(self, model: ImageClassifier | ShieldedModel):
         self.model = model
         self.num_classes = model.num_classes
         self.shielded = isinstance(model, ShieldedModel)
-        self.backend = resolve_execution_backend(backend)
+        self.backend = EagerExecution()
         base = model.model if isinstance(model, ShieldedModel) else model
         self._frozen = tuple(base.parameters())
         # Identity-hashed capture-key token: unlike id(model), it is kept
@@ -162,14 +163,14 @@ class RestrictedWhiteBoxView:
     never the true gradient.
     """
 
-    def __init__(self, model: ShieldedModel, upsampler: Upsampler, backend="eager"):
+    def __init__(self, model: ShieldedModel, upsampler: Upsampler):
         if not isinstance(model, ShieldedModel):
             raise TypeError("RestrictedWhiteBoxView requires a ShieldedModel")
         self.model = model
         self.upsampler = upsampler
         self.num_classes = model.num_classes
         self.shielded = True
-        self.backend = resolve_execution_backend(backend)
+        self.backend = EagerExecution()
         self._frozen = tuple(model.model.parameters())
         # See FullWhiteBoxView: identity token, gc-safe unlike id(model).
         self._trace_token = object()

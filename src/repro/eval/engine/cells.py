@@ -61,15 +61,9 @@ def _rng_factory(seed: int) -> Callable[[str], np.random.Generator]:
     return registry.spawn
 
 
-def _payload_driver(payload: dict, callbacks=()) -> AttackDriver:
-    """Attack driver configured from a cell payload (backend + active set)."""
-    return AttackDriver(
-        DriverConfig(
-            backend=payload.get("backend", "eager"),
-            active_set=bool(payload.get("active_set", False)),
-        ),
-        callbacks=callbacks,
-    )
+def _payload_driver(payload: dict) -> AttackDriver:
+    """Attack driver on the cell payload's backend, without active-set shrinking."""
+    return AttackDriver(DriverConfig(backend=payload.get("backend", "eager"), active_set=False))
 
 
 def run_attack_in_batches(

@@ -79,11 +79,6 @@ class ExperimentConfig:
     #: graph once per (attack, batch shape) and replays it with reused
     #: buffers — bit-identical to "eager", just faster on iterative attacks.
     attack_backend: str = "captured"
-    #: Let the attack driver drop samples that already fool the view out of
-    #: the batch (cuts gradient queries but changes iterate trajectories, so
-    #: the paper-table scenarios keep it off; the budget-curve scenario
-    #: measures exactly this trade-off).
-    attack_active_set: bool = False
     # Ensemble-specific settings (Table IV)
     ensemble_vit: str = "vit_l16"
     ensemble_cnn: str = "bit_m_r101x3"

@@ -105,14 +105,6 @@ class ExperimentEngine:
     def _cell_seed(self, scenario: Scenario, *parts) -> int:
         return derive_seed("engine." + ".".join([scenario.name, *map(str, parts)]))
 
-    @staticmethod
-    def _attack_execution(config) -> dict:
-        """Driver-facing payload fields shared by every attack cell."""
-        return {
-            "backend": config.attack_backend,
-            "active_set": config.attack_active_set,
-        }
-
     def _eval_set(self, scenario: Scenario, predict_fn, max_samples: int):
         dataset = self.cache.get_dataset(scenario.config)
         return select_correctly_classified(
@@ -152,7 +144,7 @@ class ExperimentEngine:
                         "labels": labels,
                         "batch_size": config.attack_batch_size,
                         "strategy": config.upsampling_strategy,
-                        **self._attack_execution(config),
+                        "backend": config.attack_backend,
                     }
                 )
         for cell in self.executor.map(cells.run_individual_cell, payloads):
@@ -203,7 +195,7 @@ class ExperimentEngine:
             "labels": labels,
             "batch_size": config.attack_batch_size,
             "strategy": config.upsampling_strategy,
-            **self._attack_execution(config),
+            "backend": config.attack_backend,
         }
 
     def _run_ensemble(self, scenario: Scenario):
@@ -347,7 +339,7 @@ class ExperimentEngine:
                 "strategy": config.upsampling_strategy,
                 "images": images,
                 "labels": labels,
-                **self._attack_execution(config),
+                "backend": config.attack_backend,
             }
             for epsilon in scenario.params["epsilons"]
         ]
@@ -514,7 +506,7 @@ class ExperimentEngine:
                 "steps": config.max_attack_steps,
                 "images": images,
                 "labels": labels,
-                **self._attack_execution(config),
+                "backend": config.attack_backend,
             }
             for strategy in strategies
         ]

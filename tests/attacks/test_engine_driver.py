@@ -74,8 +74,8 @@ class TestBackendParity:
         results = {}
         for backend in ("eager", "captured"):
             attack = _attack_factory(name)()
-            view = make_attacker_view(cnn_model, backend=backend)
-            results[backend] = AttackDriver(DriverConfig(backend=None)).run(
+            view = make_attacker_view(cnn_model)
+            results[backend] = AttackDriver(DriverConfig(backend=backend)).run(
                 attack, view, images, labels
             )
         eager, captured = results["eager"], results["captured"]
@@ -90,10 +90,8 @@ class TestBackendParity:
         results = {}
         for backend in ("eager", "captured"):
             attack = _attack_factory(name)()
-            view = make_attacker_view(
-                ShieldedModel(cnn_model), rng=np.random.default_rng(5), backend=backend
-            )
-            results[backend] = AttackDriver(DriverConfig(backend=None)).run(
+            view = make_attacker_view(ShieldedModel(cnn_model), rng=np.random.default_rng(5))
+            results[backend] = AttackDriver(DriverConfig(backend=backend)).run(
                 attack, view, images, labels
             )
         np.testing.assert_array_equal(
@@ -106,9 +104,9 @@ class TestBackendParity:
         results = {}
         for backend in ("eager", "captured"):
             saga = _attack_factory("saga")()
-            vit_view = make_attacker_view(vit_model, backend=backend)
-            cnn_view = make_attacker_view(cnn_model, backend=backend)
-            results[backend] = AttackDriver(DriverConfig(backend=None)).run(
+            vit_view = make_attacker_view(vit_model)
+            cnn_view = make_attacker_view(cnn_model)
+            results[backend] = AttackDriver(DriverConfig(backend=backend)).run(
                 saga, (vit_view, cnn_view), images, labels
             )
         np.testing.assert_array_equal(
@@ -142,7 +140,11 @@ class TestBackendParity:
 
     def test_driver_default_leaves_view_backend_alone(self, cnn_model, batch):
         images, labels = batch
-        view = make_attacker_view(cnn_model, backend="captured")
+        view = make_attacker_view(cnn_model)
+        assert view.backend.name == "eager"
+        AttackDriver(DriverConfig(backend="captured")).run(
+            _attack_factory("fgsm")(), view, images, labels
+        )
         AttackDriver().run(_attack_factory("pgd")(), view, images, labels)
         assert view.backend.name == "captured"
 
@@ -155,6 +157,10 @@ class TestBackendParity:
         )
         assert view.backend.name == "captured"
         assert view.backend.stats.replays > 0
+
+    def test_unknown_backend_name_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            AttackDriver(DriverConfig(backend="jit"))
 
 
 class TestActiveSetShrinking:
@@ -315,3 +321,21 @@ class TestEmptyBatch:
                 warnings.simplefilter("error", RuntimeWarning)
                 result = attack.run(view, images, labels)
             assert result.adversarials.shape == (0, 3, 32, 32), name
+
+    def test_saga_ensemble_returns_an_empty_batch(self):
+        import warnings
+
+        vit_model = build_model("vit_b32", num_classes=4, image_size=32)
+        cnn_model = build_model("simple_cnn", num_classes=4, image_size=32)
+        vit_model.eval()
+        cnn_model.eval()
+        images = np.zeros((0, 3, 32, 32), dtype=get_default_dtype())
+        labels = np.zeros(0, dtype=np.int64)
+        saga = SelfAttentionGradientAttack(epsilon=0.1, step_size=0.02, steps=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = saga.run_against_ensemble(
+                make_attacker_view(vit_model), make_attacker_view(cnn_model), images, labels
+            )
+        assert result.adversarials.shape == (0, 3, 32, 32)
+        assert result.success.shape == (0,)

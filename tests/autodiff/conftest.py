@@ -1,7 +1,7 @@
 """Shared helpers for the autodiff test suite.
 
 CI runs this directory under both ``REPRO_DTYPE=float64`` and ``float32``
-(the kernels and fused replays must be dtype-clean), so numeric-gradient
+(the kernels and captured replays must be dtype-clean), so numeric-gradient
 checks and value comparisons pick their finite-difference step and tolerance
 from the active default dtype instead of assuming double precision.
 """

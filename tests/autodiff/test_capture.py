@@ -155,9 +155,10 @@ class TestResolveExecutionBackend:
         assert resolve_execution_backend("captured").name == "captured"
         assert resolve_execution_backend(None).name == "eager"
 
-    def test_instances_pass_through(self):
-        backend = CapturedExecution()
-        assert resolve_execution_backend(backend) is backend
+    @pytest.mark.parametrize("backend", [EagerExecution, CapturedExecution])
+    def test_instances_are_rejected(self, backend):
+        with pytest.raises(ValueError):
+            resolve_execution_backend(backend())
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -327,6 +328,5 @@ class TestRegistryNodes:
             assert node._op_call is not None, node.op
             assert node._op_call.output is node
         recording = GraphRecording(handles)
-        for step in recording._plan.steps:
-            calls = [call for call, _ in step.steps] if hasattr(step, "steps") else [step.call]
-            assert all(call.op.name in ops.REGISTRY for call in calls)
+        assert recording._steps
+        assert all(step.call.op.name in ops.REGISTRY for step in recording._steps)

@@ -10,7 +10,6 @@ import pytest
 from repro.autodiff import (
     Tensor,
     active_profiler,
-    elementwise_ops,
     profile_ops,
     registered_ops,
 )
@@ -42,11 +41,6 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown op"):
             op_registry.get("fused_multiply_add")
 
-    def test_elementwise_flags(self):
-        fusable = set(elementwise_ops())
-        assert {"add", "mul", "exp", "tanh", "relu", "sigmoid", "gelu"} <= fusable
-        assert {"matmul", "softmax", "sum", "conv2d", "reshape"}.isdisjoint(fusable)
-
     def test_dropout_is_not_replayable(self):
         assert not op_registry.get("dropout").replayable
         out = F.dropout(
@@ -56,6 +50,12 @@ class TestRegistry:
             training=True,
         )
         assert out.forward_fn is None
+
+
+#: Kernels that honour ``out=`` by writing the buffer they are given.
+_WRITES_OUT = frozenset(
+    "add sub mul div neg pow exp log sqrt tanh abs maximum minimum relu sigmoid gelu matmul".split()
+)
 
 
 class TestDispatch:
@@ -74,19 +74,36 @@ class TestDispatch:
         assert out.parents[1].op == "leaf"
         np.testing.assert_array_equal(out.parents[1].data, 2.0)
 
-    def test_out_kernels_are_bit_identical(self, rng):
-        """Every elementwise kernel lands the same bits with and without out=."""
-        for name in elementwise_ops():
+    @pytest.mark.parametrize("band_flops", [None, 1], ids=["default_floor", "banded_conv"])
+    def test_out_kernels_are_bit_identical(self, rng, monkeypatch, band_flops):
+        """Every replayable kernel gives the same bytes with and without out=.
+
+        As in a captured replay, the second call gets the saved buffers of
+        the first and a buffer as ``out=``; a kernel may write it or return
+        another array, which the replay copies in, so the bytes are compared
+        either way.  ``band_flops=1`` forces conv2d onto its banded kernel,
+        which writes ``out=``.  The elementwise kernels and matmul must write
+        it: a replay of them then needs no allocation and no copy.
+        """
+        if band_flops is not None:
+            monkeypatch.setattr(op_registry, "MIN_BAND_FLOPS", band_flops)
+        for name in registered_ops():
             op = op_registry.get(name)
-            sample = op.samples[0]
-            arrays = [
-                rng.uniform(sample.low, sample.high, size=shape) for shape in sample.shapes
-            ]
-            plain = op.forward(tuple(arrays), dict(sample.params), {}, None)
-            buffer = np.empty_like(plain)
-            landed = op.forward(tuple(arrays), dict(sample.params), {}, buffer)
-            assert landed is buffer
-            np.testing.assert_array_equal(plain, landed, err_msg=name)
+            if not op.replayable:
+                continue
+            for index, sample in enumerate(op.samples):
+                arrays = tuple(
+                    rng.uniform(sample.low, sample.high, size=shape) for shape in sample.shapes
+                )
+                saved: dict = {}
+                plain = op.forward(arrays, dict(sample.params), saved, None)
+                expected = (plain.dtype, plain.shape, plain.tobytes())
+                buffer = np.empty_like(plain)
+                landed = op.forward(arrays, dict(sample.params), saved, buffer)
+                label = f"{name} sample {index}"
+                assert (landed.dtype, landed.shape, landed.tobytes()) == expected, label
+                if name in _WRITES_OUT:
+                    assert landed is buffer, label
 
     def test_cost_metadata(self):
         flops, moved = op_registry.get("matmul").cost_of(((3, 4), (4, 5)), (3, 5), {}, 8)

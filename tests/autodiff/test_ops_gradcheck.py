@@ -8,8 +8,8 @@ gradcheck coverage: an op registered with neither ``samples`` nor an explicit
 
 Numeric differentiation needs double precision regardless of the suite's
 ``REPRO_DTYPE`` leg, so these tests pin the default dtype to float64 — the
-float32 behaviour of the same kernels is covered by the dtype, fusion and
-pool tests.
+float32 behaviour of the same kernels is covered by the dtype and replay
+tests.
 """
 
 from __future__ import annotations

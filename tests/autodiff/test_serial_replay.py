@@ -1,12 +1,12 @@
-"""Tests of the serial replay plan.
+"""Tests of the serial replay.
 
-A recording's replay plan is an ordered list of steps in recorded order:
-consecutive elementwise registry nodes collapse into one in-place
-:class:`~repro.autodiff.capture._FusedChain`, every other node reruns its
-kernel as a :class:`~repro.autodiff.capture._ReplayNode`.  Replays run on the
-calling thread.  The invariants under test: **replays of graphs of any width
-are byte-identical to eager execution**, the plan preserves every dependency,
-and no replay hands work to another thread.
+A recording replays one step per input-dependent node, in recorded order:
+each step reruns its node's kernel, through ``out=`` into the node's buffer
+when every operand has the buffer's dtype, otherwise into a fresh array that
+is copied in.  Replays run on the calling thread.  The invariants under
+test: **replays of graphs of any width are byte-identical to eager
+execution**, nodes that do not depend on the input keep their recorded
+value, and no replay hands work to another thread.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from repro.autodiff import (
     Op,
     Tensor,
     TraceHandles,
+    get_default_dtype,
     no_grad,
     profile_ops,
 )
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
-from repro.autodiff.capture import ReplayPlan, _FusedChain, _ReplayNode
 from repro.autodiff.conv import conv2d
 
 
@@ -67,12 +67,6 @@ def _wide_inference_trace(weight, branches: int = 4):
     return trace
 
 
-def _step_nodes(step) -> list[Tensor]:
-    if isinstance(step, _FusedChain):
-        return [call.output for call, _ in step.steps]
-    return [step.node]
-
-
 @pytest.fixture
 def registered_op():
     """Register test-only ops for one test and drop them afterwards."""
@@ -107,8 +101,6 @@ class TestBitIdentity:
             )
             assert expected.objective.data.tobytes() == actual.objective.data.tobytes()
         assert captured.stats.replays == 2  # run 1 is eager warm-up, run 2 records
-        recording = next(iter(captured._recordings.values()))
-        assert recording.fused_chains >= 1
 
     def test_inference_replay(self, rng, branches):
         weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
@@ -145,22 +137,94 @@ class TestBitIdentity:
         assert captured.stats.replays == 0
 
 
+def _chain_trace(w1, w2):
+    """An MLP whose hot path is an elementwise chain (gelu -> tanh -> scale)."""
+
+    def trace(array: np.ndarray) -> TraceHandles:
+        x = Tensor(array, requires_grad=True, is_input=True)
+        hidden = F.gelu(x @ w1).tanh() * 2.0 + 0.5
+        logits = F.sigmoid(hidden) @ w2
+        labels = np.zeros(len(array), dtype=np.int64)
+        return TraceHandles(
+            objective=F.cross_entropy(logits, labels, reduction="sum"), input=x
+        )
+
+    return trace
+
+
+class TestChainReplay:
+    """Elementwise chains between matmuls replay byte-identically."""
+
+    @pytest.fixture()
+    def weights(self, rng):
+        w1 = Tensor(rng.normal(size=(6, 8)), requires_grad=True, is_parameter=True)
+        w2 = Tensor(rng.normal(size=(8, 3)), requires_grad=True, is_parameter=True)
+        return w1, w2
+
+    def test_chain_gradients_bit_identical_to_eager(self, rng, weights):
+        trace = _chain_trace(*weights)
+        eager, captured = EagerExecution(), CapturedExecution()
+        for trial in range(5):
+            batch = rng.normal(size=(4, 6))
+            expected = np.array(eager.run(trace, batch).input.grad)
+            actual = np.array(captured.run(trace, batch, key="chain").input.grad)
+            assert expected.tobytes() == actual.tobytes(), f"trial {trial}"
+        assert captured.stats.replays == 3
+
+    def test_chain_objective_bit_identical(self, rng, weights):
+        trace = _chain_trace(*weights)
+        eager, captured = EagerExecution(), CapturedExecution()
+        for _ in range(3):
+            batch = rng.normal(size=(4, 6))
+            expected = np.array(eager.run(trace, batch).objective.data)
+            actual = np.array(captured.run(trace, batch, key="chain").objective.data)
+            assert expected.tobytes() == actual.tobytes()
+
+    def test_broadcast_binary_gradients_bit_identical(self, rng):
+        bias = Tensor(rng.normal(size=(1, 8)), requires_grad=True, is_parameter=True)
+
+        def trace(array):
+            x = Tensor(array, requires_grad=True, is_input=True)
+            return TraceHandles(objective=((x + bias).tanh() * x).sum(), input=x)
+
+        eager, captured = EagerExecution(), CapturedExecution()
+        for _ in range(4):
+            batch = rng.normal(size=(4, 8))
+            expected = np.array(eager.run(trace, batch).input.grad)
+            actual = np.array(captured.run(trace, batch, key="b").input.grad)
+            assert expected.tobytes() == actual.tobytes()
+
+    def test_forward_only_chain_bit_identical(self, rng, weights):
+        w1, w2 = weights
+
+        def trace(array):
+            with no_grad():
+                x = Tensor(array, is_input=True)
+                out = F.sigmoid(F.gelu(x @ w1).tanh() * 0.5) @ w2
+            return TraceHandles(objective=out, input=x)
+
+        captured = CapturedExecution()
+        for trial in range(4):
+            batch = rng.normal(size=(4, 6))
+            expected = np.array(trace(batch).objective.data)
+            actual = np.array(captured.run(trace, batch, key="inf").objective.data)
+            assert expected.tobytes() == actual.tobytes(), f"trial {trial}"
+        recording = next(iter(captured._recordings.values()))
+        assert recording.replays == 2
+
+
 class TestRecordedOrderPlan:
     def test_steps_respect_dependencies(self, rng):
         """Every replayed node's replayed producers run in an earlier step."""
         weight = Tensor(rng.normal(size=(16, 4)), requires_grad=True, is_parameter=True)
         recording = GraphRecording(_wide_inference_trace(weight, 8)(rng.normal(size=(8, 16))))
-        plan = recording._plan
-        replayed = {
-            node.node_id for step in plan.steps for node in _step_nodes(step)
-        }
+        replayed = {step.node.node_id for step in recording._steps}
         done: set[int] = set()
-        for step in plan.steps:
-            for node in _step_nodes(step):
-                for parent in node.parents:
-                    if parent.node_id in replayed:
-                        assert parent.node_id in done, f"{node.op} ran before {parent.op}"
-                done.add(node.node_id)
+        for step in recording._steps:
+            for parent in step.node.parents:
+                if parent.node_id in replayed:
+                    assert parent.node_id in done, f"{step.node.op} ran before {parent.op}"
+            done.add(step.node.node_id)
         assert done == replayed
 
     def test_sequential_graph_keeps_recorded_order(self, rng):
@@ -171,15 +235,11 @@ class TestRecordedOrderPlan:
             return TraceHandles(objective=F.gelu(x @ weight).sum(), input=x)
 
         recording = GraphRecording(EagerExecution().run(trace, rng.normal(size=(4, 6))))
-        steps = recording._plan.steps
-        assert [type(step) for step in steps] == [_ReplayNode, _FusedChain, _ReplayNode]
-        assert steps[0].call.op.name == "matmul"
-        assert [call.op.name for call, _ in steps[1].steps] == ["gelu"]
-        assert steps[2].call.op.name == "sum"
+        assert [step.call.op.name for step in recording._steps] == ["matmul", "gelu", "sum"]
 
-    def test_non_elementwise_op_splits_a_chain(self, rng, registered_op):
-        """A non-fusable node ends one chain and the next elementwise node
-        starts another; the replay stays byte-identical."""
+    def test_kernel_ignoring_out_is_copied_in(self, rng, registered_op):
+        """A kernel that returns a fresh array instead of writing ``out=``
+        between elementwise nodes still replays byte-identically."""
         registered_op(
             Op(
                 "test_row_flip",
@@ -200,16 +260,28 @@ class TestRecordedOrderPlan:
             expected = np.array(eager.run(trace, batch).input.grad)
             actual = np.array(captured.run(trace, batch, key="flip").input.grad)
             assert expected.tobytes() == actual.tobytes()
+        assert captured.stats.replays == 2
+
+    def test_mixed_dtype_node_reruns_and_is_copied_in(self, rng):
+        """A node whose operands differ in dtype from its buffer computed in
+        another dtype, so its kernel reruns without ``out=`` (writing through
+        it would change the rounding); the replay stays bit-identical."""
+        other = np.float32 if get_default_dtype() == np.float64 else np.float64
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True, is_parameter=True)
+        w.data = w.data.astype(other)  # externally loaded weights
+
+        def trace(array):
+            x = Tensor(array, requires_grad=True, is_input=True)
+            return TraceHandles(objective=(x @ w).exp().sum(), input=x)
+
+        eager, captured = EagerExecution(), CapturedExecution()
+        for _ in range(4):
+            batch = rng.normal(size=(2, 4))
+            expected = np.array(eager.run(trace, batch).input.grad)
+            actual = np.array(captured.run(trace, batch, key="mix").input.grad)
+            assert expected.tobytes() == actual.tobytes()
         recording = next(iter(captured._recordings.values()))
-        assert recording.fused_chains == 2
-        assert recording.fused_ops == 4  # mul, tanh | exp, add
-        names = [
-            [call.op.name for call, _ in step.steps]
-            if isinstance(step, _FusedChain)
-            else step.call.op.name
-            for step in recording._plan.steps
-        ]
-        assert names.index("test_row_flip") == 1
+        assert [step.out is None for step in recording._steps] == [True, False, False]
 
     def test_input_independent_nodes_are_not_replayed(self, rng):
         """Nodes that depend on parameters alone keep their recorded value."""
@@ -221,22 +293,9 @@ class TestRecordedOrderPlan:
             return TraceHandles(objective=(x @ scaled).sum(), input=x)
 
         recording = GraphRecording(EagerExecution().run(trace, rng.normal(size=(2, 4))))
-        ops = [node.op for step in recording._plan.steps for node in _step_nodes(step)]
+        ops = [step.node.op for step in recording._steps]
         assert ops == ["matmul", "sum"]
         assert len(recording) > len(ops)
-
-    def test_plan_iterates_steps_and_counts(self, rng):
-        x = Tensor(rng.normal(size=(4, 4)), requires_grad=True, is_input=True)
-        nodes = []
-        value = x
-        for _ in range(3):
-            value = value.tanh()
-            nodes.append(value)
-        plan = ReplayPlan(nodes)
-        assert len(plan) == 1  # one fused chain
-        assert list(plan) == plan.steps
-        assert plan.fused_chains == 1
-        assert plan.fused_ops == 3
 
 
 def _saved_free_chain_trace(array):
@@ -247,12 +306,17 @@ def _saved_free_chain_trace(array):
 
 
 class TestLargeChains:
-    def test_large_chain_is_one_fused_step(self, rng):
+    def test_large_chain_steps_write_in_place(self, rng):
+        """Same-dtype elementwise steps write through ``out=`` into their buffers."""
         recording = GraphRecording(_saved_free_chain_trace(rng.normal(size=(256, 256))))
-        (step,) = recording._plan.steps
-        assert isinstance(step, _FusedChain)
-        assert len(step) == 6
-        assert all(out is call.output.data for call, out in step.steps)
+        steps = recording._steps
+        assert [step.call.op.name for step in steps] == ["mul", "add", "tanh", "exp", "add", "sqrt"]
+        assert all(step.out is step.node.data for step in steps)
+        batch = rng.normal(size=(256, 256))
+        replayed = recording.replay(batch).objective.data
+        # ``needs_copy`` stays None only while every kernel returns its buffer.
+        assert all(step.needs_copy is None for step in steps)
+        assert replayed.tobytes() == _saved_free_chain_trace(batch).objective.data.tobytes()
 
     def test_large_chain_replay_bit_identical(self, rng):
         recording = GraphRecording(_saved_free_chain_trace(rng.normal(size=(256, 256))))
@@ -262,7 +326,7 @@ class TestLargeChains:
             assert replayed.tobytes() == _saved_free_chain_trace(batch).objective.data.tobytes()
 
     def test_broadcast_operands_replay_bit_identical(self, rng):
-        """Size-1 and lower-rank operands broadcast inside the fused chain."""
+        """Size-1 and lower-rank operands broadcast inside in-place kernels."""
         bias_row = Tensor(rng.normal(size=(1, 128)))
         bias_vec = Tensor(rng.normal(size=(128,)))
 
@@ -273,7 +337,6 @@ class TestLargeChains:
             return TraceHandles(objective=out, input=x)
 
         recording = GraphRecording(trace(rng.normal(size=(512, 128))))
-        assert recording.fused_ops == 4
         batch = rng.normal(size=(512, 128))
         replayed = recording.replay(batch).objective.data
         assert replayed.tobytes() == trace(batch).objective.data.tobytes()

@@ -30,7 +30,6 @@ from repro.autodiff import (
 )
 from repro.autodiff import functional as F
 from repro.autodiff import ops as op_registry
-from repro.autodiff.capture import _ReplayNode
 from repro.autodiff.conv import conv2d
 from repro.autodiff.numeric import numerical_gradient, relative_error
 from repro.autodiff.tensor import unbroadcast
@@ -146,9 +145,7 @@ class TestCapturedTowerParity:
             captured.run(trace, batch, key="tower-in-place")
         recording = next(iter(captured._recordings.values()))
         heavy = [
-            step
-            for step in recording._plan.steps
-            if isinstance(step, _ReplayNode) and step.call.op.name in ("conv2d", "matmul")
+            step for step in recording._steps if step.call.op.name in ("conv2d", "matmul")
         ]
         assert len(heavy) == 3
         for step in heavy:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.bpda import make_attacker_view
-from repro.autodiff import Tensor
+from repro.autodiff import EagerExecution, Tensor
 from repro.core import (
     FullWhiteBoxView,
     RestrictedWhiteBoxView,
@@ -193,3 +193,11 @@ class TestRestrictedWhiteBoxView:
         view = make_attacker_view(ShieldedModel(model))
         view.gradient(rng.uniform(size=(1, 3, 8, 8)), np.array([0]))
         assert len(view.attention_maps()) == model.config.depth
+
+
+@pytest.mark.parametrize("shielded", [False, True], ids=["clear", "shielded"])
+def test_attacker_views_start_eager(shielded):
+    """A view starts eager; ``DriverConfig.backend`` is the one backend switch."""
+    model = ShieldedModel(_tiny_cnn()) if shielded else _tiny_cnn()
+    view = make_attacker_view(model)
+    assert isinstance(view.backend, EagerExecution)

@@ -128,10 +128,11 @@ class TestCli:
         assert main(args) == 2
         assert "fixes dataset='cifar10'" in capsys.readouterr().err
 
-    def test_unknown_key_is_an_error(self, capsys):
-        args = ["fig3_geometry", "--scale", "tiny", "--set", "no_such_key=1", "--no-persist"]
+    @pytest.mark.parametrize("key", ["no_such_key", "attack_active_set"])
+    def test_unknown_key_is_an_error(self, capsys, key):
+        args = ["fig3_geometry", "--scale", "tiny", "--set", f"{key}=1", "--no-persist"]
         assert main(args) == 2
-        assert "no_such_key" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_set_routes_a_param_key_to_the_params(self, tmp_path, capsys):
         args = ["fig3_geometry", "--scale", "tiny", "--set", "epsilon=0.3"]

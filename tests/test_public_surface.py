@@ -27,7 +27,6 @@ ALLOWED = {
     "numerical_gradient": "reference finite-difference gradient the gradchecks compare against",
     "relative_error": "reference error metric the gradchecks compare against",
     "registered_ops": "op-registry enumeration the per-op gradcheck sweep iterates",
-    "elementwise_ops": "op-registry enumeration the fusion tests iterate",
     "select_first_transforms": "shield-depth selector; ROADMAP item 3 decides it",
     "select_by_memory_budget": "shield-depth selector; ROADMAP item 3 decides it",
     "mse_loss": "stem-fitting loss for ROADMAP item 1's fitted attacker",
